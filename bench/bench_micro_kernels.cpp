@@ -29,7 +29,6 @@
 #include "util/thread_pool.hpp"
 
 #include "cim/adder_tree.hpp"
-#include "cim/bitslice.hpp"
 #include "cim/storage.hpp"
 #include "cim/window.hpp"
 #include "geo/kdtree.hpp"
@@ -42,7 +41,6 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
-#include "util/simd.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
 
@@ -157,8 +155,6 @@ class SwapKernelFixture {
     input_.assign(shape_.rows(), 0);
     active_.resize(p_ + 2ULL);
     rebuild_active();
-    packed_.resize(shape_.rows());
-    for (const std::uint32_t r : active_) packed_.set(r);
   }
 
   std::uint32_t rows() const { return shape_.rows(); }
@@ -213,38 +209,7 @@ class SwapKernelFixture {
     return after - before;
   }
 
-  /// The bit-sliced kernel: persistent packed input plane, word MACs.
-  std::int64_t vector_swap(cim::util::Rng& rng) {
-    const auto [i, j] = pick_pair(rng);
-    const std::uint32_t k = perm_[i];
-    const std::uint32_t l = perm_[j];
-    const std::int64_t before =
-        storage_->mac_packed(ColIndex(i * p_ + k), packed_.words()) +
-        storage_->mac_packed(ColIndex(j * p_ + l), packed_.words());
-    toggle_swap(i, j);
-    const std::int64_t after =
-        storage_->mac_packed(ColIndex(i * p_ + l), packed_.words()) +
-        storage_->mac_packed(ColIndex(j * p_ + k), packed_.words());
-    toggle_swap(i, j);
-    return after - before;
-  }
-
  private:
-  /// Applies (or reverts) the swap on both the row list and its packed
-  /// mirror: clear the stale bits, update the entries, set the new ones.
-  void toggle_swap(std::uint32_t i, std::uint32_t j) {
-    const auto words = packed_.words();
-    cim::hw::packed_assign(words, active_[i], false);
-    cim::hw::packed_assign(words, active_[j], false);
-    cim::hw::packed_assign(words, active_[p_], false);
-    cim::hw::packed_assign(words, active_[p_ + 1], false);
-    std::swap(perm_[i], perm_[j]);
-    apply_entries(i, j);
-    cim::hw::packed_assign(words, active_[i], true);
-    cim::hw::packed_assign(words, active_[j], true);
-    cim::hw::packed_assign(words, active_[p_], true);
-    cim::hw::packed_assign(words, active_[p_ + 1], true);
-  }
   std::pair<std::uint32_t, std::uint32_t> pick_pair(cim::util::Rng& rng) {
     std::uint32_t i = static_cast<std::uint32_t>(rng.below(p_));
     std::uint32_t j = static_cast<std::uint32_t>(rng.below(p_ - 1));
@@ -279,184 +244,6 @@ class SwapKernelFixture {
   std::vector<std::uint32_t> perm_;
   std::vector<std::uint8_t> input_;
   std::vector<std::uint32_t> active_;
-  cim::hw::PackedBits packed_;
-};
-
-/// R replicas annealing over one shared weight window, the ensemble shape
-/// the batched packed path is built for. Each replica owns its
-/// permutation, active-row list, dense 0/1 input vector, packed input
-/// plane (a slice of one shared arena) and RNG stream. One round proposes
-/// one swap per replica and reverts it, in three interchangeable passes:
-///
-///  - scalar_round: the full-row dense MAC (4 mac calls per swap) — the
-///    scalar execution of exactly the computation the bit-sliced kernel
-///    vectorizes, and the hardware-faithful field evaluation (the CIM
-///    array reads every row of the addressed column).
-///  - sparse_round: the production host-side shortcut (4 mac_sparse calls
-///    per swap) that skips the rows known to be zero — an algorithmic
-///    optimisation, not a vectorization, reported as its own column.
-///  - vector_round: issues the 2R "before" MACs as one
-///    WeightStorage::mac_packed_batch, applies every swap, and batches
-///    the 2R "after" MACs.
-///
-/// Identically-seeded passes must agree on the accumulated delta.
-class ReplicaSwapFixture {
- public:
-  ReplicaSwapFixture(std::uint32_t p, std::size_t replicas)
-      : p_(p),
-        shape_(cim::hw::WindowShape::hardware(p)),
-        words_(cim::hw::packed_words(shape_.rows())) {
-    storage_ = cim::hw::make_fast_storage(shape_.rows(), shape_.cols(),
-                                          nullptr, 0);
-    storage_->write(random_image(shape_.rows(), shape_.cols(), 11));
-    arena_.assign(replicas * words_, 0);
-    for (std::size_t r = 0; r < replicas; ++r) {
-      Replica rep;
-      rep.perm.resize(p_);
-      for (std::uint32_t i = 0; i < p_; ++i) rep.perm[i] = i;
-      rep.rng.reseed(0xC0FFEE + r);
-      rep.rng.shuffle(rep.perm);
-      rep.active.resize(p_ + 2ULL);
-      rebuild_active(rep);
-      rep.dense.assign(shape_.rows(), 0);
-      const auto words = replica_words(r);
-      for (const std::uint32_t row : rep.active) {
-        rep.dense[row] = 1;
-        cim::hw::packed_assign(words, row, true);
-      }
-      replicas_.push_back(std::move(rep));
-    }
-    reqs_.resize(2 * replicas);
-    out_before_.resize(2 * replicas);
-    out_after_.resize(2 * replicas);
-    picks_.resize(replicas);
-  }
-
-  std::uint32_t rows() const { return shape_.rows(); }
-  std::size_t replicas() const { return replicas_.size(); }
-
-  std::int64_t scalar_round() {
-    std::int64_t sum = 0;
-    for (Replica& rep : replicas_) {
-      const auto [i, j] = pick_pair(rep);
-      const std::uint32_t k = rep.perm[i];
-      const std::uint32_t l = rep.perm[j];
-      const std::int64_t before =
-          storage_->mac(ColIndex(i * p_ + k), rep.dense) +
-          storage_->mac(ColIndex(j * p_ + l), rep.dense);
-      toggle(rep, i, j);
-      const std::int64_t after =
-          storage_->mac(ColIndex(i * p_ + l), rep.dense) +
-          storage_->mac(ColIndex(j * p_ + k), rep.dense);
-      toggle(rep, i, j);
-      sum += after - before;
-    }
-    return sum;
-  }
-
-  std::int64_t sparse_round() {
-    std::int64_t sum = 0;
-    for (Replica& rep : replicas_) {
-      const auto [i, j] = pick_pair(rep);
-      const std::uint32_t k = rep.perm[i];
-      const std::uint32_t l = rep.perm[j];
-      const std::int64_t before =
-          storage_->mac_sparse(ColIndex(i * p_ + k), rep.active) +
-          storage_->mac_sparse(ColIndex(j * p_ + l), rep.active);
-      toggle(rep, i, j);
-      const std::int64_t after =
-          storage_->mac_sparse(ColIndex(i * p_ + l), rep.active) +
-          storage_->mac_sparse(ColIndex(j * p_ + k), rep.active);
-      toggle(rep, i, j);
-      sum += after - before;
-    }
-    return sum;
-  }
-
-  std::int64_t vector_round() {
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      Replica& rep = replicas_[r];
-      picks_[r] = pick_pair(rep);
-      const auto [i, j] = picks_[r];
-      reqs_[2 * r] = {ColIndex(i * p_ + rep.perm[i]),
-                      static_cast<std::uint32_t>(r)};
-      reqs_[2 * r + 1] = {ColIndex(j * p_ + rep.perm[j]),
-                          static_cast<std::uint32_t>(r)};
-    }
-    storage_->mac_packed_batch(reqs_, arena_, words_, out_before_);
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      const auto [i, j] = picks_[r];
-      toggle(replicas_[r], i, j);
-      reqs_[2 * r].col = ColIndex(i * p_ + replicas_[r].perm[i]);
-      reqs_[2 * r + 1].col = ColIndex(j * p_ + replicas_[r].perm[j]);
-    }
-    storage_->mac_packed_batch(reqs_, arena_, words_, out_after_);
-    std::int64_t sum = 0;
-    for (std::size_t r = 0; r < replicas_.size(); ++r) {
-      const auto [i, j] = picks_[r];
-      toggle(replicas_[r], i, j);
-      sum += out_after_[2 * r] + out_after_[2 * r + 1] -
-             out_before_[2 * r] - out_before_[2 * r + 1];
-    }
-    return sum;
-  }
-
- private:
-  struct Replica {
-    std::vector<std::uint32_t> perm;
-    std::vector<std::uint32_t> active;
-    std::vector<std::uint8_t> dense;
-    cim::util::Rng rng;
-  };
-
-  std::span<std::uint64_t> replica_words(std::size_t r) {
-    return {arena_.data() + r * words_, words_};
-  }
-
-  std::pair<std::uint32_t, std::uint32_t> pick_pair(Replica& rep) {
-    std::uint32_t i = static_cast<std::uint32_t>(rep.rng.below(p_));
-    std::uint32_t j = static_cast<std::uint32_t>(rep.rng.below(p_ - 1));
-    if (j >= i) ++j;
-    if (i > j) std::swap(i, j);
-    return {i, j};
-  }
-
-  void rebuild_active(Replica& rep) {
-    for (std::uint32_t i = 0; i < p_; ++i) {
-      rep.active[i] = i * p_ + rep.perm[i];
-    }
-    rep.active[p_] = shape_.own_rows() + rep.perm.back();
-    rep.active[p_ + 1] = shape_.own_rows() + shape_.p_prev + rep.perm.front();
-  }
-
-  void toggle(Replica& rep, std::uint32_t i, std::uint32_t j) {
-    const auto words =
-        replica_words(static_cast<std::size_t>(&rep - replicas_.data()));
-    for (const std::uint32_t slot : {i, j, p_, p_ + 1}) {
-      rep.dense[rep.active[slot]] = 0;
-      cim::hw::packed_assign(words, rep.active[slot], false);
-    }
-    std::swap(rep.perm[i], rep.perm[j]);
-    rep.active[i] = i * p_ + rep.perm[i];
-    rep.active[j] = j * p_ + rep.perm[j];
-    rep.active[p_] = shape_.own_rows() + rep.perm.back();
-    rep.active[p_ + 1] = shape_.own_rows() + shape_.p_prev + rep.perm.front();
-    for (const std::uint32_t slot : {i, j, p_, p_ + 1}) {
-      rep.dense[rep.active[slot]] = 1;
-      cim::hw::packed_assign(words, rep.active[slot], true);
-    }
-  }
-
-  std::uint32_t p_;
-  cim::hw::WindowShape shape_;
-  std::uint32_t words_;
-  std::unique_ptr<cim::hw::WeightStorage> storage_;
-  std::vector<std::uint64_t> arena_;
-  std::vector<Replica> replicas_;
-  std::vector<cim::hw::PackedMac> reqs_;
-  std::vector<std::int64_t> out_before_;
-  std::vector<std::int64_t> out_after_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> picks_;
 };
 
 void BM_SwapKernelDense(benchmark::State& state) {
@@ -488,16 +275,6 @@ void BM_SwapKernelIncremental(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SwapKernelIncremental)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_SwapKernelVector(benchmark::State& state) {
-  SwapKernelFixture fixture(static_cast<std::uint32_t>(state.range(0)));
-  cim::util::Rng rng(21);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fixture.vector_swap(rng));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SwapKernelVector)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_KdTreeNearest(benchmark::State& state) {
   const auto inst = cim::tsp::generate_uniform(
@@ -561,7 +338,6 @@ void write_swap_kernel_report() {
   cim::util::Json report = cim::util::Json::object();
   report["benchmark"] = "swap_kernel";
   report["backend"] = "fast";
-  report["simd_backend"] = std::string(cim::util::simd::backend());
   report["smoke"] = smoke;
   report["iterations_per_variant"] = static_cast<std::uint64_t>(iterations);
   cim::util::Json rows = cim::util::Json::array();
@@ -569,8 +345,8 @@ void write_swap_kernel_report() {
   for (const std::uint32_t p : scales) {
     // One fixture + one RNG per variant: each variant reverts every swap,
     // so identically-seeded runs draw the exact same (i, j) sequence.
-    SwapKernelFixture dense_fx(p), sparse_fx(p), incr_fx(p), vector_fx(p);
-    cim::util::Rng dense_rng(33), sparse_rng(33), incr_rng(33), vector_rng(33);
+    SwapKernelFixture dense_fx(p), sparse_fx(p), incr_fx(p);
+    cim::util::Rng dense_rng(33), sparse_rng(33), incr_rng(33);
     const auto time_variant = [iterations](auto&& step) {
       std::int64_t checksum = 0;
       for (std::size_t it = 0; it < iterations / 10 + 1; ++it) {
@@ -590,10 +366,7 @@ void write_swap_kernel_report() {
         time_variant([&] { return sparse_fx.sparse_swap(sparse_rng); });
     const auto [incr_ns, incr_sum] =
         time_variant([&] { return incr_fx.incremental_swap(incr_rng); });
-    const auto [vector_ns, vector_sum] =
-        time_variant([&] { return vector_fx.vector_swap(vector_rng); });
-    CIM_REQUIRE(dense_sum == sparse_sum && dense_sum == incr_sum &&
-                    dense_sum == vector_sum,
+    CIM_REQUIRE(dense_sum == sparse_sum && dense_sum == incr_sum,
                 "swap-kernel variants disagree on energy deltas");
 
     TELEM_COUNTER_ADD("bench.swap_kernel.swaps_timed", 4 * iterations);
@@ -601,8 +374,7 @@ void write_swap_kernel_report() {
                         {"p", static_cast<double>(p)},
                         {"dense_ns_per_swap", dense_ns},
                         {"sparse_ns_per_swap", sparse_ns},
-                        {"incremental_ns_per_swap", incr_ns},
-                        {"vector_ns_per_swap", vector_ns});
+                        {"incremental_ns_per_swap", incr_ns});
 
     cim::util::Json row = cim::util::Json::object();
     row["p"] = static_cast<std::uint64_t>(p);
@@ -611,93 +383,18 @@ void write_swap_kernel_report() {
     row["dense_ns_per_swap"] = dense_ns;
     row["sparse_ns_per_swap"] = sparse_ns;
     row["incremental_ns_per_swap"] = incr_ns;
-    row["vector_ns_per_swap"] = vector_ns;
     row["speedup_sparse_vs_dense"] = sparse_ns > 0.0 ? dense_ns / sparse_ns
                                                      : 0.0;
     row["speedup_incremental_vs_dense"] =
         incr_ns > 0.0 ? dense_ns / incr_ns : 0.0;
-    row["speedup_vector_vs_dense"] =
-        vector_ns > 0.0 ? dense_ns / vector_ns : 0.0;
     rows.push_back(std::move(row));
     std::printf(
         "swap_kernel p=%u rows=%u: dense %.1f ns, sparse %.1f ns, "
-        "incremental %.1f ns (%.2fx), vector %.1f ns (%.2fx)\n",
+        "incremental %.1f ns (%.2fx)\n",
         p, dense_fx.rows(), dense_ns, sparse_ns, incr_ns,
-        incr_ns > 0.0 ? dense_ns / incr_ns : 0.0, vector_ns,
-        vector_ns > 0.0 ? dense_ns / vector_ns : 0.0);
+        incr_ns > 0.0 ? dense_ns / incr_ns : 0.0);
   }
   report["scales"] = std::move(rows);
-
-  // Multi-replica head-to-head over one shared window. "scalar" is the
-  // dense full-row MAC — the scalar execution of the exact computation
-  // the bit-sliced batch vectorizes (and what the CIM array physically
-  // does). "sparse" is the production host-side shortcut that skips
-  // known-zero rows: an algorithmic optimisation reported alongside, not
-  // the vectorization baseline. Identically-seeded fixtures must agree on
-  // the accumulated deltas (the batch is semantically a per-request
-  // loop).
-  const std::vector<std::size_t> replica_counts =
-      smoke ? std::vector<std::size_t>{8} : std::vector<std::size_t>{2, 8, 16};
-  const std::uint32_t kReplicaP = 8;
-  const std::size_t rounds = smoke ? 4000 : 40000;
-  cim::util::Json replica_rows = cim::util::Json::array();
-  for (const std::size_t replicas : replica_counts) {
-    ReplicaSwapFixture scalar_fx(kReplicaP, replicas);
-    ReplicaSwapFixture sparse_fx(kReplicaP, replicas);
-    ReplicaSwapFixture vector_fx2(kReplicaP, replicas);
-    const auto time_rounds = [rounds](auto&& round) {
-      std::int64_t checksum = 0;
-      for (std::size_t it = 0; it < rounds / 10 + 1; ++it) {
-        checksum += round();  // warm-up
-      }
-      cim::util::Timer timer;
-      for (std::size_t it = 0; it < rounds; ++it) {
-        checksum += round();
-      }
-      return std::pair<double, std::int64_t>{timer.seconds(), checksum};
-    };
-    const auto [scalar_s, scalar_sum] =
-        time_rounds([&] { return scalar_fx.scalar_round(); });
-    const auto [sparse_s, sparse_sum] =
-        time_rounds([&] { return sparse_fx.sparse_round(); });
-    const auto [vector_s, vector_sum] =
-        time_rounds([&] { return vector_fx2.vector_round(); });
-    CIM_REQUIRE(scalar_sum == sparse_sum && scalar_sum == vector_sum,
-                "replica swap passes disagree on energy deltas");
-    const double swaps =
-        static_cast<double>(rounds) * static_cast<double>(replicas);
-    const double scalar_ns = scalar_s * 1e9 / swaps;
-    const double sparse_ns = sparse_s * 1e9 / swaps;
-    const double vector_ns = vector_s * 1e9 / swaps;
-
-    TELEM_COUNTER_ADD("bench.swap_kernel.replica_swaps_timed",
-                      3 * rounds * replicas);
-    TELEM_COUNTER_EVENT("bench.swap_kernel.replicas",
-                        {"replicas", static_cast<double>(replicas)},
-                        {"scalar_ns_per_swap", scalar_ns},
-                        {"sparse_ns_per_swap", sparse_ns},
-                        {"vector_ns_per_swap", vector_ns});
-
-    cim::util::Json row = cim::util::Json::object();
-    row["replicas"] = static_cast<std::uint64_t>(replicas);
-    row["p"] = static_cast<std::uint64_t>(kReplicaP);
-    row["window_rows"] = static_cast<std::uint64_t>(scalar_fx.rows());
-    row["scalar_ns_per_swap"] = scalar_ns;
-    row["sparse_ns_per_swap"] = sparse_ns;
-    row["vector_ns_per_swap"] = vector_ns;
-    row["speedup_vector_vs_scalar"] =
-        vector_ns > 0.0 ? scalar_ns / vector_ns : 0.0;
-    row["speedup_vector_vs_sparse"] =
-        vector_ns > 0.0 ? sparse_ns / vector_ns : 0.0;
-    replica_rows.push_back(std::move(row));
-    std::printf(
-        "swap_kernel replicas=%zu p=%u: scalar %.1f ns/swap, sparse %.1f "
-        "ns/swap, vector %.1f ns/swap (%.2fx vs scalar, %.2fx vs sparse)\n",
-        replicas, kReplicaP, scalar_ns, sparse_ns, vector_ns,
-        vector_ns > 0.0 ? scalar_ns / vector_ns : 0.0,
-        vector_ns > 0.0 ? sparse_ns / vector_ns : 0.0);
-  }
-  report["replica_scales"] = std::move(replica_rows);
   report.save(out_path);
   std::printf("wrote %s\n", out_path.c_str());
 }

@@ -5,8 +5,9 @@
 #
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
-#                    the annealer suites re-run with the vector kernel
-#                    forced on and off and with the partial-sum memo
+#                    the Ising annealer suites re-run with the vector
+#                    kernel forced on and off, the annealer suites
+#                    re-run with the partial-sum memo
 #                    disabled, a CIMANNEAL_DISABLE_SIMD=ON
 #                    portable-fallback build of the kernel suites, the
 #                    bench smoke runs (BENCH_swap_kernel, BENCH_reuse and
@@ -65,23 +66,26 @@ for preset in "${presets[@]}"; do
   run_preset "${preset}"
 done
 
-# The annealer suites run once per kernel path: CIMANNEAL_VECTOR_KERNEL
-# seeds the `vector_kernel` config default, so these legs prove both the
-# bit-sliced path and the scalar oracle stay green regardless of the
-# environment CI happens to inherit. The bit-identity tests inside the
-# suites compare the two paths directly; these legs additionally pin the
-# default-path plumbing.
-anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
+# The Ising annealer suites run once per kernel path: CIMANNEAL_VECTOR_KERNEL
+# seeds the `vector_kernel` config default of MaxCutAnnealer and
+# GenericAnnealer (CimSolver's QUBO front end runs the latter), so these
+# legs prove both the bit-sliced path and the scalar oracle stay green
+# regardless of the environment CI happens to inherit. The bit-identity
+# tests inside the suites compare the two paths directly; these legs
+# additionally pin the default-path plumbing. The clustered TSP annealer
+# has no packed path, so its suites are not repeated here.
+vector_suites='^(MaxCutAnnealer|GenericAnnealer|CimSolver)\.'
 for vec in 1 0; do
-  echo "==== annealer suites with CIMANNEAL_VECTOR_KERNEL=${vec}"
+  echo "==== Ising annealer suites with CIMANNEAL_VECTOR_KERNEL=${vec}"
   CIMANNEAL_VECTOR_KERNEL="${vec}" \
-    ctest --preset release -j "${jobs}" -R "${anneal_suites}"
+    ctest --preset release -j "${jobs}" -R "${vector_suites}"
 done
 
-# Same idea for the partial-sum memo: it defaults on, so the discovery run
-# above already covers the memoized path; this leg proves the recompute
-# path (the §9 oracle the memo must stay bit-identical to) stays green
-# when the environment disables it.
+# Same idea for the partial-sum memo, over every annealer suite: it
+# defaults on, so the preset run above already covers the memoized path;
+# this leg proves the recompute path (the §9 oracle the memo must stay
+# bit-identical to) stays green when the environment disables it.
+anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
 echo "==== annealer suites with CIMANNEAL_MEMOIZE=0"
 CIMANNEAL_MEMOIZE=0 \
   ctest --preset release -j "${jobs}" -R "${anneal_suites}"
@@ -95,10 +99,10 @@ cmake -B "${portable_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=Release -DCIMANNEAL_WERROR=ON \
   -DCIMANNEAL_DISABLE_SIMD=ON
 cmake --build "${portable_dir}" -j "${jobs}" --target \
-  test_cim_bitslice test_cim_storage test_anneal_swap_kernel \
-  test_anneal_maxcut
+  test_cim_bitslice test_cim_storage test_anneal_maxcut \
+  test_anneal_generic
 (cd "${portable_dir}" && ctest -j "${jobs}" \
-  -R '^(PackedBits|BitPlaneMatrix|Simd|PackedMac|DegenerateConfigs|Storage|SwapKernel|MaxCutAnnealer)\.')
+  -R '^(PackedBits|BitPlaneMatrix|Simd|MacPacked|DegenerateConfigs|Storage|MaxCutAnnealer|GenericAnnealer)\.')
 
 echo "==== bench smoke (swap-kernel + parallel-runtime benches at reduced scale)"
 bench_bin="${repo_root}/build/release/bench/bench_micro_kernels"
@@ -111,29 +115,20 @@ if [[ -x "${bench_bin}" ]]; then
     CIMANNEAL_BENCH_OUT_TRACE="${bench_out_dir}/BENCH_telemetry.json" \
     "${bench_bin}" --benchmark_filter='BM_SwapKernel.*|BM_DistanceCacheRescan.*'
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
-  # Structural gate on the swap-kernel report: the vector head-to-head
-  # columns must be present and self-consistent — a bench refactor that
-  # silently drops the vector rows must fail here, not in a dashboard.
+  # Structural gate on the swap-kernel report: the dense, sparse and
+  # incremental columns must be present and self-consistent — a bench
+  # refactor that silently drops a column must fail here, not in a
+  # dashboard.
   python3 - "${bench_out_dir}/BENCH_swap_kernel.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
-assert report["simd_backend"] in ("avx2", "popcnt", "neon", "portable"), \
-    report.get("simd_backend")
 assert report["scales"], "empty swap-kernel scales table"
 for row in report["scales"]:
     for key in ("dense_ns_per_swap", "sparse_ns_per_swap",
-                "incremental_ns_per_swap", "vector_ns_per_swap",
-                "speedup_vector_vs_dense"):
-        assert row.get(key, 0) > 0, (key, row)
-assert report["replica_scales"], "empty replica head-to-head table"
-for row in report["replica_scales"]:
-    for key in ("scalar_ns_per_swap", "sparse_ns_per_swap",
-                "vector_ns_per_swap", "speedup_vector_vs_scalar",
-                "speedup_vector_vs_sparse"):
+                "incremental_ns_per_swap"):
         assert row.get(key, 0) > 0, (key, row)
 print("swap-kernel report structure OK "
-      f"(simd_backend={report['simd_backend']}, "
-      f"{len(report['replica_scales'])} replica rows)")
+      f"({len(report['scales'])} scale rows)")
 PY
   require_artifact "${bench_out_dir}/BENCH_parallel_runtime.json"
   # One telemetry snapshot + Chrome trace per CI run (loadable in

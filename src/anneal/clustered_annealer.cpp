@@ -6,7 +6,6 @@
 #include <span>
 
 #include "anneal/top_ring.hpp"
-#include "cim/bitslice.hpp"
 #include "cim/window.hpp"
 #include "tsp/dist_cache.hpp"
 #include "util/error.hpp"
@@ -46,20 +45,6 @@ struct Slot {
   std::vector<std::uint32_t> active;
   std::vector<std::uint8_t> in_mask;
 
-  /// Vector-kernel state (structure-of-arrays): the packed 64-cell view of
-  /// in_mask lives in the solver's shared word arena at [packed_off,
-  /// packed_off + packed_nwords) — every slot's spin plane in one
-  /// contiguous allocation, cache-line padded so colour-parallel workers
-  /// never share a line. Maintained bit-for-bit with in_mask by
-  /// set_active_entry/init_active when the vector kernel is on.
-  std::size_t packed_off = 0;
-  std::uint32_t packed_nwords = 0;
-  /// Packed kSramSpin settle cache (mirrors spin_drop/spin_add): the noisy
-  /// packed input is (in & ~drop_words) | add_words, the word-parallel
-  /// form of "drop written 1s, add settled-to-1 rows".
-  std::vector<std::uint64_t> spin_drop_words;
-  std::vector<std::uint64_t> spin_add_words;
-
   /// kSramSpin per-epoch noise cache: the error pattern is spatially
   /// fixed within an epoch, so the per-row settle outcomes are
   /// precomputed once per (slot, epoch) instead of per MAC input bit.
@@ -90,7 +75,6 @@ struct Slot {
 struct SwapScratch {
   std::vector<std::uint8_t> input;   ///< dense input (legacy kernel)
   std::vector<std::uint32_t> rows;   ///< noisy row list (kSramSpin sparse)
-  std::vector<std::uint64_t> words;  ///< noisy packed input (vector kernel)
   /// Per-worker distance cache for the accepted-swap exact deltas (level
   /// 0 only). Worker-owned, so the hot path never shares mutable state or
   /// touches an atomic; stats are flushed once per level.
@@ -126,19 +110,6 @@ class LevelSolver {
     }
     build_slots(ring);
     build_windows();
-    if (config_.vector_kernel) {
-      // Structure-of-arrays spin arena: one contiguous word allocation
-      // holding every slot's packed input plane, each slot padded to an
-      // 8-word (cache-line) boundary so colour-parallel workers writing
-      // neighbouring slots never false-share.
-      std::size_t off = 0;
-      for (Slot& slot : slots_) {
-        slot.packed_off = off;
-        slot.packed_nwords = hw::packed_words(slot.shape.rows());
-        off += (static_cast<std::size_t>(slot.packed_nwords) + 7U) & ~7ULL;
-      }
-      packed_arena_.assign(off, 0);
-    }
     for (Slot& slot : slots_) init_active(slot);
     if (config_.color_threads > 1) {
       const std::uint64_t level_stream = util::stream_seed(
@@ -224,20 +195,6 @@ class LevelSolver {
   std::span<const std::uint32_t> noisy_input_rows(
       const Slot& slot, std::vector<std::uint32_t>& scratch) const;
 
-  /// The slot's packed input plane inside the shared arena.
-  std::span<std::uint64_t> slot_words(const Slot& slot) {
-    return {packed_arena_.data() + slot.packed_off, slot.packed_nwords};
-  }
-  std::span<const std::uint64_t> slot_words(const Slot& slot) const {
-    return {packed_arena_.data() + slot.packed_off, slot.packed_nwords};
-  }
-  /// Packed counterpart of noisy_input_rows: the clean packed plane in
-  /// every mode but kSramSpin, where the cached per-epoch settle masks
-  /// apply word-parallel as (in & ~drop) | add — the same set of rows the
-  /// scalar oracle assembles one entry at a time.
-  std::span<const std::uint64_t> noisy_input_words(
-      const Slot& slot, std::vector<std::uint64_t>& scratch) const;
-
   bool attempt_swap(Slot& slot, const SchedulePhase& phase,
                     LevelStats& stats, HardwareActivity& hw, util::Rng& rng,
                     SwapScratch& scratch);
@@ -269,9 +226,6 @@ class LevelSolver {
   const bool memoize_;  ///< partial-sum memo active for the swap kernel
 
   std::vector<Slot> slots_;
-  /// Vector-kernel spin arena (structure-of-arrays): every slot's packed
-  /// input plane, cache-line padded. Empty when vector_kernel is off.
-  std::vector<std::uint64_t> packed_arena_;
   std::uint8_t color_count_ = 1;
   double scale_ = 0.0;  ///< quantisation: weight = distance * scale_
   SwapScratch scratch_;  ///< single-threaded scratch
@@ -475,13 +429,6 @@ void LevelSolver::init_active(Slot& slot) {
       slot.shape.own_rows() + slot.shape.p_prev + next.perm.front();
   slot.in_mask[slot.active[p]] = 1;
   slot.in_mask[slot.active[p + 1]] = 1;
-  if (config_.vector_kernel) {
-    const std::span<std::uint64_t> words = slot_words(slot);
-    std::fill(words.begin(), words.end(), 0);
-    for (const std::uint32_t r : slot.active) {
-      hw::packed_assign(words, r, true);
-    }
-  }
 }
 
 void LevelSolver::set_active_entry(Slot& slot, std::uint32_t idx,
@@ -496,11 +443,6 @@ void LevelSolver::set_active_entry(Slot& slot, std::uint32_t idx,
   slot.in_mask[old] = 0;
   slot.active[idx] = row;
   slot.in_mask[row] = 1;
-  if (config_.vector_kernel) {
-    const std::span<std::uint64_t> words = slot_words(slot);
-    hw::packed_assign(words, old, false);
-    hw::packed_assign(words, row, true);
-  }
 }
 
 void LevelSolver::refresh_boundary(Slot& slot) {
@@ -529,23 +471,13 @@ void LevelSolver::refresh_spin_cache(Slot& slot, const SchedulePhase& phase,
   stats.noise_draws += 2ULL * rows;
   slot.spin_drop.assign(rows, 0);
   slot.spin_add.clear();
-  if (config_.vector_kernel) {
-    slot.spin_drop_words.assign(slot.packed_nwords, 0);
-    slot.spin_add_words.assign(slot.packed_nwords, 0);
-  }
   for (std::uint32_t r = 0; r < rows; ++r) {
     const std::uint64_t id = slot.spin_cell_base + r;
     if (!filter_spin_bit(cell_model_, id, phase, true)) {
       slot.spin_drop[r] = 1;
-      if (config_.vector_kernel) {
-        hw::packed_assign(slot.spin_drop_words, r, true);
-      }
     }
     if (filter_spin_bit(cell_model_, id, phase, false)) {
       slot.spin_add.push_back(r);
-      if (config_.vector_kernel) {
-        hw::packed_assign(slot.spin_add_words, r, true);
-      }
     }
   }
 }
@@ -559,20 +491,6 @@ std::span<const std::uint32_t> LevelSolver::noisy_input_rows(
   }
   for (const std::uint32_t r : slot.spin_add) {
     if (!slot.in_mask[r]) scratch.push_back(r);
-  }
-  return scratch;
-}
-
-std::span<const std::uint64_t> LevelSolver::noisy_input_words(
-    const Slot& slot, std::vector<std::uint64_t>& scratch) const {
-  const std::span<const std::uint64_t> in = slot_words(slot);
-  if (config_.noise != NoiseMode::kSramSpin) return in;
-  scratch.resize(slot.packed_nwords);
-  // (in & ~drop) | add: drop only clears set bits, the OR-union of the
-  // settled-to-1 rows dedupes against rows already active — the exact set
-  // noisy_input_rows builds row by row.
-  for (std::uint32_t w = 0; w < slot.packed_nwords; ++w) {
-    scratch[w] = (in[w] & ~slot.spin_drop_words[w]) | slot.spin_add_words[w];
   }
   return scratch;
 }
@@ -624,42 +542,7 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
   // returns the slot to exactly this input state, so partial sums stamped
   // with it stay valid across rejection streaks.
   std::uint64_t pre_gen = 0;
-  if (config_.vector_kernel) {
-    // Bit-sliced vector kernel: the same 4-MAC schedule as the sparse
-    // oracle, but the input travels as packed 64-cell words through
-    // WeightStorage::mac_packed (popcount per bit-plane). Identical
-    // boundary/noise refresh order keeps the state and counter streams
-    // bit-for-bit equal to the scalar path.
-    refresh_boundary(slot);
-    if (config_.noise == NoiseMode::kSramSpin) {
-      refresh_spin_cache(slot, phase, stats);
-    }
-    pre_gen = slot.input_gen;
-    const auto words_pre = noisy_input_words(slot, scratch.words);
-    before = memo_mac(i * p + k,
-                      [&] {
-                        return slot.storage->mac_packed(
-                            hw::ColIndex(i * p + k), words_pre);
-                      }) +
-             memo_mac(j * p + l, [&] {
-               return slot.storage->mac_packed(hw::ColIndex(j * p + l),
-                                               words_pre);
-             });
-    std::swap(slot.perm[i], slot.perm[j]);
-    set_active_entry(slot, i, i * p + slot.perm[i]);
-    set_active_entry(slot, j, j * p + slot.perm[j]);
-    refresh_boundary(slot);  // a single-slot ring neighbours itself
-    const auto words_post = noisy_input_words(slot, scratch.words);
-    after = memo_mac(i * p + l,
-                     [&] {
-                       return slot.storage->mac_packed(
-                           hw::ColIndex(i * p + l), words_post);
-                     }) +
-            memo_mac(j * p + k, [&] {
-              return slot.storage->mac_packed(hw::ColIndex(j * p + k),
-                                              words_post);
-            });
-  } else if (config_.sparse_swap_kernel) {
+  if (config_.sparse_swap_kernel) {
     // Incremental sparse kernel: the persistent active-row list holds the
     // p + 2 set input bits; a swap moves two own entries and the boundary
     // entries follow the neighbours' perms (refreshed O(1) here rather
@@ -1092,9 +975,6 @@ ClusteredAnnealer::ClusteredAnnealer(AnnealerConfig config)
                   (config_.chromatic_parallel && config_.sparse_swap_kernel),
               "color_threads > 1 requires chromatic_parallel and the sparse "
               "swap kernel");
-  CIM_REQUIRE(!config_.vector_kernel || config_.sparse_swap_kernel,
-              "vector_kernel requires the sparse swap kernel (its active-row "
-              "state backs the packed input plane)");
 }
 
 AnnealResult ClusteredAnnealer::solve(const tsp::Instance& instance) const {

@@ -49,8 +49,8 @@ struct AnnealerConfig {
   /// Incremental sparse swap kernel (default): every 4-MAC swap iterates
   /// only the p + 2 set input rows, tracked per slot and updated in place
   /// on accept/revert. false keeps the dense rebuild-and-scan baseline —
-  /// bit-identical results and hardware counters, kept for the ablation
-  /// and the swap-kernel micro-bench.
+  /// bit-identical results and hardware counters, kept as the test oracle,
+  /// the ablation and the swap-kernel micro-bench.
   bool sparse_swap_kernel = true;
   /// >1 updates same-colour slots of each chromatic phase on up to this
   /// many tasks of the persistent shared util::ThreadPool (no thread is
@@ -61,21 +61,13 @@ struct AnnealerConfig {
   /// thread counts > 1, not with 1. Requires chromatic_parallel and
   /// sparse_swap_kernel.
   std::uint32_t color_threads = 1;
-  /// Bit-sliced packed swap kernel (DESIGN.md §14): spin/boundary inputs
-  /// are kept as packed 64-cell words (structure-of-arrays arena) and the
-  /// 4 MACs per swap go through WeightStorage::mac_packed — one word of
-  /// NOR products per popcount. Bit-identical to the scalar sparse kernel
-  /// (values, noise evolution, HardwareActivity counters), which stays as
-  /// the determinism oracle; requires sparse_swap_kernel. Defaults to the
-  /// CIMANNEAL_VECTOR_KERNEL env flag so CI can force either path.
-  bool vector_kernel = default_vector_kernel();
   /// Per-window partial-sum memoization (DESIGN.md §16): each slot keeps
   /// the last MAC sum per column stamped with an input-state generation,
   /// so a repeated (column, input) pair — common during rejection streaks,
   /// where the reverted spin state recurs — returns the remembered sum and
   /// charges the hardware counters without re-reducing. Bit-identical to
-  /// the unmemoized sparse/packed kernels (values, noise evolution,
-  /// StorageCounters), which stay the oracle; the dense ablation kernel
+  /// the unmemoized sparse kernel (values, noise evolution,
+  /// StorageCounters), which stays the oracle; the dense ablation kernel
   /// ignores it. Defaults from CIMANNEAL_MEMOIZE (unset → on); effective
   /// only with sparse_swap_kernel.
   bool memoize_partial_sums = default_memoize();

@@ -1,15 +1,17 @@
 // Swap-kernel selection shared by the annealers.
 //
-// Both the clustered TSP annealer and the Max-Cut annealer carry a
-// `vector_kernel` knob choosing between the scalar kernels (the
+// The Ising-side annealers (MaxCutAnnealer, GenericAnnealer) carry a
+// `vector_kernel` knob choosing between the scalar kernel (the
 // determinism oracle) and the bit-sliced packed path (cim/bitslice.hpp,
 // DESIGN.md §14). The knob defaults from one environment flag so CI can
-// force either path across every binary without touching configs.
+// force either path across every binary without touching configs. The
+// clustered TSP annealer has no packed path and ignores the flag.
+// All three annealers read the memoization default below.
 #pragma once
 
 namespace cim::anneal {
 
-/// Default for the annealers' `vector_kernel` config field: the
+/// Default for the Ising annealers' `vector_kernel` config field: the
 /// CIMANNEAL_VECTOR_KERNEL environment flag (unset/empty/"0"/"false"/
 /// "off"/"no" → scalar kernel).
 bool default_vector_kernel();

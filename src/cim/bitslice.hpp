@@ -4,7 +4,7 @@
 // cells per cycle: every cell's NOR product is one bit, so 64 cells of a
 // bit-plane fit one host word and the adder-tree reduction becomes
 // AND + popcount (util/simd.hpp). This header owns the two packed
-// representations the vector swap kernel runs on:
+// representations the Ising annealers' packed kernels run on:
 //
 //   * PackedBits     — a spin/input vector as packed words (bit r of word
 //                      r/64 is row r), maintained incrementally by the
@@ -71,19 +71,6 @@ class PackedBits {
   std::uint32_t rows_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-/// Sets or clears bit `row` in a packed word span (the free-function form
-/// used by the annealer's structure-of-arrays spin arena, where a slot
-/// owns a sub-span of one shared word vector).
-inline void packed_assign(std::span<std::uint64_t> words, std::uint32_t row,
-                          bool value) {
-  const std::uint64_t mask = std::uint64_t{1} << (row & 63U);
-  if (value) {
-    words[row >> 6] |= mask;
-  } else {
-    words[row >> 6] &= ~mask;
-  }
-}
 
 /// Column-major bit-plane mirror of a multi-bit weight image.
 class BitPlaneMatrix {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace cim::hw {
 
@@ -14,24 +13,6 @@ StorageCounters& StorageCounters::operator+=(const StorageCounters& other) {
   writeback_bits += other.writeback_bits;
   pseudo_read_flips += other.pseudo_read_flips;
   return *this;
-}
-
-void WeightStorage::mac_packed_batch(std::span<const PackedMac> reqs,
-                                     std::span<const std::uint64_t> inputs,
-                                     std::uint32_t words_per_input,
-                                     std::span<std::int64_t> out) {
-  CIM_REQUIRE(out.size() == reqs.size(),
-              "packed MAC batch output span must have one entry per request");
-  CIM_REQUIRE(words_per_input == packed_words(rows()),
-              "packed MAC batch word stride does not match the window's "
-              "packed row count");
-  for (std::size_t k = 0; k < reqs.size(); ++k) {
-    const std::size_t base =
-        static_cast<std::size_t>(reqs[k].input) * words_per_input;
-    CIM_REQUIRE(base + words_per_input <= inputs.size(),
-                "packed MAC batch request addresses past the input arena");
-    out[k] = mac_packed(reqs[k].col, inputs.subspan(base, words_per_input));
-  }
 }
 
 namespace {
@@ -163,41 +144,6 @@ class FastStorage final : public StorageBase {
     return acc;
   }
 
-  void mac_packed_batch(std::span<const PackedMac> reqs,
-                        std::span<const std::uint64_t> inputs,
-                        std::uint32_t words_per_input,
-                        std::span<std::int64_t> out) override {
-    CIM_REQUIRE(out.size() == reqs.size(),
-                "packed MAC batch output span must have one entry per "
-                "request");
-    CIM_REQUIRE(words_per_input == packed_words(rows_),
-                "packed MAC batch word stride does not match the window's "
-                "packed row count");
-    ensure_packed();
-    in_ptrs_.resize(reqs.size());
-    plane_ptrs_.resize(reqs.size());
-    for (std::size_t k = 0; k < reqs.size(); ++k) {
-      const std::uint32_t col = reqs[k].col.get();
-      CIM_ASSERT(col < cols_);
-      const std::size_t base =
-          static_cast<std::size_t>(reqs[k].input) * words_per_input;
-      CIM_REQUIRE(base + words_per_input <= inputs.size(),
-                  "packed MAC batch request addresses past the input arena");
-      in_ptrs_[k] = inputs.data() + base;
-      plane_ptrs_[k] = packed_.column_planes(col).data();
-    }
-    // One kernel call for the whole batch: the per-MAC dispatch and call
-    // overhead dominates small windows.
-    util::simd::mac_bitplanes_batch(in_ptrs_.data(), plane_ptrs_.data(),
-                                    packed_.words(), bits_, out.data(),
-                                    reqs.size());
-    // Bulk charge: one update per batch, but the same totals as the
-    // request-at-a-time loop — the counters model per-MAC hardware work.
-    counters_.macs += reqs.size();
-    counters_.mac_bit_reads +=
-        static_cast<std::uint64_t>(reqs.size()) * rows_ * bits_;
-  }
-
   // Test/debug observability peek, not a modelled wordline access — the
   // hardware never reads single weights outside a MAC.
   // NOLINT(cim-counter-charge)
@@ -243,8 +189,6 @@ class FastStorage final : public StorageBase {
   std::vector<std::uint8_t> current_;
   BitPlaneMatrix packed_;
   bool packed_valid_ = false;
-  std::vector<const std::uint64_t*> in_ptrs_;
-  std::vector<const std::uint64_t*> plane_ptrs_;
 };
 
 class BitLevelStorage final : public StorageBase {

@@ -45,14 +45,6 @@ struct StorageCounters {
   StorageCounters& operator+=(const StorageCounters& other);
 };
 
-/// One request of a packed MAC batch (WeightStorage::mac_packed_batch):
-/// the addressed column plus the index of its packed input vector in the
-/// batch's shared input arena.
-struct PackedMac {
-  ColIndex col{0};
-  std::uint32_t input = 0;  ///< index into the batch's input arena
-};
-
 class WeightStorage {
  public:
   virtual ~WeightStorage() = default;
@@ -89,7 +81,8 @@ class WeightStorage {
 
   /// Packed column MAC: the same operation with the input as packed 0/1
   /// bits — bit r of word r/64 is row r, packed_words(rows()) words total.
-  /// The bit-sliced vector swap kernel's entry point.
+  /// The entry point of the Max-Cut and generic annealers' bit-sliced
+  /// packed kernels.
   ///
   /// The mac()/mac_sparse() equivalence invariant extends here verbatim:
   /// same value, same storage state (including lazy whole-column
@@ -98,18 +91,6 @@ class WeightStorage {
   /// test suite checks this against.
   virtual std::int64_t mac_packed(ColIndex col,
                                   std::span<const std::uint64_t> input) = 0;
-
-  /// Batch of packed MACs over one shared input arena: request k reads the
-  /// `words_per_input` words at `reqs[k].input * words_per_input`, and its
-  /// result lands in out[k]. Semantically identical to calling mac_packed
-  /// per request in order (state, values, counters); backends may override
-  /// to amortise virtual dispatch and counter updates across the batch —
-  /// the multi-replica same-color swap evaluation issues 4·replicas MACs
-  /// per call.
-  virtual void mac_packed_batch(std::span<const PackedMac> reqs,
-                                std::span<const std::uint64_t> inputs,
-                                std::uint32_t words_per_input,
-                                std::span<std::int64_t> out);
 
   /// Charges the hardware cost of re-issuing a MAC whose value the caller
   /// already holds (the annealer's partial-sum memo). The counters model

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <span>
 
 #include "util/error.hpp"
@@ -98,17 +99,29 @@ void write_record(const std::string& path, const Record& record) {
   hasher.update(std::span<const std::uint8_t>(body.data(), body.size()));
   const auto digest = hasher.digest();
 
+  // The record goes to a sibling temp file that is renamed over `path`
+  // only once it is complete, so a failed write (disk full, file-size
+  // limit, crash) leaves the previous record at `path` intact.
   // The one sanctioned raw-stdio serialisation path for store records
   // (cimlint: store-unversioned-io).
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
   CIM_REQUIRE(file != nullptr,
-              "warm-start store: cannot open '" + path + "' for writing");
+              "warm-start store: cannot open '" + tmp + "' for writing");
   const bool ok =
       std::fwrite(body.data(), 1, body.size(), file) == body.size() &&
       std::fwrite(digest.data(), 1, digest.size(), file) == digest.size();
   const bool closed = std::fclose(file) == 0;
+  std::error_code ec;
+  if (ok && closed) std::filesystem::rename(tmp, path, ec);
+  if (!ok || !closed || ec) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+  }
   CIM_REQUIRE(ok && closed,
-              "warm-start store: short write to '" + path + "'");
+              "warm-start store: short write to '" + tmp + "'");
+  CIM_REQUIRE(!ec, "warm-start store: cannot rename '" + tmp + "' to '" +
+                       path + "'");
 }
 
 std::optional<Record> read_record(const std::string& path,

@@ -52,8 +52,10 @@ enum class ReadStatus {
   kCorrupt,          ///< bad magic, truncation, or digest mismatch
 };
 
-/// Serialises `record` to `path` (overwrites). Throws cim::Error when the
-/// file cannot be written.
+/// Serialises `record` to `path`, replacing any previous record there
+/// only once the new one is fully written (via `<path>.tmp` and a
+/// rename). Throws cim::Error when the file cannot be written; the
+/// previous record then stays in place and the temp file is removed.
 void write_record(const std::string& path, const Record& record);
 
 /// Reads and verifies a record. Returns the record on kOk; nullopt

@@ -166,10 +166,11 @@ void WarmStartStore::put(const std::string& key, RecordKind kind,
   record.score = score;
   record.payload = std::move(payload);
   // New and improved entries always land in the hot level; a superseded
-  // cold copy of the same key must not shadow them.
+  // cold copy of the same key is removed only after the write succeeded,
+  // so a failed write never loses the previous record.
+  write_record(entry_path(key, 0), record);
   std::error_code ec;
   fs::remove(entry_path(key, 1), ec);
-  write_record(entry_path(key, 0), record);
   ++stats_.stores;
   count("store.stores");
   rebalance();
@@ -204,11 +205,12 @@ std::optional<std::vector<tsp::CityId>> WarmStartStore::load_tour(
       ++stats_.hits;
       count("store.hits");
       if (located->level == 1) {
-        // Promote the hit to the hot level with fresh recency.
+        // Promote the hit to the hot level with fresh recency; the cold
+        // copy goes only once the hot one is written.
         located->record.sequence = next_sequence();
+        write_record(entry_path(key, 0), located->record);
         std::error_code ec;
         fs::remove(located->path, ec);
-        write_record(entry_path(key, 0), located->record);
         ++stats_.promotions;
         rebalance();
       }
@@ -251,9 +253,9 @@ std::optional<std::vector<std::int8_t>> WarmStartStore::load_spins(
       count("store.hits");
       if (located->level == 1) {
         located->record.sequence = next_sequence();
+        write_record(entry_path(key, 0), located->record);
         std::error_code ec;
         fs::remove(located->path, ec);
-        write_record(entry_path(key, 0), located->record);
         ++stats_.promotions;
         rebalance();
       }

@@ -1,6 +1,6 @@
 // Portable data-parallel kernels for the bit-sliced CIM datapath.
 //
-// The bit-sliced swap kernel (cim/bitslice.hpp, DESIGN.md §14) reduces a
+// The bit-sliced Ising kernels (cim/bitslice.hpp, DESIGN.md §14) reduce a
 // weight bit-plane against a packed 0/1 input vector: one 64-bit word
 // carries 64 NOR-cell products, so the whole reduction is AND + popcount
 // per word and a shift-and-add across planes. This header owns the three
@@ -106,33 +106,6 @@ __attribute__((target("popcnt"))) inline std::uint64_t mac_bitplanes_popcnt(
     acc += sum << b;
   }
   return acc;
-}
-
-__attribute__((target("popcnt"))) inline void mac_bitplanes_batch_popcnt(
-    const std::uint64_t* const* inputs, const std::uint64_t* const* planes,
-    std::uint32_t words, std::uint32_t bits, std::int64_t* out,
-    std::size_t n) {
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint64_t* in = inputs[k];
-    const std::uint64_t* pl = planes[k];
-    std::uint64_t acc = 0;
-    if (words == 1) {
-      const std::uint64_t w0 = in[0];
-      for (std::uint32_t b = 0; b < bits; ++b) {
-        acc += static_cast<std::uint64_t>(std::popcount(w0 & pl[b])) << b;
-      }
-    } else {
-      for (std::uint32_t b = 0; b < bits; ++b) {
-        const std::uint64_t* plane = pl + static_cast<std::size_t>(b) * words;
-        std::uint64_t sum = 0;
-        for (std::uint32_t w = 0; w < words; ++w) {
-          sum += static_cast<std::uint64_t>(std::popcount(in[w] & plane[w]));
-        }
-        acc += sum << b;
-      }
-    }
-    out[k] = static_cast<std::int64_t>(acc);
-  }
 }
 
 __attribute__((target("popcnt"))) inline void plane_popcounts_popcnt(
@@ -266,27 +239,6 @@ inline std::uint64_t mac_bitplanes(const std::uint64_t* input,
            << b;
   }
   return acc;
-}
-
-/// Batched bit-sliced MACs: out[k] = mac_bitplanes(inputs[k], planes[k],
-/// words, bits) for k in [0, n). One dispatch and one (non-inlinable)
-/// target-function call for the whole batch — the per-MAC call overhead
-/// dominates small windows, and the multi-replica swap evaluation issues
-/// 4·replicas MACs at a time.
-inline void mac_bitplanes_batch(const std::uint64_t* const* inputs,
-                                const std::uint64_t* const* planes,
-                                std::uint32_t words, std::uint32_t bits,
-                                std::int64_t* out, std::size_t n) {
-#if defined(CIMANNEAL_SIMD_X86_DISPATCH)
-  if (words < 8 && detail::have_popcnt()) {
-    detail::mac_bitplanes_batch_popcnt(inputs, planes, words, bits, out, n);
-    return;
-  }
-#endif
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = static_cast<std::int64_t>(
-        mac_bitplanes(inputs[k], planes[k], words, bits));
-  }
 }
 
 /// Per-plane product sums of one column — the same reduction as

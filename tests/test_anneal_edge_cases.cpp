@@ -151,7 +151,6 @@ TEST(AnnealEdge, SingleSlotRing) {
   const auto sparse = ClusteredAnnealer(config).solve(inst);
   EXPECT_EQ(sparse.levels.back().clusters, 1U);
   config.sparse_swap_kernel = false;
-  config.vector_kernel = false;  // dense ablation: no packed plane to ride on
   const auto dense = ClusteredAnnealer(config).solve(inst);
   EXPECT_TRUE(sparse.tour.is_valid(6));
   EXPECT_TRUE(sparse.tour == dense.tour);
@@ -167,7 +166,6 @@ TEST(AnnealEdge, SingleSlotRingWithSpinNoise) {
   const auto sparse = ClusteredAnnealer(config).solve(inst);
   EXPECT_EQ(sparse.levels.back().clusters, 1U);
   config.sparse_swap_kernel = false;
-  config.vector_kernel = false;  // dense ablation: no packed plane to ride on
   const auto dense = ClusteredAnnealer(config).solve(inst);
   EXPECT_TRUE(sparse.tour.is_valid(5));
   EXPECT_TRUE(sparse.tour == dense.tour);
@@ -193,7 +191,6 @@ TEST(AnnealEdge, LargeWindowSpinNoiseRegression) {
   config.schedule.total_iterations = 60;
   const auto sparse = ClusteredAnnealer(config).solve(inst);
   config.sparse_swap_kernel = false;
-  config.vector_kernel = false;  // dense ablation: no packed plane to ride on
   const auto dense = ClusteredAnnealer(config).solve(inst);
   EXPECT_TRUE(sparse.tour.is_valid(120));
   EXPECT_TRUE(sparse.tour == dense.tour);

@@ -61,7 +61,6 @@ TEST_P(SparseKernelEquivalence, MatchesDenseKernelExactly) {
   config.sparse_swap_kernel = true;
   const auto sparse = ClusteredAnnealer(config).solve(inst);
   config.sparse_swap_kernel = false;
-  config.vector_kernel = false;  // dense ablation: no packed plane to ride on
   const auto dense = ClusteredAnnealer(config).solve(inst);
 
   expect_identical(sparse, dense, "sparse vs dense");
@@ -77,70 +76,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(BackendKind::kFast,
                                          BackendKind::kBitLevel)));
 
-class VectorKernelEquivalence
-    : public ::testing::TestWithParam<std::tuple<NoiseMode, BackendKind>> {};
-
-TEST_P(VectorKernelEquivalence, MatchesScalarOracleExactly) {
-  // The bit-sliced packed kernel must be a pure optimisation of the
-  // scalar sparse kernel (its determinism oracle): identical tours,
-  // identical noise evolution, identical hardware counters.
-  const auto [mode, backend] = GetParam();
-  const auto inst = test::random_instance(60, 17);
-  AnnealerConfig config = base_config(3, 5);
-  config.noise = mode;
-  config.backend = backend;
-
-  config.vector_kernel = true;
-  const auto vector = ClusteredAnnealer(config).solve(inst);
-  config.vector_kernel = false;
-  const auto scalar = ClusteredAnnealer(config).solve(inst);
-
-  expect_identical(vector, scalar, "vector vs scalar");
-  EXPECT_TRUE(vector.tour.is_valid(60));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndBackends, VectorKernelEquivalence,
-    ::testing::Combine(::testing::Values(NoiseMode::kNone,
-                                         NoiseMode::kSramWeight,
-                                         NoiseMode::kSramSpin,
-                                         NoiseMode::kLfsr),
-                       ::testing::Values(BackendKind::kFast,
-                                         BackendKind::kBitLevel)));
-
-TEST(SwapKernel, VectorKernelIndependentOfThreadCount) {
-  // The colour-parallel contract extends to the packed path: for any
-  // thread count > 1 the result is a function of the seed alone, and it
-  // matches the scalar kernel at the same thread count.
-  const auto inst = test::random_instance(150, 31);
-  AnnealerConfig config = base_config(4, 11);
-  config.vector_kernel = true;
-  config.color_threads = 2;
-  const auto two = ClusteredAnnealer(config).solve(inst);
-  config.color_threads = 8;
-  const auto eight = ClusteredAnnealer(config).solve(inst);
-  expect_identical(two, eight, "vector 2 vs 8 threads");
-  config.vector_kernel = false;
-  config.color_threads = 2;
-  const auto scalar = ClusteredAnnealer(config).solve(inst);
-  expect_identical(two, scalar, "vector vs scalar under threads");
-  EXPECT_TRUE(two.tour.is_valid(150));
-}
-
-TEST(SwapKernel, VectorKernelLargeClusters) {
-  // p = 9 gives windows past 64 rows (9² + 2·9 = 99), so the packed input
-  // spans multiple words — the multi-word kernel path must stay
-  // bit-identical too.
-  const auto inst = test::random_instance(120, 43);
-  AnnealerConfig config = base_config(9, 7);
-  config.schedule.total_iterations = 60;
-  config.vector_kernel = true;
-  const auto vector = ClusteredAnnealer(config).solve(inst);
-  config.vector_kernel = false;
-  const auto scalar = ClusteredAnnealer(config).solve(inst);
-  expect_identical(vector, scalar, "multi-word vector vs scalar");
-}
-
 TEST(SwapKernel, SequentialGibbsAlsoEquivalent) {
   // The sequential (non-chromatic) ablation path uses the same kernel.
   const auto inst = test::random_instance(80, 23);
@@ -149,7 +84,6 @@ TEST(SwapKernel, SequentialGibbsAlsoEquivalent) {
   config.sparse_swap_kernel = true;
   const auto sparse = ClusteredAnnealer(config).solve(inst);
   config.sparse_swap_kernel = false;
-  config.vector_kernel = false;  // dense ablation: no packed plane to ride on
   const auto dense = ClusteredAnnealer(config).solve(inst);
   expect_identical(sparse, dense, "sequential");
 }
@@ -252,22 +186,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(BackendKind::kFast,
                                          BackendKind::kBitLevel)));
 
-TEST(SwapKernel, MemoMatchesRecomputeUnderVectorKernel) {
-  // The memo front-end sits above both scalar-sparse and packed MACs;
-  // the packed path must stay bit-identical to the unmemoized scalar
-  // oracle with it on.
-  const auto inst = test::random_instance(80, 29);
-  AnnealerConfig config = base_config(4, 3);
-  config.vector_kernel = true;
-  config.memoize_partial_sums = true;
-  const auto memo_vector = ClusteredAnnealer(config).solve(inst);
-  config.vector_kernel = false;
-  config.memoize_partial_sums = false;
-  const auto scalar = ClusteredAnnealer(config).solve(inst);
-  expect_identical(memo_vector, scalar, "memo vector vs plain scalar");
-  EXPECT_GT(total_memo_hits(memo_vector), 0U);
-}
-
 TEST(SwapKernel, MemoMatchesRecomputeUnderColorThreads) {
   // Memo state is per-slot and slots are partitioned across colour
   // workers, so the memo must not perturb the thread-count-independence
@@ -316,14 +234,6 @@ TEST(SwapKernel, ConfigValidation) {
   EXPECT_THROW(ClusteredAnnealer{config}, ConfigError);
   config.chromatic_parallel = true;
   config.sparse_swap_kernel = false;
-  EXPECT_THROW(ClusteredAnnealer{config}, ConfigError);
-  config.sparse_swap_kernel = true;
-  EXPECT_NO_THROW(ClusteredAnnealer{config});
-  // The packed input plane is maintained by the sparse kernel's active-row
-  // updates, so the vector kernel cannot ride on the dense ablation.
-  config.vector_kernel = true;
-  config.sparse_swap_kernel = false;
-  config.color_threads = 1;
   EXPECT_THROW(ClusteredAnnealer{config}, ConfigError);
   config.sparse_swap_kernel = true;
   EXPECT_NO_THROW(ClusteredAnnealer{config});

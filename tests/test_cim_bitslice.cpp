@@ -145,9 +145,9 @@ TEST(BitPlaneMatrix, SetWeightOverwritesAllBits) {
 
 // The central property: a randomized sweep over window shapes, weight
 // precisions, backends, pseudo-read policies and noise phases asserting
-// that dense, sparse, packed and batched MACs agree on values, final
-// weights and every StorageCounters field.
-TEST(PackedMac, PropertySweepAllPathsBitIdentical) {
+// that dense, sparse and packed MACs agree on values, final weights and
+// every StorageCounters field.
+TEST(MacPacked, PropertySweepAllPathsBitIdentical) {
   const noise::SramCellModel model(noise::SramNoiseParams{}, 101);
   util::Rng rng(17);
   struct Backend {
@@ -176,16 +176,11 @@ TEST(PackedMac, PropertySweepAllPathsBitIdentical) {
       auto dense = make();
       auto sparse = make();
       auto packed = make();
-      auto batched = make();
-      for (auto* s : {&dense, &sparse, &packed, &batched}) {
+      for (auto* s : {&dense, &sparse, &packed}) {
         (*s)->write(image);
         (*s)->write_back(phase(static_cast<std::uint64_t>(config), 0.30,
                                noisy ? 6 : 0));
       }
-      std::vector<PackedMac> reqs;
-      std::vector<std::uint64_t> arena;
-      std::vector<std::int64_t> batch_out;
-      const std::uint32_t words = packed_words(rows);
       for (int trial = 0; trial < 8; ++trial) {
         std::vector<std::uint8_t> input(rows);
         std::vector<std::uint32_t> active;
@@ -201,52 +196,31 @@ TEST(PackedMac, PropertySweepAllPathsBitIdentical) {
         EXPECT_EQ(p, d) << "packed vs dense rows=" << rows
                         << " bits=" << bits;
         EXPECT_EQ(p, s) << "packed vs sparse";
-        reqs.push_back(
-            PackedMac{col, static_cast<std::uint32_t>(trial)});
-        arena.insert(arena.end(), packed_in.words().begin(),
-                     packed_in.words().end());
-        batch_out.push_back(0);
       }
-      batched->mac_packed_batch(reqs, arena, words, batch_out);
-      for (std::size_t t = 0; t < reqs.size(); ++t) {
-        // Corruption is sticky until the next write-back, so replaying a
-        // request on the per-call storage reproduces its original value.
-        EXPECT_EQ(batch_out[t],
-                  packed->mac_packed(reqs[t].col,
-                                     std::span<const std::uint64_t>(
-                                         arena.data() + t * words, words)))
-            << "batch vs replay trial " << t;
-      }
-      // The replay above doubled the packed storage's MAC counters;
-      // account for that when comparing.
       const auto& cd = dense->counters();
       const auto& cs = sparse->counters();
       const auto& cp = packed->counters();
-      const auto& cb = batched->counters();
       EXPECT_EQ(cs.macs, cd.macs);
-      EXPECT_EQ(cp.macs, 2 * cd.macs);
-      EXPECT_EQ(cb.macs, cd.macs);
+      EXPECT_EQ(cp.macs, cd.macs);
       EXPECT_EQ(cs.mac_bit_reads, cd.mac_bit_reads);
-      EXPECT_EQ(cp.mac_bit_reads, 2 * cd.mac_bit_reads);
-      EXPECT_EQ(cb.mac_bit_reads, cd.mac_bit_reads);
+      EXPECT_EQ(cp.mac_bit_reads, cd.mac_bit_reads);
       EXPECT_EQ(cs.pseudo_read_flips, cd.pseudo_read_flips);
       EXPECT_EQ(cp.pseudo_read_flips, cd.pseudo_read_flips);
-      EXPECT_EQ(cb.pseudo_read_flips, cd.pseudo_read_flips);
       EXPECT_EQ(cs.writeback_bits, cd.writeback_bits);
-      // Final weights identical across all four state machines.
+      EXPECT_EQ(cp.writeback_bits, cd.writeback_bits);
+      // Final weights identical across all three state machines.
       for (std::uint32_t r = 0; r < rows; ++r) {
         for (std::uint32_t c = 0; c < cols; ++c) {
           const auto w = dense->weight(RowIndex(r), ColIndex(c));
           ASSERT_EQ(sparse->weight(RowIndex(r), ColIndex(c)), w);
           ASSERT_EQ(packed->weight(RowIndex(r), ColIndex(c)), w);
-          ASSERT_EQ(batched->weight(RowIndex(r), ColIndex(c)), w);
         }
       }
     }
   }
 }
 
-TEST(PackedMac, LazyCorruptionTriggersIdentically) {
+TEST(MacPacked, LazyCorruptionTriggersIdentically) {
   // kFlipOnAccess pseudo-reads the whole addressed column on a packed MAC
   // exactly like the scalar paths: same flip pattern, same counters.
   const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
@@ -282,7 +256,7 @@ TEST(PackedMac, LazyCorruptionTriggersIdentically) {
   }
 }
 
-TEST(PackedMac, BitLevelTreeCountersMatchSparse) {
+TEST(MacPacked, BitLevelTreeCountersMatchSparse) {
   // The bit-level backend's packed path must charge the AdderTree like
   // the sparse path (full fan-in per plane, one reduction per plane) —
   // verified indirectly: two identical request sequences leave identical
@@ -330,24 +304,6 @@ TEST(DegenerateConfigs, FailFastWithConfigErrors) {
     storage->write(std::vector<std::uint8_t>(70 * 3, 1));
     const std::vector<std::uint64_t> short_input(1, ~0ULL);
     EXPECT_THROW(storage->mac_packed(ColIndex(0), short_input), ConfigError);
-    std::vector<PackedMac> reqs = {PackedMac{ColIndex(0), 0}};
-    std::vector<std::int64_t> out(1);
-    // Wrong stride.
-    EXPECT_THROW(
-        storage->mac_packed_batch(reqs, std::vector<std::uint64_t>(1), 1,
-                                  out),
-        ConfigError);
-    // Arena too small for the request.
-    EXPECT_THROW(
-        storage->mac_packed_batch(reqs, std::vector<std::uint64_t>(1), 2,
-                                  out),
-        ConfigError);
-    // Output span size mismatch.
-    std::vector<std::int64_t> bad_out(2);
-    EXPECT_THROW(
-        storage->mac_packed_batch(reqs, std::vector<std::uint64_t>(2), 2,
-                                  bad_out),
-        ConfigError);
   }
 }
 

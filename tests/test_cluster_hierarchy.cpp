@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "test_helpers.hpp"
 #include "tsp/generator.hpp"
 #include "util/error.hpp"
@@ -9,16 +11,26 @@
 namespace cim::cluster {
 namespace {
 
+// gtest prints a parameter without a printer as its raw bytes, and the
+// discovered test name embeds that dump. The explicit zero `pad` fills the
+// gap after the 4-byte enum, so the name carries no uninitialised bytes and
+// stays the same from build to build.
 struct Case {
+  Case(Strategy s, std::size_t p_, std::size_t n_)
+      : strategy(s), p(p_), n(n_) {}
+
   Strategy strategy;
+  std::uint32_t pad = 0;
   std::size_t p;
   std::size_t n;
 };
+static_assert(sizeof(Strategy) == sizeof(std::uint32_t));
+static_assert(sizeof(Case) == 24);
 
 class HierarchyCases : public ::testing::TestWithParam<Case> {};
 
 TEST_P(HierarchyCases, PartitionIsValidAtEveryLevel) {
-  const auto [strategy, p, n] = GetParam();
+  const auto [strategy, pad, p, n] = GetParam();
   const auto inst = test::random_instance(n, n * 7 + p);
   Options options;
   options.strategy = strategy;
@@ -30,7 +42,7 @@ TEST_P(HierarchyCases, PartitionIsValidAtEveryLevel) {
 }
 
 TEST_P(HierarchyCases, SizeConstraintsHold) {
-  const auto [strategy, p, n] = GetParam();
+  const auto [strategy, pad, p, n] = GetParam();
   const auto inst = test::random_instance(n, n * 11 + p);
   Options options;
   options.strategy = strategy;

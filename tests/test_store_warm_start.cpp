@@ -4,7 +4,9 @@
 #include "store/warm_start.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -81,6 +83,33 @@ void resign(std::vector<std::uint8_t>& bytes) {
   const auto digest = hasher.digest();
   std::copy(digest.begin(), digest.end(), bytes.end() - 32);
 }
+
+/// Caps the process file-size limit (RLIMIT_FSIZE) at `bytes` for its
+/// lifetime, with SIGXFSZ ignored so a write past the cap fails with EFBIG
+/// instead of killing the process. Restores both on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes)
+      : previous_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    if (getrlimit(RLIMIT_FSIZE, &saved_) != 0) return;
+    rlimit capped = saved_;
+    capped.rlim_cur = bytes;
+    active_ = setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    if (active_) setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+  bool active() const { return active_; }
+
+ private:
+  void (*previous_handler_)(int);
+  rlimit saved_{};
+  bool active_ = false;
+};
 
 TEST_F(WarmStartStoreTest, FormatRoundTrip) {
   fs::create_directories(dir_);
@@ -337,6 +366,61 @@ TEST_F(WarmStartStoreTest, SpinsRoundTripAndValidation) {
   write_record(path_of(dir_, record.key, 0), record);
   EXPECT_FALSE(store.load_spins(record.key, 3).has_value());
   EXPECT_EQ(store.stats().dropped, 1U);
+}
+
+TEST_F(WarmStartStoreTest, FailedWritesKeepPreviousRecord) {
+  // A write that dies part-way must not destroy the record it replaces.
+  // Sweep the file-size limit over every byte offset of the new record,
+  // for both an improved store (L0 replaced in place) and a promotion
+  // (L1 copy rewritten into L0): after each failed write the old record
+  // must still load and no temp file may be left behind.
+  WarmStartStore store(dir_, /*l0_capacity=*/1, /*l1_capacity=*/4);
+  const std::string hot = make_key(40);
+  const std::string cold = make_key(41);
+  const auto cold_order = make_order(8, 5);
+  store.store_tour(cold, cold_order, 200);
+  const auto hot_order = make_order(8, 1);
+  store.store_tour(hot, hot_order, 100);  // demotes `cold` to L1
+  ASSERT_TRUE(fs::exists(path_of(dir_, cold, 1)));
+  const std::string hot_path = path_of(dir_, hot, 0);
+  const auto record_bytes = fs::file_size(hot_path);
+  ASSERT_EQ(fs::file_size(path_of(dir_, cold, 1)), record_bytes);
+
+  const auto fails_under_cap = [](rlim_t limit, const auto& write) {
+    bool threw = false;
+    {
+      const FileSizeCap cap(limit);
+      if (!cap.active()) return false;
+      try {
+        write();
+      } catch (const Error&) {
+        threw = true;
+      }
+    }
+    return threw;
+  };
+  for (std::uintmax_t limit = 0; limit < record_bytes; ++limit) {
+    ASSERT_TRUE(fails_under_cap(static_cast<rlim_t>(limit), [&] {
+      store.store_tour(hot, make_order(8, 2), 99);
+    })) << "improved store at byte limit " << limit;
+    const auto back = store.load_tour(hot, 8);
+    ASSERT_TRUE(back.has_value()) << "L0 record lost at byte limit " << limit;
+    EXPECT_EQ(*back, hot_order);
+    EXPECT_FALSE(fs::exists(hot_path + ".tmp"));
+
+    ASSERT_TRUE(fails_under_cap(static_cast<rlim_t>(limit), [&] {
+      (void)store.load_tour(cold, 8);
+    })) << "promotion at byte limit " << limit;
+    ASSERT_TRUE(fs::exists(path_of(dir_, cold, 1)))
+        << "L1 record lost at byte limit " << limit;
+    EXPECT_FALSE(fs::exists(path_of(dir_, cold, 0) + ".tmp"));
+  }
+
+  // With the limit lifted both writes go through.
+  store.store_tour(hot, make_order(8, 2), 99);
+  EXPECT_EQ(*store.load_tour(hot, 8), make_order(8, 2));
+  EXPECT_EQ(*store.load_tour(cold, 8), cold_order);
+  EXPECT_TRUE(fs::exists(path_of(dir_, cold, 0)));
 }
 
 TEST_F(WarmStartStoreTest, RejectsNonHexKeys) {

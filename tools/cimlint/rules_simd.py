@@ -50,8 +50,8 @@ An intrinsic (or a vendor intrinsic header) anywhere else escapes all of
 that: the no-AVX2 CI leg can't build it out, the portable-mode escape
 hatch doesn't reach it, and nothing asserts its results match the scalar
 path. Call the util::simd entry points (and_popcount, mac_bitplanes,
-mac_bitplanes_batch, plane_popcounts, ...) instead; if a kernel needs a
-new primitive, add it to simd.hpp with a portable twin and dispatch.""",
+plane_popcounts, ...) instead; if a kernel needs a new primitive, add it
+to simd.hpp with a portable twin and dispatch.""",
 )
 def _simd_intrinsics_confined(ctx: FileContext):
     if PurePosixPath(ctx.rel) == SIMD_ALLOWFILE:
