@@ -5,8 +5,10 @@
 //
 // Besides the google-benchmark suite, main() times the three variants of
 // the 4-MAC swap kernel (dense rebuild-and-scan, sparse row-list rebuild,
-// incremental sparse) head-to-head and writes BENCH_swap_kernel.json —
-// see EXPERIMENTS.md for the format — and times per-epoch thread spawning
+// incremental sparse) head-to-head, plus one 800×800 write-back plane
+// against the serial settled_value() loop, and writes
+// BENCH_swap_kernel.json — see EXPERIMENTS.md for the format — and times
+// per-epoch thread spawning
 // against the persistent util::ThreadPool over an annealer-shaped epoch
 // loop, writing BENCH_parallel_runtime.json. CIMANNEAL_BENCH_OUT /
 // CIMANNEAL_BENCH_OUT_RUNTIME override the output paths;
@@ -21,6 +23,7 @@
 // are unaffected by the telemetry build flavour.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -33,6 +36,7 @@
 #include "cim/window.hpp"
 #include "geo/kdtree.hpp"
 #include "ising/pbm.hpp"
+#include "noise/schedule.hpp"
 #include "noise/sram_model.hpp"
 #include "tsp/dist_cache.hpp"
 #include "tsp/generator.hpp"
@@ -320,10 +324,77 @@ void BM_DistanceCacheRescan(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceCacheRescan)->Arg(2000);
 
+/// Times FastStorage write-backs of one 800×800 plane (the Max-Cut
+/// annealer's plane at n = 800) through every write-back of the default
+/// schedule, against a serial SramCellModel::settled_value() loop over the
+/// same noisy cells. Aborts unless the two count the same flips.
+cim::util::Json write_back_report() {
+  constexpr std::uint32_t kN = 800;
+  constexpr std::uint32_t kBits = 8;
+  const cim::noise::SramCellModel model;
+  const auto image = random_image(kN, kN, 5);
+  auto storage = cim::hw::make_fast_storage(kN, kN, &model, 0, kBits);
+  storage->write(image);
+  const cim::noise::AnnealSchedule schedule;
+  std::vector<cim::noise::SchedulePhase> phases;
+  for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
+    if (schedule.at(it).write_back) phases.push_back(schedule.at(it));
+  }
+
+  cim::util::Timer timer;
+  for (const auto& phase : phases) storage->write_back(phase);
+  const double seconds = timer.seconds();
+
+  cim::util::Timer serial_timer;
+  std::uint64_t serial_flips = 0;
+  std::uint64_t noisy_cells = 0;
+  for (const auto& phase : phases) {
+    const std::uint32_t noisy = std::min(phase.noisy_lsbs, kBits);
+    for (std::size_t w = 0; w < image.size(); ++w) {
+      for (std::uint32_t b = 0; b < noisy; ++b) {
+        const bool bit = ((image[w] >> b) & 1U) != 0;
+        if (model.settled_value(w * kBits + b, phase.epoch, phase.vdd, bit) !=
+            bit) {
+          ++serial_flips;
+        }
+      }
+    }
+    noisy_cells += image.size() * noisy;
+  }
+  const double serial_seconds = serial_timer.seconds();
+  const std::uint64_t flips = storage->counters().pseudo_read_flips;
+  CIM_REQUIRE(flips == serial_flips,
+              "write-back flip count differs from the settled_value() loop");
+
+  const double cells = static_cast<double>(noisy_cells);
+  const double ns = cells > 0.0 ? seconds * 1e9 / cells : 0.0;
+  const double serial_ns = cells > 0.0 ? serial_seconds * 1e9 / cells : 0.0;
+  TELEM_COUNTER_EVENT("bench.write_back", {"ns_per_noisy_cell", ns},
+                      {"serial_ns_per_noisy_cell", serial_ns});
+  cim::util::Json row = cim::util::Json::object();
+  row["plane_rows"] = static_cast<std::uint64_t>(kN);
+  row["plane_cols"] = static_cast<std::uint64_t>(kN);
+  row["write_backs"] = static_cast<std::uint64_t>(phases.size());
+  row["noisy_cells"] = noisy_cells;
+  row["pseudo_read_flips"] = flips;
+  row["pool_width"] =
+      static_cast<std::uint64_t>(cim::util::ThreadPool::shared().width());
+  row["seconds"] = seconds;
+  row["ns_per_noisy_cell"] = ns;
+  row["serial_ns_per_noisy_cell"] = serial_ns;
+  row["speedup_vs_serial"] = ns > 0.0 ? serial_ns / ns : 0.0;
+  std::printf(
+      "write_back %ux%u, %zu write-backs: %.2f ns per noisy cell "
+      "(serial settled_value loop %.2f ns, %.1fx)\n",
+      kN, kN, phases.size(), ns, serial_ns, ns > 0.0 ? serial_ns / ns : 0.0);
+  return row;
+}
+
 /// Times the three swap-kernel variants head-to-head over identical swap
-/// sequences and writes BENCH_swap_kernel.json. Aborts if the variants'
-/// accumulated energy deltas disagree (they evaluate the same swaps on
-/// the same weights, so any divergence is a kernel bug).
+/// sequences and writes BENCH_swap_kernel.json, with the write-back row
+/// beside them. Aborts if the variants' accumulated energy deltas
+/// disagree (they evaluate the same swaps on the same weights, so any
+/// divergence is a kernel bug).
 void write_swap_kernel_report() {
   TELEM_SCOPE("bench.swap_kernel");
   const bool smoke = cim::util::Args::env_flag("CIMANNEAL_BENCH_SMOKE");
@@ -395,6 +466,7 @@ void write_swap_kernel_report() {
         incr_ns > 0.0 ? dense_ns / incr_ns : 0.0);
   }
   report["scales"] = std::move(rows);
+  report["write_back"] = write_back_report();
   report.save(out_path);
   std::printf("wrote %s\n", out_path.c_str());
 }

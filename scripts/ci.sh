@@ -116,7 +116,9 @@ if [[ -x "${bench_bin}" ]]; then
     "${bench_bin}" --benchmark_filter='BM_SwapKernel.*|BM_DistanceCacheRescan.*'
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
   # Structural gate on the swap-kernel report: the dense, sparse and
-  # incremental columns must be present and self-consistent — a bench
+  # incremental columns and the write-back row (ns per noisy cell, flips
+  # checked against the serial settled_value loop) must be present and
+  # self-consistent — a bench
   # refactor that silently drops a column must fail here, not in a
   # dashboard.
   python3 - "${bench_out_dir}/BENCH_swap_kernel.json" <<'PY'
@@ -127,8 +129,12 @@ for row in report["scales"]:
     for key in ("dense_ns_per_swap", "sparse_ns_per_swap",
                 "incremental_ns_per_swap"):
         assert row.get(key, 0) > 0, (key, row)
+write_back = report["write_back"]
+for key in ("noisy_cells", "pseudo_read_flips", "ns_per_noisy_cell",
+            "serial_ns_per_noisy_cell"):
+    assert write_back.get(key, 0) > 0, (key, write_back)
 print("swap-kernel report structure OK "
-      f"({len(report['scales'])} scale rows)")
+      f"({len(report['scales'])} scale rows + write-back row)")
 PY
   require_artifact "${bench_out_dir}/BENCH_parallel_runtime.json"
   # One telemetry snapshot + Chrome trace per CI run (loadable in

@@ -10,6 +10,7 @@
 #include "tsp/dist_cache.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/parallel_for.hpp"
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_annotations.hpp"
@@ -23,6 +24,10 @@ namespace {
 
 using cluster::Hierarchy;
 using noise::SchedulePhase;
+
+/// Slots per write-back task: a p = 3 window refreshes in a few µs, so
+/// single-slot tasks would be mostly pool overhead.
+constexpr std::size_t kRefreshGrain = 8;
 
 /// One ring position during a level solve: a cluster, its members, its
 /// compact weight window and its current member order.
@@ -782,14 +787,18 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     phase.epoch += epoch_base_;
 
     if (phase.write_back) {
+      // All arrays refresh in parallel — on the chip and on the shared
+      // pool alike. Each slot owns its storage and counters, so the
+      // result does not depend on the worker count.
+      util::parallel_for(slots_.size(), kRefreshGrain, [&](std::size_t r) {
+        slots_[r].storage->write_back(phase);
+      });
       for (Slot& slot : slots_) {
-        slot.storage->write_back(phase);
         // Weights changed (golden restore + fresh corruption pattern):
         // every memoized partial sum is stale.
         slot.input_gen = ++slot.gen_counter;
       }
-      // All arrays refresh in parallel; rows within an array are written
-      // sequentially.
+      // Rows within an array are written sequentially.
       hw.writeback_cycles += max_rows;
       stats.update_cycles += max_rows;
     }

@@ -1,8 +1,10 @@
 #include "cim/storage.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 
 namespace cim::hw {
 
@@ -73,36 +75,30 @@ class FastStorage final : public StorageBase {
     golden_.assign(golden.begin(), golden.end());
     current_ = golden_;
     packed_valid_ = false;
-    apply_stuck_faults();
+    apply_stuck_faults(0, weight_count());
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
     CIM_ASSERT_MSG(!golden_.empty(), "write_back before write");
-    current_ = golden_;
     packed_valid_ = false;
     ++counters_.writeback_events;
     counters_.writeback_bits += weight_count() * bits_;
-    apply_stuck_faults();
-    if (!model_ || phase.noisy_lsbs == 0) return;
-    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-    for (std::size_t w = 0; w < weight_count(); ++w) {
-      // Corrupt on top of the stuck-adjusted value (current_, not
-      // golden_): a stuck bit already holds its preferred value, so the
-      // settle rule leaves it alone — matching BitLevelStorage bit for
-      // bit. Starting from golden_ would erase the hard faults
-      // apply_stuck_faults() just wrote.
-      std::uint8_t value = current_[w];
-      for (std::uint32_t b = 0; b < noisy; ++b) {
-        const bool bit = (value >> b) & 1U;
-        const bool settled =
-            model_->settled_value(cell_id(w, b), phase.epoch, phase.vdd, bit);
-        if (settled != bit) {
-          value = static_cast<std::uint8_t>(value ^ (1U << b));
-          ++counters_.pseudo_read_flips;
-        }
-      }
-      current_[w] = value;
+    if (!model_ || phase.noisy_lsbs == 0) {
+      current_ = golden_;
+      apply_stuck_faults(0, weight_count());
+      return;
     }
+    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
+    const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
+    // Weights refresh independently, so fixed-grain chunks run on the
+    // shared pool; the chunking depends only on the weight count, and the
+    // flip counts fold in chunk order (DESIGN.md §11).
+    counters_.pseudo_read_flips += util::parallel_reduce(
+        weight_count(), kWriteBackGrain, std::uint64_t{0},
+        [&](std::size_t begin, std::size_t end) {
+          return refresh(begin, end, noisy, settler);
+        },
+        std::plus<>{});
   }
 
   std::int64_t mac(ColIndex col_idx,
@@ -152,6 +148,41 @@ class FastStorage final : public StorageBase {
   }
 
  private:
+  /// Weights per write-back chunk: small TSP windows refresh inline, the
+  /// Max-Cut planes and large generic windows split across the pool.
+  static constexpr std::size_t kWriteBackGrain = 16384;
+
+  // Restores weights [begin, end) to golden, re-applies the hard faults,
+  // then settles their `noisy` LSBs; returns the pseudo-read flips.
+  // Charged by write_back, which owns the writeback counters.
+  // NOLINT(cim-counter-charge)
+  std::uint64_t refresh(std::size_t begin, std::size_t end,
+                        std::uint32_t noisy,
+                        const noise::PhaseSettler& settler) {
+    std::copy(golden_.begin() + static_cast<std::ptrdiff_t>(begin),
+              golden_.begin() + static_cast<std::ptrdiff_t>(end),
+              current_.begin() + static_cast<std::ptrdiff_t>(begin));
+    apply_stuck_faults(begin, end);
+    std::uint64_t flips = 0;
+    for (std::size_t w = begin; w < end; ++w) {
+      // Corrupt on top of the stuck-adjusted value (current_, not
+      // golden_): a stuck bit already holds its preferred value, so the
+      // settle rule leaves it alone — matching BitLevelStorage bit for
+      // bit. Starting from golden_ would erase the hard faults
+      // apply_stuck_faults() just wrote.
+      std::uint8_t value = current_[w];
+      for (std::uint32_t b = 0; b < noisy; ++b) {
+        const bool bit = (value >> b) & 1U;
+        if (settler.settle(cell_id(w, b), bit) != bit) {
+          value = static_cast<std::uint8_t>(value ^ (1U << b));
+          ++flips;
+        }
+      }
+      current_[w] = value;
+    }
+    return flips;
+  }
+
   // Rebuilds the bit-plane mirror from the corrupted byte image. Pure
   // host-side re-layout of already-read state — the physical reads are
   // charged by the MAC entry points, so the loop over current_ here is
@@ -166,13 +197,13 @@ class FastStorage final : public StorageBase {
     }
     packed_valid_ = true;
   }
-  // Hard manufacturing faults: stuck cells override every write at any
-  // supply voltage (soft pseudo-read flips are applied afterwards).
-  // Charged by the callers (write/write_back own the writeback counters).
-  // NOLINT(cim-counter-charge)
-  void apply_stuck_faults() {
+  // Hard manufacturing faults on weights [begin, end): stuck cells
+  // override every write at any supply voltage (soft pseudo-read flips
+  // are applied afterwards). Charged by the callers (write/write_back own
+  // the writeback counters). NOLINT(cim-counter-charge)
+  void apply_stuck_faults(std::size_t begin, std::size_t end) {
     if (!model_ || model_->params().stuck_cell_rate <= 0.0) return;
-    for (std::size_t w = 0; w < weight_count(); ++w) {
+    for (std::size_t w = begin; w < end; ++w) {
       std::uint8_t value = current_[w];
       for (std::uint32_t b = 0; b < bits_; ++b) {
         const std::uint64_t id = cell_id(w, b);

@@ -10,7 +10,11 @@
 //
 //   * FastStorage    — materialises the corrupted byte per weight at
 //                      write-back; MACs are plain integer dot products.
-//                      Used for large instances.
+//                      Used for large instances. A write-back settles its
+//                      cells through one noise::PhaseSettler table in
+//                      fixed 16 384-weight chunks on the shared pool
+//                      (windows below one chunk refresh inline), so the
+//                      result is independent of the worker count.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back

@@ -1,14 +1,43 @@
 #include "core/solver.hpp"
 
+#include <filesystem>
+
 #include "core/report.hpp"
 #include "heuristics/or_opt.hpp"
 #include "heuristics/two_opt.hpp"
 #include "tsp/fingerprint.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
 namespace cim::core {
+
+namespace {
+
+/// Runs the post-solve store write and returns the store's stats. The
+/// answer is already computed, so a failed write (disk full, file-size
+/// limit, store directory gone) is counted in write_failures instead of
+/// thrown: the caller still gets the outcome.
+template <typename Write>
+store::WarmStartStats record_answer(store::WarmStartStore& warm_store,
+                                    const Write& write) {
+  std::uint64_t failures = 0;
+  try {
+    write();
+  } catch (const ConfigError& e) {
+    CIM_LOG_WARN << e.what();
+    failures = 1;
+  } catch (const std::filesystem::filesystem_error& e) {
+    CIM_LOG_WARN << "warm-start store: " << e.what();
+    failures = 1;
+  }
+  store::WarmStartStats stats = warm_store.stats();
+  stats.write_failures += failures;
+  return stats;
+}
+
+}  // namespace
 
 std::string telemetry_trace_path(const std::string& snapshot_path) {
   const std::string suffix = ".json";
@@ -89,21 +118,22 @@ IsingOutcome CimSolver::solve_ising(const ising::GenericModel& model) const {
   outcome.anneal = annealer.solve(model);
   outcome.energy_hw = outcome.anneal.best_energy_hw;
   outcome.energy = outcome.anneal.best_energy;
-  outcome.solve_wall_seconds = timer.seconds();
 
   if (warm_store) {
-    // The store ranks scores higher-is-better; energies are minimised.
-    warm_store->store_spins(
-        fingerprint,
-        std::span<const ising::Spin>(outcome.anneal.best_spins.data(),
-                                     outcome.anneal.best_spins.size()),
-        -outcome.energy_hw);
-    outcome.warm_start = warm_store->stats();
+    outcome.warm_start = record_answer(*warm_store, [&] {
+      // The store ranks scores higher-is-better; energies are minimised.
+      warm_store->store_spins(
+          fingerprint,
+          std::span<const ising::Spin>(outcome.anneal.best_spins.data(),
+                                       outcome.anneal.best_spins.size()),
+          -outcome.energy_hw);
+    });
   }
 
   if (!config_.telemetry_out.empty()) {
     save_telemetry(config_.telemetry_out);
   }
+  outcome.solve_wall_seconds = timer.seconds();
   return outcome;
 }
 
@@ -134,20 +164,21 @@ MaxCutOutcome CimSolver::solve_maxcut(
   const anneal::MaxCutAnnealer annealer(cfg);
   outcome.anneal = annealer.solve(problem);
   outcome.cut = outcome.anneal.best_cut;
-  outcome.solve_wall_seconds = timer.seconds();
 
   if (warm_store) {
-    warm_store->store_spins(
-        fingerprint,
-        std::span<const ising::Spin>(outcome.anneal.spins.data(),
-                                     outcome.anneal.spins.size()),
-        outcome.anneal.cut);
-    outcome.warm_start = warm_store->stats();
+    outcome.warm_start = record_answer(*warm_store, [&] {
+      warm_store->store_spins(
+          fingerprint,
+          std::span<const ising::Spin>(outcome.anneal.spins.data(),
+                                       outcome.anneal.spins.size()),
+          outcome.anneal.cut);
+    });
   }
 
   if (!config_.telemetry_out.empty()) {
     save_telemetry(config_.telemetry_out);
   }
+  outcome.solve_wall_seconds = timer.seconds();
   return outcome;
 }
 
@@ -197,14 +228,15 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
     outcome.anneal.length = refined.final_length;
     outcome.tour_length = refined.final_length;
   }
-  outcome.solve_wall_seconds = timer.seconds();
 
   if (warm_store) {
     const auto order = outcome.anneal.tour.order();
-    warm_store->store_tour(
-        fingerprint, std::span<const tsp::CityId>(order.data(), order.size()),
-        outcome.tour_length);
-    outcome.warm_start = warm_store->stats();
+    outcome.warm_start = record_answer(*warm_store, [&] {
+      warm_store->store_tour(
+          fingerprint,
+          std::span<const tsp::CityId>(order.data(), order.size()),
+          outcome.tour_length);
+    });
   }
 
   if (config_.compute_reference) {
@@ -225,6 +257,7 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
   if (!config_.telemetry_out.empty()) {
     save_telemetry(config_.telemetry_out);
   }
+  outcome.solve_wall_seconds = timer.seconds();
   return outcome;
 }
 

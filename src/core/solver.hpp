@@ -79,7 +79,9 @@ struct SolverConfig {
   /// stored best tour seeds the annealer's initial ring/slot order; after
   /// the solve, the final tour is written back when it improves on the
   /// stored score. A corrupt or version-mismatched store entry degrades
-  /// to a cold start.
+  /// to a cold start, and a failed write-back is counted in
+  /// WarmStartStats::write_failures while the solve still returns its
+  /// answer. A directory that cannot be opened fails before the anneal.
   std::string warm_start_dir;
 
   /// Non-empty → after the solve, the global telemetry registry is
@@ -105,7 +107,9 @@ struct SolveOutcome {
   /// unset when the reference is disabled.
   std::optional<double> optimal_ratio;
   std::optional<ppa::PpaReport> ppa;
-  double solve_wall_seconds = 0.0;  ///< host-side simulation time
+  /// Host wall time of the whole call: store lookup, anneal, refinement,
+  /// store write, reference, PPA and telemetry export.
+  double solve_wall_seconds = 0.0;
   /// True when a stored tour seeded this solve (warm_start_dir hit).
   bool warm_started = false;
   /// Store traffic for this solve when warm_start_dir is set.
@@ -117,7 +121,7 @@ struct IsingOutcome {
   anneal::GenericResult anneal;  ///< spins, energies, window stats
   long long energy_hw = 0;       ///< best integer energy (hardware units)
   double energy = 0.0;           ///< same in model units (incl. offset)
-  double solve_wall_seconds = 0.0;
+  double solve_wall_seconds = 0.0;  ///< whole call, as in SolveOutcome
   /// True when a stored assignment seeded this solve (warm_start_dir hit).
   bool warm_started = false;
   std::optional<store::WarmStartStats> warm_start;
@@ -127,7 +131,7 @@ struct IsingOutcome {
 struct MaxCutOutcome {
   anneal::MaxCutResult anneal;
   long long cut = 0;  ///< best cut seen
-  double solve_wall_seconds = 0.0;
+  double solve_wall_seconds = 0.0;  ///< whole call, as in SolveOutcome
   bool warm_started = false;
   std::optional<store::WarmStartStats> warm_start;
 };

@@ -1,21 +1,22 @@
 #include "noise/sram_model.hpp"
 
 #include <array>
-#include <bit>
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/random.hpp"
 
 namespace cim::noise {
 
 namespace {
 
-/// Unit-variance draw from a centred Binomial(64, ½): (popcount − 32) / 4.
-double z_from_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  std::uint64_t s = util::hash_combine(util::hash_combine(a, b), c);
-  const std::uint64_t bits = util::splitmix64(s);
-  return (static_cast<double>(std::popcount(bits)) - 32.0) / 4.0;
+/// Read margin at `vdd` of a cell whose ΔVth draw has popcount k1.
+double margin_of(const SramCellModel& model, double vdd, int k1) {
+  return model.snm(vdd, model.params().sigma_vth * cell_hash::unit_draw(k1));
+}
+
+/// Bit-line disturbance of a pseudo-read whose draw has popcount k2.
+double disturb_of(const SramNoiseParams& params, int k2) {
+  return params.sigma_disturb() * cell_hash::unit_draw(k2);
 }
 
 /// pmf of popcount(uniform 64-bit) = C(64,k) / 2^64.
@@ -59,13 +60,16 @@ SramCellModel::SramCellModel(SramNoiseParams params, std::uint64_t seed)
   CIM_REQUIRE(params_.snm_slope > 0.0, "snm_slope must be positive");
   CIM_REQUIRE(params_.bl_cap_ff > 0.0,
               "bit-line capacitance must be positive");
+  // PhaseSettler relies on the disturbance growing with its draw.
+  CIM_REQUIRE(params_.disturb_base >= 0.0,
+              "disturbance scale must be non-negative");
 }
 
 CellTraits SramCellModel::traits(std::uint64_t cell_id) const {
   CellTraits t;
-  t.delta_vth = params_.sigma_vth * z_from_hash(seed_, cell_id, 0x7281DULL);
-  std::uint64_t s = util::hash_combine(seed_, cell_id ^ 0xBEEFULL);
-  t.preferred_bit = (util::splitmix64(s) & 1ULL) != 0;
+  t.delta_vth = params_.sigma_vth *
+                cell_hash::unit_draw(cell_hash::vth_popcount(seed_, cell_id));
+  t.preferred_bit = cell_hash::preferred_bit(seed_, cell_id);
   return t;
 }
 
@@ -85,33 +89,53 @@ double SramCellModel::flip_probability(double vdd, double delta_vth) const {
 
 bool SramCellModel::flips(std::uint64_t cell_id, std::uint64_t epoch,
                           double vdd) const {
-  const double delta_vth =
-      params_.sigma_vth * z_from_hash(seed_, cell_id, 0x7281DULL);
-  const double margin = snm(vdd, delta_vth);
+  const double margin =
+      margin_of(*this, vdd, cell_hash::vth_popcount(seed_, cell_id));
   if (margin <= 0.0) return true;  // no read margin: certain flip
-  const double disturb = params_.sigma_disturb() *
-                         z_from_hash(seed_ ^ 0xF11BULL, cell_id, epoch);
-  return disturb > margin;
+  return disturb_of(params_,
+                    cell_hash::disturb_popcount(seed_, cell_id, epoch)) >
+         margin;
 }
 
 bool SramCellModel::is_stuck(std::uint64_t cell_id) const {
-  if (params_.stuck_cell_rate <= 0.0) return false;
-  std::uint64_t s = util::hash_combine(seed_ ^ 0x57DCULL, cell_id);
-  const std::uint64_t bits = util::splitmix64(s);
-  const double u =
-      (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
-  return u < params_.stuck_cell_rate;
+  return cell_hash::is_stuck(seed_, cell_id, params_.stuck_cell_rate);
 }
 
 bool SramCellModel::settled_value(std::uint64_t cell_id, std::uint64_t epoch,
                                   double vdd, bool written) const {
-  std::uint64_t s = util::hash_combine(seed_, cell_id ^ 0xBEEFULL);
-  const bool preferred = (util::splitmix64(s) & 1ULL) != 0;
+  const bool preferred = cell_hash::preferred_bit(seed_, cell_id);
   // A stuck cell holds its preferred value no matter what was written or
   // how high the supply is.
   if (is_stuck(cell_id)) return preferred;
   if (written == preferred) return written;  // stable direction
   return flips(cell_id, epoch, vdd) ? preferred : written;
+}
+
+PhaseSettler::PhaseSettler(const SramCellModel& model, std::uint64_t epoch,
+                           double vdd)
+    : seed_(model.seed()),
+      epoch_(epoch),
+      stuck_rate_(model.params().stuck_cell_rate) {
+  for (int k1 = 0; k1 <= 64; ++k1) {
+    const double margin = margin_of(model, vdd, k1);
+    int from = 0;  // no read margin: every disturbance flips
+    if (margin > 0.0) {
+      // Least k2 in [0, 65] with disturb_of(k2) > margin (65: none).
+      int lo = 0;
+      int hi = 65;
+      while (lo < hi) {
+        const int mid = (lo + hi) / 2;
+        if (disturb_of(model.params(), mid) > margin) {
+          hi = mid;
+        } else {
+          lo = mid + 1;
+        }
+      }
+      from = lo;
+    }
+    flip_from_[static_cast<std::size_t>(k1)] =
+        static_cast<std::uint8_t>(from);
+  }
 }
 
 double SramCellModel::expected_error_rate(double vdd) const {

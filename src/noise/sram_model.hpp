@@ -36,11 +36,71 @@
 //     *exact* closed form for the expected error rate, so the analytic
 //     curve and the Monte-Carlo measurement in Fig. 6(b) agree to
 //     sampling error.
+//   * Bulk write-backs go through PhaseSettler, a per-phase flip table.
+//     For one (model, epoch, vdd) a cell's fate depends only on two
+//     popcounts: k₁ of its ΔVth draw and k₂ of its disturbance draw. It
+//     flips iff margin(k₁) ≤ 0 or σ_d·z(k₂) > margin(k₁), and σ_d·z(k₂)
+//     is monotone in k₂, so the whole rule is one threshold byte per k₁:
+//     flip iff k₂ ≥ flip_from[k₁]. The 65 thresholds are found by binary
+//     search over k₂ with the same snm()/sigma_disturb() expressions
+//     flips() evaluates, so the table reproduces settled_value() bit for
+//     bit while the per-cell work shrinks to the counter hashes and one
+//     byte lookup (no sqrt, no double compare, no call).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 
+#include "util/random.hpp"
+
 namespace cim::noise {
+
+/// The counter hashes behind every per-cell decision, shared by the
+/// SramCellModel oracle and the inlined PhaseSettler so the two cannot
+/// drift apart.
+namespace cell_hash {
+
+/// popcount of the counter hash of (a, b, c): a Binomial(64, ½) draw.
+inline int draw_popcount(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  std::uint64_t s = util::hash_combine(util::hash_combine(a, b), c);
+  return std::popcount(util::splitmix64(s));
+}
+
+/// Unit-variance value of a popcount draw: (k − 32) / 4.
+constexpr double unit_draw(int k) {
+  return (static_cast<double>(k) - 32.0) / 4.0;
+}
+
+/// Popcount behind the cell's fixed ΔVth mismatch.
+inline int vth_popcount(std::uint64_t seed, std::uint64_t cell_id) {
+  return draw_popcount(seed, cell_id, 0x7281DULL);
+}
+
+/// Popcount behind the bit-line disturbance of the cell's pseudo-read in
+/// `epoch`.
+inline int disturb_popcount(std::uint64_t seed, std::uint64_t cell_id,
+                            std::uint64_t epoch) {
+  return draw_popcount(seed ^ 0xF11BULL, cell_id, epoch);
+}
+
+/// The value the cell's asymmetric latch falls towards.
+inline bool preferred_bit(std::uint64_t seed, std::uint64_t cell_id) {
+  std::uint64_t s = util::hash_combine(seed, cell_id ^ 0xBEEFULL);
+  return (util::splitmix64(s) & 1ULL) != 0;
+}
+
+/// True iff the cell is a manufacturing defect at defect density `rate`.
+inline bool is_stuck(std::uint64_t seed, std::uint64_t cell_id,
+                     double rate) {
+  if (rate <= 0.0) return false;
+  std::uint64_t s = util::hash_combine(seed ^ 0x57DCULL, cell_id);
+  const std::uint64_t bits = util::splitmix64(s);
+  const double u = (static_cast<double>(bits >> 11) + 0.5) * 0x1.0p-53;
+  return u < rate;
+}
+
+}  // namespace cell_hash
 
 struct SramNoiseParams {
   double nominal_vdd = 0.80;   ///< V, 16 nm nominal supply
@@ -106,6 +166,40 @@ class SramCellModel {
  private:
   SramNoiseParams params_;
   std::uint64_t seed_ = 0;
+};
+
+/// One pseudo-read phase of a model, precomputed for bulk write-backs
+/// (see the implementation notes above). Cheap to build — 65 binary
+/// searches over 65 disturbance classes — so a write-back builds one per
+/// call, whatever the array size.
+class PhaseSettler {
+ public:
+  PhaseSettler(const SramCellModel& model, std::uint64_t epoch, double vdd);
+
+  /// Exactly SramCellModel::settled_value(cell_id, epoch, vdd, written).
+  bool settle(std::uint64_t cell_id, bool written) const {
+    const bool preferred = cell_hash::preferred_bit(seed_, cell_id);
+    // A cell holding its preferred value is stable, stuck or not.
+    if (written == preferred) return written;
+    if (cell_hash::is_stuck(seed_, cell_id, stuck_rate_)) return preferred;
+    const unsigned from =
+        flip_from_[static_cast<std::size_t>(
+            cell_hash::vth_popcount(seed_, cell_id))];
+    // The table's extremes decide without the disturbance draw.
+    if (from == 0) return preferred;
+    if (from > 64) return written;
+    const auto k2 = static_cast<unsigned>(
+        cell_hash::disturb_popcount(seed_, cell_id, epoch_));
+    return k2 >= from ? preferred : written;
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint64_t epoch_;
+  double stuck_rate_;
+  /// flip_from_[k₁]: least disturbance popcount k₂ that flips a cell of
+  /// ΔVth popcount k₁; 0 = always flips, 65 = never flips.
+  std::array<std::uint8_t, 65> flip_from_{};
 };
 
 }  // namespace cim::noise

@@ -38,6 +38,9 @@ struct WarmStartStats {
   std::uint64_t demotions = 0;   ///< L0 → L1 on overflow
   std::uint64_t evictions = 0;   ///< dropped from L1 on overflow
   std::uint64_t dropped = 0;     ///< corrupt / version-mismatch records removed
+  /// Post-solve writes that failed. core::CimSolver counts them and still
+  /// returns its answer; the store itself throws on a failed write.
+  std::uint64_t write_failures = 0;
 };
 
 class WarmStartStore {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "noise/schedule.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -105,6 +106,49 @@ TEST(Storage, BackendsAgreeWithStuckCellsAndNoise) {
   // even after the backends agree — those are the hard faults the fast
   // backend used to erase.
   EXPECT_GT(stuck_divergent, 0U);
+}
+
+TEST(Storage, ChunkedWriteBackMatchesBitLevel) {
+  // A plane of ~4.7 write-back chunks (16 384 weights each, the last one
+  // partial) refreshes on the shared pool; every default-schedule
+  // write-back must still match the serial bit-level oracle weight for
+  // weight and counter for counter. tests/CMakeLists.txt reruns this
+  // under 1, 2 and 8 pool workers.
+  constexpr std::uint32_t kRows = 257;
+  constexpr std::uint32_t kCols = 300;
+  const auto image = random_image(kRows, kCols, 31);
+  for (const double stuck_rate : {0.0, 0.01}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const noise::SramCellModel model(params, 41);
+    auto chunked = make_fast_storage(kRows, kCols, &model, 1 << 20);
+    auto oracle = make_bit_level_storage(kRows, kCols, &model, 1 << 20);
+    chunked->write(image);
+    oracle->write(image);
+    const noise::AnnealSchedule schedule;
+    std::size_t write_backs = 0;
+    for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
+      const noise::SchedulePhase p = schedule.at(it);
+      if (!p.write_back) continue;
+      ++write_backs;
+      chunked->write_back(p);
+      oracle->write_back(p);
+      for (std::uint32_t r = 0; r < kRows; ++r) {
+        for (std::uint32_t c = 0; c < kCols; ++c) {
+          ASSERT_EQ(chunked->weight(RowIndex(r), ColIndex(c)),
+                    oracle->weight(RowIndex(r), ColIndex(c)))
+              << "epoch " << p.epoch << " weight " << r << "," << c
+              << " stuck rate " << stuck_rate;
+        }
+      }
+      EXPECT_EQ(chunked->counters().pseudo_read_flips,
+                oracle->counters().pseudo_read_flips);
+      EXPECT_EQ(chunked->counters().writeback_bits,
+                oracle->counters().writeback_bits);
+    }
+    EXPECT_EQ(chunked->counters().writeback_events, write_backs);
+    EXPECT_GT(chunked->counters().pseudo_read_flips, 0U);
+  }
 }
 
 TEST(Storage, SparseMacMatchesDense) {

@@ -1,5 +1,7 @@
 #include "core/solver.hpp"
 
+#include <chrono>
+
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
@@ -12,7 +14,10 @@ namespace {
 TEST(CimSolver, EndToEndOutcome) {
   const auto inst = test::random_instance(200, 1);
   const CimSolver solver;
+  const auto start = std::chrono::steady_clock::now();
   const auto outcome = solver.solve(inst);
+  const std::chrono::duration<double> call =
+      std::chrono::steady_clock::now() - start;
   EXPECT_TRUE(outcome.anneal.tour.is_valid(200));
   EXPECT_EQ(outcome.tour_length, outcome.anneal.length);
   ASSERT_TRUE(outcome.reference_length.has_value());
@@ -22,7 +27,9 @@ TEST(CimSolver, EndToEndOutcome) {
   ASSERT_TRUE(outcome.ppa.has_value());
   EXPECT_GT(outcome.ppa->chip_area.um2(), 0.0);
   EXPECT_GT(outcome.ppa->latency.total().seconds(), 0.0);
+  // The wall time covers the whole call, reference and PPA included.
   EXPECT_GT(outcome.solve_wall_seconds, 0.0);
+  EXPECT_LE(outcome.solve_wall_seconds, call.count());
 }
 
 TEST(CimSolver, ReferenceCanBeDisabled) {

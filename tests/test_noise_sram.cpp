@@ -1,10 +1,13 @@
 #include "noise/sram_model.hpp"
 
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "noise/monte_carlo.hpp"
+#include "noise/schedule.hpp"
 #include "util/error.hpp"
 
 namespace cim::noise {
@@ -157,6 +160,57 @@ TEST(SramModel, InvalidParamsThrow) {
   SramNoiseParams bad_cap;
   bad_cap.bl_cap_ff = 0.0;
   EXPECT_THROW(SramCellModel(bad_cap, 1), ConfigError);
+  SramNoiseParams bad_disturb;
+  bad_disturb.disturb_base = -0.01;
+  EXPECT_THROW(SramCellModel(bad_disturb, 1), ConfigError);
+}
+
+TEST(PhaseSettler, MatchesSettledValue) {
+  // The write-back fast path must reproduce the oracle bit for bit: every
+  // phase of the default schedule plus both supply extremes, both written
+  // values, with and without hard faults.
+  std::vector<double> vdds = {0.20, 0.80};
+  std::vector<std::uint64_t> epochs = {17, 18};
+  const AnnealSchedule schedule;
+  for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
+    const SchedulePhase phase = schedule.at(it);
+    if (!phase.write_back) continue;
+    vdds.push_back(phase.vdd);
+    epochs.push_back(phase.epoch);
+  }
+  ASSERT_GT(vdds.size(), 4U);
+  constexpr std::uint64_t kCells = std::uint64_t{1} << 17;
+  for (const double stuck_rate : {0.0, 0.02}) {
+    SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const SramCellModel model(params, 0xC0FFEE);
+    for (std::size_t p = 0; p < vdds.size(); ++p) {
+      const PhaseSettler settler(model, epochs[p], vdds[p]);
+      std::array<bool, 65> class_seen{};
+      std::size_t flips = 0;
+      for (std::uint64_t cell = 0; cell < kCells; ++cell) {
+        class_seen[static_cast<std::size_t>(
+            cell_hash::vth_popcount(model.seed(), cell))] = true;
+        for (const bool written : {false, true}) {
+          const bool expected =
+              model.settled_value(cell, epochs[p], vdds[p], written);
+          ASSERT_EQ(settler.settle(cell, written), expected)
+              << "cell " << cell << " vdd " << vdds[p] << " written "
+              << written << " stuck rate " << stuck_rate;
+          flips += expected != written ? 1 : 0;
+        }
+      }
+      // 2^17 cells must reach the 35 ΔVth classes whose expected count is
+      // above one (15..49); the classes outside them hold under 2e-6 of
+      // the mass together.
+      std::size_t classes = 0;
+      for (const bool seen : class_seen) classes += seen ? 1 : 0;
+      EXPECT_GE(classes, 35U) << "vdd " << vdds[p];
+      if (vdds[p] < 0.5) {
+        EXPECT_GT(flips, 0U) << "vdd " << vdds[p];
+      }
+    }
+  }
 }
 
 TEST(MonteCarlo, MeasuredTracksAnalytic) {

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "ising/generic.hpp"
+#include "ising/maxcut.hpp"
 #include "store/format.hpp"
 #include "test_helpers.hpp"
 #include "tsp/fingerprint.hpp"
@@ -482,6 +484,62 @@ TEST_F(WarmStartStoreTest, SolverSurvivesCorruptStore) {
   ASSERT_TRUE(outcome.warm_start.has_value());
   EXPECT_EQ(outcome.warm_start->dropped, 1U);
   EXPECT_TRUE(outcome.anneal.tour.is_valid(80));
+}
+
+TEST_F(WarmStartStoreTest, SolverKeepsAnswerWhenStoreWriteFails) {
+  // A store that cannot take the post-solve write (here a zero file-size
+  // limit) must not cost the caller the answer: every front door returns
+  // its outcome and counts the failed write.
+  core::SolverConfig config;
+  config.compute_reference = false;
+  config.compute_ppa = false;
+  config.warm_start_dir = dir_;
+  const core::CimSolver solver(config);
+  const auto inst = cim::test::random_instance(80, 17);
+  const auto problem = ising::random_maxcut(30, 0.2, 0x51, 2);
+  const auto model = ising::GenericModel::from_maxcut(problem);
+  {
+    const FileSizeCap cap(0);
+    if (!cap.active()) GTEST_SKIP() << "cannot lower RLIMIT_FSIZE";
+    const auto tour = solver.solve(inst);
+    EXPECT_TRUE(tour.anneal.tour.is_valid(80));
+    ASSERT_TRUE(tour.warm_start.has_value());
+    EXPECT_EQ(tour.warm_start->write_failures, 1U);
+    EXPECT_EQ(tour.warm_start->stores, 0U);
+
+    const auto cut = solver.solve_maxcut(problem);
+    EXPECT_EQ(cut.anneal.spins.size(), problem.size());
+    ASSERT_TRUE(cut.warm_start.has_value());
+    EXPECT_EQ(cut.warm_start->write_failures, 1U);
+
+    const auto spins = solver.solve_ising(model);
+    EXPECT_EQ(spins.anneal.best_spins.size(), model.size());
+    ASSERT_TRUE(spins.warm_start.has_value());
+    EXPECT_EQ(spins.warm_start->write_failures, 1U);
+  }
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    ADD_FAILURE() << "left behind: " << entry.path();
+  }
+  // Nothing was stored: the next solve starts cold and, with the limit
+  // lifted, writes its answer.
+  const auto again = solver.solve(inst);
+  EXPECT_FALSE(again.warm_started);
+  ASSERT_TRUE(again.warm_start.has_value());
+  EXPECT_EQ(again.warm_start->write_failures, 0U);
+  EXPECT_EQ(again.warm_start->stores, 1U);
+}
+
+TEST_F(WarmStartStoreTest, SolverFailsFastOnUnusableStoreDir) {
+  // A store directory that cannot be opened is a configuration error,
+  // reported before any annealing work.
+  { std::ofstream(dir_) << "not a directory"; }
+  core::SolverConfig config;
+  config.compute_reference = false;
+  config.compute_ppa = false;
+  config.warm_start_dir = (fs::path(dir_) / "store").string();
+  EXPECT_THROW((void)core::CimSolver(config).solve(
+                   cim::test::random_instance(40, 3)),
+               ConfigError);
 }
 
 }  // namespace
