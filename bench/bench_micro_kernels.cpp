@@ -6,7 +6,8 @@
 // Besides the google-benchmark suite, main() times the three variants of
 // the 4-MAC swap kernel (dense rebuild-and-scan, sparse row-list rebuild,
 // incremental sparse) head-to-head, plus one 800×800 write-back plane
-// against the serial settled_value() loop, and writes
+// against the serial settled_value() loop and one Max-Cut anneal per
+// Ising field path (incremental vs recompute), and writes
 // BENCH_swap_kernel.json — see EXPERIMENTS.md for the format — and times
 // per-epoch thread spawning
 // against the persistent util::ThreadPool over an annealer-shaped epoch
@@ -31,10 +32,12 @@
 
 #include "util/thread_pool.hpp"
 
+#include "anneal/maxcut_annealer.hpp"
 #include "cim/adder_tree.hpp"
 #include "cim/storage.hpp"
 #include "cim/window.hpp"
 #include "geo/kdtree.hpp"
+#include "ising/maxcut.hpp"
 #include "ising/pbm.hpp"
 #include "noise/schedule.hpp"
 #include "noise/sram_model.hpp"
@@ -390,9 +393,59 @@ cim::util::Json write_back_report() {
   return row;
 }
 
+/// Times one Max-Cut anneal (signed G(1000, 1%)) per Ising field path:
+/// the incremental local fields against the column-MAC recompute oracle
+/// (dense kernel). Aborts unless both end in the same spins and
+/// StorageCounters.
+cim::util::Json ising_update_report(bool smoke) {
+  constexpr std::size_t kN = 1000;
+  const auto problem = cim::ising::random_maxcut(kN, 0.01, 41, 5, true);
+  cim::anneal::MaxCutConfig config;
+  if (smoke) {
+    config.schedule.total_iterations = 100;
+    config.schedule.iterations_per_step = 25;
+  }
+  config.vector_kernel = false;
+  const auto run = [&](bool memoize) {
+    config.memoize_partial_sums = memoize;
+    cim::util::Timer timer;
+    auto result = cim::anneal::MaxCutAnnealer(config).solve(problem);
+    return std::pair<double, cim::anneal::MaxCutResult>{timer.seconds(),
+                                                        std::move(result)};
+  };
+  const auto [incremental_s, incremental] = run(true);
+  const auto [recompute_s, recompute] = run(false);
+  CIM_REQUIRE(incremental.spins == recompute.spins &&
+                  incremental.storage == recompute.storage,
+              "incremental fields diverge from the column-MAC recompute");
+
+  const auto updates = static_cast<double>(incremental.sweeps * kN);
+  const double incremental_ns = incremental_s * 1e9 / updates;
+  const double recompute_ns = recompute_s * 1e9 / updates;
+  TELEM_COUNTER_EVENT("bench.ising_update",
+                      {"incremental_ns_per_update", incremental_ns},
+                      {"recompute_ns_per_update", recompute_ns});
+  cim::util::Json row = cim::util::Json::object();
+  row["vertices"] = static_cast<std::uint64_t>(kN);
+  row["edges"] = static_cast<std::uint64_t>(problem.edges().size());
+  row["sweeps"] = static_cast<std::uint64_t>(incremental.sweeps);
+  row["flips"] = static_cast<std::uint64_t>(incremental.flips);
+  row["memo_hits"] = static_cast<std::uint64_t>(incremental.memo_hits);
+  row["incremental_ns_per_update"] = incremental_ns;
+  row["recompute_ns_per_update"] = recompute_ns;
+  row["speedup_incremental_vs_recompute"] =
+      incremental_ns > 0.0 ? recompute_ns / incremental_ns : 0.0;
+  std::printf(
+      "ising_update maxcut n=%zu: incremental %.1f ns, recompute %.1f ns "
+      "per spin update (%.2fx)\n",
+      kN, incremental_ns, recompute_ns,
+      incremental_ns > 0.0 ? recompute_ns / incremental_ns : 0.0);
+  return row;
+}
+
 /// Times the three swap-kernel variants head-to-head over identical swap
-/// sequences and writes BENCH_swap_kernel.json, with the write-back row
-/// beside them. Aborts if the variants' accumulated energy deltas
+/// sequences and writes BENCH_swap_kernel.json, with the write-back and
+/// Ising-update rows beside them. Aborts if the variants' accumulated energy deltas
 /// disagree (they evaluate the same swaps on the same weights, so any
 /// divergence is a kernel bug).
 void write_swap_kernel_report() {
@@ -467,6 +520,7 @@ void write_swap_kernel_report() {
   }
   report["scales"] = std::move(rows);
   report["write_back"] = write_back_report();
+  report["ising_update"] = ising_update_report(smoke);
   report.save(out_path);
   std::printf("wrote %s\n", out_path.c_str());
 }

@@ -72,12 +72,16 @@ done
 # legs prove both the bit-sliced path and the scalar oracle stay green
 # regardless of the environment CI happens to inherit. The bit-identity
 # tests inside the suites compare the two paths directly; these legs
-# additionally pin the default-path plumbing. The clustered TSP annealer
-# has no packed path, so its suites are not repeated here.
+# additionally pin the default-path plumbing. With the memo on (the
+# default) the Ising annealers keep incremental fields and issue no column
+# MACs, so the legs also turn the memo off: otherwise the flag would never
+# reach the packed path in a default-config test. The clustered TSP
+# annealer has no packed path, so its suites are not repeated here.
 vector_suites='^(MaxCutAnnealer|GenericAnnealer|CimSolver)\.'
 for vec in 1 0; do
-  echo "==== Ising annealer suites with CIMANNEAL_VECTOR_KERNEL=${vec}"
-  CIMANNEAL_VECTOR_KERNEL="${vec}" \
+  echo "==== Ising annealer suites with CIMANNEAL_VECTOR_KERNEL=${vec}," \
+    "CIMANNEAL_MEMOIZE=0"
+  CIMANNEAL_VECTOR_KERNEL="${vec}" CIMANNEAL_MEMOIZE=0 \
     ctest --preset release -j "${jobs}" -R "${vector_suites}"
 done
 
@@ -116,8 +120,9 @@ if [[ -x "${bench_bin}" ]]; then
     "${bench_bin}" --benchmark_filter='BM_SwapKernel.*|BM_DistanceCacheRescan.*'
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
   # Structural gate on the swap-kernel report: the dense, sparse and
-  # incremental columns and the write-back row (ns per noisy cell, flips
-  # checked against the serial settled_value loop) must be present and
+  # incremental columns, the write-back row (ns per noisy cell, flips
+  # checked against the serial settled_value loop) and the Ising-update
+  # row (incremental vs recompute ns per spin update) must be present and
   # self-consistent — a bench
   # refactor that silently drops a column must fail here, not in a
   # dashboard.
@@ -133,8 +138,12 @@ write_back = report["write_back"]
 for key in ("noisy_cells", "pseudo_read_flips", "ns_per_noisy_cell",
             "serial_ns_per_noisy_cell"):
     assert write_back.get(key, 0) > 0, (key, write_back)
+ising_update = report["ising_update"]
+for key in ("incremental_ns_per_update", "recompute_ns_per_update"):
+    assert ising_update.get(key, 0) > 0, (key, ising_update)
 print("swap-kernel report structure OK "
-      f"({len(report['scales'])} scale rows + write-back row)")
+      f"({len(report['scales'])} scale rows + write-back and "
+      "Ising-update rows)")
 PY
   require_artifact "${bench_out_dir}/BENCH_parallel_runtime.json"
   # One telemetry snapshot + Chrome trace per CI run (loadable in

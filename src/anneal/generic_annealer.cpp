@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "anneal/local_fields.hpp"
 #include "cim/activity.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -148,46 +150,52 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
     result.spins = ising::random_spins(n, rng);
   }
 
-  // Input registers: σ+ and the all-ones vector, with the bias row (if
-  // any) permanently 1 in both.
+  // Input register σ+, with the bias row (if any) permanently 1.
   std::vector<std::uint8_t> sigma_plus(rows, 1);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    sigma_plus[v] = result.spins[v] > 0 ? 1 : 0;
+  }
+
+  // Memoized fields (DESIGN.md §16) are kept exact incrementally, the
+  // same helper as the Max-Cut path, over all windows at once; the
+  // recompute path re-reduces both columns per update and is the oracle.
+  std::optional<LocalFields> fields;
+  if (config_.memoize_partial_sums) {
+    std::vector<LocalFields::Window> planes;
+    planes.reserve(windows.size());
+    for (Window& w : windows) planes.push_back({w.pos.get(), w.neg.get()});
+    fields.emplace(std::move(planes));
+  }
+  const bool packed = config_.vector_kernel && !fields;
   const std::vector<std::uint8_t> ones(rows, 1);
   std::vector<std::int64_t> row_sum(n, 0);
 
-  // Per-spin partial-sum memo (DESIGN.md §16), same discipline as the
-  // Max-Cut path: values are stamped with an input-state generation that
-  // advances on any flip or write-back.
-  const bool memoize = config_.memoize_partial_sums;
-  std::vector<std::int64_t> memo_value;
-  std::vector<std::uint64_t> memo_stamp;  // 0 never matches (gens start at 1)
-  std::uint64_t gen_counter = 1;
-  std::uint64_t input_gen = 1;
-  if (memoize) {
-    memo_value.assign(n, 0);
-    memo_stamp.assign(n, 0);
-  }
-
   hw::PackedBits sigma_packed;
   hw::PackedBits ones_packed;
-  if (config_.vector_kernel) {
+  if (packed) {
     sigma_packed.resize(rows);
     ones_packed.resize(rows);
-    for (std::uint32_t r = 0; r < rows; ++r) ones_packed.set(r);
-    if (mapping.has_fields) sigma_packed.set(static_cast<std::uint32_t>(n));
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      ones_packed.set(r);
+      if (sigma_plus[r]) sigma_packed.set(r);
+    }
   }
 
   const auto window_mac = [&](ising::SpinIndex v,
                               std::span<const std::uint8_t> dense,
-                              std::span<const std::uint64_t> packed) {
+                              std::span<const std::uint64_t> words) {
     Window& w = windows[group_of[v]];
     const hw::ColIndex col(col_of[v]);
-    return config_.vector_kernel
-               ? w.pos->mac_packed(col, packed) -
-                     w.neg->mac_packed(col, packed)
-               : w.pos->mac(col, dense) - w.neg->mac(col, dense);
+    return packed ? w.pos->mac_packed(col, words) -
+                        w.neg->mac_packed(col, words)
+                  : w.pos->mac(col, dense) - w.neg->mac(col, dense);
   };
 
   const auto refresh_row_sums = [&] {
+    if (fields) {
+      fields->rebuild(sigma_plus);
+      return;
+    }
     for (std::uint32_t v = 0; v < n; ++v) {
       row_sum[v] = window_mac(v, ones, ones_packed.words());
     }
@@ -197,6 +205,8 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
   result.energy_hw = mapping.energy_hw(result.spins);
   result.best_energy_hw = result.energy_hw;
   result.best_spins = result.spins;
+  const double degree_scale = std::sqrt(
+      static_cast<double>(std::max<std::uint32_t>(1, model.max_degree())));
 
   for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
     const auto phase = schedule.at(sweep);
@@ -206,39 +216,20 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
         w.neg->write_back(phase);
         result.update_cycles += rows;  // sequential row write per window
       }
-      // Weights changed: every memoized field value is stale.
-      input_gen = ++gen_counter;
       refresh_row_sums();
     }
-    for (std::uint32_t v = 0; v < n; ++v) {
-      sigma_plus[v] = result.spins[v] > 0 ? 1 : 0;
-      if (config_.vector_kernel) {
-        if (sigma_plus[v]) {
-          sigma_packed.set(v);
-        } else {
-          sigma_packed.clear(v);
-        }
-      }
-    }
+    const double lfsr_temperature =
+        config_.noise == NoiseMode::kLfsr
+            ? equivalent_temperature(cell_model, phase) * degree_scale
+            : 0.0;
 
     for (std::size_t g = 0; g < partition.groups.size(); ++g) {
       for (const ising::SpinIndex v : partition.groups[g]) {
         // field_v = Σ_u W_uv σ_u + F_v = 2·(MAC+ − MAC−)(σ+) − row_sum.
-        std::int64_t mac;
-        if (memoize && memo_stamp[v] == input_gen) {
-          windows[group_of[v]].pos->charge_repeat_mac();
-          windows[group_of[v]].neg->charge_repeat_mac();
-          mac = memo_value[v];
-          ++result.memo_hits;
-        } else {
-          mac = window_mac(v, sigma_plus, sigma_packed.words());
-          if (memoize) {
-            memo_value[v] = mac;
-            memo_stamp[v] = input_gen;
-            ++result.memo_misses;
-          }
-        }
-        const std::int64_t field = 2 * mac - row_sum[v];
+        const std::int64_t field =
+            fields ? fields->field(g, col_of[v])
+                   : 2 * window_mac(v, sigma_plus, sigma_packed.words()) -
+                         row_sum[v];
 
         // E = −Σ Wσσ − Σ Fσ: aligning σ_v with sign(field) descends.
         ising::Spin next = result.spins[v];
@@ -253,14 +244,10 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
             // Metropolis on the flip: ΔE = 2 σ_v field.
             const auto delta = static_cast<double>(
                 2 * static_cast<std::int64_t>(result.spins[v]) * field);
-            const double temperature =
-                equivalent_temperature(cell_model, phase) *
-                std::sqrt(static_cast<double>(
-                    std::max<std::uint32_t>(1, model.max_degree())));
             const bool accept =
                 delta < 0.0 ||
-                (temperature > 0.0 &&
-                 rng.uniform() < std::exp(-delta / temperature));
+                (lfsr_temperature > 0.0 &&
+                 rng.uniform() < std::exp(-delta / lfsr_temperature));
             if (accept) next = static_cast<ising::Spin>(-result.spins[v]);
             break;
           }
@@ -268,7 +255,8 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
         if (next != result.spins[v]) {
           result.spins[v] = next;
           sigma_plus[v] = next > 0 ? 1 : 0;
-          if (config_.vector_kernel) {
+          if (fields) fields->flip(v, next > 0 ? 1 : -1);
+          if (packed) {
             if (sigma_plus[v]) {
               sigma_packed.set(v);
             } else {
@@ -276,8 +264,6 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
             }
           }
           ++result.flips;
-          // σ+ changed: memoized fields of every spin are stale.
-          input_gen = ++gen_counter;
         }
       }
       // Chromatic groups are independent sets: one cycle updates the
@@ -305,6 +291,10 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
   result.energy = mapping.to_model_energy(result.energy_hw, model.offset());
   result.best_energy =
       mapping.to_model_energy(result.best_energy_hw, model.offset());
+  if (fields) {
+    result.memo_hits = fields->hits();
+    result.memo_misses = fields->misses();
+  }
   for (Window& w : windows) {
     result.storage += w.pos->counters();
     result.storage += w.neg->counters();

@@ -41,11 +41,14 @@ struct GenericAnnealConfig {
   /// quality/parallelism axis the bench sweeps).
   ising::GroupStrategy strategy = ising::GroupStrategy::kChromatic;
   std::uint32_t group_block = 64;  ///< width bound for blocked strategies
-  /// Bit-sliced packed MACs; bit-identical to the scalar oracle
-  /// (energies, flip sequence, StorageCounters).
+  /// Bit-sliced packed MACs for the recompute path (memoize_partial_sums
+  /// off); bit-identical to the scalar oracle (energies, flip sequence,
+  /// StorageCounters).
   bool vector_kernel = default_vector_kernel();
-  /// Per-spin partial-sum memoization under an input-state generation
-  /// (DESIGN.md §16); bit-identical to the unmemoized paths.
+  /// Incremental local fields over all windows (DESIGN.md §16): rebuilt
+  /// after each write-back, updated by row u of every window when spin u
+  /// flips; each update still charges one column MAC per plane.
+  /// Bit-identical to the recompute path, which stays the oracle.
   bool memoize_partial_sums = default_memoize();
   std::uint32_t weight_bits = 8;
   std::uint64_t seed = 1;
@@ -73,6 +76,8 @@ struct GenericResult {
   /// True when every hardware coefficient fit weight_bits verbatim — the
   /// anneal dynamics then see the model exactly (no quantisation loss).
   bool exact_mapping = false;
+  /// Same meaning as MaxCutResult: hits are evaluations with no flip or
+  /// write-back since the spin's previous one; both 0 with memo off.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   std::uint64_t update_cycles = 0;

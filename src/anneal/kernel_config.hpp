@@ -3,7 +3,8 @@
 // The Ising-side annealers (MaxCutAnnealer, GenericAnnealer) carry a
 // `vector_kernel` knob choosing between the scalar kernel (the
 // determinism oracle) and the bit-sliced packed path (cim/bitslice.hpp,
-// DESIGN.md §14). The knob defaults from one environment flag so CI can
+// DESIGN.md §14) for their column-MAC recompute path, which runs only
+// with memoization off. The knob defaults from one environment flag so CI can
 // force either path across every binary without touching configs. The
 // clustered TSP annealer has no packed path and ignores the flag.
 // All three annealers read the memoization default below.

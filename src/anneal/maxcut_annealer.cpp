@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "anneal/local_fields.hpp"
 #include "cim/activity.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -70,11 +72,14 @@ MaxCutResult MaxCutAnnealer::solve(
   pos_storage->write(pos);
   neg_storage->write(neg);
 
-  // Chromatic classes for parallel updates.
+  // Chromatic classes for parallel updates, as per-colour vertex lists in
+  // ascending vertex order (the update order within a colour).
   const ising::IsingModel graph = problem.to_ising();
   const auto colors = graph.chromatic_partition();
   std::uint32_t color_count = 0;
   for (const auto c : colors) color_count = std::max(color_count, c + 1);
+  std::vector<std::vector<std::uint32_t>> color_members(color_count);
+  for (std::uint32_t v = 0; v < n; ++v) color_members[colors[v]].push_back(v);
 
   MaxCutResult result;
   result.color_count = color_count;
@@ -91,98 +96,76 @@ MaxCutResult MaxCutAnnealer::solve(
   }
 
   std::vector<std::uint8_t> sigma_plus(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    sigma_plus[v] = result.spins[v] > 0 ? 1 : 0;
+  }
+
+  // Memoized fields (DESIGN.md §16) are kept exact incrementally; the
+  // recompute path below re-reduces both columns on every update and is
+  // the oracle, dense or packed.
+  std::optional<LocalFields> fields;
+  if (config_.memoize_partial_sums) {
+    fields.emplace(std::vector<LocalFields::Window>{
+        {pos_storage.get(), neg_storage.get()}});
+  }
+  const bool packed = config_.vector_kernel && !fields;
   const std::vector<std::uint8_t> ones(n, 1);
   std::vector<std::int64_t> row_sum(n, 0);
 
-  // Per-vertex partial-sum memo (DESIGN.md §16): the combined
-  // (MAC+ − MAC−)(σ+) per column, stamped with an input-state generation
-  // that advances on any flip or write-back. The per-sweep σ+ rebuild
-  // copies the unchanged spin state and therefore does not advance it.
-  // Sound because FastStorage weights are pure between write-backs.
-  const bool memoize = config_.memoize_partial_sums;
-  std::vector<std::int64_t> memo_value;
-  std::vector<std::uint64_t> memo_stamp;  // 0 never matches (gens start at 1)
-  std::uint64_t gen_counter = 1;
-  std::uint64_t input_gen = 1;
-  if (memoize) {
-    memo_value.assign(n, 0);
-    memo_stamp.assign(n, 0);
-  }
-
-  // Vector-kernel state: σ+ and the all-ones vector as packed 64-cell
+  // Packed-kernel state: σ+ and the all-ones vector as packed 64-cell
   // words, the flip sites updated bit-for-bit with sigma_plus.
   hw::PackedBits sigma_packed;
   hw::PackedBits ones_packed;
-  if (config_.vector_kernel) {
+  if (packed) {
     sigma_packed.resize(rows);
     ones_packed.resize(rows);
-    for (std::uint32_t v = 0; v < n; ++v) ones_packed.set(v);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      ones_packed.set(v);
+      if (sigma_plus[v]) sigma_packed.set(v);
+    }
   }
 
-  const auto refresh_row_sums = [&] {
-    // One all-ones MAC per column per plane; static between write-backs.
-    for (std::uint32_t v = 0; v < n; ++v) {
-      row_sum[v] =
-          config_.vector_kernel
-              ? pos_storage->mac_packed(hw::ColIndex(v), ones_packed.words()) -
-                    neg_storage->mac_packed(hw::ColIndex(v),
-                                            ones_packed.words())
-              : pos_storage->mac(hw::ColIndex(v), ones) -
-                    neg_storage->mac(hw::ColIndex(v), ones);
-    }
+  const auto column_mac = [&](std::uint32_t v,
+                              std::span<const std::uint8_t> dense,
+                              std::span<const std::uint64_t> words) {
+    return packed ? pos_storage->mac_packed(hw::ColIndex(v), words) -
+                        neg_storage->mac_packed(hw::ColIndex(v), words)
+                  : pos_storage->mac(hw::ColIndex(v), dense) -
+                        neg_storage->mac(hw::ColIndex(v), dense);
   };
 
-  long long cut = problem.cut_value(result.spins);
-  result.best_cut = cut;
+  result.best_cut = problem.cut_value(result.spins);
+  const double degree_scale =
+      std::sqrt(static_cast<double>(problem.max_degree()));
 
   for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
     const auto phase = schedule.at(sweep);
     if (phase.write_back) {
       pos_storage->write_back(phase);
       neg_storage->write_back(phase);
-      // Weights changed: every memoized field value is stale.
-      input_gen = ++gen_counter;
-      refresh_row_sums();
-      result.update_cycles += rows;  // sequential row write
-    }
-    for (std::uint32_t v = 0; v < n; ++v) {
-      sigma_plus[v] = result.spins[v] > 0 ? 1 : 0;
-      if (config_.vector_kernel) {
-        if (sigma_plus[v]) {
-          sigma_packed.set(v);
-        } else {
-          sigma_packed.clear(v);
+      if (fields) {
+        fields->rebuild(sigma_plus);
+      } else {
+        // One all-ones MAC per column per plane; static between
+        // write-backs.
+        for (std::uint32_t v = 0; v < n; ++v) {
+          row_sum[v] = column_mac(v, ones, ones_packed.words());
         }
       }
+      result.update_cycles += rows;  // sequential row write
     }
+    const double lfsr_temperature =
+        config_.noise == NoiseMode::kLfsr
+            ? equivalent_temperature(cell_model, phase) * degree_scale
+            : 0.0;
 
-    for (std::uint32_t color = 0; color < color_count; ++color) {
-      for (std::uint32_t v = 0; v < n; ++v) {
-        if (colors[v] != color) continue;
+    for (const auto& members : color_members) {
+      for (const std::uint32_t v : members) {
         // field_v = Σ_j w_vj σ_j = 2·(MAC+ − MAC−)(σ+) − row_sum.
-        std::int64_t mac;
-        if (memoize && memo_stamp[v] == input_gen) {
-          // Repeat (column, σ+) pair: the hardware still reads both
-          // planes in full; only the host-side reduction is skipped.
-          pos_storage->charge_repeat_mac();
-          neg_storage->charge_repeat_mac();
-          mac = memo_value[v];
-          ++result.memo_hits;
-        } else {
-          mac = config_.vector_kernel
-                    ? pos_storage->mac_packed(hw::ColIndex(v),
-                                              sigma_packed.words()) -
-                          neg_storage->mac_packed(hw::ColIndex(v),
-                                                  sigma_packed.words())
-                    : pos_storage->mac(hw::ColIndex(v), sigma_plus) -
-                          neg_storage->mac(hw::ColIndex(v), sigma_plus);
-          if (memoize) {
-            memo_value[v] = mac;
-            memo_stamp[v] = input_gen;
-            ++result.memo_misses;
-          }
-        }
-        const std::int64_t field = 2 * mac - row_sum[v];
+        const std::int64_t field =
+            fields ? fields->field(0, v)
+                   : 2 * column_mac(v, sigma_plus, sigma_packed.words()) -
+                         row_sum[v];
 
         ising::Spin next = result.spins[v];
         switch (config_.noise) {
@@ -196,13 +179,10 @@ MaxCutResult MaxCutAnnealer::solve(
             // Metropolis on the flip: ΔH = −2 σ_v field.
             const auto delta = static_cast<double>(
                 -2 * static_cast<std::int64_t>(result.spins[v]) * field);
-            const double temperature =
-                equivalent_temperature(cell_model, phase) *
-                std::sqrt(static_cast<double>(problem.max_degree()));
             const bool accept =
                 delta < 0.0 ||
-                (temperature > 0.0 &&
-                 rng.uniform() < std::exp(-delta / temperature));
+                (lfsr_temperature > 0.0 &&
+                 rng.uniform() < std::exp(-delta / lfsr_temperature));
             if (accept) next = static_cast<ising::Spin>(-result.spins[v]);
             break;
           }
@@ -210,7 +190,8 @@ MaxCutResult MaxCutAnnealer::solve(
         if (next != result.spins[v]) {
           result.spins[v] = next;
           sigma_plus[v] = next > 0 ? 1 : 0;
-          if (config_.vector_kernel) {
+          if (fields) fields->flip(v, next > 0 ? 1 : -1);
+          if (packed) {
             if (sigma_plus[v]) {
               sigma_packed.set(v);
             } else {
@@ -218,8 +199,6 @@ MaxCutResult MaxCutAnnealer::solve(
             }
           }
           ++result.flips;
-          // σ+ changed: memoized fields of every vertex are stale.
-          input_gen = ++gen_counter;
         }
       }
       ++result.update_cycles;  // all spins of a colour in one cycle
@@ -239,6 +218,10 @@ MaxCutResult MaxCutAnnealer::solve(
 
   result.cut = problem.cut_value(result.spins);
   result.best_cut = std::max(result.best_cut, result.cut);
+  if (fields) {
+    result.memo_hits = fields->hits();
+    result.memo_misses = fields->misses();
+  }
   result.storage += pos_storage->counters();
   result.storage += neg_storage->counters();
 

@@ -29,17 +29,18 @@ struct MaxCutConfig {
   noise::AnnealSchedule::Params schedule;  ///< sweeps = total_iterations
   noise::SramNoiseParams sram;
   NoiseMode noise = NoiseMode::kSramWeight;
-  /// Bit-sliced packed MACs (cim/bitslice.hpp): the spin register σ+ is
-  /// kept as packed 64-cell words and every field evaluation goes through
+  /// Bit-sliced packed MACs (cim/bitslice.hpp) for the recompute path
+  /// (memoize_partial_sums off): the spin register σ+ is kept as packed
+  /// 64-cell words and every field evaluation goes through
   /// WeightStorage::mac_packed. Bit-identical to the dense scalar path
   /// (cuts, flip sequence, storage counters), which stays the oracle.
   bool vector_kernel = default_vector_kernel();
-  /// Per-vertex partial-sum memoization (DESIGN.md §16): the combined
-  /// (MAC+ − MAC−)(σ+) of a vertex is remembered under an input-state
-  /// generation that advances on any spin flip or write-back, so sweeps
-  /// over a frozen neighbourhood skip the host-side reduction while still
-  /// charging the hardware read cost. Bit-identical to the unmemoized
-  /// paths (cuts, flip sequence, StorageCounters). Defaults from
+  /// Incremental local fields (DESIGN.md §16): every vertex's
+  /// (MAC+ − MAC−)(σ+) and row sum are rebuilt after each write-back and
+  /// updated by one weight row per flip, instead of two column MACs per
+  /// update. Each update still charges the hardware read of both columns.
+  /// Bit-identical to the recompute path (cuts, flip sequence,
+  /// StorageCounters), which stays the oracle. Defaults from
   /// CIMANNEAL_MEMOIZE (unset → on).
   bool memoize_partial_sums = default_memoize();
   std::uint32_t weight_bits = 8;
@@ -59,8 +60,9 @@ struct MaxCutResult {
   std::size_t sweeps = 0;
   std::size_t flips = 0;
   std::size_t color_count = 0;  ///< chromatic classes (parallel groups)
-  /// Field evaluations answered from the per-vertex memo vs. real MAC
-  /// pairs that (re)filled it. Both 0 when memoization is off.
+  /// Field evaluations with no flip or write-back since the vertex's
+  /// previous evaluation (hits) vs. the rest (misses); hits + misses =
+  /// sweeps × n. Both 0 when memoization is off.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   std::uint64_t update_cycles = 0;

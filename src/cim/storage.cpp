@@ -17,6 +17,16 @@ StorageCounters& StorageCounters::operator+=(const StorageCounters& other) {
   return *this;
 }
 
+// Under kFlipOnAccess the first MAC of a column still changes its cells,
+// so a row read between write-backs is not pure; the bit-level backend
+// serves only the oracle tests, so it refuses the read outright.
+void WeightStorage::accumulate_row(RowIndex /*row*/, int /*sign*/,
+                                   std::span<std::int64_t> /*acc*/) const {
+  throw ConfigError(
+      "accumulate_row needs the fast backend (weights that settle only at "
+      "write-back)");
+}
+
 namespace {
 
 class StorageBase : public WeightStorage {
@@ -138,6 +148,23 @@ class FastStorage final : public StorageBase {
     ++counters_.macs;
     counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
     return acc;
+  }
+
+  // Host-side field bookkeeping over the settled image, not a modelled
+  // wordline access: the caller charges the column MACs it stands in for
+  // via charge_repeat_mac(). NOLINT(cim-counter-charge)
+  void accumulate_row(RowIndex row_idx, int sign,
+                      std::span<std::int64_t> acc) const override {
+    const std::uint32_t row = row_idx.get();
+    CIM_ASSERT(row < rows_);
+    CIM_ASSERT(sign == 1 || sign == -1);
+    CIM_ASSERT(acc.size() == cols_);
+    const std::uint8_t* weights = &current_[index(row, 0)];
+    if (sign > 0) {
+      for (std::uint32_t c = 0; c < cols_; ++c) acc[c] += weights[c];
+    } else {
+      for (std::uint32_t c = 0; c < cols_; ++c) acc[c] -= weights[c];
+    }
   }
 
   // Test/debug observability peek, not a modelled wordline access — the

@@ -47,6 +47,7 @@ struct StorageCounters {
   std::uint64_t pseudo_read_flips = 0; ///< bit-cells corrupted by noise
 
   StorageCounters& operator+=(const StorageCounters& other);
+  bool operator==(const StorageCounters&) const = default;
 };
 
 class WeightStorage {
@@ -110,6 +111,16 @@ class WeightStorage {
     counters_.mac_bit_reads +=
         static_cast<std::uint64_t>(rows()) * weight_bits();
   }
+
+  /// Row accumulate: acc[c] += sign · weight[row][c] for every column c
+  /// (sign = ±1, acc has cols() entries). Host-side bookkeeping, not a
+  /// modelled access, so it charges nothing: the Ising annealers keep
+  /// exact copies of column MACs with it (DESIGN.md §16) while charging
+  /// the MACs the hardware still performs through charge_repeat_mac().
+  /// Valid only where weights are pure between write-backs; only the fast
+  /// backend implements it, every other backend throws ConfigError.
+  virtual void accumulate_row(RowIndex row, int sign,
+                              std::span<std::int64_t> acc) const;
 
   /// Current (possibly corrupted) weight value — for tests and debugging.
   virtual std::uint8_t weight(RowIndex row, ColIndex col) const = 0;

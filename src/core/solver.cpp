@@ -1,43 +1,14 @@
 #include "core/solver.hpp"
 
-#include <filesystem>
-
 #include "core/report.hpp"
 #include "heuristics/or_opt.hpp"
 #include "heuristics/two_opt.hpp"
 #include "tsp/fingerprint.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/random.hpp"
 #include "util/timer.hpp"
 
 namespace cim::core {
-
-namespace {
-
-/// Runs the post-solve store write and returns the store's stats. The
-/// answer is already computed, so a failed write (disk full, file-size
-/// limit, store directory gone) is counted in write_failures instead of
-/// thrown: the caller still gets the outcome.
-template <typename Write>
-store::WarmStartStats record_answer(store::WarmStartStore& warm_store,
-                                    const Write& write) {
-  std::uint64_t failures = 0;
-  try {
-    write();
-  } catch (const ConfigError& e) {
-    CIM_LOG_WARN << e.what();
-    failures = 1;
-  } catch (const std::filesystem::filesystem_error& e) {
-    CIM_LOG_WARN << "warm-start store: " << e.what();
-    failures = 1;
-  }
-  store::WarmStartStats stats = warm_store.stats();
-  stats.write_failures += failures;
-  return stats;
-}
-
-}  // namespace
 
 std::string telemetry_trace_path(const std::string& snapshot_path) {
   const std::string suffix = ".json";
@@ -120,14 +91,14 @@ IsingOutcome CimSolver::solve_ising(const ising::GenericModel& model) const {
   outcome.energy = outcome.anneal.best_energy;
 
   if (warm_store) {
-    outcome.warm_start = record_answer(*warm_store, [&] {
-      // The store ranks scores higher-is-better; energies are minimised.
-      warm_store->store_spins(
-          fingerprint,
-          std::span<const ising::Spin>(outcome.anneal.best_spins.data(),
-                                       outcome.anneal.best_spins.size()),
-          -outcome.energy_hw);
-    });
+    // The store ranks scores higher-is-better; energies are minimised.
+    // A failed write is counted in the stats, not thrown.
+    warm_store->store_spins(
+        fingerprint,
+        std::span<const ising::Spin>(outcome.anneal.best_spins.data(),
+                                     outcome.anneal.best_spins.size()),
+        -outcome.energy_hw);
+    outcome.warm_start = warm_store->stats();
   }
 
   if (!config_.telemetry_out.empty()) {
@@ -166,13 +137,12 @@ MaxCutOutcome CimSolver::solve_maxcut(
   outcome.cut = outcome.anneal.best_cut;
 
   if (warm_store) {
-    outcome.warm_start = record_answer(*warm_store, [&] {
-      warm_store->store_spins(
-          fingerprint,
-          std::span<const ising::Spin>(outcome.anneal.spins.data(),
-                                       outcome.anneal.spins.size()),
-          outcome.anneal.cut);
-    });
+    warm_store->store_spins(
+        fingerprint,
+        std::span<const ising::Spin>(outcome.anneal.spins.data(),
+                                     outcome.anneal.spins.size()),
+        outcome.anneal.cut);
+    outcome.warm_start = warm_store->stats();
   }
 
   if (!config_.telemetry_out.empty()) {
@@ -231,12 +201,10 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
 
   if (warm_store) {
     const auto order = outcome.anneal.tour.order();
-    outcome.warm_start = record_answer(*warm_store, [&] {
-      warm_store->store_tour(
-          fingerprint,
-          std::span<const tsp::CityId>(order.data(), order.size()),
-          outcome.tour_length);
-    });
+    warm_store->store_tour(
+        fingerprint, std::span<const tsp::CityId>(order.data(), order.size()),
+        outcome.tour_length);
+    outcome.warm_start = warm_store->stats();
   }
 
   if (config_.compute_reference) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/telemetry.hpp"
 
 namespace cim::store {
@@ -151,6 +152,28 @@ void WarmStartStore::rebalance() {
   }
 }
 
+bool WarmStartStore::write_entry(const std::string& path, Record& record) {
+  // Every caller already holds its answer, and write_record goes through
+  // a temp file and a rename, so a failed write (disk full, file-size
+  // limit, store directory gone) leaves the previous file as it was: it
+  // is counted, not thrown.
+  const auto failed = [&](const char* what) {
+    CIM_LOG_WARN << "warm-start store: write failed: " << what;
+    ++stats_.write_failures;
+    count("store.write_failures");
+    return false;
+  };
+  try {
+    record.sequence = next_sequence();
+    write_record(path, record);
+  } catch (const ConfigError& e) {
+    return failed(e.what());
+  } catch (const fs::filesystem_error& e) {
+    return failed(e.what());
+  }
+  return true;
+}
+
 void WarmStartStore::put(const std::string& key, RecordKind kind,
                          std::vector<std::int64_t> payload,
                          std::int64_t score) {
@@ -162,17 +185,27 @@ void WarmStartStore::put(const std::string& key, RecordKind kind,
   Record record;
   record.kind = kind;
   record.key = key;
-  record.sequence = next_sequence();
   record.score = score;
   record.payload = std::move(payload);
   // New and improved entries always land in the hot level; a superseded
   // cold copy of the same key is removed only after the write succeeded,
   // so a failed write never loses the previous record.
-  write_record(entry_path(key, 0), record);
+  if (!write_entry(entry_path(key, 0), record)) return;
   std::error_code ec;
   fs::remove(entry_path(key, 1), ec);
   ++stats_.stores;
   count("store.stores");
+  rebalance();
+}
+
+void WarmStartStore::promote(const std::string& key, Located& located) {
+  // Move the hit to the hot level with fresh recency; the cold copy goes
+  // only once the hot one is written. After a failed write the hit still
+  // stands and the L1 record stays.
+  if (!write_entry(entry_path(key, 0), located.record)) return;
+  std::error_code ec;
+  fs::remove(located.path, ec);
+  ++stats_.promotions;
   rebalance();
 }
 
@@ -204,16 +237,7 @@ std::optional<std::vector<tsp::CityId>> WarmStartStore::load_tour(
     } else {
       ++stats_.hits;
       count("store.hits");
-      if (located->level == 1) {
-        // Promote the hit to the hot level with fresh recency; the cold
-        // copy goes only once the hot one is written.
-        located->record.sequence = next_sequence();
-        write_record(entry_path(key, 0), located->record);
-        std::error_code ec;
-        fs::remove(located->path, ec);
-        ++stats_.promotions;
-        rebalance();
-      }
+      if (located->level == 1) promote(key, *located);
       return order;
     }
   }
@@ -251,14 +275,7 @@ std::optional<std::vector<std::int8_t>> WarmStartStore::load_spins(
     } else {
       ++stats_.hits;
       count("store.hits");
-      if (located->level == 1) {
-        located->record.sequence = next_sequence();
-        write_record(entry_path(key, 0), located->record);
-        std::error_code ec;
-        fs::remove(located->path, ec);
-        ++stats_.promotions;
-        rebalance();
-      }
+      if (located->level == 1) promote(key, *located);
       return spins;
     }
   }

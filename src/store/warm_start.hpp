@@ -15,7 +15,11 @@
 //
 // Failure policy: a record that fails verification (truncation, bit rot,
 // version mismatch) is dropped and reported as a miss — the solver
-// degrades to a cold start, never crashes, never consumes garbage.
+// degrades to a cold start, never crashes, never consumes garbage. A
+// write that fails (disk full, file-size limit, directory gone) is
+// counted in write_failures, not thrown, and leaves the previous record
+// in place: a failed store keeps the old entry, a failed promotion keeps
+// the L1 record and still returns the hit.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +42,8 @@ struct WarmStartStats {
   std::uint64_t demotions = 0;   ///< L0 → L1 on overflow
   std::uint64_t evictions = 0;   ///< dropped from L1 on overflow
   std::uint64_t dropped = 0;     ///< corrupt / version-mismatch records removed
-  /// Post-solve writes that failed. core::CimSolver counts them and still
-  /// returns its answer; the store itself throws on a failed write.
+  /// Record writes that failed (store_tour/store_spins and L1 → L0
+  /// promotions); the store counts them instead of throwing.
   std::uint64_t write_failures = 0;
 };
 
@@ -80,6 +84,12 @@ class WarmStartStore {
   std::string entry_path(const std::string& key, int level) const;
   std::optional<Located> find(const std::string& key, RecordKind kind);
   std::optional<Record> load_level(const std::string& path);
+  /// Writes `record` to `path` with a fresh sequence number; a failed
+  /// write is logged and counted in write_failures, not thrown. Returns
+  /// whether the record was written.
+  bool write_entry(const std::string& path, Record& record);
+  /// Moves an L1 hit to L0; a failed write keeps the L1 record.
+  void promote(const std::string& key, Located& located);
   void put(const std::string& key, RecordKind kind,
            std::vector<std::int64_t> payload, std::int64_t score);
   /// Demotes L0 overflow to L1 and evicts L1 overflow, least-recent

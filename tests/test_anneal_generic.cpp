@@ -204,6 +204,60 @@ TEST(GenericAnnealer, VectorKernelAndMemoMatchScalarExactly) {
   }
 }
 
+TEST(GenericAnnealer, MemoMatchesRecomputeOnHardCases) {
+  // The incremental fields against the column-MAC oracle where they are
+  // easiest to get wrong, each compared on every counter: hard-stuck
+  // cells; windows of 151 × 128 ≥ 16 384 weights, so the write-back runs
+  // chunked on the shared pool (with the bias row); BFS blocks, whose
+  // groups are not independent sets; and the LFSR Metropolis path.
+  struct Case {
+    const char* name;
+    std::size_t n;
+    ising::GroupStrategy strategy;
+    NoiseMode noise;
+    double stuck_cell_rate;
+  };
+  for (const Case& c :
+       {Case{"stuck", 70, ising::GroupStrategy::kChromatic,
+             NoiseMode::kSramWeight, 0.02},
+        Case{"chunked", 150, ising::GroupStrategy::kIndexBlocks,
+             NoiseMode::kSramWeight, 0.0},
+        Case{"bfs", 70, ising::GroupStrategy::kBfsBlocks,
+             NoiseMode::kSramWeight, 0.0},
+        Case{"lfsr", 70, ising::GroupStrategy::kChromatic, NoiseMode::kLfsr,
+             0.0}}) {
+    SCOPED_TRACE(c.name);
+    const auto model = random_model(c.n, 0xA00B);
+    auto config = base_config();
+    config.strategy = c.strategy;
+    config.group_block = 128;
+    config.noise = c.noise;
+    config.sram.stuck_cell_rate = c.stuck_cell_rate;
+    config.record_trace = true;
+    config.memoize_partial_sums = true;
+    const auto memo = GenericAnnealer(config).solve(model);
+    config.memoize_partial_sums = false;
+    const auto recompute = GenericAnnealer(config).solve(model);
+    EXPECT_EQ(memo.spins, recompute.spins);
+    EXPECT_EQ(memo.best_spins, recompute.best_spins);
+    EXPECT_EQ(memo.energy_hw, recompute.energy_hw);
+    EXPECT_EQ(memo.best_energy_hw, recompute.best_energy_hw);
+    EXPECT_EQ(memo.flips, recompute.flips);
+    EXPECT_EQ(memo.trace, recompute.trace);
+    EXPECT_EQ(memo.group_count, recompute.group_count);
+    EXPECT_EQ(memo.update_cycles, recompute.update_cycles);
+    EXPECT_EQ(memo.storage.macs, recompute.storage.macs);
+    EXPECT_EQ(memo.storage.mac_bit_reads, recompute.storage.mac_bit_reads);
+    EXPECT_EQ(memo.storage.writeback_events,
+              recompute.storage.writeback_events);
+    EXPECT_EQ(memo.storage.writeback_bits, recompute.storage.writeback_bits);
+    EXPECT_EQ(memo.storage.pseudo_read_flips,
+              recompute.storage.pseudo_read_flips);
+    EXPECT_EQ(memo.memo_hits + memo.memo_misses, memo.sweeps * model.size());
+    EXPECT_GT(memo.flips, 0U);
+  }
+}
+
 TEST(GenericAnnealer, DeterministicPerSeed) {
   const auto model = random_model(40, 0xA005);
   const auto a = GenericAnnealer(base_config()).solve(model);

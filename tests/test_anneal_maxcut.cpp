@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "noise/schedule.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace cim::anneal {
 namespace {
@@ -140,7 +144,8 @@ TEST(MaxCutAnnealer, EmptyProblemThrows) {
 TEST(MaxCutAnnealer, VectorKernelMatchesScalarExactly) {
   // The packed spin register + mac_packed field evaluation must reproduce
   // the dense scalar path bit for bit: same flip sequence, same cuts,
-  // same hardware counters — for every noise mode.
+  // same hardware counters — for every noise mode. Both run the column-MAC
+  // path: with the memo on, neither would issue a column MAC.
   for (const NoiseMode mode :
        {NoiseMode::kNone, NoiseMode::kSramWeight, NoiseMode::kSramSpin,
         NoiseMode::kLfsr}) {
@@ -148,6 +153,7 @@ TEST(MaxCutAnnealer, VectorKernelMatchesScalarExactly) {
     auto config = base_config();
     config.noise = mode;
     config.record_trace = true;
+    config.memoize_partial_sums = false;
     config.vector_kernel = true;
     const auto vector = MaxCutAnnealer(config).solve(problem);
     config.vector_kernel = false;
@@ -204,6 +210,91 @@ TEST(MaxCutAnnealer, MemoMatchesRecomputeExactly) {
   }
 }
 
+void expect_identical_runs(const MaxCutResult& memo,
+                           const MaxCutResult& recompute, std::size_t n) {
+  EXPECT_EQ(memo.spins, recompute.spins);
+  EXPECT_EQ(memo.cut, recompute.cut);
+  EXPECT_EQ(memo.best_cut, recompute.best_cut);
+  EXPECT_EQ(memo.flips, recompute.flips);
+  EXPECT_EQ(memo.trace, recompute.trace);
+  EXPECT_EQ(memo.color_count, recompute.color_count);
+  EXPECT_EQ(memo.update_cycles, recompute.update_cycles);
+  EXPECT_EQ(memo.storage.macs, recompute.storage.macs);
+  EXPECT_EQ(memo.storage.mac_bit_reads, recompute.storage.mac_bit_reads);
+  EXPECT_EQ(memo.storage.writeback_events,
+            recompute.storage.writeback_events);
+  EXPECT_EQ(memo.storage.writeback_bits, recompute.storage.writeback_bits);
+  EXPECT_EQ(memo.storage.pseudo_read_flips,
+            recompute.storage.pseudo_read_flips);
+  EXPECT_EQ(memo.memo_hits + memo.memo_misses, memo.sweeps * n);
+  EXPECT_GT(memo.memo_hits, 0U);
+}
+
+TEST(MaxCutAnnealer, MemoMatchesRecomputeOnHardCases) {
+  // The incremental fields against the column-MAC oracle where they are
+  // easiest to get wrong: hard-stuck cells, planes large enough that the
+  // write-back runs chunked on the shared pool (160² > 16 384 weights),
+  // and the LFSR Metropolis path, each compared on every counter.
+  struct Case {
+    const char* name;
+    std::size_t n;
+    NoiseMode noise;
+    double stuck_cell_rate;
+  };
+  for (const Case& c : {Case{"stuck", 90, NoiseMode::kSramWeight, 0.02},
+                        Case{"chunked", 160, NoiseMode::kSramWeight, 0.0},
+                        Case{"lfsr", 90, NoiseMode::kLfsr, 0.0}}) {
+    SCOPED_TRACE(c.name);
+    const auto problem = ising::random_maxcut(c.n, 0.08, 23, 5, true);
+    auto config = base_config();
+    config.noise = c.noise;
+    config.sram.stuck_cell_rate = c.stuck_cell_rate;
+    config.record_trace = true;
+    config.memoize_partial_sums = true;
+    const auto memo = MaxCutAnnealer(config).solve(problem);
+    config.memoize_partial_sums = false;
+    const auto recompute = MaxCutAnnealer(config).solve(problem);
+    expect_identical_runs(memo, recompute, problem.size());
+  }
+}
+
+TEST(MaxCutAnnealer, NoisyNonEdgeWeightsReachTheField) {
+  // A pseudo-read can settle a zero (non-edge) weight's LSBs to 1, and
+  // the column MAC reads it. So a flip must update the fields of every
+  // column of its row, not only its graph neighbours: this pins that
+  // noisy non-edges exist at the annealer's operating point, which is
+  // what makes the equivalence tests above fail for a neighbour-only
+  // update.
+  const auto problem = ising::random_maxcut(60, 0.05, 29, 3, true);
+  const auto config = base_config();
+  const std::size_t n = problem.size();
+  const noise::SramCellModel cell_model(
+      config.sram, util::hash_combine(config.seed, 0x4C7));
+  auto storage = hw::make_fast_storage(static_cast<std::uint32_t>(n),
+                                       static_cast<std::uint32_t>(n),
+                                       &cell_model, 0, config.weight_bits);
+  // An all-zero image: every nonzero weight after the write-back is a
+  // noisy non-edge.
+  storage->write(std::vector<std::uint8_t>(n * n, 0));
+  storage->write_back(noise::AnnealSchedule(config.schedule).at(0));
+  std::size_t noisy_non_edges = 0;
+  for (std::uint32_t r = 0; r < n; ++r) {
+    std::vector<std::int64_t> row(n, 0);
+    storage->accumulate_row(hw::RowIndex(r), 1, row);
+    noisy_non_edges += static_cast<std::size_t>(
+        std::count_if(row.begin(), row.end(),
+                      [](std::int64_t w) { return w != 0; }));
+  }
+  EXPECT_GT(noisy_non_edges, 0U);
+
+  auto memo_config = config;
+  memo_config.memoize_partial_sums = true;
+  const auto memo = MaxCutAnnealer(memo_config).solve(problem);
+  memo_config.memoize_partial_sums = false;
+  const auto recompute = MaxCutAnnealer(memo_config).solve(problem);
+  expect_identical_runs(memo, recompute, n);
+}
+
 TEST(MaxCutAnnealer, WarmStartFromSpinAssignment) {
   // A warm start replaces the random initial spins; starting at a
   // previous solution must be deterministic and end at least as good as
@@ -232,9 +323,11 @@ TEST(MaxCutAnnealer, WarmStartValidation) {
 }
 
 TEST(MaxCutAnnealer, VectorKernelMultiWordSpinRegister) {
-  // Past 64 vertices the packed σ+ register spans multiple words.
+  // Past 64 vertices the packed σ+ register spans multiple words. The
+  // memo is off so the packed path, not the local fields, is under test.
   const auto problem = ising::random_maxcut(150, 0.05, 23, 2);
   auto config = base_config();
+  config.memoize_partial_sums = false;
   config.vector_kernel = true;
   const auto vector = MaxCutAnnealer(config).solve(problem);
   config.vector_kernel = false;

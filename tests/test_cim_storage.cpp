@@ -215,6 +215,47 @@ TEST(Storage, SparseMacTriggersLazyCorruptionIdentically) {
   }
 }
 
+TEST(Storage, AccumulateRowSumsToColumnMacs) {
+  // Row accumulates over the settled (noisy, stuck) image rebuild every
+  // column MAC exactly, and charge nothing: they stand in for MACs the
+  // caller charges itself.
+  noise::SramNoiseParams params;
+  params.stuck_cell_rate = 0.05;
+  const noise::SramCellModel model(params, 23);
+  const auto image = random_image(15, 9, 4);
+  std::vector<std::uint8_t> input(15, 0);
+  for (std::uint32_t r = 0; r < 15; r += 2) input[r] = 1;
+  auto storage = make_fast_storage(15, 9, &model, 64);
+  storage->write(image);
+  storage->write_back(phase(2, 0.26, 5));
+  const StorageCounters before = storage->counters();
+  std::vector<std::int64_t> acc(9, 0);
+  for (std::uint32_t r = 0; r < 15; ++r) {
+    if (input[r]) storage->accumulate_row(RowIndex(r), 1, acc);
+  }
+  storage->accumulate_row(RowIndex(3), 1, acc);
+  storage->accumulate_row(RowIndex(3), -1, acc);
+  EXPECT_EQ(storage->counters(), before);
+  for (std::uint32_t c = 0; c < 9; ++c) {
+    EXPECT_EQ(acc[c], storage->mac(ColIndex(c), input)) << "column " << c;
+  }
+}
+
+TEST(Storage, AccumulateRowIsFastBackendOnly) {
+  // Under kFlipOnAccess a MAC still changes the cells it reads, so a row
+  // read between write-backs could not stand in for it; the bit-level
+  // backend refuses the read under either policy.
+  const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
+  for (const auto policy : {PseudoReadPolicy::kSettleAtWriteBack,
+                            PseudoReadPolicy::kFlipOnAccess}) {
+    auto storage = make_bit_level_storage(15, 9, &model, 0, 8, policy);
+    storage->write(random_image(15, 9, 12));
+    std::vector<std::int64_t> acc(9, 0);
+    EXPECT_THROW(storage->accumulate_row(RowIndex(0), 1, acc), ConfigError);
+    EXPECT_EQ(acc, std::vector<std::int64_t>(9, 0));
+  }
+}
+
 TEST(Storage, LowVddCorruptsManyCells) {
   const noise::SramCellModel model(noise::SramNoiseParams{}, 7);
   const auto image = random_image(24, 16, 5);

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -375,7 +376,9 @@ TEST_F(WarmStartStoreTest, FailedWritesKeepPreviousRecord) {
   // Sweep the file-size limit over every byte offset of the new record,
   // for both an improved store (L0 replaced in place) and a promotion
   // (L1 copy rewritten into L0): after each failed write the old record
-  // must still load and no temp file may be left behind.
+  // must still load and no temp file may be left behind. Neither failure
+  // throws: each is counted, and the failed promotion's lookup still
+  // returns the hit.
   WarmStartStore store(dir_, /*l0_capacity=*/1, /*l1_capacity=*/4);
   const std::string hot = make_key(40);
   const std::string cold = make_key(41);
@@ -388,31 +391,32 @@ TEST_F(WarmStartStoreTest, FailedWritesKeepPreviousRecord) {
   const auto record_bytes = fs::file_size(hot_path);
   ASSERT_EQ(fs::file_size(path_of(dir_, cold, 1)), record_bytes);
 
-  const auto fails_under_cap = [](rlim_t limit, const auto& write) {
-    bool threw = false;
-    {
-      const FileSizeCap cap(limit);
-      if (!cap.active()) return false;
-      try {
-        write();
-      } catch (const Error&) {
-        threw = true;
-      }
-    }
-    return threw;
-  };
   for (std::uintmax_t limit = 0; limit < record_bytes; ++limit) {
-    ASSERT_TRUE(fails_under_cap(static_cast<rlim_t>(limit), [&] {
+    const std::uint64_t stores_before = store.stats().stores;
+    std::uint64_t failures_before = store.stats().write_failures;
+    {
+      const FileSizeCap cap(static_cast<rlim_t>(limit));
+      ASSERT_TRUE(cap.active());
       store.store_tour(hot, make_order(8, 2), 99);
-    })) << "improved store at byte limit " << limit;
+    }
+    EXPECT_EQ(store.stats().write_failures, failures_before + 1)
+        << "improved store at byte limit " << limit;
+    EXPECT_EQ(store.stats().stores, stores_before);
     const auto back = store.load_tour(hot, 8);
     ASSERT_TRUE(back.has_value()) << "L0 record lost at byte limit " << limit;
     EXPECT_EQ(*back, hot_order);
     EXPECT_FALSE(fs::exists(hot_path + ".tmp"));
 
-    ASSERT_TRUE(fails_under_cap(static_cast<rlim_t>(limit), [&] {
-      (void)store.load_tour(cold, 8);
-    })) << "promotion at byte limit " << limit;
+    failures_before = store.stats().write_failures;
+    std::optional<std::vector<tsp::CityId>> promoted;
+    {
+      const FileSizeCap cap(static_cast<rlim_t>(limit));
+      ASSERT_TRUE(cap.active());
+      promoted = store.load_tour(cold, 8);
+    }
+    ASSERT_TRUE(promoted.has_value()) << "promotion at byte limit " << limit;
+    EXPECT_EQ(*promoted, cold_order);
+    EXPECT_EQ(store.stats().write_failures, failures_before + 1);
     ASSERT_TRUE(fs::exists(path_of(dir_, cold, 1)))
         << "L1 record lost at byte limit " << limit;
     EXPECT_FALSE(fs::exists(path_of(dir_, cold, 0) + ".tmp"));
@@ -527,6 +531,72 @@ TEST_F(WarmStartStoreTest, SolverKeepsAnswerWhenStoreWriteFails) {
   ASSERT_TRUE(again.warm_start.has_value());
   EXPECT_EQ(again.warm_start->write_failures, 0U);
   EXPECT_EQ(again.warm_start->stores, 1U);
+}
+
+/// Drives one CimSolver entry point through a failed L1 → L0 promotion:
+/// a cold solve writes the record, which is then moved to L1; a solve
+/// under a zero file-size limit must still warm-start from it (the
+/// promotion failure is counted, the L1 record kept), and a later
+/// uncapped solve must hit and promote it.
+template <typename Solve>
+void expect_warm_start_survives_failed_promotion(const std::string& dir,
+                                                 const std::string& key,
+                                                 const Solve& solve) {
+  ASSERT_FALSE(solve().warm_started);
+  const std::string cold_path = path_of(dir, key, 1);
+  fs::rename(path_of(dir, key, 0), cold_path);
+  {
+    const FileSizeCap cap(0);
+    if (!cap.active()) GTEST_SKIP() << "cannot lower RLIMIT_FSIZE";
+    const auto capped = solve();
+    EXPECT_TRUE(capped.warm_started);
+    ASSERT_TRUE(capped.warm_start.has_value());
+    EXPECT_EQ(capped.warm_start->hits, 1U);
+    EXPECT_EQ(capped.warm_start->promotions, 0U);
+    EXPECT_GE(capped.warm_start->write_failures, 1U);
+  }
+  EXPECT_TRUE(fs::exists(cold_path));
+  EXPECT_FALSE(fs::exists(path_of(dir, key, 0)));
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  const auto later = solve();
+  EXPECT_TRUE(later.warm_started);
+  ASSERT_TRUE(later.warm_start.has_value());
+  EXPECT_EQ(later.warm_start->promotions, 1U);
+  EXPECT_EQ(later.warm_start->write_failures, 0U);
+}
+
+core::SolverConfig store_only_config(const std::string& dir) {
+  core::SolverConfig config;
+  config.compute_reference = false;
+  config.compute_ppa = false;
+  config.warm_start_dir = dir;
+  return config;
+}
+
+TEST_F(WarmStartStoreTest, TourSolveKeepsWarmStartWhenPromotionFails) {
+  const core::CimSolver solver(store_only_config(dir_));
+  const auto inst = cim::test::random_instance(80, 19);
+  expect_warm_start_survives_failed_promotion(
+      dir_, tsp::instance_fingerprint(inst),
+      [&] { return solver.solve(inst); });
+}
+
+TEST_F(WarmStartStoreTest, MaxCutSolveKeepsWarmStartWhenPromotionFails) {
+  const core::CimSolver solver(store_only_config(dir_));
+  const auto problem = ising::random_maxcut(30, 0.2, 0x53, 2);
+  expect_warm_start_survives_failed_promotion(
+      dir_, ising::GenericModel::from_maxcut(problem).fingerprint(),
+      [&] { return solver.solve_maxcut(problem); });
+}
+
+TEST_F(WarmStartStoreTest, IsingSolveKeepsWarmStartWhenPromotionFails) {
+  const core::CimSolver solver(store_only_config(dir_));
+  const auto model =
+      ising::GenericModel::from_maxcut(ising::random_maxcut(30, 0.2, 0x55, 2));
+  expect_warm_start_survives_failed_promotion(
+      dir_, model.fingerprint(), [&] { return solver.solve_ising(model); });
 }
 
 TEST_F(WarmStartStoreTest, SolverFailsFastOnUnusableStoreDir) {
