@@ -405,7 +405,6 @@ cim::util::Json ising_update_report(bool smoke) {
     config.schedule.total_iterations = 100;
     config.schedule.iterations_per_step = 25;
   }
-  config.vector_kernel = false;
   const auto run = [&](bool memoize) {
     config.memoize_partial_sums = memoize;
     cim::util::Timer timer;

@@ -5,16 +5,13 @@
 #
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
-#                    the Ising annealer suites re-run with the vector
-#                    kernel forced on and off, the annealer suites
-#                    re-run with the partial-sum memo
-#                    disabled, a CIMANNEAL_DISABLE_SIMD=ON
-#                    portable-fallback build of the kernel suites, the
-#                    bench smoke runs (BENCH_swap_kernel, BENCH_reuse and
-#                    BENCH_ext_qubo with structural gates), then cimlint
-#                    (archiving
-#                    lint.sarif), the GCC -fanalyzer triage gate,
-#                    clang-tidy, and the merged analysis.sarif artifact.
+#                    the annealer suites re-run with the partial-sum
+#                    memo disabled, the bench smoke runs
+#                    (BENCH_swap_kernel, BENCH_reuse and BENCH_ext_qubo
+#                    with structural and per-family quality gates), then
+#                    cimlint (archiving lint.sarif), the GCC -fanalyzer
+#                    triage gate, clang-tidy, and the merged
+#                    analysis.sarif artifact.
 #   full           — fast + the asan-ubsan and tsan presets over the whole
 #                    test suite. This is the gate every perf PR must pass.
 #
@@ -66,47 +63,14 @@ for preset in "${presets[@]}"; do
   run_preset "${preset}"
 done
 
-# The Ising annealer suites run once per kernel path: CIMANNEAL_VECTOR_KERNEL
-# seeds the `vector_kernel` config default of MaxCutAnnealer and
-# GenericAnnealer (CimSolver's QUBO front end runs the latter), so these
-# legs prove both the bit-sliced path and the scalar oracle stay green
-# regardless of the environment CI happens to inherit. The bit-identity
-# tests inside the suites compare the two paths directly; these legs
-# additionally pin the default-path plumbing. With the memo on (the
-# default) the Ising annealers keep incremental fields and issue no column
-# MACs, so the legs also turn the memo off: otherwise the flag would never
-# reach the packed path in a default-config test. The clustered TSP
-# annealer has no packed path, so its suites are not repeated here.
-vector_suites='^(MaxCutAnnealer|GenericAnnealer|CimSolver)\.'
-for vec in 1 0; do
-  echo "==== Ising annealer suites with CIMANNEAL_VECTOR_KERNEL=${vec}," \
-    "CIMANNEAL_MEMOIZE=0"
-  CIMANNEAL_VECTOR_KERNEL="${vec}" CIMANNEAL_MEMOIZE=0 \
-    ctest --preset release -j "${jobs}" -R "${vector_suites}"
-done
-
-# Same idea for the partial-sum memo, over every annealer suite: it
-# defaults on, so the preset run above already covers the memoized path;
-# this leg proves the recompute path (the §9 oracle the memo must stay
-# bit-identical to) stays green when the environment disables it.
+# The partial-sum memo defaults on, so the preset run above already covers
+# the memoized path; this leg, over every annealer suite, proves the
+# recompute path (the §9 oracle the memo must stay bit-identical to) stays
+# green when the environment disables it.
 anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
 echo "==== annealer suites with CIMANNEAL_MEMOIZE=0"
 CIMANNEAL_MEMOIZE=0 \
   ctest --preset release -j "${jobs}" -R "${anneal_suites}"
-
-echo "==== portable-SIMD build (no AVX2/popcnt tiers compiled in)"
-# A separate tree with CIMANNEAL_DISABLE_SIMD=ON: every util::simd entry
-# point must fall back to the portable scalar bodies and still match the
-# oracle bit for bit. Only the kernel-adjacent suites rebuild here.
-portable_dir="${repo_root}/build/portable-simd"
-cmake -B "${portable_dir}" -S "${repo_root}" \
-  -DCMAKE_BUILD_TYPE=Release -DCIMANNEAL_WERROR=ON \
-  -DCIMANNEAL_DISABLE_SIMD=ON
-cmake --build "${portable_dir}" -j "${jobs}" --target \
-  test_cim_bitslice test_cim_storage test_anneal_maxcut \
-  test_anneal_generic
-(cd "${portable_dir}" && ctest -j "${jobs}" \
-  -R '^(PackedBits|BitPlaneMatrix|Simd|MacPacked|DegenerateConfigs|Storage|MaxCutAnnealer|GenericAnnealer)\.')
 
 echo "==== bench smoke (swap-kernel + parallel-runtime benches at reduced scale)"
 bench_bin="${repo_root}/build/release/bench/bench_micro_kernels"
@@ -202,16 +166,17 @@ if [[ -x "${qubo_bin}" ]]; then
     CIMANNEAL_BENCH_OUT_QUBO="${bench_out_dir}/BENCH_ext_qubo.json" \
     "${qubo_bin}"
   require_artifact "${bench_out_dir}/BENCH_ext_qubo.json"
-  # Structural gate on the front-end report: all three problem families
-  # must be covered, every row needs its quality and speed columns, and
-  # the four kernel variants must have stayed bit-identical on every
-  # workload — a refactor that breaks the scalar/vector/memo equivalence
-  # must fail here, not in a dashboard.
+  # Structural and quality gate on the front-end report: all three
+  # problem families must be covered, every row needs its quality and
+  # speed columns, the memo must have stayed bit-identical to the
+  # recompute path on every workload, and each family must hold its
+  # smoke-scale quality floor (oracle hits for Max-Cut and knapsack, the
+  # summed energy gap for colouring, which reaches no optimum yet).
   python3 - "${bench_out_dir}/BENCH_ext_qubo.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["benchmark"] == "ext_qubo", report.get("benchmark")
-assert report["all_variants_equivalent"] is True, "kernel variants diverged"
+assert report["all_variants_equivalent"] is True, "memo diverged from recompute"
 rows = report["rows"]
 assert rows, "empty ext_qubo row table"
 families = {row["family"] for row in rows}
@@ -224,13 +189,23 @@ for row in rows:
     assert row["variants_equivalent"] is True, row
     if row["oracle_known"]:
         assert row["oracle_gap"] >= 0, row
-oracle_rows = [r for r in rows if r["oracle_known"]]
-reached = sum(1 for r in oracle_rows if r["reached_oracle"])
-assert any(r["reached_oracle"] for r in oracle_rows), \
-    "no oracle-verified row reached its brute-force optimum"
-print(f"ext_qubo report structure OK ({len(rows)} rows, "
-      f"{len(families)} families, {reached}/{len(oracle_rows)} "
-      "oracle rows at optimum)")
+scores = report["family_scores"]
+for family, score in scores.items():
+    known = [r for r in rows if r["family"] == family and r["oracle_known"]]
+    assert score["oracle_rows"] == len(known), (family, score)
+    assert score["oracle_hits"] == sum(r["reached_oracle"] for r in known), \
+        (family, score)
+floors = {"maxcut": ("oracle_hits", ">=", 5),
+          "knapsack": ("oracle_hits", ">=", 1),
+          "coloring": ("gap_sum", "<=", 10)}
+for family, (key, op, bound) in floors.items():
+    value = scores[family][key]
+    ok = value >= bound if op == ">=" else value <= bound
+    assert ok, f"{family} {key} = {value}, floor {op} {bound}"
+    print(f"ext_qubo {family}: {scores[family]['oracle_hits']}/"
+          f"{scores[family]['oracle_rows']} oracle hits, gap_sum "
+          f"{scores[family]['gap_sum']:g} ({key} {op} {bound})")
+print(f"ext_qubo report OK ({len(rows)} rows, {len(families)} families)")
 PY
 else
   echo "bench_ext_qubo not built (CIMANNEAL_BUILD_BENCH=OFF?); skipping"

@@ -166,29 +166,14 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
     for (Window& w : windows) planes.push_back({w.pos.get(), w.neg.get()});
     fields.emplace(std::move(planes));
   }
-  const bool packed = config_.vector_kernel && !fields;
   const std::vector<std::uint8_t> ones(rows, 1);
   std::vector<std::int64_t> row_sum(n, 0);
 
-  hw::PackedBits sigma_packed;
-  hw::PackedBits ones_packed;
-  if (packed) {
-    sigma_packed.resize(rows);
-    ones_packed.resize(rows);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-      ones_packed.set(r);
-      if (sigma_plus[r]) sigma_packed.set(r);
-    }
-  }
-
   const auto window_mac = [&](ising::SpinIndex v,
-                              std::span<const std::uint8_t> dense,
-                              std::span<const std::uint64_t> words) {
+                              std::span<const std::uint8_t> input) {
     Window& w = windows[group_of[v]];
     const hw::ColIndex col(col_of[v]);
-    return packed ? w.pos->mac_packed(col, words) -
-                        w.neg->mac_packed(col, words)
-                  : w.pos->mac(col, dense) - w.neg->mac(col, dense);
+    return w.pos->mac(col, input) - w.neg->mac(col, input);
   };
 
   const auto refresh_row_sums = [&] {
@@ -197,7 +182,7 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
       return;
     }
     for (std::uint32_t v = 0; v < n; ++v) {
-      row_sum[v] = window_mac(v, ones, ones_packed.words());
+      row_sum[v] = window_mac(v, ones);
     }
   };
   refresh_row_sums();
@@ -228,8 +213,7 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
         // field_v = Σ_u W_uv σ_u + F_v = 2·(MAC+ − MAC−)(σ+) − row_sum.
         const std::int64_t field =
             fields ? fields->field(g, col_of[v])
-                   : 2 * window_mac(v, sigma_plus, sigma_packed.words()) -
-                         row_sum[v];
+                   : 2 * window_mac(v, sigma_plus) - row_sum[v];
 
         // E = −Σ Wσσ − Σ Fσ: aligning σ_v with sign(field) descends.
         ising::Spin next = result.spins[v];
@@ -256,13 +240,6 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
           result.spins[v] = next;
           sigma_plus[v] = next > 0 ? 1 : 0;
           if (fields) fields->flip(v, next > 0 ? 1 : -1);
-          if (packed) {
-            if (sigma_plus[v]) {
-              sigma_packed.set(v);
-            } else {
-              sigma_packed.clear(v);
-            }
-          }
           ++result.flips;
         }
       }

@@ -41,10 +41,6 @@ struct GenericAnnealConfig {
   /// quality/parallelism axis the bench sweeps).
   ising::GroupStrategy strategy = ising::GroupStrategy::kChromatic;
   std::uint32_t group_block = 64;  ///< width bound for blocked strategies
-  /// Bit-sliced packed MACs for the recompute path (memoize_partial_sums
-  /// off); bit-identical to the scalar oracle (energies, flip sequence,
-  /// StorageCounters).
-  bool vector_kernel = default_vector_kernel();
   /// Incremental local fields over all windows (DESIGN.md §16): rebuilt
   /// after each write-back, updated by row u of every window when spin u
   /// flips; each update still charges one column MAC per plane.

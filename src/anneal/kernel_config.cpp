@@ -6,9 +6,8 @@
 
 namespace cim::anneal {
 
-bool default_vector_kernel() {
-  return util::Args::env_flag("CIMANNEAL_VECTOR_KERNEL");
-}
+// Exists only for the header line bench/e2e/cimbench.cpp prints.
+bool default_vector_kernel() { return false; }
 
 bool default_memoize() {
   const char* value = std::getenv("CIMANNEAL_MEMOIZE");

@@ -102,36 +102,19 @@ MaxCutResult MaxCutAnnealer::solve(
 
   // Memoized fields (DESIGN.md §16) are kept exact incrementally; the
   // recompute path below re-reduces both columns on every update and is
-  // the oracle, dense or packed.
+  // the oracle.
   std::optional<LocalFields> fields;
   if (config_.memoize_partial_sums) {
     fields.emplace(std::vector<LocalFields::Window>{
         {pos_storage.get(), neg_storage.get()}});
   }
-  const bool packed = config_.vector_kernel && !fields;
   const std::vector<std::uint8_t> ones(n, 1);
   std::vector<std::int64_t> row_sum(n, 0);
 
-  // Packed-kernel state: σ+ and the all-ones vector as packed 64-cell
-  // words, the flip sites updated bit-for-bit with sigma_plus.
-  hw::PackedBits sigma_packed;
-  hw::PackedBits ones_packed;
-  if (packed) {
-    sigma_packed.resize(rows);
-    ones_packed.resize(rows);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      ones_packed.set(v);
-      if (sigma_plus[v]) sigma_packed.set(v);
-    }
-  }
-
   const auto column_mac = [&](std::uint32_t v,
-                              std::span<const std::uint8_t> dense,
-                              std::span<const std::uint64_t> words) {
-    return packed ? pos_storage->mac_packed(hw::ColIndex(v), words) -
-                        neg_storage->mac_packed(hw::ColIndex(v), words)
-                  : pos_storage->mac(hw::ColIndex(v), dense) -
-                        neg_storage->mac(hw::ColIndex(v), dense);
+                              std::span<const std::uint8_t> input) {
+    return pos_storage->mac(hw::ColIndex(v), input) -
+           neg_storage->mac(hw::ColIndex(v), input);
   };
 
   result.best_cut = problem.cut_value(result.spins);
@@ -149,7 +132,7 @@ MaxCutResult MaxCutAnnealer::solve(
         // One all-ones MAC per column per plane; static between
         // write-backs.
         for (std::uint32_t v = 0; v < n; ++v) {
-          row_sum[v] = column_mac(v, ones, ones_packed.words());
+          row_sum[v] = column_mac(v, ones);
         }
       }
       result.update_cycles += rows;  // sequential row write
@@ -164,8 +147,7 @@ MaxCutResult MaxCutAnnealer::solve(
         // field_v = Σ_j w_vj σ_j = 2·(MAC+ − MAC−)(σ+) − row_sum.
         const std::int64_t field =
             fields ? fields->field(0, v)
-                   : 2 * column_mac(v, sigma_plus, sigma_packed.words()) -
-                         row_sum[v];
+                   : 2 * column_mac(v, sigma_plus) - row_sum[v];
 
         ising::Spin next = result.spins[v];
         switch (config_.noise) {
@@ -191,13 +173,6 @@ MaxCutResult MaxCutAnnealer::solve(
           result.spins[v] = next;
           sigma_plus[v] = next > 0 ? 1 : 0;
           if (fields) fields->flip(v, next > 0 ? 1 : -1);
-          if (packed) {
-            if (sigma_plus[v]) {
-              sigma_packed.set(v);
-            } else {
-              sigma_packed.clear(v);
-            }
-          }
           ++result.flips;
         }
       }

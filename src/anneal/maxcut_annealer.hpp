@@ -29,12 +29,6 @@ struct MaxCutConfig {
   noise::AnnealSchedule::Params schedule;  ///< sweeps = total_iterations
   noise::SramNoiseParams sram;
   NoiseMode noise = NoiseMode::kSramWeight;
-  /// Bit-sliced packed MACs (cim/bitslice.hpp) for the recompute path
-  /// (memoize_partial_sums off): the spin register σ+ is kept as packed
-  /// 64-cell words and every field evaluation goes through
-  /// WeightStorage::mac_packed. Bit-identical to the dense scalar path
-  /// (cuts, flip sequence, storage counters), which stays the oracle.
-  bool vector_kernel = default_vector_kernel();
   /// Incremental local fields (DESIGN.md §16): every vertex's
   /// (MAC+ − MAC−)(σ+) and row sum are rebuilt after each write-back and
   /// updated by one weight row per flip, instead of two column MACs per

@@ -84,13 +84,11 @@ class FastStorage final : public StorageBase {
     validate_range(golden);
     golden_.assign(golden.begin(), golden.end());
     current_ = golden_;
-    packed_valid_ = false;
     apply_stuck_faults(0, weight_count());
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
     CIM_ASSERT_MSG(!golden_.empty(), "write_back before write");
-    packed_valid_ = false;
     ++counters_.writeback_events;
     counters_.writeback_bits += weight_count() * bits_;
     if (!model_ || phase.noisy_lsbs == 0) {
@@ -134,17 +132,6 @@ class FastStorage final : public StorageBase {
     for (const std::uint32_t r : active_rows) {
       acc += current_[index(r, col)];
     }
-    ++counters_.macs;
-    counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
-    return acc;
-  }
-
-  std::int64_t mac_packed(ColIndex col_idx,
-                          std::span<const std::uint64_t> input) override {
-    const std::uint32_t col = col_idx.get();
-    CIM_ASSERT(col < cols_);
-    ensure_packed();
-    const std::int64_t acc = static_cast<std::int64_t>(packed_.mac(col, input));
     ++counters_.macs;
     counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
     return acc;
@@ -210,20 +197,6 @@ class FastStorage final : public StorageBase {
     return flips;
   }
 
-  // Rebuilds the bit-plane mirror from the corrupted byte image. Pure
-  // host-side re-layout of already-read state — the physical reads are
-  // charged by the MAC entry points, so the loop over current_ here is
-  // deliberately uncharged. NOLINT(cim-counter-charge)
-  void ensure_packed() {
-    if (packed_valid_) return;
-    packed_.reset(rows_, cols_, bits_);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      for (std::uint32_t c = 0; c < cols_; ++c) {
-        packed_.set_weight(r, c, current_[index(r, c)]);
-      }
-    }
-    packed_valid_ = true;
-  }
   // Hard manufacturing faults on weights [begin, end): stuck cells
   // override every write at any supply voltage (soft pseudo-read flips
   // are applied afterwards). Charged by the callers (write/write_back own
@@ -245,8 +218,6 @@ class FastStorage final : public StorageBase {
 
   std::vector<std::uint8_t> golden_;
   std::vector<std::uint8_t> current_;
-  BitPlaneMatrix packed_;
-  bool packed_valid_ = false;
 };
 
 class BitLevelStorage final : public StorageBase {
@@ -278,7 +249,6 @@ class BitLevelStorage final : public StorageBase {
       }
     }
     std::fill(touched_.begin(), touched_.end(), 0);
-    packed_valid_ = false;
     apply_stuck_faults();
   }
 
@@ -286,7 +256,6 @@ class BitLevelStorage final : public StorageBase {
     CIM_ASSERT_MSG(!stored_.empty(), "write_back before write");
     stored_ = golden_bits_;
     std::fill(touched_.begin(), touched_.end(), 0);
-    packed_valid_ = false;
     phase_ = phase;
     ++counters_.writeback_events;
     counters_.writeback_bits += stored_.size();
@@ -377,44 +346,6 @@ class BitLevelStorage final : public StorageBase {
     return static_cast<std::int64_t>(value);
   }
 
-  std::int64_t mac_packed(ColIndex col_idx,
-                          std::span<const std::uint64_t> input) override {
-    const std::uint32_t col = col_idx.get();
-    CIM_ASSERT(col < cols_);
-    CIM_REQUIRE(input.size() == packed_words(rows_),
-                "packed MAC input word count does not match the window's "
-                "packed row count");
-    const bool lazy_noise = model_ &&
-                            policy_ == PseudoReadPolicy::kFlipOnAccess &&
-                            phase_.noisy_lsbs > 0;
-    if (lazy_noise) {
-      // Identical whole-column lazy corruption as the scalar paths, in
-      // the same row-major order — the error pattern (and flip counter)
-      // must not depend on the kernel.
-      const std::uint32_t noisy = std::min(phase_.noisy_lsbs, bits_);
-      for (std::uint32_t r = 0; r < rows_; ++r) {
-        const std::size_t w = index(r, col);
-        for (std::uint32_t b = 0; b < noisy; ++b) {
-          const std::size_t cell = w * bits_ + b;
-          if (!touched_[cell]) {
-            corrupt_cell(w, b);
-            touched_[cell] = 1;
-          }
-        }
-      }
-    }
-    ensure_packed();
-    // Popcount per bit-plane, then the same shift_and_add_sparse reduction
-    // as the sparse kernel — the tree charges its full-fan-in ops either
-    // way, so the reduction counters match the oracle bit for bit.
-    plane_sums_.assign(bits_, 0);
-    packed_.plane_sums(col, input, plane_sums_);
-    const std::uint64_t value = tree_.shift_and_add_sparse(plane_sums_);
-    ++counters_.macs;
-    counters_.mac_bit_reads += static_cast<std::uint64_t>(rows_) * bits_;
-    return static_cast<std::int64_t>(value);
-  }
-
   // Test/debug observability peek, not a modelled wordline access.
   // NOLINT(cim-counter-charge)
   std::uint8_t weight(RowIndex row, ColIndex col) const override {
@@ -451,29 +382,7 @@ class BitLevelStorage final : public StorageBase {
     if (settled != bit) {
       stored_[cell] = settled ? 1 : 0;
       ++counters_.pseudo_read_flips;
-      packed_valid_ = false;
-    }
-  }
-
-  // Rebuilds the bit-plane mirror from the (possibly corrupted) cell
-  // array. Pure host-side re-layout — the physical reads are charged by
-  // the MAC entry points, so the sweep over stored_ is deliberately
-  // uncharged. NOLINT(cim-counter-charge)
-  void ensure_packed() {
-    if (packed_valid_) return;
-    packed_.reset(rows_, cols_, bits_);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      for (std::uint32_t c = 0; c < cols_; ++c) {
-        const std::size_t w = index(r, c);
-        std::uint8_t value = 0;
-        for (std::uint32_t b = 0; b < bits_; ++b) {
-          value = static_cast<std::uint8_t>(value |
-                                            (stored_[w * bits_ + b] << b));
-        }
-        packed_.set_weight(r, c, value);
       }
-    }
-    packed_valid_ = true;
   }
 
   PseudoReadPolicy policy_;
@@ -484,8 +393,6 @@ class BitLevelStorage final : public StorageBase {
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> planes_;
   std::vector<std::uint32_t> plane_sums_;
-  BitPlaneMatrix packed_;
-  bool packed_valid_ = false;
 };
 
 }  // namespace

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "cim/adder_tree.hpp"
-#include "cim/bitslice.hpp"
 #include "noise/schedule.hpp"
 #include "noise/sram_model.hpp"
 #include "util/units.hpp"
@@ -83,19 +82,6 @@ class WeightStorage {
   /// simulator work, so `mac_bit_reads` still advances by rows()·bits.
   virtual std::int64_t mac_sparse(
       ColIndex col, std::span<const std::uint32_t> active_rows) = 0;
-
-  /// Packed column MAC: the same operation with the input as packed 0/1
-  /// bits — bit r of word r/64 is row r, packed_words(rows()) words total.
-  /// The entry point of the Max-Cut and generic annealers' bit-sliced
-  /// packed kernels.
-  ///
-  /// The mac()/mac_sparse() equivalence invariant extends here verbatim:
-  /// same value, same storage state (including lazy whole-column
-  /// pseudo-read corruption) and same StorageCounters for any input and
-  /// its packed form. The scalar paths stay the determinism oracle the
-  /// test suite checks this against.
-  virtual std::int64_t mac_packed(ColIndex col,
-                                  std::span<const std::uint64_t> input) = 0;
 
   /// Charges the hardware cost of re-issuing a MAC whose value the caller
   /// already holds (the annealer's partial-sum memo). The counters model

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "util/error.hpp"
@@ -17,6 +18,9 @@ MaxCutProblem::MaxCutProblem(std::string name, std::size_t n,
     CIM_REQUIRE(e.a < n_ && e.b < n_, "edge endpoint out of range");
     CIM_REQUIRE(e.a != e.b, "self-loops are not allowed");
     CIM_REQUIRE(e.w != 0, "zero-weight edges must be omitted");
+    // |w| must be an int32 too: the annealers quantise std::abs(w).
+    CIM_REQUIRE(e.w != std::numeric_limits<std::int32_t>::min(),
+                "edge weight magnitude must fit int32 (|w| <= 2147483647)");
     total_weight_ += e.w;
     ++degree[e.a];
     ++degree[e.b];

@@ -145,7 +145,7 @@ ising::MaxCutProblem parse_gset(const std::string& text,
     if (a == b) fail(line.number, "self-loop on vertex " + line.tokens[0]);
     const long long w =
         parse_int(line.tokens[2], line.number, "edge weight",
-                  std::numeric_limits<std::int32_t>::min(),
+                  -std::numeric_limits<std::int32_t>::max(),
                   std::numeric_limits<std::int32_t>::max());
     if (w == 0) fail(line.number, "zero-weight edge must be omitted");
     const auto pair = std::minmax(a, b);

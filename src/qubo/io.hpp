@@ -9,7 +9,8 @@
 // GSet (the Max-Cut benchmark family's format; 1-based indices):
 //
 //   <n_vertices> <n_edges>
-//   <a> <b> <weight>          one line per edge, a != b, int32 weight
+//   <a> <b> <weight>          one line per edge, a != b, nonzero weight
+//                             with |weight| <= 2147483647
 //
 // Sparse J/h (0-based indices; '#' starts a comment, "offset" optional):
 //

@@ -1,6 +1,6 @@
-// Fixture: raw SIMD intrinsics outside src/util/simd.hpp
+// Fixture: raw SIMD intrinsics
 // (2 × simd-intrinsics-confined: the vendor include and the intrinsic
-// call; the suppressed twin and the wrapper call stay silent).
+// call; the suppressed twin and the look-alike name stay silent).
 #include <immintrin.h>  // expected: simd-intrinsics-confined
 #include <cstdint>
 
@@ -14,14 +14,14 @@ std::uint64_t hand_rolled_popcount(const std::uint64_t* a, int n) {
   return total;
 }
 
-// One-off ISA probe kept out of the dispatch layer on purpose.
+// One-off ISA probe, vouched for on purpose.
 // NOLINT(simd-intrinsics-confined)
 std::uint64_t vouched_probe(std::uint64_t w) { return _mm_popcnt_u64(w); }
 
-// Silent: util::simd wrapper names are not intrinsics.
+// Silent: an ordinary name that reads like a kernel is not an intrinsic.
 std::uint64_t wrapper_call(std::uint64_t w) {
-  const auto and_popcount = [](std::uint64_t x) { return x & 1; };
-  return and_popcount(w);
+  const auto popcount_lsb = [](std::uint64_t x) { return x & 1; };
+  return popcount_lsb(w);
 }
 
 }  // namespace fixture

@@ -121,7 +121,7 @@ class FixtureScan(unittest.TestCase):
 
     def test_simd_confinement_locations(self):
         # The vendor include and the raw intrinsic call fire; the
-        # suppressed twin and the wrapper-named lambda stay silent.
+        # suppressed twin and the look-alike lambda stay silent.
         self.assertEqual(self.at("simd-intrinsics-confined"),
                          [("src/cim/raw_intrinsic.cpp", 4),
                           ("src/cim/raw_intrinsic.cpp", 12)])

@@ -1,8 +1,8 @@
 // GenericAnnealer: the clustered-window anneal of arbitrary
 // QUBO/Ising models. Mirrors the Max-Cut suite's equivalence discipline —
-// the scalar unmemoized path is the oracle, and the vector kernel and
-// partial-sum memo must reproduce it bit for bit (spins, energies, flip
-// sequence, StorageCounters) — plus the front-end specifics: external
+// the unmemoized column-MAC path is the oracle, and the partial-sum memo
+// must reproduce it bit for bit (spins, energies, flip sequence,
+// StorageCounters) — plus the front-end specifics: external
 // fields via the bias row, group-strategy windows, exact integer
 // energies from penalty families.
 #include "anneal/generic_annealer.hpp"
@@ -156,8 +156,8 @@ TEST(GenericAnnealer, ChromaticCyclesBeatSequentialCycles) {
   EXPECT_LT(chromatic.update_cycles, blocked.update_cycles);
 }
 
-TEST(GenericAnnealer, VectorKernelAndMemoMatchScalarExactly) {
-  // 2×2 variant cross-product against the scalar unmemoized oracle, for
+TEST(GenericAnnealer, MemoMatchesScalarExactly) {
+  // The memoized fields against the unmemoized column-MAC oracle, for
   // each strategy: identical spins, energies, flips, trace and counters.
   const auto model = random_model(70, 0xA004);
   for (const auto strategy :
@@ -166,41 +166,25 @@ TEST(GenericAnnealer, VectorKernelAndMemoMatchScalarExactly) {
     auto config = base_config();
     config.strategy = strategy;
     config.record_trace = true;
-    config.vector_kernel = false;
     config.memoize_partial_sums = false;
     const auto oracle = GenericAnnealer(config).solve(model);
-    for (const bool vector : {false, true}) {
-      for (const bool memo : {false, true}) {
-        if (!vector && !memo) continue;
-        config.vector_kernel = vector;
-        config.memoize_partial_sums = memo;
-        const auto variant = GenericAnnealer(config).solve(model);
-        SCOPED_TRACE(testing::Message()
-                     << "vector " << vector << " memo " << memo);
-        EXPECT_EQ(variant.spins, oracle.spins);
-        EXPECT_EQ(variant.best_spins, oracle.best_spins);
-        EXPECT_EQ(variant.energy_hw, oracle.energy_hw);
-        EXPECT_EQ(variant.best_energy_hw, oracle.best_energy_hw);
-        EXPECT_EQ(variant.flips, oracle.flips);
-        EXPECT_EQ(variant.trace, oracle.trace);
-        EXPECT_EQ(variant.storage.macs, oracle.storage.macs);
-        EXPECT_EQ(variant.storage.mac_bit_reads,
-                  oracle.storage.mac_bit_reads);
-        EXPECT_EQ(variant.storage.writeback_events,
-                  oracle.storage.writeback_events);
-        EXPECT_EQ(variant.storage.writeback_bits,
-                  oracle.storage.writeback_bits);
-        EXPECT_EQ(variant.storage.pseudo_read_flips,
-                  oracle.storage.pseudo_read_flips);
-        if (memo) {
-          EXPECT_GT(variant.memo_hits, 0U);
-          EXPECT_EQ(variant.memo_hits + variant.memo_misses,
-                    variant.sweeps * model.size());
-        } else {
-          EXPECT_EQ(variant.memo_hits, 0U);
-        }
-      }
-    }
+    config.memoize_partial_sums = true;
+    const auto memo = GenericAnnealer(config).solve(model);
+    EXPECT_EQ(memo.spins, oracle.spins);
+    EXPECT_EQ(memo.best_spins, oracle.best_spins);
+    EXPECT_EQ(memo.energy_hw, oracle.energy_hw);
+    EXPECT_EQ(memo.best_energy_hw, oracle.best_energy_hw);
+    EXPECT_EQ(memo.flips, oracle.flips);
+    EXPECT_EQ(memo.trace, oracle.trace);
+    EXPECT_EQ(memo.storage.macs, oracle.storage.macs);
+    EXPECT_EQ(memo.storage.mac_bit_reads, oracle.storage.mac_bit_reads);
+    EXPECT_EQ(memo.storage.writeback_events, oracle.storage.writeback_events);
+    EXPECT_EQ(memo.storage.writeback_bits, oracle.storage.writeback_bits);
+    EXPECT_EQ(memo.storage.pseudo_read_flips,
+              oracle.storage.pseudo_read_flips);
+    EXPECT_GT(memo.memo_hits, 0U);
+    EXPECT_EQ(memo.memo_hits + memo.memo_misses, memo.sweeps * model.size());
+    EXPECT_EQ(oracle.memo_hits, 0U);
   }
 }
 

@@ -141,11 +141,10 @@ TEST(MaxCutAnnealer, EmptyProblemThrows) {
   EXPECT_THROW(ising::MaxCutProblem("one", 1, {}), ConfigError);
 }
 
-TEST(MaxCutAnnealer, VectorKernelMatchesScalarExactly) {
-  // The packed spin register + mac_packed field evaluation must reproduce
-  // the dense scalar path bit for bit: same flip sequence, same cuts,
-  // same hardware counters — for every noise mode. Both run the column-MAC
-  // path: with the memo on, neither would issue a column MAC.
+TEST(MaxCutAnnealer, MemoMatchesRecomputeExactly) {
+  // The per-vertex partial-sum memo must be a pure optimisation: same
+  // flip sequence, same cuts, same hardware counters (a hit charges the
+  // full read cost of both planes), for every noise mode.
   for (const NoiseMode mode :
        {NoiseMode::kNone, NoiseMode::kSramWeight, NoiseMode::kSramSpin,
         NoiseMode::kLfsr}) {
@@ -153,60 +152,27 @@ TEST(MaxCutAnnealer, VectorKernelMatchesScalarExactly) {
     auto config = base_config();
     config.noise = mode;
     config.record_trace = true;
+    config.memoize_partial_sums = true;
+    const auto memo = MaxCutAnnealer(config).solve(problem);
     config.memoize_partial_sums = false;
-    config.vector_kernel = true;
-    const auto vector = MaxCutAnnealer(config).solve(problem);
-    config.vector_kernel = false;
-    const auto scalar = MaxCutAnnealer(config).solve(problem);
-    EXPECT_EQ(vector.spins, scalar.spins) << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(vector.cut, scalar.cut);
-    EXPECT_EQ(vector.best_cut, scalar.best_cut);
-    EXPECT_EQ(vector.flips, scalar.flips);
-    EXPECT_EQ(vector.trace, scalar.trace);
-    EXPECT_EQ(vector.storage.macs, scalar.storage.macs);
-    EXPECT_EQ(vector.storage.mac_bit_reads, scalar.storage.mac_bit_reads);
-    EXPECT_EQ(vector.storage.writeback_bits, scalar.storage.writeback_bits);
-    EXPECT_EQ(vector.storage.pseudo_read_flips,
-              scalar.storage.pseudo_read_flips);
-  }
-}
-
-TEST(MaxCutAnnealer, MemoMatchesRecomputeExactly) {
-  // The per-vertex partial-sum memo must be a pure optimisation: same
-  // flip sequence, same cuts, same hardware counters (a hit charges the
-  // full read cost of both planes), for every noise mode and both MAC
-  // paths.
-  for (const NoiseMode mode :
-       {NoiseMode::kNone, NoiseMode::kSramWeight, NoiseMode::kLfsr}) {
-    for (const bool vector : {false, true}) {
-      const auto problem = ising::random_maxcut(90, 0.15, 21, 3);
-      auto config = base_config();
-      config.noise = mode;
-      config.record_trace = true;
-      config.vector_kernel = vector;
-      config.memoize_partial_sums = true;
-      const auto memo = MaxCutAnnealer(config).solve(problem);
-      config.memoize_partial_sums = false;
-      const auto recompute = MaxCutAnnealer(config).solve(problem);
-      EXPECT_EQ(memo.spins, recompute.spins)
-          << "mode " << static_cast<int>(mode) << " vector " << vector;
-      EXPECT_EQ(memo.cut, recompute.cut);
-      EXPECT_EQ(memo.best_cut, recompute.best_cut);
-      EXPECT_EQ(memo.flips, recompute.flips);
-      EXPECT_EQ(memo.trace, recompute.trace);
-      EXPECT_EQ(memo.storage.macs, recompute.storage.macs);
-      EXPECT_EQ(memo.storage.mac_bit_reads, recompute.storage.mac_bit_reads);
-      EXPECT_EQ(memo.storage.writeback_bits, recompute.storage.writeback_bits);
-      EXPECT_EQ(memo.storage.pseudo_read_flips,
-                recompute.storage.pseudo_read_flips);
-      // Every vertex is evaluated once per sweep; each evaluation is a
-      // hit or a miss with the memo on, neither with it off.
-      EXPECT_EQ(memo.memo_hits + memo.memo_misses,
-                memo.sweeps * problem.size());
-      EXPECT_GT(memo.memo_hits, 0U);
-      EXPECT_EQ(recompute.memo_hits, 0U);
-      EXPECT_EQ(recompute.memo_misses, 0U);
-    }
+    const auto recompute = MaxCutAnnealer(config).solve(problem);
+    EXPECT_EQ(memo.spins, recompute.spins) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(memo.cut, recompute.cut);
+    EXPECT_EQ(memo.best_cut, recompute.best_cut);
+    EXPECT_EQ(memo.flips, recompute.flips);
+    EXPECT_EQ(memo.trace, recompute.trace);
+    EXPECT_EQ(memo.storage.macs, recompute.storage.macs);
+    EXPECT_EQ(memo.storage.mac_bit_reads, recompute.storage.mac_bit_reads);
+    EXPECT_EQ(memo.storage.writeback_bits, recompute.storage.writeback_bits);
+    EXPECT_EQ(memo.storage.pseudo_read_flips,
+              recompute.storage.pseudo_read_flips);
+    // Every vertex is evaluated once per sweep; each evaluation is a
+    // hit or a miss with the memo on, neither with it off.
+    EXPECT_EQ(memo.memo_hits + memo.memo_misses,
+              memo.sweeps * problem.size());
+    EXPECT_GT(memo.memo_hits, 0U);
+    EXPECT_EQ(recompute.memo_hits, 0U);
+    EXPECT_EQ(recompute.memo_misses, 0U);
   }
 }
 
@@ -320,21 +286,6 @@ TEST(MaxCutAnnealer, WarmStartValidation) {
   EXPECT_THROW(MaxCutAnnealer(config).solve(problem), ConfigError);
   config.initial_spins[3] = -1;
   EXPECT_NO_THROW(MaxCutAnnealer(config).solve(problem));
-}
-
-TEST(MaxCutAnnealer, VectorKernelMultiWordSpinRegister) {
-  // Past 64 vertices the packed σ+ register spans multiple words. The
-  // memo is off so the packed path, not the local fields, is under test.
-  const auto problem = ising::random_maxcut(150, 0.05, 23, 2);
-  auto config = base_config();
-  config.memoize_partial_sums = false;
-  config.vector_kernel = true;
-  const auto vector = MaxCutAnnealer(config).solve(problem);
-  config.vector_kernel = false;
-  const auto scalar = MaxCutAnnealer(config).solve(problem);
-  EXPECT_EQ(vector.spins, scalar.spins);
-  EXPECT_EQ(vector.cut, scalar.cut);
-  EXPECT_EQ(vector.storage.macs, scalar.storage.macs);
 }
 
 }  // namespace

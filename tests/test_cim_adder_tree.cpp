@@ -103,6 +103,30 @@ TEST(AdderTree, ZeroFanInThrows) {
   EXPECT_THROW(AdderTree(0), ConfigError);
 }
 
+TEST(AdderTree, FanInAndPlaneMismatchesThrow) {
+  AdderTree tree(8);
+  EXPECT_THROW(tree.reduce(std::vector<std::uint8_t>(7)), ConfigError);
+  EXPECT_THROW(tree.shift_and_add(std::vector<std::uint8_t>(15), 2),
+               ConfigError);
+  EXPECT_THROW(tree.shift_and_add(std::vector<std::uint8_t>(0), 0),
+               ConfigError);
+  EXPECT_THROW(tree.shift_and_add_sparse(std::vector<std::uint32_t>{}),
+               ConfigError);
+  // A plane sum exceeding the fan-in is physically impossible input.
+  EXPECT_THROW(tree.shift_and_add_sparse(std::vector<std::uint32_t>{9}),
+               ConfigError);
+}
+
+TEST(AdderTree, SparseCountersMatchFullFanIn) {
+  // The sparse reduction charges the full-fan-in tree once per plane,
+  // like a dense shift_and_add over the same number of planes.
+  AdderTree tree(10);
+  const std::vector<std::uint32_t> sums = {3, 7, 1};
+  EXPECT_EQ(tree.shift_and_add_sparse(sums), 3U + (7U << 1) + (1U << 2));
+  EXPECT_EQ(tree.reductions(), 3U);
+  EXPECT_EQ(tree.total_adder_ops(), 3U * 9U);
+}
+
 TEST(AdderTree, MaxValueNoOverflow) {
   // All ones at the paper's largest window (p_max=4: 24 rows, 8 bits):
   // result = 24 * 255.

@@ -10,10 +10,13 @@ namespace cim::hw {
 namespace {
 
 std::vector<std::uint8_t> random_image(std::uint32_t rows, std::uint32_t cols,
-                                       std::uint64_t seed) {
+                                       std::uint64_t seed,
+                                       std::uint32_t bits = 8) {
   util::Rng rng(seed);
   std::vector<std::uint8_t> image(static_cast<std::size_t>(rows) * cols);
-  for (auto& w : image) w = static_cast<std::uint8_t>(rng.below(256));
+  for (auto& w : image) {
+    w = static_cast<std::uint8_t>(rng.below(1ULL << bits));
+  }
   return image;
 }
 
@@ -178,6 +181,70 @@ TEST(Storage, SparseMacMatchesDense) {
     EXPECT_EQ(dense->counters().macs, sparse->counters().macs);
     EXPECT_EQ(dense->counters().mac_bit_reads,
               sparse->counters().mac_bit_reads);
+  }
+}
+
+// The equivalence invariant as a randomized sweep over window shapes,
+// weight precisions, backends, pseudo-read policies and noise phases:
+// dense and sparse MACs agree on values, final weights and every
+// StorageCounters field.
+TEST(Storage, DenseSparsePropertySweep) {
+  const noise::SramCellModel model(noise::SramNoiseParams{}, 101);
+  util::Rng rng(17);
+  struct Backend {
+    bool bit_level;
+    PseudoReadPolicy policy;
+  };
+  const Backend backends[] = {
+      {false, PseudoReadPolicy::kSettleAtWriteBack},
+      {true, PseudoReadPolicy::kSettleAtWriteBack},
+      {true, PseudoReadPolicy::kFlipOnAccess},
+  };
+  for (int config = 0; config < 12; ++config) {
+    const std::uint32_t rows = 2 + static_cast<std::uint32_t>(rng.below(90));
+    const std::uint32_t cols = 1 + static_cast<std::uint32_t>(rng.below(12));
+    const std::uint32_t bits = 1 + static_cast<std::uint32_t>(rng.below(8));
+    const bool noisy = rng.chance(0.7);
+    const auto image = random_image(rows, cols, 1000 + config, bits);
+    for (const Backend& backend : backends) {
+      const noise::SramCellModel* m = noisy ? &model : nullptr;
+      const auto make = [&] {
+        return backend.bit_level
+                   ? make_bit_level_storage(rows, cols, m, 4096, bits,
+                                            backend.policy)
+                   : make_fast_storage(rows, cols, m, 4096, bits);
+      };
+      auto dense = make();
+      auto sparse = make();
+      for (auto* s : {&dense, &sparse}) {
+        (*s)->write(image);
+        (*s)->write_back(phase(static_cast<std::uint64_t>(config), 0.30,
+                               noisy ? 6 : 0));
+      }
+      for (int trial = 0; trial < 8; ++trial) {
+        std::vector<std::uint8_t> input(rows);
+        std::vector<std::uint32_t> active;
+        for (std::uint32_t r = 0; r < rows; ++r) {
+          input[r] = rng.chance(0.4) ? 1 : 0;
+          if (input[r]) active.push_back(r);
+        }
+        const auto col = ColIndex(static_cast<std::uint32_t>(rng.below(cols)));
+        EXPECT_EQ(sparse->mac_sparse(col, active), dense->mac(col, input))
+            << "rows=" << rows << " bits=" << bits;
+      }
+      const auto& cd = dense->counters();
+      const auto& cs = sparse->counters();
+      EXPECT_EQ(cs.macs, cd.macs);
+      EXPECT_EQ(cs.mac_bit_reads, cd.mac_bit_reads);
+      EXPECT_EQ(cs.pseudo_read_flips, cd.pseudo_read_flips);
+      EXPECT_EQ(cs.writeback_bits, cd.writeback_bits);
+      for (std::uint32_t r = 0; r < rows; ++r) {
+        for (std::uint32_t c = 0; c < cols; ++c) {
+          ASSERT_EQ(sparse->weight(RowIndex(r), ColIndex(c)),
+                    dense->weight(RowIndex(r), ColIndex(c)));
+        }
+      }
+    }
   }
 }
 
@@ -427,7 +494,11 @@ TEST(Storage, StickyWithinEpoch) {
 }
 
 TEST(Storage, ValidationErrors) {
+  // Zero-sized windows fail fast with a diagnostic, not UB or silent
+  // empties.
   EXPECT_THROW(make_fast_storage(0, 4, nullptr, 0), ConfigError);
+  EXPECT_THROW(make_fast_storage(4, 0, nullptr, 0), ConfigError);
+  EXPECT_THROW(make_bit_level_storage(0, 4, nullptr, 0), ConfigError);
   EXPECT_THROW(make_fast_storage(4, 4, nullptr, 0, 9), ConfigError);
   auto storage = make_fast_storage(4, 4, nullptr, 0);
   EXPECT_THROW(storage->write(std::vector<std::uint8_t>(3)), ConfigError);

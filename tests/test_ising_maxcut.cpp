@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace cim::ising {
@@ -99,6 +102,10 @@ TEST(MaxCut, Validation) {
   EXPECT_THROW(MaxCutProblem("bad", 3, {{0, 0, 1}}), ConfigError);
   EXPECT_THROW(MaxCutProblem("bad", 3, {{0, 5, 1}}), ConfigError);
   EXPECT_THROW(MaxCutProblem("bad", 3, {{0, 1, 0}}), ConfigError);
+  // |INT32_MIN| overflows int32; the largest magnitude that fits is fine.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_THROW(MaxCutProblem("bad", 3, {{0, 1, -kMax - 1}}), ConfigError);
+  EXPECT_NO_THROW(MaxCutProblem("ok", 3, {{0, 1, -kMax}, {1, 2, kMax}}));
   EXPECT_THROW(random_maxcut(10, 0.0, 1), ConfigError);
   const auto big = random_maxcut(30, 0.5, 1);
   EXPECT_THROW(brute_force_maxcut(big), ConfigError);

@@ -141,6 +141,19 @@ TEST(QuboIo, GsetRejectsIntegerOverflowInEveryField) {
   EXPECT_THROW(qubo::parse_gset("3 1\n1 2 3000000000\n"), ConfigError);
 }
 
+TEST(QuboIo, GsetRejectsWeightWhoseMagnitudeOverflowsInt32) {
+  // −2147483648 fits int32 but its magnitude does not; the error names
+  // the edge's line, and −2147483647 still parses.
+  try {
+    qubo::parse_gset("3 2\n2 3 1\n1 2 -2147483648\n");
+    FAIL() << "weight -2147483648 must be rejected";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
+        << error.what();
+  }
+  EXPECT_NO_THROW(qubo::parse_gset("3 1\n1 2 -2147483647\n"));
+}
+
 TEST(QuboIo, JhWriterEmitsParseableDoublesAtFullPrecision) {
   ising::GenericModel model("precision", 3);
   model.add_coupling(0, 1, 1.0 / 3.0);

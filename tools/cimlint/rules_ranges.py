@@ -7,7 +7,7 @@ past the end. This pack runs an interval dataflow over each function's
 CFG (widening at loop heads, branch-condition refinement on the edges)
 and checks it against storage extents discovered in the same file:
 
-  * `index-range-overflow` — a mac/mac_sparse/mac_packed/weight call
+  * `index-range-overflow` — a mac/mac_sparse/weight call
     whose index argument's derived range provably escapes [0, extent).
     Only *proven* violations fire: a TOP range (runtime-sized storage,
     unanalyzable arithmetic) is silent, so the real tree stays quiet
@@ -391,13 +391,12 @@ class _IntervalClient:
 
 _ACCESS_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*"
-    r"(mac|mac_sparse|mac_packed|weight)\s*\(")
+    r"(mac|mac_sparse|weight)\s*\(")
 
 #: method -> list of (argument position, extent axis).
 _CHECKED_ARGS = {
     "mac": [(0, "col")],
     "mac_sparse": [(0, "col")],
-    "mac_packed": [(0, "col")],
     "weight": [(0, "row"), (1, "col")],
 }
 
@@ -543,8 +542,8 @@ def _decide(a: Range, b: Range, op: str) -> bool | None:
     """Runs an interval dataflow over each function's CFG — constants,
 copies, ±const arithmetic, RowIndex/ColIndex construction, widening at
 loop heads, branch-condition refinement on the edges — and checks the
-derived range of every index argument at mac(), mac_sparse(),
-mac_packed() and weight() call sites against the receiving storage's
+derived range of every index argument at mac(), mac_sparse() and
+weight() call sites against the receiving storage's
 extents (taken from same-file declarations or make_*storage factory
 calls with literal dimensions; s.rows()/s.cols() evaluate to them).
 

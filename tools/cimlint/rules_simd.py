@@ -1,24 +1,17 @@
 """SIMD containment.
 
-Raw vector intrinsics live in exactly one file: src/util/simd.hpp, the
-dispatch layer that pairs every accelerated body with the portable
-fallback the determinism oracle is checked against. An intrinsic at any
-other site forks the kernel surface: it compiles only on one ISA, it
-dodges the CIMANNEAL_PORTABLE_SIMD escape hatch the no-AVX2 CI leg
-builds with, and its results are never covered by the bit-identity
-sweep that pins the vector path to the scalar oracle.
+No file in the tree may use raw vector intrinsics. Every kernel is plain
+C++ whose results the scalar determinism oracle pins bit for bit; an
+intrinsic compiles only on one ISA and forks the kernel surface into a
+variant no portable build or bit-identity test covers.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import PurePosixPath
 
 from .rules import FileContext, rule
 from .tokenizer import line_of
-
-# The dispatch layer itself — the only legitimate home for intrinsics.
-SIMD_ALLOWFILE = PurePosixPath("src/util/simd.hpp")
 
 # x86: _mm_/_mm256_/_mm512_ calls, vector register types, gcc builtins.
 # ARM: NEON register types and the v<op>q_<lane> call family.
@@ -38,26 +31,18 @@ _INTRIN_INCLUDE = re.compile(
 
 @rule(
     "simd-intrinsics-confined",
-    "raw SIMD intrinsic outside src/util/simd.hpp; use the util::simd "
-    "wrappers",
-    """src/util/simd.hpp is the single dispatch point for vectorized
-kernels: every accelerated body there is paired with a portable fallback,
-selected at runtime behind cpu-feature checks, overridable with
-CIMANNEAL_PORTABLE_SIMD / CIMANNEAL_DISABLE_SIMD, and pinned bit-for-bit
-to the scalar determinism oracle by the storage and annealer test sweeps.
-
-An intrinsic (or a vendor intrinsic header) anywhere else escapes all of
-that: the no-AVX2 CI leg can't build it out, the portable-mode escape
-hatch doesn't reach it, and nothing asserts its results match the scalar
-path. Call the util::simd entry points (and_popcount, mac_bitplanes,
-plane_popcounts, ...) instead; if a kernel needs a new primitive, add it
-to simd.hpp with a portable twin and dispatch.""",
+    "raw SIMD intrinsic; write the kernel in portable C++",
+    """No file may call raw vector intrinsics or include a vendor intrinsic
+header. The repository's kernels are portable C++, and the storage and
+annealer bit-identity tests pin each of them to the scalar determinism
+oracle (DESIGN.md §9). An intrinsic compiles only on one ISA, so it
+forks the kernel into a variant that no portable build and no
+bit-identity test covers. No file is exempt: a kernel that needs data
+parallelism writes plain word-wide C++ (std::popcount and friends) and
+lets the compiler vectorize it.""",
 )
 def _simd_intrinsics_confined(ctx: FileContext):
-    if PurePosixPath(ctx.rel) == SIMD_ALLOWFILE:
-        return
-    msg = ("raw SIMD intrinsic outside src/util/simd.hpp; use the "
-           "util::simd wrappers")
+    msg = "raw SIMD intrinsic; write the kernel in portable C++"
     for m in _INTRIN_INCLUDE.finditer(ctx.directives):
         yield ctx.finding(line_of(ctx.directives, m.start()),
                           "simd-intrinsics-confined", msg)
