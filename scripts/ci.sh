@@ -85,7 +85,8 @@ if [[ -x "${bench_bin}" ]]; then
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
   # Structural gate on the swap-kernel report: the dense, sparse and
   # incremental columns, the write-back row (ns per noisy cell, flips
-  # checked against the serial settled_value loop) and the Ising-update
+  # checked against the serial settled_value loop, and the write() that
+  # builds the preferred-bit mask, ns per weight) and the Ising-update
   # row (incremental vs recompute ns per spin update) must be present and
   # self-consistent — a bench
   # refactor that silently drops a column must fail here, not in a
@@ -100,7 +101,7 @@ for row in report["scales"]:
         assert row.get(key, 0) > 0, (key, row)
 write_back = report["write_back"]
 for key in ("noisy_cells", "pseudo_read_flips", "ns_per_noisy_cell",
-            "serial_ns_per_noisy_cell"):
+            "serial_ns_per_noisy_cell", "write_ns_per_weight"):
     assert write_back.get(key, 0) > 0, (key, write_back)
 ising_update = report["ising_update"]
 for key in ("incremental_ns_per_update", "recompute_ns_per_update"):

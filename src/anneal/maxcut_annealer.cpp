@@ -50,17 +50,21 @@ MaxCutResult MaxCutAnnealer::solve(
   };
 
   // Weight planes: positive and negative magnitudes, n×n, column v =
-  // couplings into spin v.
+  // couplings into spin v. Each host image is built, written and dropped
+  // before the next, so at most one n×n image is alive beside the
+  // storages.
   const auto rows = static_cast<std::uint32_t>(n);
   const auto cols = static_cast<std::uint32_t>(n);
-  std::vector<std::uint8_t> pos(static_cast<std::size_t>(n) * n, 0);
-  std::vector<std::uint8_t> neg(static_cast<std::size_t>(n) * n, 0);
-  for (const auto& e : problem.edges()) {
-    auto& plane = e.w >= 0 ? pos : neg;
-    const std::uint8_t q = quantise(e.w);
-    plane[static_cast<std::size_t>(e.a) * n + e.b] = q;
-    plane[static_cast<std::size_t>(e.b) * n + e.a] = q;
-  }
+  const auto plane_image = [&](bool positive) {
+    std::vector<std::uint8_t> plane(static_cast<std::size_t>(n) * n, 0);
+    for (const auto& e : problem.edges()) {
+      if ((e.w >= 0) != positive) continue;
+      const std::uint8_t q = quantise(e.w);
+      plane[static_cast<std::size_t>(e.a) * n + e.b] = q;
+      plane[static_cast<std::size_t>(e.b) * n + e.a] = q;
+    }
+    return plane;
+  };
   const noise::SramCellModel* weight_model =
       config_.noise == NoiseMode::kSramWeight ? &cell_model : nullptr;
   const std::uint64_t plane_cells =
@@ -69,8 +73,8 @@ MaxCutResult MaxCutAnnealer::solve(
                                            config_.weight_bits);
   auto neg_storage = hw::make_fast_storage(rows, cols, weight_model,
                                            plane_cells, config_.weight_bits);
-  pos_storage->write(pos);
-  neg_storage->write(neg);
+  pos_storage->write(plane_image(true));
+  neg_storage->write(plane_image(false));
 
   // Chromatic classes for parallel updates, as per-colour vertex lists in
   // ascending vertex order (the update order within a colour).

@@ -1,6 +1,7 @@
 #include "cim/storage.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 #include "util/error.hpp"
@@ -83,8 +84,18 @@ class FastStorage final : public StorageBase {
                 "weight image size mismatch");
     validate_range(golden);
     golden_.assign(golden.begin(), golden.end());
+    if (model_) {
+      // The hard faults and each cell's preferred value are fixed, so the
+      // stuck-adjusted image and its anti-preferred mask are built once
+      // per write, in the write-back's chunks, not once per write-back.
+      anti_.resize(weight_count());
+      util::parallel_for_chunks(
+          weight_count(), kWriteBackGrain,
+          [&](std::size_t begin, std::size_t end) {
+            build_mask(begin, end);
+          });
+    }
     current_ = golden_;
-    apply_stuck_faults(0, weight_count());
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
@@ -93,10 +104,10 @@ class FastStorage final : public StorageBase {
     counters_.writeback_bits += weight_count() * bits_;
     if (!model_ || phase.noisy_lsbs == 0) {
       current_ = golden_;
-      apply_stuck_faults(0, weight_count());
       return;
     }
     const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
+    const auto noisy_mask = static_cast<std::uint8_t>((1U << noisy) - 1U);
     const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
     // Weights refresh independently, so fixed-grain chunks run on the
     // shared pool; the chunking depends only on the weight count, and the
@@ -104,7 +115,7 @@ class FastStorage final : public StorageBase {
     counters_.pseudo_read_flips += util::parallel_reduce(
         weight_count(), kWriteBackGrain, std::uint64_t{0},
         [&](std::size_t begin, std::size_t end) {
-          return refresh(begin, end, noisy, settler);
+          return refresh(begin, end, noisy_mask, settler);
         },
         std::plus<>{});
   }
@@ -162,32 +173,29 @@ class FastStorage final : public StorageBase {
   }
 
  private:
-  /// Weights per write-back chunk: small TSP windows refresh inline, the
-  /// Max-Cut planes and large generic windows split across the pool.
+  /// Weights per write() mask-build and write-back chunk: small TSP
+  /// windows run inline, the Max-Cut planes and large generic windows
+  /// split across the pool.
   static constexpr std::size_t kWriteBackGrain = 16384;
 
-  // Restores weights [begin, end) to golden, re-applies the hard faults,
-  // then settles their `noisy` LSBs; returns the pseudo-read flips.
+  // Restores weights [begin, end) to the stuck-adjusted golden image,
+  // then settles the anti-preferred cells among their noisy LSBs
+  // (`noisy_mask`); returns the pseudo-read flips. A cell already at its
+  // preferred value is stable, so only the mask's set bits are visited.
   // Charged by write_back, which owns the writeback counters.
   // NOLINT(cim-counter-charge)
   std::uint64_t refresh(std::size_t begin, std::size_t end,
-                        std::uint32_t noisy,
+                        std::uint8_t noisy_mask,
                         const noise::PhaseSettler& settler) {
-    std::copy(golden_.begin() + static_cast<std::ptrdiff_t>(begin),
-              golden_.begin() + static_cast<std::ptrdiff_t>(end),
-              current_.begin() + static_cast<std::ptrdiff_t>(begin));
-    apply_stuck_faults(begin, end);
     std::uint64_t flips = 0;
     for (std::size_t w = begin; w < end; ++w) {
-      // Corrupt on top of the stuck-adjusted value (current_, not
-      // golden_): a stuck bit already holds its preferred value, so the
-      // settle rule leaves it alone — matching BitLevelStorage bit for
-      // bit. Starting from golden_ would erase the hard faults
-      // apply_stuck_faults() just wrote.
-      std::uint8_t value = current_[w];
-      for (std::uint32_t b = 0; b < noisy; ++b) {
-        const bool bit = (value >> b) & 1U;
-        if (settler.settle(cell_id(w, b), bit) != bit) {
+      std::uint8_t value = golden_[w];
+      // Stuck cells hold their preferred value, so the mask never names
+      // one: settle()'s is_stuck branch cannot apply here.
+      for (unsigned cells = anti_[w] & noisy_mask; cells != 0;
+           cells &= cells - 1) {
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(cells));
+        if (settler.flips_anti(cell_id(w, b))) {
           value = static_cast<std::uint8_t>(value ^ (1U << b));
           ++flips;
         }
@@ -197,26 +205,36 @@ class FastStorage final : public StorageBase {
     return flips;
   }
 
-  // Hard manufacturing faults on weights [begin, end): stuck cells
-  // override every write at any supply voltage (soft pseudo-read flips
-  // are applied afterwards). Charged by the callers (write/write_back own
-  // the writeback counters). NOLINT(cim-counter-charge)
-  void apply_stuck_faults(std::size_t begin, std::size_t end) {
-    if (!model_ || model_->params().stuck_cell_rate <= 0.0) return;
+  // Applies the hard manufacturing faults to golden_ on weights
+  // [begin, end) — a stuck cell overrides every write at any supply
+  // voltage, and holds its preferred value — and sets anti_[w] bit b iff
+  // the stored bit differs from the cell's preferred value.
+  void build_mask(std::size_t begin, std::size_t end) {
+    const std::uint64_t seed = model_->seed();
+    const double stuck_rate = model_->params().stuck_cell_rate;
     for (std::size_t w = begin; w < end; ++w) {
-      std::uint8_t value = current_[w];
+      std::uint8_t value = golden_[w];
+      std::uint8_t anti = 0;
       for (std::uint32_t b = 0; b < bits_; ++b) {
         const std::uint64_t id = cell_id(w, b);
-        if (!model_->is_stuck(id)) continue;
-        const bool preferred = model_->traits(id).preferred_bit;
-        value = static_cast<std::uint8_t>(
-            (value & ~(1U << b)) | (static_cast<unsigned>(preferred) << b));
+        const bool preferred = noise::cell_hash::preferred_bit(seed, id);
+        if (noise::cell_hash::is_stuck(seed, id, stuck_rate)) {
+          value = static_cast<std::uint8_t>(
+              (value & ~(1U << b)) | (static_cast<unsigned>(preferred) << b));
+        } else if (((value >> b) & 1U) != static_cast<unsigned>(preferred)) {
+          anti = static_cast<std::uint8_t>(anti | (1U << b));
+        }
       }
-      current_[w] = value;
+      golden_[w] = value;
+      anti_[w] = anti;
     }
   }
 
+  /// The written image with the hard faults applied.
   std::vector<std::uint8_t> golden_;
+  /// Bit b of anti_[w] is set iff cell (w, b) is not stuck and holds its
+  /// anti-preferred value in golden_; empty without a noise model.
+  std::vector<std::uint8_t> anti_;
   std::vector<std::uint8_t> current_;
 };
 
@@ -382,7 +400,7 @@ class BitLevelStorage final : public StorageBase {
     if (settled != bit) {
       stored_[cell] = settled ? 1 : 0;
       ++counters_.pseudo_read_flips;
-      }
+    }
   }
 
   PseudoReadPolicy policy_;

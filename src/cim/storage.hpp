@@ -10,11 +10,17 @@
 //
 //   * FastStorage    — materialises the corrupted byte per weight at
 //                      write-back; MACs are plain integer dot products.
-//                      Used for large instances. A write-back settles its
-//                      cells through one noise::PhaseSettler table in
-//                      fixed 16 384-weight chunks on the shared pool
-//                      (windows below one chunk refresh inline), so the
-//                      result is independent of the worker count.
+//                      Used for large instances. write() applies the hard
+//                      faults to the golden image once and builds a
+//                      1-byte-per-weight anti-preferred mask (bit b set
+//                      iff the stored bit differs from the cell's
+//                      preferred value). A write-back restores that image
+//                      and settles only the mask's set noisy bits through
+//                      noise::PhaseSettler::flips_anti — a cell at its
+//                      preferred value is stable. Both passes run in fixed
+//                      16 384-weight chunks on the shared pool (windows
+//                      below one chunk run inline), so the result is
+//                      independent of the worker count.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back

@@ -45,7 +45,13 @@
 //     search over k₂ with the same snm()/sigma_disturb() expressions
 //     flips() evaluates, so the table reproduces settled_value() bit for
 //     bit while the per-cell work shrinks to the counter hashes and one
-//     byte lookup (no sqrt, no double compare, no call).
+//     byte lookup (no sqrt, no double compare, no call). That rule for an
+//     anti-preferred, non-stuck cell is PhaseSettler::flips_anti(), and
+//     settle() calls it. FastStorage hoists the rest, which is fixed per
+//     cell: each write() builds a per-weight anti-preferred mask (bit b
+//     set iff the stuck-adjusted stored bit differs from preferred_bit),
+//     and a write-back calls flips_anti() only on the mask's set noisy
+//     bits — the preferred and stuck hashes leave the per-phase pass.
 #pragma once
 
 #include <array>
@@ -182,15 +188,21 @@ class PhaseSettler {
     // A cell holding its preferred value is stable, stuck or not.
     if (written == preferred) return written;
     if (cell_hash::is_stuck(seed_, cell_id, stuck_rate_)) return preferred;
+    return flips_anti(cell_id) ? preferred : written;
+  }
+
+  /// True iff this phase's pseudo-read flips a non-stuck cell that holds
+  /// its anti-preferred value: the rule settle() applies to such a cell,
+  /// and the whole per-phase decision of FastStorage's mask walk.
+  bool flips_anti(std::uint64_t cell_id) const {
     const unsigned from =
         flip_from_[static_cast<std::size_t>(
             cell_hash::vth_popcount(seed_, cell_id))];
     // The table's extremes decide without the disturbance draw.
-    if (from == 0) return preferred;
-    if (from > 64) return written;
-    const auto k2 = static_cast<unsigned>(
-        cell_hash::disturb_popcount(seed_, cell_id, epoch_));
-    return k2 >= from ? preferred : written;
+    if (from == 0) return true;
+    if (from > 64) return false;
+    return static_cast<unsigned>(
+               cell_hash::disturb_popcount(seed_, cell_id, epoch_)) >= from;
   }
 
  private:

@@ -1,7 +1,8 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
 // threaded site in the repo runs on (colour-parallel swap kernel, replica
 // ensembles, k-NN candidate-list construction, the reference pipeline's
-// move scans, the pseudo-read write-back across slots and weight chunks).
+// move scans, the pseudo-read write-back across slots and weight chunks,
+// and the per-write preferred-bit mask build over the same chunks).
 //
 // Why a pool: the annealer's epoch loop used to spawn and join
 // std::threads per colour per epoch, so the per-swap wins of the sparse

@@ -154,6 +154,64 @@ TEST(Storage, ChunkedWriteBackMatchesBitLevel) {
   }
 }
 
+TEST(Storage, RewriteRebuildsPreferredMask) {
+  // FastStorage derives its anti-preferred mask and stuck-adjusted image
+  // from the written weights. A second write() to the same storage must
+  // rebuild both: image B is taken through every default-schedule
+  // write-back after image A was written and refreshed, and must match
+  // the bit-level oracle weight for weight and flip for flip. With 5-bit
+  // weights the schedule's 6 noisy LSBs reach past the weight, and cells
+  // at or above weight_bits must never settle.
+  struct Case {
+    double stuck_rate;
+    std::uint32_t bits;
+  };
+  constexpr std::uint32_t kRows = 131;
+  constexpr std::uint32_t kCols = 140;  // 18 340 weights: two chunks
+  const noise::AnnealSchedule schedule;
+  std::vector<noise::SchedulePhase> phases;
+  for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
+    if (schedule.at(it).write_back) phases.push_back(schedule.at(it));
+  }
+  ASSERT_FALSE(phases.empty());
+  ASSERT_EQ(phases.front().noisy_lsbs, 6U);
+  for (const Case c : {Case{0.0, 8}, Case{0.01, 8}, Case{0.0, 5}}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = c.stuck_rate;
+    const noise::SramCellModel model(params, 53);
+    const auto image_a = random_image(kRows, kCols, 61, c.bits);
+    const auto image_b = random_image(kRows, kCols, 62, c.bits);
+    auto rewritten = make_fast_storage(kRows, kCols, &model, 777, c.bits);
+    auto reference =
+        make_bit_level_storage(kRows, kCols, &model, 777, c.bits);
+    rewritten->write(image_a);
+    reference->write(image_a);
+    rewritten->write_back(phases.front());
+    reference->write_back(phases.front());
+    rewritten->write(image_b);
+    reference->write(image_b);
+    for (const auto& p : phases) {
+      rewritten->write_back(p);
+      reference->write_back(p);
+      for (std::uint32_t r = 0; r < kRows; ++r) {
+        for (std::uint32_t col = 0; col < kCols; ++col) {
+          const std::uint8_t w =
+              rewritten->weight(RowIndex(r), ColIndex(col));
+          ASSERT_EQ(w, reference->weight(RowIndex(r), ColIndex(col)))
+              << "epoch " << p.epoch << " weight " << r << "," << col
+              << " stuck rate " << c.stuck_rate << " bits " << c.bits;
+          ASSERT_LT(w, 1U << c.bits);
+        }
+      }
+      ASSERT_EQ(rewritten->counters().pseudo_read_flips,
+                reference->counters().pseudo_read_flips)
+          << "epoch " << p.epoch << " stuck rate " << c.stuck_rate
+          << " bits " << c.bits;
+    }
+    EXPECT_GT(rewritten->counters().pseudo_read_flips, 0U);
+  }
+}
+
 TEST(Storage, SparseMacMatchesDense) {
   // Equivalence invariant of mac_sparse(): same value and same counters
   // as mac() for any input and its set-row list (counters model hardware

@@ -168,7 +168,8 @@ TEST(SramModel, InvalidParamsThrow) {
 TEST(PhaseSettler, MatchesSettledValue) {
   // The write-back fast path must reproduce the oracle bit for bit: every
   // phase of the default schedule plus both supply extremes, both written
-  // values, with and without hard faults.
+  // values, with and without hard faults — through settle() and through
+  // the flips_anti() rule FastStorage's mask walk calls directly.
   std::vector<double> vdds = {0.20, 0.80};
   std::vector<std::uint64_t> epochs = {17, 18};
   const AnnealSchedule schedule;
@@ -198,6 +199,16 @@ TEST(PhaseSettler, MatchesSettledValue) {
               << "cell " << cell << " vdd " << vdds[p] << " written "
               << written << " stuck rate " << stuck_rate;
           flips += expected != written ? 1 : 0;
+        }
+        // The mask walk's rule: on an anti-preferred non-stuck cell,
+        // flips_anti() is exactly "settled_value() returns preferred".
+        const bool preferred = cell_hash::preferred_bit(model.seed(), cell);
+        if (!model.is_stuck(cell)) {
+          ASSERT_EQ(settler.flips_anti(cell),
+                    model.settled_value(cell, epochs[p], vdds[p],
+                                        !preferred) == preferred)
+              << "cell " << cell << " vdd " << vdds[p] << " stuck rate "
+              << stuck_rate;
         }
       }
       // 2^17 cells must reach the 35 ΔVth classes whose expected count is
