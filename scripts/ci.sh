@@ -5,8 +5,8 @@
 #
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
-#                    the annealer suites re-run with the partial-sum
-#                    memo disabled, the bench smoke runs
+#                    the annealer suites re-run with memoization
+#                    disabled, the bench smoke runs
 #                    (BENCH_swap_kernel, BENCH_reuse and BENCH_ext_qubo
 #                    with structural and per-family quality gates), then
 #                    cimlint (archiving lint.sarif), the GCC -fanalyzer
@@ -63,10 +63,12 @@ for preset in "${presets[@]}"; do
   run_preset "${preset}"
 done
 
-# The partial-sum memo defaults on, so the preset run above already covers
-# the memoized path; this leg, over every annealer suite, proves the
-# recompute path (the §9 oracle the memo must stay bit-identical to) stays
-# green when the environment disables it.
+# Memoization defaults on — the TSP annealer's swap ΔE cache and the Ising
+# annealers' incremental local fields — so the preset run above already
+# covers the memoized paths. This leg, over every annealer suite, proves
+# that the recompute paths stay green when the environment disables
+# memoization: they run every MAC and are the §9 oracles the memoized
+# paths must stay bit-identical to.
 anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
 echo "==== annealer suites with CIMANNEAL_MEMOIZE=0"
 CIMANNEAL_MEMOIZE=0 \
@@ -146,14 +148,21 @@ scan = report["scan"]
 for key in ("tiled_ns_per_candidate", "untiled_ns_per_candidate",
             "speedup_tiled_vs_untiled"):
     assert scan.get(key, 0) > 0, (key, scan)
-memo = report["memoization"]
-assert memo["identical"] is True, memo
-assert memo["memo_hits"] > 0 and memo["memo_misses"] > 0, memo
-assert memo.get("speedup_memo_vs_recompute", 0) > 0, memo
+memo_rows = report["memoization"]["rows"]
+assert {row["p"] for row in memo_rows} >= {3, 8}, memo_rows
+for memo in memo_rows:
+    assert memo["identical"] is True, memo
+    # One ΔE-cache lookup per swap attempt: each is a hit or a miss.
+    assert memo["memo_hits"] + memo["memo_misses"] == \
+        memo["swaps_attempted"], memo
+    assert memo["memo_hits"] > 0 and memo["memo_misses"] > 0, memo
+    assert memo.get("speedup_memo_vs_recompute", 0) > 0, memo
 print("reuse report structure OK "
       f"(warm {ws['speedup_time_to_target']:.1f}x to 1% gap, "
       f"scan {scan['speedup_tiled_vs_untiled']:.1f}x, "
-      f"memo hit rate {100 * memo['memo_hit_rate']:.1f}%)")
+      "memo hit rate " +
+      ", ".join(f"{100 * m['memo_hit_rate']:.1f}% at p={m['p']}"
+                for m in memo_rows) + ")")
 PY
 else
   echo "bench_reuse not built (CIMANNEAL_BUILD_BENCH=OFF?); skipping"

@@ -59,16 +59,20 @@ struct Slot {
   std::vector<std::uint8_t> spin_drop;
   std::vector<std::uint32_t> spin_add;
 
-  /// Partial-sum memo (DESIGN.md §16): memo_value[col] is the MAC of
-  /// `col` under the input state identified by memo_stamp[col] ==
-  /// input_gen. input_gen moves to a fresh value from the monotonic
-  /// gen_counter whenever anything a MAC reads changes — an active-row
-  /// entry, the spin settle cache, or the weights at write-back — and a
-  /// rejected swap *restores* the pre-swap generation after reverting, so
-  /// entries cached before the attempt stay valid across rejection
-  /// streaks. A stamp of 0 never matches (generations start at 1).
-  std::vector<std::int64_t> memo_value;
-  std::vector<std::uint64_t> memo_stamp;
+  /// Swap ΔE cache (DESIGN.md §16): delta_cache[i·p + j] (i < j) is the
+  /// 4-MAC energy delta of swapping orders i and j from the input state
+  /// identified by its stamp == input_gen. input_gen moves to a fresh
+  /// value from the monotonic gen_counter whenever anything a MAC reads
+  /// changes — an active-row entry (so also the perm), the spin settle
+  /// cache, or the weights at write-back — and a rejected swap *restores*
+  /// the pre-swap generation after reverting, so entries cached before the
+  /// attempt stay valid across rejection streaks. A stamp of 0 never
+  /// matches (generations start at 1).
+  struct CachedDelta {
+    std::int64_t delta = 0;
+    std::uint64_t stamp = 0;
+  };
+  std::vector<CachedDelta> delta_cache;
   std::uint64_t gen_counter = 1;
   std::uint64_t input_gen = 1;
 
@@ -80,9 +84,11 @@ struct Slot {
 struct SwapScratch {
   std::vector<std::uint8_t> input;   ///< dense input (legacy kernel)
   std::vector<std::uint32_t> rows;   ///< noisy row list (kSramSpin sparse)
-  /// Per-worker distance cache for the accepted-swap exact deltas (level
-  /// 0 only). Worker-owned, so the hot path never shares mutable state or
-  /// touches an atomic; stats are flushed once per level.
+  /// Distance cache for the accepted-swap exact deltas (level 0 only).
+  /// The coordinating thread's scratch holds the solver's own cache;
+  /// colour-parallel workers create theirs on first use. Owned, so the
+  /// hot path never shares mutable state or touches an atomic; stats are
+  /// flushed once per level.
   std::unique_ptr<tsp::DistanceCache> dcache;
 };
 
@@ -109,9 +115,9 @@ class LevelSolver {
     if (level_ == 0) {
       // Level 0 asks for exact TSPLIB distances (sqrt + rounding) from the
       // window builder, the accepted-swap deltas and the ring scorer; the
-      // serial cache covers the coordinating thread, workers carry their
-      // own in SwapScratch.
-      dcache_ = std::make_unique<tsp::DistanceCache>(instance_);
+      // serial scratch's cache covers the coordinating thread, workers
+      // carry their own in SwapScratch.
+      scratch_.dcache = std::make_unique<tsp::DistanceCache>(instance_);
     }
     build_slots(ring);
     build_windows();
@@ -166,7 +172,7 @@ class LevelSolver {
   /// callers may use it — workers pass their own cache explicitly.
   double exact_distance(const geo::Point& a, const geo::Point& b,
                         std::uint32_t item_a, std::uint32_t item_b) const {
-    return exact_distance(a, b, item_a, item_b, dcache_.get());
+    return exact_distance(a, b, item_a, item_b, scratch_.dcache.get());
   }
 
   std::uint8_t quantise(double d) const {
@@ -228,12 +234,15 @@ class LevelSolver {
   /// Warm-start ranks (per item id one level below `level_`), or nullptr
   /// for the cold identity order. Slot perms initialise sorted by rank.
   const std::vector<std::uint64_t>* member_rank_;
-  const bool memoize_;  ///< partial-sum memo active for the swap kernel
+  const bool memoize_;  ///< swap ΔE cache active for the sparse kernel
 
   std::vector<Slot> slots_;
   std::uint8_t color_count_ = 1;
   double scale_ = 0.0;  ///< quantisation: weight = distance * scale_
-  SwapScratch scratch_;  ///< single-threaded scratch
+  /// Coordinating thread's scratch. Its distance cache (level 0 only)
+  /// serves the window build, ring scoring and the single-threaded swap
+  /// path.
+  SwapScratch scratch_;
   /// Per-slot RNG streams (colour-parallel mode only): derived statelessly
   /// from the level seed so results are independent of worker count and
   /// execution order within a colour phase.
@@ -245,10 +254,6 @@ class LevelSolver {
   std::vector<LevelStats> worker_stats_;
   std::vector<HardwareActivity> worker_hw_;
   std::vector<SwapScratch> worker_scratch_;
-  /// Coordinating thread's distance cache (level 0 only): window build,
-  /// ring scoring and the single-threaded swap path. Mutable because the
-  /// const scoring paths (exact_ring_length) still warm it.
-  mutable std::unique_ptr<tsp::DistanceCache> dcache_;
 };
 
 void LevelSolver::build_slots(const std::vector<std::uint32_t>& ring) {
@@ -383,9 +388,9 @@ void LevelSolver::build_windows() {
                  config_.weight_bits;
     if (memoize_) {
       // Stamp 0 never matches a generation (they start at 1), so every
-      // column opens cold.
-      slot.memo_value.assign(slot.shape.cols(), 0);
-      slot.memo_stamp.assign(slot.shape.cols(), 0);
+      // order pair opens cold.
+      slot.delta_cache.assign(static_cast<std::size_t>(slot.p()) * slot.p(),
+                              {});
     }
   }
 }
@@ -441,7 +446,7 @@ void LevelSolver::set_active_entry(Slot& slot, std::uint32_t idx,
   const std::uint32_t old = slot.active[idx];
   if (old == row) return;
   // The MAC input changed: move the slot to a fresh input generation so
-  // memoized partial sums for the old state stop matching. The counter is
+  // cached swap deltas for the old state stop matching. The counter is
   // monotonic and generations are never reused, so a stale stamp can
   // never come back to life.
   slot.input_gen = ++slot.gen_counter;
@@ -520,31 +525,21 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
   const std::uint32_t k = slot.perm[i];
   const std::uint32_t l = slot.perm[j];
 
-  std::int64_t before = 0;
-  std::int64_t after = 0;
-  // Partial-sum memo front-end (DESIGN.md §16): answer a (column, input
-  // generation) pair from the slot's memo when the stamp matches, else run
-  // the real MAC and remember it. A hit still charges the full hardware
-  // read cost — the memo models skipping the host-side reduction, not the
-  // row reads — and is sound because a column already MAC'd under this
-  // generation has settled its lazy pseudo-read corruption (touched cells
-  // never re-draw), so the repeat MAC would be a pure function.
-  const auto memo_mac = [&](std::uint32_t col,
-                            auto&& compute) -> std::int64_t {
-    if (!memoize_) return compute();
-    if (slot.memo_stamp[col] == slot.input_gen) {
-      ++stats.memo_hits;
-      slot.storage->charge_repeat_mac();
-      return slot.memo_value[col];
-    }
-    const std::int64_t value = compute();
-    slot.memo_value[col] = value;
-    slot.memo_stamp[col] = slot.input_gen;
-    ++stats.memo_misses;
-    return value;
+  // Applies the swap to the perm and the active rows. Its own inverse,
+  // so the reject path reverts with the same call.
+  const auto swap_orders = [&] {
+    std::swap(slot.perm[i], slot.perm[j]);
+    set_active_entry(slot, i, i * p + slot.perm[i]);
+    set_active_entry(slot, j, j * p + slot.perm[j]);
+    refresh_boundary(slot);  // a single-slot ring neighbours itself
   };
+
+  std::int64_t delta = 0;
+  // Whether slot.perm currently holds the swap: the MAC paths apply it
+  // before the post-swap MACs, a ΔE-cache hit applies it only on accept.
+  bool applied = false;
   // Input generation to restore when the swap is rejected: the revert
-  // returns the slot to exactly this input state, so partial sums stamped
+  // returns the slot to exactly this input state, so swap deltas stamped
   // with it stay valid across rejection streaks.
   std::uint64_t pre_gen = 0;
   if (config_.sparse_swap_kernel) {
@@ -557,43 +552,52 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
       refresh_spin_cache(slot, phase, stats);
     }
     pre_gen = slot.input_gen;
-    // Two MACs with the pre-swap spin state (Fig. 5(a), cycles 1–2).
-    const auto rows_pre = noisy_input_rows(slot, scratch.rows);
-    before = memo_mac(i * p + k,
-                      [&] {
-                        return slot.storage->mac_sparse(
-                            hw::ColIndex(i * p + k), rows_pre);
-                      }) +
-             memo_mac(j * p + l, [&] {
-               return slot.storage->mac_sparse(hw::ColIndex(j * p + l),
-                                               rows_pre);
-             });
-    // Apply the swap, two MACs with the post-swap state (cycles 3–4).
-    std::swap(slot.perm[i], slot.perm[j]);
-    set_active_entry(slot, i, i * p + slot.perm[i]);
-    set_active_entry(slot, j, j * p + slot.perm[j]);
-    refresh_boundary(slot);  // a single-slot ring neighbours itself
-    const auto rows_post = noisy_input_rows(slot, scratch.rows);
-    after = memo_mac(i * p + l,
-                     [&] {
-                       return slot.storage->mac_sparse(
-                           hw::ColIndex(i * p + l), rows_post);
-                     }) +
-            memo_mac(j * p + k, [&] {
-              return slot.storage->mac_sparse(hw::ColIndex(j * p + k),
-                                              rows_post);
-            });
+    // Swap ΔE cache (DESIGN.md §16): the generation pins the weights, the
+    // perm and every input row, so a matching stamp means the same four
+    // columns under the same inputs, all already MAC'd — their lazy
+    // pseudo-read corruption has settled and the MACs would repeat the
+    // cached delta exactly. A hit charges the four MACs the hardware still
+    // performs and skips the reductions and the apply/revert.
+    Slot::CachedDelta* cached =
+        memoize_ ? &slot.delta_cache[i * p + j] : nullptr;
+    if (cached != nullptr && cached->stamp == pre_gen) {
+      ++stats.memo_hits;
+      slot.storage->charge_repeat_macs(4);
+      delta = cached->delta;
+    } else {
+      // Two MACs with the pre-swap spin state (Fig. 5(a), cycles 1–2).
+      const auto rows_pre = noisy_input_rows(slot, scratch.rows);
+      const std::int64_t before =
+          slot.storage->mac_sparse(hw::ColIndex(i * p + k), rows_pre) +
+          slot.storage->mac_sparse(hw::ColIndex(j * p + l), rows_pre);
+      // Apply the swap, two MACs with the post-swap state (cycles 3–4).
+      swap_orders();
+      applied = true;
+      const auto rows_post = noisy_input_rows(slot, scratch.rows);
+      const std::int64_t after =
+          slot.storage->mac_sparse(hw::ColIndex(i * p + l), rows_post) +
+          slot.storage->mac_sparse(hw::ColIndex(j * p + k), rows_post);
+      delta = after - before;
+      if (cached != nullptr) {
+        *cached = {delta, pre_gen};
+        ++stats.memo_misses;
+      }
+    }
   } else {
     // Dense reference baseline (ablation + micro-bench): rebuild the full
     // input vector and scan every row per MAC.
     auto& input = scratch.input;
     assemble_input(slot, input, phase);
-    before = slot.storage->mac(hw::ColIndex(i * p + k), input) +
-             slot.storage->mac(hw::ColIndex(j * p + l), input);
+    const std::int64_t before =
+        slot.storage->mac(hw::ColIndex(i * p + k), input) +
+        slot.storage->mac(hw::ColIndex(j * p + l), input);
     std::swap(slot.perm[i], slot.perm[j]);
+    applied = true;
     assemble_input(slot, input, phase);
-    after = slot.storage->mac(hw::ColIndex(i * p + l), input) +
-            slot.storage->mac(hw::ColIndex(j * p + k), input);
+    const std::int64_t after =
+        slot.storage->mac(hw::ColIndex(i * p + l), input) +
+        slot.storage->mac(hw::ColIndex(j * p + k), input);
+    delta = after - before;
     if (config_.noise == NoiseMode::kSramSpin) {
       // The dense ablation filters every input bit per assembly instead
       // of reusing a per-epoch settle cache.
@@ -611,7 +615,6 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
   hw.dataflow.record_edge_transfer(parity, p);
   hw.dataflow.record_input_shift(p);
 
-  const std::int64_t delta = after - before;
   bool accept = false;
   switch (config_.noise) {
     case NoiseMode::kSramWeight:
@@ -631,22 +634,25 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
     }
   }
   if (!accept) {
-    std::swap(slot.perm[i], slot.perm[j]);  // revert
+    if (!applied) return false;  // a ΔE-cache hit never touched the perm
     if (config_.sparse_swap_kernel) {
-      set_active_entry(slot, i, i * p + slot.perm[i]);
-      set_active_entry(slot, j, j * p + slot.perm[j]);
-      // On a single-slot ring the boundary rows follow this slot's own
-      // perm, so re-sync them now (a no-op on multi-slot rings, whose
-      // neighbours did not move). Only then is the input state exactly
-      // the pre-swap one and the generation may be restored — partial
-      // sums memoized before the attempt become valid again.
-      refresh_boundary(slot);
+      // The revert also re-syncs the boundary rows, which on a
+      // single-slot ring follow this slot's own perm. Only then is the
+      // input state exactly the pre-swap one and the generation may be
+      // restored — swap deltas cached before the attempt become valid
+      // again.
+      swap_orders();
       slot.input_gen = pre_gen;
+    } else {
+      std::swap(slot.perm[i], slot.perm[j]);
     }
     return false;
   }
   ++stats.swaps_accepted;
+  if (!applied) swap_orders();
   if (level_ == 0 && scratch.dcache == nullptr) {
+    // Colour-parallel worker scratch: the coordinating thread's scratch
+    // carries the solver's cache from construction.
     scratch.dcache = std::make_unique<tsp::DistanceCache>(instance_);
   }
   if (exact_swap_delta_applied(slot, i, j, scratch.dcache.get()) > 1e-9) {
@@ -795,7 +801,7 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
       });
       for (Slot& slot : slots_) {
         // Weights changed (golden restore + fresh corruption pattern):
-        // every memoized partial sum is stale.
+        // every cached swap delta is stale.
         slot.input_gen = ++slot.gen_counter;
       }
       // Rows within an array are written sequentially.
@@ -889,7 +895,6 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
         stats.dcache_misses += cache->stats().misses;
         stats.dcache_bytes += cache->stats().bytes_touched;
       };
-  flush_dcache(dcache_);
   flush_dcache(scratch_.dcache);
   for (const SwapScratch& scratch : worker_scratch_) {
     flush_dcache(scratch.dcache);

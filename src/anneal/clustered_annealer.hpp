@@ -61,15 +61,18 @@ struct AnnealerConfig {
   /// thread counts > 1, not with 1. Requires chromatic_parallel and
   /// sparse_swap_kernel.
   std::uint32_t color_threads = 1;
-  /// Per-window partial-sum memoization (DESIGN.md §16): each slot keeps
-  /// the last MAC sum per column stamped with an input-state generation,
-  /// so a repeated (column, input) pair — common during rejection streaks,
-  /// where the reverted spin state recurs — returns the remembered sum and
-  /// charges the hardware counters without re-reducing. Bit-identical to
-  /// the unmemoized sparse kernel (values, noise evolution,
-  /// StorageCounters), which stays the oracle; the dense ablation kernel
-  /// ignores it. Defaults from CIMANNEAL_MEMOIZE (unset → on); effective
-  /// only with sparse_swap_kernel.
+  /// Per-window swap ΔE cache (DESIGN.md §16): each slot keeps the 4-MAC
+  /// energy delta of every order pair (i, j) stamped with the input-state
+  /// generation it was computed under, so a repeated swap proposal from
+  /// an unchanged state — common during rejection streaks, where the
+  /// reverted spin state recurs — reuses the delta, charges its four MACs
+  /// to the hardware counters, and skips the reductions and the
+  /// apply/revert. Bit-identical to the uncached sparse kernel (values,
+  /// noise evolution, StorageCounters), which stays the oracle; the dense
+  /// ablation kernel ignores it. The same switch selects the Ising
+  /// annealers' incremental local fields. Defaults from CIMANNEAL_MEMOIZE
+  /// (unset → on); for the TSP annealer effective only with
+  /// sparse_swap_kernel.
   bool memoize_partial_sums = default_memoize();
   std::uint32_t weight_bits = 8;
   std::uint64_t seed = 1;
@@ -106,9 +109,10 @@ struct LevelStats {
   std::size_t settle_cache_hits = 0;
   std::size_t settle_cache_refreshes = 0;
   std::size_t noise_draws = 0;
-  /// Partial-sum memo behaviour: swap-kernel MACs answered from the
-  /// per-slot column memo vs. real reductions that (re)filled it. Both 0
-  /// when memoization is off or the dense kernel runs.
+  /// Swap ΔE-cache behaviour: swap attempts answered from the per-slot
+  /// cache vs. attempts that ran the four MACs and (re)filled it, so
+  /// memo_hits + memo_misses == swaps_attempted. Both 0 when memoization
+  /// is off or the dense kernel runs.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   /// Distance-cache behaviour of the exact-distance paths (window build,

@@ -41,18 +41,16 @@ void LocalFields::rebuild(std::span<const std::uint8_t> sigma_plus) {
       windows_[w].pos->accumulate_row(hw::RowIndex(r), 1, acc);
       windows_[w].neg->accumulate_row(hw::RowIndex(r), -1, acc);
     }
-    for (std::uint32_t c = 0; c < windows_[w].pos->cols(); ++c) {
-      windows_[w].pos->charge_repeat_mac();
-      windows_[w].neg->charge_repeat_mac();
-    }
+    windows_[w].pos->charge_repeat_macs(windows_[w].pos->cols());
+    windows_[w].neg->charge_repeat_macs(windows_[w].neg->cols());
   }
   for (std::size_t s = 0; s < mac_.size(); ++s) row_sum_[s] += mac_[s];
   ++generation_;
 }
 
 std::int64_t LocalFields::field(std::size_t window, std::uint32_t col) {
-  windows_[window].pos->charge_repeat_mac();
-  windows_[window].neg->charge_repeat_mac();
+  windows_[window].pos->charge_repeat_macs(1);
+  windows_[window].neg->charge_repeat_macs(1);
   const std::size_t slot = offset_[window] + col;
   if (stamp_[slot] == generation_) {
     ++hits_;

@@ -14,7 +14,7 @@
 //
 // The hardware cost stays the paper's: every field() charges one column
 // MAC per plane and every rebuild() one all-ones MAC per column per plane,
-// through WeightStorage::charge_repeat_mac(). Requires weights that are
+// through WeightStorage::charge_repeat_macs(). Requires weights that are
 // pure between write-backs (WeightStorage::accumulate_row).
 //
 // Hit/miss accounting keeps the recompute memo's meaning: an evaluation

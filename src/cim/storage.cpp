@@ -150,7 +150,7 @@ class FastStorage final : public StorageBase {
 
   // Host-side field bookkeeping over the settled image, not a modelled
   // wordline access: the caller charges the column MACs it stands in for
-  // via charge_repeat_mac(). NOLINT(cim-counter-charge)
+  // via charge_repeat_macs(). NOLINT(cim-counter-charge)
   void accumulate_row(RowIndex row_idx, int sign,
                       std::span<std::int64_t> acc) const override {
     const std::uint32_t row = row_idx.get();

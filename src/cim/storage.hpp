@@ -89,26 +89,27 @@ class WeightStorage {
   virtual std::int64_t mac_sparse(
       ColIndex col, std::span<const std::uint32_t> active_rows) = 0;
 
-  /// Charges the hardware cost of re-issuing a MAC whose value the caller
-  /// already holds (the annealer's partial-sum memo). The counters model
-  /// hardware row reads, so a memoized repeat still pays the full
-  /// rows()·bits read like every mac() variant; the host-side reduction is
-  /// what the memo skips. Sound only for a (column, input) pair already
-  /// MAC'd since the last write_back — by then any lazy pseudo-read
-  /// corruption of the column has settled (touched cells never re-draw),
-  /// so the repeat MAC would have been a pure function returning the
-  /// memoized value and flipping nothing.
-  void charge_repeat_mac() {
-    ++counters_.macs;
+  /// Charges the hardware cost of re-issuing `n` MACs whose values the
+  /// caller already holds (the TSP annealer's swap ΔE cache, the Ising
+  /// annealers' incremental fields). The counters model hardware row
+  /// reads, so each repeat still pays the full rows()·bits read like every
+  /// mac() variant; the host-side reduction is what the caller skips.
+  /// Sound only for (column, input) pairs already MAC'd since the last
+  /// write_back — by then any lazy pseudo-read corruption of the column
+  /// has settled (touched cells never re-draw), so each repeat MAC would
+  /// have been a pure function returning the held value and flipping
+  /// nothing.
+  void charge_repeat_macs(std::uint64_t n) {
+    counters_.macs += n;
     counters_.mac_bit_reads +=
-        static_cast<std::uint64_t>(rows()) * weight_bits();
+        n * static_cast<std::uint64_t>(rows()) * weight_bits();
   }
 
   /// Row accumulate: acc[c] += sign · weight[row][c] for every column c
   /// (sign = ±1, acc has cols() entries). Host-side bookkeeping, not a
   /// modelled access, so it charges nothing: the Ising annealers keep
   /// exact copies of column MACs with it (DESIGN.md §16) while charging
-  /// the MACs the hardware still performs through charge_repeat_mac().
+  /// the MACs the hardware still performs through charge_repeat_macs().
   /// Valid only where weights are pure between write-backs; only the fast
   /// backend implements it, every other backend throws ConfigError.
   virtual void accumulate_row(RowIndex row, int sign,

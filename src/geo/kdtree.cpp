@@ -1,7 +1,7 @@
 #include "geo/kdtree.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -58,6 +58,19 @@ struct HeapItem {
   std::size_t index;
   bool operator<(const HeapItem& other) const { return dist2 < other.dist2; }
 };
+
+/// k-NN search buffers, reused across queries. Thread-local rather than
+/// tree members because one const tree serves concurrent queries (the
+/// neighbour-list build).
+struct QueryScratch {
+  std::vector<HeapItem> heap;  ///< max-heap of the current k best
+  std::vector<std::int32_t> stack;
+};
+
+QueryScratch& query_scratch() {
+  thread_local QueryScratch scratch;
+  return scratch;
+}
 }  // namespace
 
 std::size_t KdTree::nearest(Point query, std::size_t exclude) const {
@@ -70,14 +83,17 @@ std::vector<std::size_t> KdTree::nearest_k(Point query, std::size_t k,
   std::vector<std::size_t> out;
   if (root_ < 0 || k == 0) return out;
 
-  std::priority_queue<HeapItem> best;  // max-heap of current k best
+  QueryScratch& scratch = query_scratch();
+  std::vector<HeapItem>& best = scratch.heap;
+  best.clear();
   const auto worst = [&] {
     return best.size() < k ? std::numeric_limits<double>::infinity()
-                           : best.top().dist2;
+                           : best.front().dist2;
   };
 
   // Explicit stack of node indices, pruned by box distance.
-  std::vector<std::int32_t> stack{root_};
+  std::vector<std::int32_t>& stack = scratch.stack;
+  stack.assign(1, root_);
   while (!stack.empty()) {
     const Node& node = nodes_[static_cast<std::size_t>(stack.back())];
     stack.pop_back();
@@ -91,8 +107,12 @@ std::vector<std::size_t> KdTree::nearest_k(Point query, std::size_t k,
         if (!active_[p] || p == exclude) continue;
         const double d2 = squared_distance(points_[p], query);
         if (d2 < worst()) {
-          best.push({d2, p});
-          if (best.size() > k) best.pop();
+          best.push_back({d2, p});
+          std::push_heap(best.begin(), best.end());
+          if (best.size() > k) {
+            std::pop_heap(best.begin(), best.end());
+            best.pop_back();
+          }
         }
       }
       continue;
@@ -106,8 +126,9 @@ std::vector<std::size_t> KdTree::nearest_k(Point query, std::size_t k,
 
   out.resize(best.size());
   for (auto it = out.rbegin(); it != out.rend(); ++it) {
-    *it = best.top().index;
-    best.pop();
+    std::pop_heap(best.begin(), best.end());
+    *it = best.back().index;
+    best.pop_back();
   }
   return out;
 }

@@ -167,5 +167,52 @@ TEST(KdTree, DuplicatePoints) {
   EXPECT_EQ(nn.size(), 20U);
 }
 
+TEST(KdTree, NearestKMatchesBruteForce) {
+  // An integer grid makes equal distances the rule, not the exception:
+  // the k results must be exactly the k smallest brute-force distances in
+  // ascending order, with `exclude` and soft-deleted points left out.
+  std::vector<Point> pts;
+  for (int y = 0; y < 12; ++y) {
+    for (int x = 0; x < 12; ++x) {
+      pts.push_back({static_cast<double>(x), static_cast<double>(y)});
+    }
+  }
+  KdTree tree(pts);
+  std::vector<char> active(pts.size(), 1);
+  for (std::size_t i = 0; i < pts.size(); i += 7) {
+    tree.set_active(i, false);
+    active[i] = 0;
+  }
+  util::Rng rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t self = rng.below(pts.size());
+    const Point q = trial % 2 == 0
+                        ? pts[self]
+                        : Point{static_cast<double>(rng.below(24)) * 0.5,
+                                static_cast<double>(rng.below(24)) * 0.5};
+    const std::size_t exclude = trial % 3 == 0 ? KdTree::npos : self;
+    const std::size_t k = 1 + rng.below(12);
+    std::vector<double> want;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      if (active[i] && i != exclude) {
+        want.push_back(squared_distance(pts[i], q));
+      }
+    }
+    std::sort(want.begin(), want.end());
+    want.resize(std::min(k, want.size()));
+
+    const auto got = tree.nearest_k(q, k, exclude);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_TRUE(active[got[r]]) << got[r];
+      EXPECT_NE(got[r], exclude);
+      EXPECT_EQ(squared_distance(pts[got[r]], q), want[r]) << "rank " << r;
+    }
+    std::vector<std::size_t> unique(got);
+    std::sort(unique.begin(), unique.end());
+    EXPECT_EQ(std::adjacent_find(unique.begin(), unique.end()), unique.end());
+  }
+}
+
 }  // namespace
 }  // namespace cim::geo
