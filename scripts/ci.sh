@@ -230,10 +230,11 @@ python3 tests/lint_selftest.py
 python3 tools/lint.py --check-rules-md
 require_artifact "${lint_out_dir}/lint.sarif"
 require_artifact "${lint_out_dir}/lint_stats.json"
-# Soft latency budget: the dataflow analyses (CFG + worklist solves) run
-# on every pre-commit lint, so a creeping slowdown is a workflow
-# regression even while results stay correct. Warn, don't fail — CI
-# machines vary — but make the number visible in every log.
+# Soft latency budget: the cross-TU index (with its per-function seed-
+# provenance solve) and every per-file rule run on each pre-commit lint,
+# so a creeping slowdown is a workflow regression even while results
+# stay correct. Warn, don't fail — CI machines vary — but make the
+# number, and the three rules that cost the most, visible in every log.
 python3 - "${lint_out_dir}/lint_stats.json" \
   "${CIMANNEAL_LINT_BUDGET_S:-20}" <<'PY'
 import json, sys
@@ -241,8 +242,11 @@ stats = json.load(open(sys.argv[1]))
 budget = float(sys.argv[2])
 total = stats["total_seconds"]
 phases = ", ".join(f"{k}={v:.2f}s" for k, v in stats["phases"].items())
+slowest = sorted(stats["rules"].items(),
+                 key=lambda kv: (-kv[1]["seconds"], kv[0]))[:3]
+top = ", ".join(f"{name}={r['seconds']:.2f}s" for name, r in slowest)
 print(f"cimlint wall time {total:.2f}s over {stats['scanned_files']} files "
-      f"({phases})")
+      f"({phases}); slowest rules: {top}")
 if total > budget:
     print(f"ci.sh: WARNING: cimlint took {total:.2f}s, over the "
           f"{budget:.0f}s soft budget (CIMANNEAL_LINT_BUDGET_S)")

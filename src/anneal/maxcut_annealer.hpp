@@ -50,7 +50,11 @@ struct MaxCutConfig {
 struct MaxCutResult {
   std::vector<ising::Spin> spins;
   long long cut = 0;        ///< final cut value
-  long long best_cut = 0;   ///< best cut seen during the anneal
+  /// Best cut observed: max(initial cut, final cut), plus every
+  /// per-sweep cut when `record_trace` is on. Without a trace, a better
+  /// cut passed through mid-anneal is not seen. `spins` is always the
+  /// final assignment, which may cut less than this.
+  long long best_cut = 0;
   std::size_t sweeps = 0;
   std::size_t flips = 0;
   std::size_t color_count = 0;  ///< chromatic classes (parallel groups)

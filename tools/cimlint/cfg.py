@@ -1,8 +1,8 @@
 """Per-function control-flow graphs over stripped C++ bodies.
 
 The PR-6 index reasons about *reachability* (which functions a root can
-call); the dataflow clients (lock order, index ranges, seed provenance)
-reason about *state along paths*, which needs statement-level control
+call); the seed-provenance proof (flowfacts.py, rng-unproven-seed)
+reasons about *state along paths*, which needs statement-level control
 flow. This module parses one function body — the same brace-matched,
 comment-stripped text `functions.py` extracts — into a small statement
 AST and lowers it to a basic-block CFG:
@@ -12,14 +12,7 @@ AST and lowers it to a basic-block CFG:
     opaque statement — its *calls* are still visible to the index);
   * `if`/`else`, `for` (incl. range-for), `while`, `do`, `switch` and
     `try` produce branch/join/back edges; `return`/`break`/`continue`
-    produce early exits;
-  * RAII lock scopes: a `std::lock_guard` / `unique_lock` /
-    `scoped_lock` / `shared_lock` declaration is an *acquire* attached
-    to its statement, and every edge that leaves the guard's lexical
-    scope — fall-through, back edge, break/continue, return — carries
-    the matching *releases*, so a lock-set analysis never leaks a lock
-    across an iteration boundary (the thread-pool worker loop re-enters
-    `pop_task` only after its sleep lock dies with the iteration).
+    produce early exits.
 
 Everything stays heuristic and over-approximate in the DESIGN.md §13
 tradition: no types, no templates, no goto. A construct the parser does
@@ -36,62 +29,6 @@ import dataclasses
 import re
 
 from .tokenizer import line_of
-
-# --------------------------------------------------------------- guards
-
-#: Scoped-guard declaration at statement granularity. `std::scoped_lock
-#: l(a, b);` acquires both; tag arguments (std::defer_lock & friends)
-#: are not mutexes.
-_GUARD_RE = re.compile(
-    r"^(?:const\s+)?(?:std\s*::\s*)?"
-    r"(lock_guard|unique_lock|scoped_lock|shared_lock)\b"
-    r"\s*(?:<[^;()]*>)?\s*([A-Za-z_]\w*)\s*[({](.*)[)}]\s*$",
-    re.DOTALL)
-
-_LOCK_TAGS = {"defer_lock", "try_to_lock", "adopt_lock"}
-
-_LAST_IDENT = re.compile(r"([A-Za-z_]\w*)\s*$")
-
-
-@dataclasses.dataclass(frozen=True)
-class GuardDecl:
-    kind: str                 # lock_guard / unique_lock / ...
-    var: str                  # guard variable name
-    mutexes: tuple[str, ...]  # last identifier of each mutex expression
-
-
-def _split_args(text: str) -> list[str]:
-    """Top-level comma split (parens/braces/brackets/angles are opaque)."""
-    out: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "([{<":
-            depth += 1
-        elif ch in ")]}>":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            out.append(text[start:i])
-            start = i + 1
-    out.append(text[start:])
-    return [a.strip() for a in out if a.strip()]
-
-
-def parse_guard(stmt_text: str) -> GuardDecl | None:
-    """GuardDecl when `stmt_text` declares a scoped lock, else None."""
-    m = _GUARD_RE.match(" ".join(stmt_text.split()))
-    if m is None:
-        return None
-    mutexes: list[str] = []
-    for arg in _split_args(m.group(3)):
-        last = _LAST_IDENT.search(arg.rstrip(")").rstrip())
-        if last is None or last.group(1) in _LOCK_TAGS:
-            continue
-        mutexes.append(last.group(1))
-    if not mutexes:
-        return None
-    return GuardDecl(kind=m.group(1), var=m.group(2), mutexes=tuple(mutexes))
-
 
 # ------------------------------------------------------------- statement AST
 
@@ -404,7 +341,6 @@ class _Parser:
 class Stmt:
     text: str
     line: int
-    guard: GuardDecl | None = None
 
 
 @dataclasses.dataclass
@@ -414,8 +350,6 @@ class Edge:
     cond: str | None = None       # branch condition text, if any
     cond_value: bool | None = None  # sense of this edge w.r.t. cond
     origin: str = "fall"          # "if" | "loop" | "switch" | "fall" | ...
-    releases: tuple[str, ...] = ()  # guard mutexes dying on this edge
-    line: int = 0                 # source line of the condition, if any
 
 
 @dataclasses.dataclass
@@ -441,9 +375,6 @@ class Cfg:
 
     def add_edge(self, src: int, dst: int, **kw) -> None:
         self.edges.append(Edge(src=src, dst=dst, **kw))
-
-    def out_edges(self, block_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == block_id]
 
     def rpo(self) -> list[int]:
         """Reverse post-order block ids from the entry (deterministic)."""
@@ -482,15 +413,13 @@ class Cfg:
 class _LoopCtx:
     head: int            # continue target
     after: int           # break target
-    scope_depth: int     # scope-stack depth at loop entry
 
 
 class _Lowerer:
-    """AST → CFG, threading lexical guard scopes through the edges."""
+    """AST → CFG."""
 
     def __init__(self) -> None:
         self.cfg = Cfg()
-        self.scopes: list[list[str]] = []   # mutexes per open scope
         self.loops: list[_LoopCtx] = []
 
     def lower(self, nodes: list) -> Cfg:
@@ -499,36 +428,14 @@ class _Lowerer:
         self.cfg.entry = entry.id
         self.cfg.exit = exit_block.id
         self.exit_id = exit_block.id
-        cur = self._scope_seq(nodes, entry.id)
+        cur = self._seq(nodes, entry.id)
         if cur is not None:
             self.cfg.add_edge(cur, exit_block.id)
         return self.cfg
 
-    # -- scope helpers
-
-    def _releases_from(self, depth: int) -> tuple[str, ...]:
-        """Mutexes of every scope at index >= depth (being exited)."""
-        out: list[str] = []
-        for scope in self.scopes[depth:]:
-            out.extend(scope)
-        return tuple(out)
-
-    def _scope_seq(self, nodes: list, cur: int) -> int | None:
-        """Lowers `nodes` inside a fresh lexical scope; returns the live
-        block after it (None when every path terminated). The scope's
-        guards are released on the edge out."""
-        self.scopes.append([])
-        cur2 = self._seq(nodes, cur)
-        scope = self.scopes.pop()
-        if cur2 is None:
-            return None
-        if scope:
-            nxt = self.cfg.new_block()
-            self.cfg.add_edge(cur2, nxt.id, releases=tuple(scope))
-            return nxt.id
-        return cur2
-
     def _seq(self, nodes: list, cur: int | None) -> int | None:
+        """Lowers `nodes` from block `cur`; returns the live block after
+        them (None when every path terminated)."""
         for node in nodes:
             if cur is None:
                 # Unreachable trailing code (after return/break): skip.
@@ -541,31 +448,22 @@ class _Lowerer:
     def _node(self, node, cur: int) -> int | None:
         cfg = self.cfg
         if isinstance(node, Simple):
-            guard = parse_guard(node.text)
-            cfg.blocks[cur].stmts.append(
-                Stmt(text=node.text, line=node.line, guard=guard))
-            if guard:
-                self.scopes[-1].extend(guard.mutexes)
+            cfg.blocks[cur].stmts.append(Stmt(text=node.text, line=node.line))
             return cur
         if isinstance(node, Return):
             cfg.blocks[cur].stmts.append(Stmt(text=node.text, line=node.line))
-            cfg.add_edge(cur, self.exit_id, origin="return",
-                         releases=self._releases_from(0))
+            cfg.add_edge(cur, self.exit_id, origin="return")
             return None
         if isinstance(node, BreakStmt):
             if self.loops:
-                ctx = self.loops[-1]
-                cfg.add_edge(cur, ctx.after, origin="break",
-                             releases=self._releases_from(ctx.scope_depth))
+                cfg.add_edge(cur, self.loops[-1].after, origin="break")
             return None
         if isinstance(node, ContinueStmt):
             if self.loops:
-                ctx = self.loops[-1]
-                cfg.add_edge(cur, ctx.head, origin="continue",
-                             releases=self._releases_from(ctx.scope_depth))
+                cfg.add_edge(cur, self.loops[-1].head, origin="continue")
             return None
         if isinstance(node, BlockNode):
-            return self._scope_seq(node.body, cur)
+            return self._seq(node.body, cur)
         if isinstance(node, If):
             return self._if(node, cur)
         if isinstance(node, Loop):
@@ -581,18 +479,18 @@ class _Lowerer:
         then_blk = cfg.new_block()
         join = cfg.new_block()
         cfg.add_edge(cur, then_blk.id, cond=node.cond, cond_value=True,
-                     origin="if", line=node.line)
-        then_end = self._scope_seq(node.then, then_blk.id)
+                     origin="if")
+        then_end = self._seq(node.then, then_blk.id)
         if then_end is not None:
             cfg.add_edge(then_end, join.id)
         if node.els is None:
             cfg.add_edge(cur, join.id, cond=node.cond, cond_value=False,
-                         origin="if", line=node.line)
+                         origin="if")
         else:
             else_blk = cfg.new_block()
             cfg.add_edge(cur, else_blk.id, cond=node.cond, cond_value=False,
-                         origin="if", line=node.line)
-            else_end = self._scope_seq(node.els, else_blk.id)
+                         origin="if")
+            else_end = self._seq(node.els, else_blk.id)
             if else_end is not None:
                 cfg.add_edge(else_end, join.id)
         return join.id
@@ -613,15 +511,14 @@ class _Lowerer:
         else:
             cfg.add_edge(cur, head.id)
             cfg.add_edge(head.id, body_blk.id, cond=node.cond,
-                         cond_value=True, origin="loop", line=node.line)
+                         cond_value=True, origin="loop")
         cfg.add_edge(head.id, after.id, cond=node.cond, cond_value=False,
-                     origin="loop", line=node.line)
-        self.loops.append(_LoopCtx(head=head.id, after=after.id,
-                                   scope_depth=len(self.scopes)))
+                     origin="loop")
+        self.loops.append(_LoopCtx(head=head.id, after=after.id))
         body_nodes = list(node.body)
         if node.step is not None:
             body_nodes.append(Simple(node.step, node.line))
-        body_end = self._scope_seq(body_nodes, body_blk.id)
+        body_end = self._seq(body_nodes, body_blk.id)
         self.loops.pop()
         if body_end is not None:
             if node.kind == "dowhile":
@@ -630,10 +527,8 @@ class _Lowerer:
                              cond_value=True, origin="loop")
             else:
                 cfg.add_edge(body_end, head.id, origin="back")
-        elif node.kind == "dowhile":
-            # Terminated body: head is unreachable, after still joins via
-            # break edges (if any).
-            pass
+        # A do-while whose body always terminates leaves the head
+        # unreachable; `after` still joins via break edges (if any).
         return after.id
 
     def _switch(self, node: Switch, cur: int) -> int | None:
@@ -646,9 +541,8 @@ class _Lowerer:
                      origin="switch")
         cfg.add_edge(cur, join.id, cond=node.cond, cond_value=None,
                      origin="switch")
-        self.loops.append(_LoopCtx(head=join.id, after=join.id,
-                                   scope_depth=len(self.scopes)))
-        body_end = self._scope_seq(node.body, body_blk.id)
+        self.loops.append(_LoopCtx(head=join.id, after=join.id))
+        body_end = self._seq(node.body, body_blk.id)
         self.loops.pop()
         if body_end is not None:
             cfg.add_edge(body_end, join.id)
@@ -657,7 +551,7 @@ class _Lowerer:
     def _try(self, node: Try, cur: int) -> int | None:
         cfg = self.cfg
         join = cfg.new_block()
-        body_end = self._scope_seq(node.body, cur)
+        body_end = self._seq(node.body, cur)
         if body_end is not None:
             cfg.add_edge(body_end, join.id)
         for handler in node.handlers:
@@ -665,7 +559,7 @@ class _Lowerer:
             # A handler can be entered from anywhere in the body; the
             # pre-try block is the sound (if coarse) source.
             cfg.add_edge(cur, h_blk.id, origin="catch")
-            h_end = self._scope_seq(handler, h_blk.id)
+            h_end = self._seq(handler, h_blk.id)
             if h_end is not None:
                 cfg.add_edge(h_end, join.id)
         return join.id

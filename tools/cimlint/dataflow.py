@@ -1,16 +1,13 @@
 """Generic forward worklist dataflow solver over cfg.Cfg.
 
-One solver, three clients (lock sets, integer ranges, seed provenance).
-A client implements the `Client` protocol below: an entry state, a join
-(least upper bound), an optional widen (for lattices of unbounded
-height, e.g. intervals), a per-statement transfer, and an optional
-per-edge refinement (branch conditions, RAII releases).
+Its one client is the seed-provenance proof (flowfacts.py). A client
+implements the `Client` protocol below: an entry state, a join (least
+upper bound) and a per-statement transfer.
 
 States are ordinary immutable-ish Python values compared with `==`;
 `None` stands for bottom/unreachable, and clients never see it. The
 worklist is ordered by reverse post-order so loops converge in few
-passes, and widening kicks in at loop heads after `widen_after`
-re-visits, which bounds iteration for interval-style lattices.
+passes.
 
 Determinism: block order, RPO and the worklist are all derived from the
 CFG's integer ids, so two runs over the same file produce bit-identical
@@ -34,54 +31,24 @@ class Client(Protocol):
 
     def transfer(self, state: State, stmt: Stmt) -> State: ...
 
-    # Optional hooks (defaults in solve()):
-    # def widen(self, old: State, new: State,
-    #           loop_stmts: list[Stmt] | None) -> State
-    #   `loop_stmts` is every statement inside the natural loop of the
-    #   head being widened — so a client can restrict widening to the
-    #   variables that loop actually assigns. An outer counter flowing
-    #   through an inner head is *converging*, not diverging; widening
-    #   it there loses precision narrowing cannot recover (the back
-    #   edge keeps regenerating the widened bound).
-    # def refine(self, state: State, edge: Edge) -> State
 
-
-def solve(cfg: Cfg, client: Client, widen_after: int = 3,
-          narrow_iters: int = 2
-          ) -> tuple[dict[int, State], dict[int, State]]:
-    """Runs `client` to fixpoint; returns (in_states, out_states) keyed
-    by block id. Unreachable blocks are absent from both maps.
-
-    For widening clients, the widened fixpoint is followed by
-    `narrow_iters` plain decreasing sweeps (no widening, joins recomputed
-    from scratch). Widening at a loop head coarsens *every* variable
-    joined there — including an outer loop's counter that was still
-    converging — and only the head's own condition gets refined back.
-    The fixpoint is a post-fixpoint (F(x) ⊑ x), so re-applying the
-    transfer functions yields a decreasing chain of sound states; two
-    sweeps recover e.g. the outer counter's bounds inside a nested
-    loop."""
-    widen = getattr(client, "widen", None)
-    refine = getattr(client, "refine", None)
-
+def solve(cfg: Cfg, client: Client) -> dict[int, State]:
+    """Runs `client` to fixpoint; returns the in-state of every block,
+    keyed by block id. Unreachable blocks are absent from the map."""
     order = cfg.rpo()
     pos = {block_id: k for k, block_id in enumerate(order)}
     out_edges: dict[int, list[Edge]] = {b.id: [] for b in cfg.blocks}
     for edge in cfg.edges:
         out_edges[edge.src].append(edge)
 
-    loop_stmts = _loop_statements(cfg, pos) if widen is not None else {}
-
     ins: dict[int, State] = {cfg.entry: client.entry_state()}
-    outs: dict[int, State] = {}
-    visits: dict[int, int] = {}
 
     heap: list[tuple[int, int]] = [(pos[cfg.entry], cfg.entry)]
     queued = {cfg.entry}
     # Hard stop against non-convergence: a client whose transfer keeps
-    # producing new states (a widening bug, an unbounded lattice) must
-    # degrade to "function not analyzed" (callers catch ValueError),
-    # never hang the lint run.
+    # producing new states (an unbounded lattice) must degrade to
+    # "function not analyzed" (callers catch ValueError), never hang the
+    # lint run.
     budget = 256 * (len(cfg.blocks) + 4)
     steps = 0
     while heap:
@@ -96,78 +63,16 @@ def solve(cfg: Cfg, client: Client, widen_after: int = 3,
             continue
         for stmt in cfg.blocks[block_id].stmts:
             state = client.transfer(state, stmt)
-        outs[block_id] = state
         for edge in out_edges[block_id]:
-            edge_state = refine(state, edge) if refine else state
             old = ins.get(edge.dst)
-            if old is None:
-                new = edge_state
-            else:
-                new = client.join(old, edge_state)
-                if (widen is not None and edge.dst in cfg.loop_heads
-                        and visits.get(edge.dst, 0) >= widen_after):
-                    new = widen(old, new, loop_stmts.get(edge.dst))
+            new = state if old is None else client.join(old, state)
             if old is not None and new == old:
                 continue
             ins[edge.dst] = new
-            visits[edge.dst] = visits.get(edge.dst, 0) + 1
             if edge.dst not in queued and edge.dst in pos:
                 queued.add(edge.dst)
                 heapq.heappush(heap, (pos[edge.dst], edge.dst))
-
-    if widen is not None:
-        in_edges: dict[int, list[Edge]] = {b.id: [] for b in cfg.blocks}
-        for edge in cfg.edges:
-            in_edges[edge.dst].append(edge)
-        for _ in range(narrow_iters):
-            for block_id in order:
-                if block_id == cfg.entry:
-                    state = client.entry_state()
-                else:
-                    state = None
-                    for edge in in_edges[block_id]:
-                        src_out = outs.get(edge.src)
-                        if src_out is None:
-                            continue
-                        edge_state = (refine(src_out, edge) if refine
-                                      else src_out)
-                        state = edge_state if state is None \
-                            else client.join(state, edge_state)
-                    if state is None:
-                        continue
-                ins[block_id] = state
-                for stmt in cfg.blocks[block_id].stmts:
-                    state = client.transfer(state, stmt)
-                outs[block_id] = state
-    return ins, outs
-
-
-def _loop_statements(cfg: Cfg, pos: dict[int, int]
-                     ) -> dict[int, list[Stmt]]:
-    """Statements inside each loop head's natural loop, keyed by head.
-
-    A retreating edge (RPO position of src >= dst) into a loop head
-    closes a loop; its natural loop is the head plus everything that
-    reaches the edge's source without passing through the head — the
-    standard backward walk over predecessors."""
-    preds: dict[int, list[int]] = {b.id: [] for b in cfg.blocks}
-    for edge in cfg.edges:
-        preds[edge.dst].append(edge.src)
-    out: dict[int, list[Stmt]] = {}
-    for head in sorted(cfg.loop_heads):
-        body = {head}
-        stack = [e.src for e in cfg.edges
-                 if e.dst == head and e.src in pos and head in pos
-                 and pos[e.src] >= pos[head]]
-        while stack:
-            node = stack.pop()
-            if node in body:
-                continue
-            body.add(node)
-            stack.extend(preds[node])
-        out[head] = [stmt for block_id in sorted(body)
-                     for stmt in cfg.blocks[block_id].stmts]
-    return out
+    return ins
 
 
 def stmt_states(cfg: Cfg, client: Client, ins: dict[int, State]
@@ -181,18 +86,3 @@ def stmt_states(cfg: Cfg, client: Client, ins: dict[int, State]
         for stmt in block.stmts:
             yield stmt, state
             state = client.transfer(state, stmt)
-
-
-def branch_edges(cfg: Cfg, outs: dict[int, State]
-                 ) -> Iterator[tuple[Edge, State]]:
-    """(edge, state-at-the-branch) for every conditional edge whose
-    source block is reachable — the raw material for dead-check
-    detection (the state already reflects the source block's effects,
-    not the edge's own refinement)."""
-    for edge in cfg.edges:
-        if edge.cond is None or edge.cond_value is None:
-            continue
-        state = outs.get(edge.src)
-        if state is None:
-            continue
-        yield edge, state

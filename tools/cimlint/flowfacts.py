@@ -1,32 +1,22 @@
-"""Per-function dataflow summaries: lock sets and seed provenance.
+"""Per-function dataflow summaries: seed provenance.
 
-The interprocedural analyses (rules_lockorder, rules_seedflow) need one
-fact bundle per function, computed once at index time and cached with
-the rest of the project index:
+The interprocedural seed-flow proof (rules_seedflow) needs one fact
+bundle per function, computed once at index time and cached with the
+rest of the project index:
 
-  * `requires`      — mutexes named by CIM_REQUIRES on the signature;
-                      they form the entry lock set.
-  * `acquires`      — every scoped-guard acquisition with the *must-
-                      hold* lock set at that point. `held -> mutex`
-                      edges are exactly the global lock-order graph.
-  * `locked_calls`  — callee names invoked while a lock is held, so the
-                      order graph extends through the call graph
-                      (f holds `mu` and calls g; g locks `nu` ⇒ mu→nu).
   * `seed_sites`    — every RNG construction / reseed with a provenance
                       verdict: does the seed expression derive from
                       util::stream_seed / hash_combine / splitmix64 /
                       fork / a literal / a seed-named value through a
                       chain the intraprocedural solver can follow?
 
-Both clients run the generic worklist solver over the cfg.py CFG with
-must-analysis joins (set intersection), so a lock released on one path
-is not "held" at the join and a variable seeded on one branch only is
-not proven.
+The client runs the generic worklist solver over the cfg.py CFG with a
+must-analysis join (set intersection), so a variable seeded on one
+branch only is not proven.
 
 Boundary assumptions, stated rather than hidden (DESIGN.md §13): at
 function entry, parameters count as proven seed material — call sites
-are checked in *their* enclosing functions, and det-taint still flags
-non-deterministic sources anywhere in the cone. For the seed-derivation
+are checked in *their* enclosing functions. For the seed-derivation
 calls (stream_seed/hash_combine/splitmix64) provenance follows the
 FIRST argument: the base carries the lineage, the second operand is a
 stream selector / mixing constant.
@@ -36,27 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Callable
 
 from . import stats
-from .cfg import Cfg, Edge, Stmt, _split_args, build_cfg
+from .cfg import Cfg, Stmt, build_cfg
 from .dataflow import solve, stmt_states
 
 # ------------------------------------------------------------ data model
-
-
-@dataclasses.dataclass(frozen=True)
-class AcquireSite:
-    mutex: str
-    line: int
-    held: tuple[str, ...]   # sorted must-hold set just before acquiring
-
-
-@dataclasses.dataclass(frozen=True)
-class LockedCall:
-    callee: str
-    line: int
-    held: tuple[str, ...]   # sorted must-hold set at the call
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,32 +44,31 @@ class SeedSite:
 
 @dataclasses.dataclass(frozen=True)
 class FlowFacts:
-    requires: tuple[str, ...]
-    acquires: tuple[AcquireSite, ...]
-    locked_calls: tuple[LockedCall, ...]
     seed_sites: tuple[SeedSite, ...]
 
 
-EMPTY_FACTS = FlowFacts(requires=(), acquires=(), locked_calls=(),
-                        seed_sites=())
+EMPTY_FACTS = FlowFacts(seed_sites=())
 
 # ----------------------------------------------------- signature parsing
 
-_REQUIRES_RE = re.compile(r"\bCIM_REQUIRES\s*\(([^)]*)\)")
 _LAST_IDENT = re.compile(r"([A-Za-z_]\w*)\s*$")
 
 
-def signature_requires(code: str, name_offset: int, body_start: int
-                       ) -> tuple[str, ...]:
-    """Mutex names from CIM_REQUIRES between the function name and its
-    opening brace (where the annotation macro sits)."""
+def _split_args(text: str) -> list[str]:
+    """Top-level comma split (parens/braces/brackets/angles are opaque)."""
     out: list[str] = []
-    for m in _REQUIRES_RE.finditer(code[name_offset:body_start]):
-        for arg in _split_args(m.group(1)):
-            last = _LAST_IDENT.search(arg)
-            if last:
-                out.append(last.group(1))
-    return tuple(out)
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in "([{<":
+            depth += 1
+        elif ch in ")]}>":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            out.append(text[start:i])
+            start = i + 1
+    out.append(text[start:])
+    return [a.strip() for a in out if a.strip()]
 
 
 def signature_params(code: str, name_offset: int, body_start: int
@@ -124,42 +98,6 @@ def signature_params(code: str, name_offset: int, body_start: int
         if last:
             out.append(last.group(1))
     return tuple(out)
-
-
-# ------------------------------------------------------- lock-set client
-
-_METHOD_LOCK_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(lock|unlock)\s*\(")
-
-
-class _LockClient:
-    """Must-hold lock sets: frozenset of mutex names."""
-
-    def __init__(self, requires: tuple[str, ...],
-                 guard_vars: dict[str, tuple[str, ...]]):
-        self.requires = requires
-        self.guard_vars = guard_vars  # guard var -> its mutexes
-
-    def entry_state(self) -> frozenset[str]:
-        return frozenset(self.requires)
-
-    def join(self, a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-        return a & b
-
-    def transfer(self, state: frozenset[str], stmt: Stmt) -> frozenset[str]:
-        if stmt.guard is not None:
-            return state | frozenset(stmt.guard.mutexes)
-        for m in _METHOD_LOCK_RE.finditer(stmt.text):
-            names = self.guard_vars.get(m.group(1), (m.group(1),))
-            if m.group(2) == "lock":
-                state = state | frozenset(names)
-            else:
-                state = state - frozenset(names)
-        return state
-
-    def refine(self, state: frozenset[str], edge: Edge) -> frozenset[str]:
-        if edge.releases:
-            return state - frozenset(edge.releases)
-        return state
 
 
 # ------------------------------------------------- seed-provenance client
@@ -432,79 +370,39 @@ def _seed_sites_in_stmt(stmt: Stmt, state: frozenset[str]
 
 
 def extract_flow_facts(code: str, body_start: int, body_end: int,
-                       name_offset: int,
-                       extract_calls: Callable[[str], tuple[str, ...]],
-                       ) -> FlowFacts:
+                       name_offset: int) -> FlowFacts:
     """Computes the FlowFacts bundle for the function whose body is
     code[body_start+1:body_end-1] (offsets of the braces, absolute in
     the stripped file). Degrades to EMPTY_FACTS on any internal failure
     — a summary miss is an analysis gap, never a crash."""
     try:
-        return _extract(code, body_start, body_end, name_offset,
-                        extract_calls)
+        return _extract(code, body_start, body_end, name_offset)
     except (RecursionError, IndexError, ValueError):
         return EMPTY_FACTS
 
 
-def _extract(code: str, body_start: int, body_end: int, name_offset: int,
-             extract_calls: Callable[[str], tuple[str, ...]]) -> FlowFacts:
+def _mentions_rng(text: str) -> bool:
+    return "rng" in text.lower() or any(
+        word in text
+        for word in ("mt19937", "reseed", "random_engine", "minstd_rand"))
+
+
+def _extract(code: str, body_start: int, body_end: int,
+             name_offset: int) -> FlowFacts:
+    # Statements are substrings of the body, so a body that never
+    # mentions an RNG needs no CFG at all.
+    if not _mentions_rng(code[body_start:body_end]):
+        return EMPTY_FACTS
     with stats.GLOBAL.phase("cfg"):
         cfg: Cfg = build_cfg(code, body_start + 1, body_end - 1)
-    requires = signature_requires(code, name_offset, body_start)
-    params = signature_params(code, name_offset, body_start)
+    if not any(_mentions_rng(stmt.text) for stmt in cfg.all_stmts()):
+        return EMPTY_FACTS
 
-    guard_vars: dict[str, tuple[str, ...]] = {}
-    has_locks = bool(requires)
-    has_seeds = False
-    for stmt in cfg.all_stmts():
-        if stmt.guard is not None:
-            guard_vars[stmt.guard.var] = stmt.guard.mutexes
-            has_locks = True
-        elif _METHOD_LOCK_RE.search(stmt.text):
-            has_locks = True
-        if ("Rng" in stmt.text or "mt19937" in stmt.text
-                or "reseed" in stmt.text or "random_engine" in stmt.text
-                or "minstd_rand" in stmt.text or "rng" in stmt.text.lower()):
-            has_seeds = True
-
-    acquires: list[AcquireSite] = []
-    locked_calls: list[LockedCall] = []
-    if has_locks:
-        lock_client = _LockClient(requires, guard_vars)
-        with stats.GLOBAL.phase("solve"):
-            ins, _ = solve(cfg, lock_client)
-        for stmt, state in stmt_states(cfg, lock_client, ins):
-            if stmt.guard is not None:
-                held = tuple(sorted(state))
-                for mutex in stmt.guard.mutexes:
-                    acquires.append(AcquireSite(
-                        mutex=mutex, line=stmt.line, held=held))
-                continue
-            for m in _METHOD_LOCK_RE.finditer(stmt.text):
-                if m.group(2) != "lock":
-                    continue
-                held = tuple(sorted(state))
-                for mutex in guard_vars.get(m.group(1), (m.group(1),)):
-                    if mutex not in state:
-                        acquires.append(AcquireSite(
-                            mutex=mutex, line=stmt.line, held=held))
-            if state:
-                held = tuple(sorted(state))
-                for callee in extract_calls(stmt.text):
-                    locked_calls.append(LockedCall(
-                        callee=callee, line=stmt.line, held=held))
-
+    seed_client = _SeedClient(signature_params(code, name_offset, body_start))
+    with stats.GLOBAL.phase("solve"):
+        ins = solve(cfg, seed_client)
     seed_sites: list[SeedSite] = []
-    if has_seeds:
-        seed_client = _SeedClient(params)
-        with stats.GLOBAL.phase("solve"):
-            ins, _ = solve(cfg, seed_client)
-        for stmt, state in stmt_states(cfg, seed_client, ins):
-            seed_sites.extend(_seed_sites_in_stmt(stmt, state))
-
-    acquires.sort(key=lambda a: (a.line, a.mutex))
-    locked_calls.sort(key=lambda c: (c.line, c.callee))
+    for stmt, state in stmt_states(cfg, seed_client, ins):
+        seed_sites.extend(_seed_sites_in_stmt(stmt, state))
     seed_sites.sort(key=lambda s: (s.line, s.rng))
-    return FlowFacts(requires=requires, acquires=tuple(acquires),
-                     locked_calls=tuple(dict.fromkeys(locked_calls)),
-                     seed_sites=tuple(seed_sites))
+    return FlowFacts(seed_sites=tuple(seed_sites))

@@ -37,15 +37,15 @@ import re
 from pathlib import Path, PurePosixPath
 
 from . import contenthash, stats
-from .flowfacts import (AcquireSite, FlowFacts, LockedCall, SeedSite,
-                        extract_flow_facts)
+from .flowfacts import FlowFacts, SeedSite, extract_flow_facts
 from .functions import FunctionBlock, function_blocks
 from .tokenizer import line_of, strip_comments_and_strings
 
 #: Bump to invalidate on-disk caches when the index shape or the
 #: extraction heuristics change.
 #: v2: content-hash cache keys + per-function FlowFacts summaries.
-INDEX_VERSION = 2
+#: v3: FlowFacts carry seed sites only.
+INDEX_VERSION = 3
 
 ROOT_MARKER = "CIM_DETERMINISM_ROOT"
 
@@ -100,7 +100,7 @@ class FunctionInfo:
     is_root: bool    # CIM_DETERMINISM_ROOT in the signature region
     calls: tuple[str, ...]        # callee names, sorted, deduped
     taints: tuple[TaintSite, ...]
-    flow: FlowFacts  # dataflow summaries (locks held, seed provenance)
+    flow: FlowFacts  # dataflow summaries (seed provenance)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,7 +406,7 @@ def index_file(code: str, rel: str) -> FileIndex:
             calls=_extract_calls(block.body),
             taints=_scan_taints(block.body, block.start + 1, code),
             flow=extract_flow_facts(code, block.start, block.end,
-                                    name_offset, _extract_calls)))
+                                    name_offset)))
     return FileIndex(functions=tuple(functions),
                      macros=_extract_macros(code, rel),
                      classes=_extract_classes(code, rel))
@@ -417,11 +417,6 @@ def index_file(code: str, rel: str) -> FileIndex:
 
 def _flow_to_json(flow: FlowFacts) -> dict:
     return {
-        "requires": list(flow.requires),
-        "acquires": [[a.mutex, a.line, list(a.held)]
-                     for a in flow.acquires],
-        "locked_calls": [[c.callee, c.line, list(c.held)]
-                         for c in flow.locked_calls],
         "seed_sites": [[s.line, s.rng, s.proven, s.detail]
                        for s in flow.seed_sites],
     }
@@ -429,12 +424,6 @@ def _flow_to_json(flow: FlowFacts) -> dict:
 
 def _flow_from_json(data: dict) -> FlowFacts:
     return FlowFacts(
-        requires=tuple(data["requires"]),
-        acquires=tuple(AcquireSite(mutex=a[0], line=a[1], held=tuple(a[2]))
-                       for a in data["acquires"]),
-        locked_calls=tuple(LockedCall(callee=c[0], line=c[1],
-                                      held=tuple(c[2]))
-                           for c in data["locked_calls"]),
         seed_sites=tuple(SeedSite(line=s[0], rng=s[1], proven=s[2],
                                   detail=s[3])
                          for s in data["seed_sites"]),

@@ -145,9 +145,9 @@ def _load_rule_packs() -> None:
     # Importing the packs registers their rules (idempotent).
     from . import (  # noqa: F401  (import side effects)
         rules_anneal, rules_cim, rules_determinism, rules_header,
-        rules_layering, rules_lockorder, rules_locks, rules_ranges,
-        rules_rng, rules_seedflow, rules_simd, rules_store,
-        rules_telemetry, rules_thread, rules_units,
+        rules_layering, rules_locks, rules_rng, rules_seedflow,
+        rules_simd, rules_store, rules_telemetry, rules_thread,
+        rules_units,
     )
 
 
@@ -161,7 +161,8 @@ at least one real cimlint rule (see --list-rules); clang-tidy-namespaced
 names (bugprone-*, performance-*, ...) belong to clang-tidy and are left
 alone. Bare `NOLINT` without a rule list is rejected for the same reason:
 it documents nothing and would blanket-suppress rules the author never
-reviewed.
+reviewed. No other tool reads cimlint's NOLINT markers, so without this
+audit a typo in one is invisible.
 
 This audit is not itself suppressible.""",
     suppressible=False,

@@ -22,7 +22,9 @@ input vector carries exactly p + 2 set bits. PR 2 made the kernel sparse
 and incremental (persistent per-slot active-row lists, O(1) updates on
 accept/revert); a dense `x.assign(rows(), 0)`-style rebuild inside
 src/anneal/ reintroduces an O(rows) scan per swap — a quiet order-of-
-magnitude regression at scale (DESIGN.md §9).
+magnitude regression at scale (DESIGN.md §9). No compiler, sanitizer or
+test sees it: the dense and sparse kernels are bit-identical down to the
+StorageCounters, so only the wall clock changes.
 
 Intentional sites (the dense ablation kernel, one-time construction)
 carry NOLINT(anneal-dense-rebuild) with a justification comment.""",

@@ -41,7 +41,10 @@ describe (the PR-2 counter-equivalence invariant, DESIGN.md §9).
 The rule flags any function under src/cim/ whose body reads weight cells
 (stored_[...] / current_[...]) or drives the adder tree
 (.shift_and_add(...) / tree_.reduce(...)) without touching a hardware
-counter (counters_, adder_ops_, reductions_).
+counter (counters_, adder_ops_, reductions_). No compiler or sanitizer
+can see a missing charge, because the computed values are the same
+either way; the counter-equivalence tests compare only the code paths
+that already exist.
 
 Genuine non-hardware accesses — debug accessors, golden-image installs,
 manufacturing-fault application — carry NOLINT(cim-counter-charge) with

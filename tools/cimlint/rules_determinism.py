@@ -42,9 +42,17 @@ graph, and reports any path from a root to a determinism-taint source:
   * thread identity as a value (std::this_thread::get_id, pthread_self);
   * unordered-container use (iteration order is unspecified and varies
     across libstdc++ versions and address-space layouts);
-  * non-deterministic RNG sources (std::random_device, rand/srand);
   * pointer values used as data (std::hash over pointers,
     reinterpret_cast to [u]intptr_t).
+
+RNG seeding is checked by rng-unproven-seed (every reachable seed must
+prove its lineage) and the per-file rng-* bans (std::random_device,
+rand/srand, time seeds, std::mt19937), not by this rule.
+
+No sanitizer reports any of these sources: ThreadSanitizer sees a
+wall-clock read or an unordered-container walk as race-free, and the
+thread-count bit-identity tests catch a taint only when it changes a
+result on the inputs they happen to run.
 
 The finding carries the witness call chain from the root to the source
 so the path can be audited by eye. Resolution is by name and therefore

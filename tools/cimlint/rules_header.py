@@ -17,7 +17,9 @@ _PRAGMA_ONCE = re.compile(r"^\s*#\s*pragma\s+once\b", re.MULTILINE)
     """A namespace-scope `using namespace` in a header changes name lookup
 in every translation unit that includes it, directly or transitively —
 overload resolution can silently change in unrelated code. Qualify names
-or use narrow using-declarations inside function bodies instead.""",
+or use narrow using-declarations inside function bodies instead. GCC
+has no warning for it; clang-tidy's google-build-using-namespace check
+runs only where clang-tidy is installed.""",
 )
 def _using_namespace(ctx: FileContext):
     if not ctx.is_header:
@@ -34,7 +36,9 @@ def _using_namespace(ctx: FileContext):
     """Every header must start with `#pragma once` so double inclusion is
 harmless. The repo standardises on the pragma (all supported compilers
 honour it) rather than include guards, whose names drift when files
-move.""",
+move. GCC does not warn about an unguarded header; a double include
+surfaces only as a redefinition error in the first TU that happens to
+include it twice.""",
 )
 def _pragma_once(ctx: FileContext):
     if not ctx.is_header:

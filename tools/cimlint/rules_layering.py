@@ -55,7 +55,9 @@ segment names a module outside the file's allowed list is a violation:
 upward or sideways includes create hidden coupling that makes the
 "refactor freely PR after PR" goal unsafe — e.g. the PPA models must
 keep consuming hw::HardwareActivity rather than reaching up into the
-annealer.
+annealer. No compiler checks include direction: an upward include
+compiles and links, and CMake's target links allow whatever the
+dependency chain happens to pull in.
 
 To legalise a new edge, add it to layers.toml in the same PR and justify
 it in the review; per-site NOLINT(layer-dag) is reserved for temporary

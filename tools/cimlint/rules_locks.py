@@ -47,7 +47,9 @@ deadlock that only reproduces under contention. Scoped guards make the
 critical section a lexical region: std::lock_guard for plain sections,
 std::unique_lock where a condition_variable needs to drop and reacquire,
 std::scoped_lock for multi-mutex acquisition with deadlock-free
-ordering.
+ordering. GCC has no warning for a missed unlock, and a sanitizer sees
+one only on a run that takes the forgotten exit path; a guard rules it
+out on every path.
 
 The guard types call .lock()/.unlock() internally, but user code never
 should. A site that genuinely needs manual control (e.g. handing a
@@ -78,7 +80,9 @@ CIM_GUARDED_BY(the_mutex) (and lock-order contracts on methods with
 CIM_REQUIRES / CIM_EXCLUDES) so the ownership is machine-readable:
 cimlint checks the annotations are present and well-formed on every
 compiler, and clang -Wthread-safety verifies them against actual lock
-sites when available (see src/util/thread_annotations.hpp).
+sites when available (see src/util/thread_annotations.hpp). Under GCC
+the annotations expand to nothing, so a missing one is invisible to the
+build, and ThreadSanitizer checks executions, not declarations.
 
 Scope: first-party runtime classes (src/). A mutex that truly guards
 nothing-by-design (e.g. one serialising an external C API) carries

@@ -32,7 +32,9 @@ _MT19937 = re.compile(r"\bmt19937(_64)?\b")
     """std::random_device pulls entropy from the OS, so two runs with the
 same configuration produce different numbers — which breaks the
 bit-reproducibility every benchmark comparison in this repo rests on
-(same seed → same tour, on every platform).
+(same seed → same tour, on every platform). No compiler or sanitizer
+flags it; a test catches it only by comparing two runs of the affected
+path.
 
 Thread seeds through the API instead: construct a cim::util::Rng from an
 explicit 64-bit seed, and derive per-component streams with
@@ -52,7 +54,9 @@ def _random_device(ctx: FileContext):
 may advance it behind your back, its algorithm differs across platforms,
 and srand() makes ordering between components significant. All three
 properties break reproducibility. Draw from a locally owned, explicitly
-seeded cim::util::Rng instead.""",
+seeded cim::util::Rng instead. GCC accepts rand() without a warning,
+and the determinism tests pass for as long as the call order happens
+to stay fixed.""",
 )
 def _libc_rand(ctx: FileContext):
     for m in _LIBC_RAND.finditer(ctx.code):
@@ -67,7 +71,9 @@ def _libc_rand(ctx: FileContext):
     """time(nullptr) as an entropy source means every run uses a different
 seed, so no experiment can be re-run bit-identically. Seeds are part of
 the experiment configuration in this repo: accept them on the command
-line / config struct and record them in reports.""",
+line / config struct and record them in reports. No compiler or
+sanitizer flags a time-based seed; a test notices only by comparing
+two runs made at different times.""",
 )
 def _time_seed(ctx: FileContext):
     for m in _TIME_SEED.finditer(ctx.code):
@@ -84,7 +90,8 @@ around it (uniform_int_distribution etc.) are implementation-defined —
 the same seed yields different sequences on libstdc++ and libc++. The
 repo's xoshiro256++ Rng with its own distribution code is identical
 everywhere. Only src/util/random.{hpp,cpp} may mention mt19937 (for
-comparison tests).""",
+comparison tests). The compiler cannot see the difference and the tests
+on one standard library pass; the sequences diverge only on another.""",
 )
 def _mt19937(ctx: FileContext):
     if PurePosixPath(ctx.rel) in RNG_ALLOWLIST:

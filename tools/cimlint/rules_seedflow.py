@@ -16,8 +16,9 @@ Boundary assumptions (stated in flowfacts.py): function parameters are
 trusted at entry — the call site is checked in its own enclosing
 function — and the derive functions propagate provenance through their
 first argument (the base; the second operand is a stream selector or
-mixing constant). det-taint still covers non-deterministic sources of
-any kind reaching a root through the same call graph.
+mixing constant). det-taint covers the other non-deterministic sources
+(clocks, thread ids, unordered containers, pointer hashing) through the
+same call graph.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ parameter (the boundary assumption — call sites are checked in their
 own functions), `Rng::fork()`, or one of util::stream_seed /
 util::hash_combine / util::splitmix64 applied to a proven base. The
 must-analysis join means a variable seeded on only one branch is not
-proven.
+proven. This proof is the only check that an RNG seed reachable from a
+CIM_DETERMINISM_ROOT comes from the config seed chain: det-taint does
+not look at RNG sources, and no compiler or sanitizer tracks where a
+seed came from.
 
 This rule then walks the name-resolved call graph from every
 CIM_DETERMINISM_ROOT and reports each RNG construction, `reseed()`

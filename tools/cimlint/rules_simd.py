@@ -39,7 +39,8 @@ oracle (DESIGN.md §9). An intrinsic compiles only on one ISA, so it
 forks the kernel into a variant that no portable build and no
 bit-identity test covers. No file is exempt: a kernel that needs data
 parallelism writes plain word-wide C++ (std::popcount and friends) and
-lets the compiler vectorize it.""",
+lets the compiler vectorize it. GCC accepts the intrinsic on the ISA it
+targets, so only a build for another ISA would notice.""",
 )
 def _simd_intrinsics_confined(ctx: FileContext):
     msg = "raw SIMD intrinsic; write the kernel in portable C++"

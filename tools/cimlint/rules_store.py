@@ -32,8 +32,11 @@ so a reader can tell truncation, bit rot and foreign-version files apart
 from data and degrade to a cold start instead of consuming garbage. A
 raw std::fread/std::fwrite call anywhere else creates a second, silent
 serialisation path with none of those guarantees — exactly the drift
-the format file exists to prevent. src/store/format.cpp itself is
-allowlisted as the single sanctioned implementation.
+the format file exists to prevent. No compiler or sanitizer tells a raw
+fwrite of internal state from any other write, and the record-format
+tests cover only the calls that go through the format.
+src/store/format.cpp itself is allowlisted as the single sanctioned
+implementation.
 
 Console output is not serialisation: fwrite to stdout/stderr (e.g. the
 table printer's bulk write) is exempt. Text-mode std::ifstream /

@@ -31,7 +31,10 @@ the public include graph, and make the set of emission sites impossible
 to audit from the implementation file. All shipped instrumentation sits
 in .cpp files; headers stay telemetry-free so consumers can include them
 without inheriting a dependency on the telemetry layer or its
-compile-time flavour (CIMANNEAL_TELEMETRY).
+compile-time flavour (CIMANNEAL_TELEMETRY). The compiler accepts the
+macros anywhere, so the build stays green; the cost shows only as
+slower compiles and as emission sites an audit of the .cpp files
+misses.
 
 src/util/telemetry.hpp itself — where the macros are defined — is
 allowlisted. A header-only template that genuinely must emit events

@@ -41,6 +41,9 @@ transposition compiles silently. Declare the quantity as
 util::Picojoule / util::Nanosecond / util::SquareMicron / util::Milliwatt
 (src/util/units.hpp) instead; conversions to raw doubles are explicit
 (.value(), .joules(), .seconds(), ...) and live at I/O boundaries only.
+The compiler accepts a pJ↔ns transposition between raw doubles; only the
+strong types turn it into an error, and this rule keeps headers on
+them.
 
 The rule scans headers because signatures are where unit contracts live;
 .cpp-local doubles are implementation detail.""",
@@ -66,6 +69,8 @@ def _raw_double(ctx: FileContext):
 side is the result of rounded arithmetic that can differ in the last ulp
 across compilers, optimisation levels and FMA contraction — and the
 repo's comparability argument rests on bit-stable behaviour everywhere.
+GCC's -Wfloat-equal would flag it, but neither -Wall nor -Wextra
+enables it, and the build does not turn it on.
 Compare against an explicit tolerance, restructure to integer/ordinal
 comparison, or — for genuine sentinel checks like `rate == 0.0` guarding
 a division — keep the comparison and justify it with
