@@ -538,10 +538,11 @@ void write_swap_kernel_report() {
 
 /// An annealer-shaped epoch workload: a bank of independent swap-kernel
 /// slots, each with its own persistent RNG stream. One epoch updates all
-/// slots on T tasks (task t takes slots t, t+T, …), exactly like the
-/// color-parallel phase of the clustered annealer. Because every slot's
-/// swap sequence is a pure function of its own RNG, the accumulated
-/// checksum is identical for any task count and any scheduling backend.
+/// slots on T tasks (task t takes slots t, t+T, …) — a per-epoch fan-out
+/// over independent slots, the shape of the annealer's write-back pass.
+/// Because every slot's swap sequence is a pure function of its own RNG,
+/// the accumulated checksum is identical for any task count and any
+/// scheduling backend.
 class EpochWorkload {
  public:
   EpochWorkload(std::size_t slots, std::uint32_t p, std::size_t swaps)
@@ -627,9 +628,9 @@ void write_parallel_runtime_report() {
     const double spawn_ns =
         spawn_timer.seconds() * 1e9 / static_cast<double>(kEpochs);
 
-    // The persistent pool, sized like color_threads=tasks. Constructed
-    // outside the timed loop — exactly how the annealer holds the shared
-    // pool across colors, epochs, and levels.
+    // A persistent pool of `tasks` workers. Constructed outside the timed
+    // loop — exactly how the annealer holds the shared pool across
+    // epochs and levels.
     cim::util::ThreadPool pool(tasks);
     const std::uint64_t created_before = pool.threads_created();
     cim::util::Timer pool_timer;

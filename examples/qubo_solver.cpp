@@ -7,8 +7,8 @@
 //   ./qubo_solver --jh tests/qubo_fixtures/chain4.jh --seed 3
 //       --sweeps 800 --strategy index-blocks --block 32 --warm-dir /tmp/ws
 //
-// --strategy picks the window-clustering hook (chromatic, index-blocks,
-// bfs-blocks, degree-major); --warm-dir enables the persistent spin
+// --strategy picks the window-clustering hook (chromatic or
+// index-blocks); --warm-dir enables the persistent spin
 // warm-start store, so a second run on the same instance starts from the
 // stored best assignment.
 #include <cstdio>
@@ -37,8 +37,7 @@ cim::core::SolverConfig make_config(const cim::util::Args& args) {
   const auto parsed = cim::ising::parse_group_strategy(strategy);
   if (!parsed) {
     throw cim::ConfigError("unknown --strategy '" + strategy +
-                           "' (chromatic, index-blocks, bfs-blocks, "
-                           "degree-major)");
+                           "' (chromatic, index-blocks)");
   }
   config.group_strategy = *parsed;
   return config;

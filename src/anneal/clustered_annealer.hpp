@@ -52,15 +52,6 @@ struct AnnealerConfig {
   /// bit-identical results and hardware counters, kept as the test oracle,
   /// the ablation and the swap-kernel micro-bench.
   bool sparse_swap_kernel = true;
-  /// >1 updates same-colour slots of each chromatic phase on up to this
-  /// many tasks of the persistent shared util::ThreadPool (no thread is
-  /// ever created inside the epoch loop). Deterministic for a given seed
-  /// and independent of the task/worker count (per-slot RNG streams
-  /// derived from the level seed), but the streams differ from the
-  /// single-threaded shared-stream sequence, so results match across
-  /// thread counts > 1, not with 1. Requires chromatic_parallel and
-  /// sparse_swap_kernel.
-  std::uint32_t color_threads = 1;
   /// Per-window swap ΔE cache (DESIGN.md §16): each slot keeps the 4-MAC
   /// energy delta of every order pair (i, j) stamped with the input-state
   /// generation it was computed under, so a repeated swap proposal from

@@ -3,8 +3,8 @@
 // Amorphica [25] and the PBM baseline [5] run multiple annealer replicas
 // and keep the best outcome; replicas map naturally onto this design
 // because each MB-scale chip region can anneal an independent copy. The
-// ensemble runs R independently seeded solves (optionally on host
-// threads) and reports the best tour plus the spread — the spread is also
+// ensemble runs R independently seeded solves (on the shared thread pool)
+// and reports the best tour plus the spread — the spread is also
 // a useful robustness metric for the stochastic hardware.
 #pragma once
 
@@ -17,14 +17,10 @@ namespace cim::anneal {
 
 struct EnsembleConfig {
   AnnealerConfig base;
+  /// Replicas > 1 run on the shared thread pool, at most its width in
+  /// flight; a single replica runs inline. Replica seeds derive from the
+  /// replica index alone, so the pool width never changes results.
   std::size_t replicas = 4;
-  bool use_threads = true;  ///< solve replicas on the shared thread pool
-  /// Maximum replicas in flight at once. 0 (default) caps at the shared
-  /// pool's width, so replicas ≫ cores queues instead of spawning one OS
-  /// thread per replica; 1 degenerates to a serial solve. Replica seeds
-  /// derive from the replica index alone, so the cap never changes
-  /// results.
-  std::size_t workers = 0;
 };
 
 struct EnsembleResult {

@@ -27,10 +27,8 @@ Reference compute_heuristic_reference(const tsp::Instance& instance,
                                 {.with_distances = true});
   TwoOptOptions two;
   two.neighbors = &nbrs;
-  two.scan_threads = options.threads;
   OrOptOptions oro;
   oro.neighbors = &nbrs;
-  oro.scan_threads = options.threads;
 
   long long length = ref.tour.length(instance);
   for (std::size_t round = 0; round < options.rounds; ++round) {

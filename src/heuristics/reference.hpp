@@ -18,13 +18,6 @@ namespace cim::heuristics {
 struct ReferenceOptions {
   std::size_t neighbor_k = 10;
   std::size_t rounds = 4;  ///< alternating 2-opt / Or-opt rounds
-  /// Forwarded to TwoOptOptions::scan_threads and
-  /// OrOptOptions::scan_threads. 1 (default) keeps the historical
-  /// sequential sweeps bit-identical; >1 runs the candidate-move scans on
-  /// the shared util::ThreadPool (deterministic, identical for every
-  /// value > 1, but a different — equally valid — local optimum than the
-  /// sequential pipeline).
-  std::size_t threads = 1;
 };
 
 struct Reference {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
 
 namespace cim::heuristics {
 
@@ -13,23 +12,6 @@ using tsp::CityId;
 using tsp::Instance;
 using tsp::NeighborLists;
 using tsp::Tour;
-
-namespace {
-
-/// Cities per parallel scan chunk — fixed, so chunk boundaries (and the
-/// scan result) never depend on the worker count.
-constexpr std::size_t kScanGrain = 64;
-
-/// One improving candidate found by the parallel scan: remove the edge
-/// leaving `a` in direction `dir`, reconnect through `b`. delta >= 0
-/// means "no move found for this city".
-struct CandMove {
-  CityId b = 0;
-  long long delta = 0;
-  std::uint8_t dir = 0;
-};
-
-}  // namespace
 
 TwoOptResult two_opt(const Instance& instance, Tour& tour,
                      const TwoOptOptions& options) {
@@ -85,140 +67,54 @@ TwoOptResult two_opt(const Instance& instance, Tour& tour,
     }
   };
 
-  if (options.scan_threads > 1) {
-    // Parallel candidate-move scan, serial deterministic apply: every
-    // pass evaluates all cities' candidate moves against the frozen tour
-    // snapshot on the shared pool (reads only; each city writes its own
-    // scan slot), then applies surviving moves in ascending city order,
-    // re-deriving each delta against the *current* tour so earlier
-    // applies invalidate later stale candidates. Chunking is index-fixed
-    // and the apply order is serial, so the outcome is identical for
-    // every scan_threads > 1 and every pool width.
-    std::vector<CandMove> scan(n);
-    bool any_improved = true;
-    while (any_improved && result.passes < options.max_passes) {
-      any_improved = false;
-      ++result.passes;
+  bool any_improved = true;
+  while (any_improved && result.passes < options.max_passes) {
+    any_improved = false;
+    ++result.passes;
+    for (CityId a = 0; a < n; ++a) {
+      if (dont_look[a]) continue;
+      bool improved_here = false;
 
-      util::parallel_for_chunks(
-          n, kScanGrain, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c) {
-              const CityId a = static_cast<CityId>(c);
-              scan[c] = CandMove{};  // clear stale candidates
-              if (dont_look[c]) continue;
-              for (std::uint8_t dir = 0; dir < 2; ++dir) {
-                const std::size_t pa = pos[a];
-                const std::size_t pa_next =
-                    dir == 0 ? (pa + 1) % n : (pa + n - 1) % n;
-                const CityId a_next = order[pa_next];
-                const long long d_a = instance.distance(a, a_next);
-                const auto cands = nbrs->of(a);
-                const auto cand_d = nbrs->dist_of(a);
-                for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-                  const CityId b = cands[ci];
-                  const long long d_ab =
-                      cand_d.empty() ? instance.distance(a, b) : cand_d[ci];
-                  if (d_ab >= d_a) break;  // candidates sorted by distance
-                  const std::size_t pb = pos[b];
-                  const std::size_t pb_next =
-                      dir == 0 ? (pb + 1) % n : (pb + n - 1) % n;
-                  const CityId b_next = order[pb_next];
-                  if (b == a_next || b_next == a) continue;
-                  const long long delta =
-                      d_ab + instance.distance(a_next, b_next) - d_a -
-                      instance.distance(b, b_next);
-                  if (delta < scan[c].delta) {
-                    scan[c] = CandMove{b, delta, dir};
-                  }
-                }
-              }
-              if (scan[c].delta >= 0) dont_look[c] = 1;
-            }
-          });
-
-      for (std::size_t c = 0; c < n; ++c) {
-        if (scan[c].delta >= 0) continue;
-        // Revalidate against the current tour: earlier applies this pass
-        // may have moved either endpoint.
-        const CityId a = static_cast<CityId>(c);
-        const CityId b = scan[c].b;
-        const std::uint8_t dir = scan[c].dir;
+      // Consider a as the left endpoint of a removed edge, in both tour
+      // directions.
+      for (int dir = 0; dir < 2 && !improved_here; ++dir) {
         const std::size_t pa = pos[a];
-        const std::size_t pa_next =
-            dir == 0 ? (pa + 1) % n : (pa + n - 1) % n;
+        const std::size_t pa_next = dir == 0 ? (pa + 1) % n
+                                             : (pa + n - 1) % n;
         const CityId a_next = order[pa_next];
-        const std::size_t pb = pos[b];
-        const std::size_t pb_next =
-            dir == 0 ? (pb + 1) % n : (pb + n - 1) % n;
-        const CityId b_next = order[pb_next];
-        if (b == a_next || b_next == a) continue;
-        const long long delta = instance.distance(a, b) +
-                                instance.distance(a_next, b_next) -
-                                instance.distance(a, a_next) -
-                                instance.distance(b, b_next);
-        if (delta >= 0) continue;
-        // Normalise to forward orientation for apply_move.
-        std::size_t i = dir == 0 ? pa : pa_next;
-        std::size_t j = dir == 0 ? pb : pb_next;
-        if (i > j) std::swap(i, j);
-        apply_move(i, j);
-        result.final_length += delta;
-        ++result.improvements;
-        dont_look[a] = dont_look[a_next] = 0;
-        dont_look[b] = dont_look[b_next] = 0;
-        any_improved = true;
-      }
-    }
-  } else {
-    bool any_improved = true;
-    while (any_improved && result.passes < options.max_passes) {
-      any_improved = false;
-      ++result.passes;
-      for (CityId a = 0; a < n; ++a) {
-        if (dont_look[a]) continue;
-        bool improved_here = false;
+        const long long d_a = instance.distance(a, a_next);
 
-        // Consider a as the left endpoint of a removed edge, in both tour
-        // directions.
-        for (int dir = 0; dir < 2 && !improved_here; ++dir) {
-          const std::size_t pa = pos[a];
-          const std::size_t pa_next = dir == 0 ? (pa + 1) % n
-                                               : (pa + n - 1) % n;
-          const CityId a_next = order[pa_next];
-          const long long d_a = instance.distance(a, a_next);
-
-          const auto cands = nbrs->of(a);
-          const auto cand_d = nbrs->dist_of(a);
-          for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-            const CityId b = cands[ci];
-            const long long d_ab =
-                cand_d.empty() ? instance.distance(a, b) : cand_d[ci];
-            if (d_ab >= d_a) break;  // candidates sorted by distance
-            const std::size_t pb = pos[b];
-            const std::size_t pb_next = dir == 0 ? (pb + 1) % n
-                                                 : (pb + n - 1) % n;
-            const CityId b_next = order[pb_next];
-            if (b == a_next || b_next == a) continue;
-            const long long delta = d_ab + instance.distance(a_next, b_next) -
-                                    d_a - instance.distance(b, b_next);
-            if (delta < 0) {
-              // Normalise to forward orientation for apply_move.
-              std::size_t i = dir == 0 ? pa : pa_next;
-              std::size_t j = dir == 0 ? pb : pb_next;
-              if (i > j) std::swap(i, j);
-              apply_move(i, j);
-              result.final_length += delta;
-              ++result.improvements;
-              dont_look[a] = dont_look[a_next] = 0;
-              dont_look[b] = dont_look[b_next] = 0;
-              improved_here = true;
-              any_improved = true;
-              break;
-            }
+        const auto cands = nbrs->of(a);
+        const auto cand_d = nbrs->dist_of(a);
+        for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+          const CityId b = cands[ci];
+          const long long d_ab =
+              cand_d.empty() ? instance.distance(a, b) : cand_d[ci];
+          if (d_ab >= d_a) break;  // candidates sorted by distance
+          const std::size_t pb = pos[b];
+          const std::size_t pb_next = dir == 0 ? (pb + 1) % n
+                                               : (pb + n - 1) % n;
+          const CityId b_next = order[pb_next];
+          if (b == a_next || b_next == a) continue;
+          const long long delta = d_ab + instance.distance(a_next, b_next) -
+                                  d_a - instance.distance(b, b_next);
+          if (delta < 0) {
+            // Normalise to forward orientation for apply_move.
+            std::size_t i = dir == 0 ? pa : pa_next;
+            std::size_t j = dir == 0 ? pb : pb_next;
+            if (i > j) std::swap(i, j);
+            apply_move(i, j);
+            result.final_length += delta;
+            ++result.improvements;
+            dont_look[a] = dont_look[a_next] = 0;
+            dont_look[b] = dont_look[b_next] = 0;
+            improved_here = true;
+            any_improved = true;
+            break;
           }
         }
-        if (!improved_here) dont_look[a] = 1;
       }
+      if (!improved_here) dont_look[a] = 1;
     }
   }
 

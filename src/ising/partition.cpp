@@ -64,43 +64,6 @@ Partition chunked(std::vector<SpinIndex> order, std::uint32_t block,
   return partition;
 }
 
-Partition bfs_blocks(const GenericModel& model, std::uint32_t block) {
-  const auto adj = adjacency(model);
-  const std::size_t n = model.size();
-  std::vector<SpinIndex> order;
-  order.reserve(n);
-  std::vector<char> seen(n, 0);
-  std::vector<SpinIndex> queue;
-  for (SpinIndex root = 0; root < n; ++root) {
-    if (seen[root]) continue;
-    seen[root] = 1;
-    queue.clear();
-    queue.push_back(root);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const SpinIndex v = queue[head];
-      order.push_back(v);
-      for (const SpinIndex u : adj[v]) {
-        if (!seen[u]) {
-          seen[u] = 1;
-          queue.push_back(u);
-        }
-      }
-    }
-  }
-  return chunked(std::move(order), block, GroupStrategy::kBfsBlocks);
-}
-
-Partition degree_major(const GenericModel& model, std::uint32_t block) {
-  const auto adj = adjacency(model);
-  std::vector<SpinIndex> order(model.size());
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(),
-                   [&adj](SpinIndex x, SpinIndex y) {
-                     return adj[x].size() > adj[y].size();
-                   });
-  return chunked(std::move(order), block, GroupStrategy::kDegreeMajor);
-}
-
 }  // namespace
 
 Partition build_partition(const GenericModel& model, GroupStrategy strategy,
@@ -114,10 +77,6 @@ Partition build_partition(const GenericModel& model, GroupStrategy strategy,
       std::iota(order.begin(), order.end(), 0U);
       return chunked(std::move(order), block, GroupStrategy::kIndexBlocks);
     }
-    case GroupStrategy::kBfsBlocks:
-      return bfs_blocks(model, block);
-    case GroupStrategy::kDegreeMajor:
-      return degree_major(model, block);
   }
   throw ConfigError("unknown group strategy");
 }
@@ -128,10 +87,6 @@ const char* group_strategy_name(GroupStrategy strategy) {
       return "chromatic";
     case GroupStrategy::kIndexBlocks:
       return "index-blocks";
-    case GroupStrategy::kBfsBlocks:
-      return "bfs-blocks";
-    case GroupStrategy::kDegreeMajor:
-      return "degree-major";
   }
   return "unknown";
 }
@@ -144,8 +99,7 @@ std::optional<GroupStrategy> parse_group_strategy(const std::string& name) {
 }
 
 std::vector<GroupStrategy> all_group_strategies() {
-  return {GroupStrategy::kChromatic, GroupStrategy::kIndexBlocks,
-          GroupStrategy::kBfsBlocks, GroupStrategy::kDegreeMajor};
+  return {GroupStrategy::kChromatic, GroupStrategy::kIndexBlocks};
 }
 
 }  // namespace cim::ising

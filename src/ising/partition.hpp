@@ -3,21 +3,16 @@
 // The clustered-window annealer updates spins group by group; each group
 // becomes one weight window (a column block of the coupling matrix) in
 // SRAM. The grouping is a quality/parallelism trade the TAXI line of
-// work benchmarks explicitly, so it is a first-class strategy hook here:
+// work benchmarks explicitly, so it is a strategy hook here:
 //
 //   kChromatic    greedy colouring of the interaction graph — groups are
 //                 independent sets, so all members of a group update in
 //                 one hardware cycle (the paper's parallel update).
 //   kIndexBlocks  fixed-width index blocks — the no-information baseline.
-//   kBfsBlocks    breadth-first traversal chunked into blocks — graph-
-//                 locality clusters in the TAXI hierarchical spirit:
-//                 coupled spins tend to share a window.
-//   kDegreeMajor  spins ordered by descending degree, then chunked —
-//                 hub-first update order.
 //
 // Only kChromatic's groups are mutually non-interacting; the annealer
-// charges one update cycle per member for the other strategies
-// (sequential within a window).
+// charges one update cycle per member for kIndexBlocks (sequential within
+// a window).
 #pragma once
 
 #include <cstdint>
@@ -33,8 +28,6 @@ namespace cim::ising {
 enum class GroupStrategy {
   kChromatic,
   kIndexBlocks,
-  kBfsBlocks,
-  kDegreeMajor,
 };
 
 /// A partition of [0, n) into ordered groups; the annealer processes
@@ -51,7 +44,7 @@ struct Partition {
 };
 
 /// Builds the partition for `model`. `block` bounds the group width of
-/// the blocked strategies (must be >= 1; ignored by kChromatic).
+/// kIndexBlocks (must be >= 1; ignored by kChromatic).
 /// Deterministic: depends only on the model and the arguments.
 Partition build_partition(const GenericModel& model, GroupStrategy strategy,
                           std::uint32_t block = 64);

@@ -36,8 +36,8 @@ constexpr std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
 /// Seed of the `stream`-th independent parallel RNG stream derived from
 /// `base`. Unlike Rng::fork() this is stateless: the mapping depends only
 /// on (base, stream), so components that are updated concurrently (e.g.
-/// same-colour slots in the colour-parallel annealer) get the same stream
-/// regardless of worker count or execution order.
+/// independent restarts on a pool) get the same stream regardless of
+/// worker count or execution order.
 constexpr std::uint64_t stream_seed(std::uint64_t base, std::uint64_t stream) {
   return hash_combine(base, hash_combine(0x5EED57EEAA11ULL, stream));
 }

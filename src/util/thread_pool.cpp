@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <utility>
 
@@ -197,8 +198,12 @@ void ThreadPool::run(std::size_t count,
 std::size_t ThreadPool::parse_width(const char* text) {
   if (text == nullptr || *text == '\0') return 0;
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value <= 0) return 0;
+  if (end == text || *end != '\0' || errno == ERANGE || value <= 0 ||
+      static_cast<unsigned long>(value) > kMaxWidth) {
+    return 0;
+  }
   return static_cast<std::size_t>(value);
 }
 

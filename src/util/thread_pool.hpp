@@ -1,8 +1,8 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
-// threaded site in the repo runs on (colour-parallel swap kernel, replica
-// ensembles, k-NN candidate-list construction, the reference pipeline's
-// move scans, the pseudo-read write-back across slots and weight chunks,
-// and the per-write preferred-bit mask build over the same chunks).
+// threaded site in the repo runs on (replica ensembles, k-NN
+// candidate-list construction, the pseudo-read write-back across slots and
+// weight chunks, and the per-write preferred-bit mask build over the same
+// chunks).
 //
 // Why a pool: the annealer's epoch loop used to spawn and join
 // std::threads per colour per epoch, so the per-swap wins of the sparse
@@ -94,13 +94,19 @@ class ThreadPool {
   /// output deterministic (DESIGN.md §12).
   static std::size_t current_worker_index();
 
+  /// Largest CIMANNEAL_THREADS value parse_width() accepts; anything
+  /// above is treated as malformed rather than as a request for that many
+  /// OS threads.
+  static constexpr std::size_t kMaxWidth = 1024;
+
   /// Width of the shared pool: the CIMANNEAL_THREADS environment
-  /// variable when set to a positive integer, else the hardware
+  /// variable when set to an integer in [1, kMaxWidth], else the hardware
   /// concurrency (min 1).
   static std::size_t default_width();
 
   /// Parses a CIMANNEAL_THREADS-style override; nullopt-like 0 for
-  /// unset/invalid/non-positive values. Exposed for tests.
+  /// unset/invalid/non-positive/out-of-range values (including strtol
+  /// overflow and anything above kMaxWidth). Exposed for tests.
   static std::size_t parse_width(const char* text);
 
  private:

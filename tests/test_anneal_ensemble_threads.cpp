@@ -14,17 +14,16 @@
 
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace cim::anneal {
 namespace {
 
-EnsembleConfig small_config(std::uint64_t seed, std::size_t replicas,
-                            bool use_threads) {
+EnsembleConfig small_config(std::uint64_t seed, std::size_t replicas) {
   EnsembleConfig config;
   config.base.clustering.p = 3;
   config.base.seed = seed;
   config.replicas = replicas;
-  config.use_threads = use_threads;
   return config;
 }
 
@@ -62,33 +61,35 @@ class BestSink {
 
 TEST(EnsembleThreads, IdenticalSeedsIdenticalResultsAcrossThreadCounts) {
   const auto inst = test::random_instance(120, 7);
-  // The same seeded ensemble solved sequentially and threaded must agree
-  // exactly; so must repeated threaded runs (no scheduling leakage).
-  const auto sequential =
-      ReplicaEnsemble(small_config(42, 4, false)).solve(inst);
-  const auto threaded =
-      ReplicaEnsemble(small_config(42, 4, true)).solve(inst);
-  const auto threaded_again =
-      ReplicaEnsemble(small_config(42, 4, true)).solve(inst);
+  // Repeated pooled runs of the same seeded ensemble must agree exactly
+  // (no scheduling leakage), and the best replica must be the same tour
+  // a direct solve with its derived seed gives. The pool-width sweep is
+  // the anneal_ensemble_threads_{1,2,8} rerun of test_anneal_ensemble.
+  const EnsembleConfig config = small_config(42, 4);
+  const auto threaded = ReplicaEnsemble(config).solve(inst);
+  const auto threaded_again = ReplicaEnsemble(config).solve(inst);
 
-  EXPECT_EQ(sequential.replica_lengths, threaded.replica_lengths);
-  EXPECT_EQ(sequential.best.length, threaded.best.length);
-  EXPECT_EQ(sequential.best_replica, threaded.best_replica);
-  EXPECT_EQ(sequential.best.tour, threaded.best.tour);
   EXPECT_EQ(threaded.replica_lengths, threaded_again.replica_lengths);
+  EXPECT_EQ(threaded.best_replica, threaded_again.best_replica);
   EXPECT_EQ(threaded.best.tour, threaded_again.best.tour);
+
+  AnnealerConfig best = config.base;
+  best.seed =
+      util::hash_combine(config.base.seed, 0xE5E + threaded.best_replica);
+  const auto direct = ClusteredAnnealer(best).solve(inst);
+  EXPECT_EQ(threaded.best.length, direct.length);
+  EXPECT_EQ(threaded.best.tour, direct.tour);
 }
 
 TEST(EnsembleThreads, ConcurrentEnsemblesSharedSink) {
   const auto inst = test::random_instance(100, 11);
   constexpr std::size_t kConcurrent = 4;
 
-  // Reference: each seeded ensemble solved alone, sequentially.
+  // Reference: each seeded ensemble solved alone, one after another.
   std::vector<EnsembleResult> expected;
   expected.reserve(kConcurrent);
   for (std::size_t s = 0; s < kConcurrent; ++s) {
-    expected.push_back(
-        ReplicaEnsemble(small_config(100 + s, 3, false)).solve(inst));
+    expected.push_back(ReplicaEnsemble(small_config(100 + s, 3)).solve(inst));
   }
 
   // Same ensembles, all racing at once (threaded replicas inside threaded
@@ -103,7 +104,7 @@ TEST(EnsembleThreads, ConcurrentEnsemblesSharedSink) {
     drivers.reserve(kConcurrent);
     for (std::size_t s = 0; s < kConcurrent; ++s) {
       drivers.emplace_back([&inst, &sink, &concurrent, s] {
-        const ReplicaEnsemble ensemble(small_config(100 + s, 3, true));
+        const ReplicaEnsemble ensemble(small_config(100 + s, 3));
         concurrent[s] = ensemble.solve(inst);
         sink.offer(concurrent[s]);
       });
@@ -128,7 +129,7 @@ TEST(EnsembleThreads, ReplicaFailurePropagatesAndJoins) {
   // throw *inside its worker thread*; the ensemble must join all workers
   // and rethrow on the calling thread instead of std::terminate-ing.
   const auto inst = test::random_instance(60, 13);
-  auto config = small_config(5, 3, true);
+  auto config = small_config(5, 3);
   config.base.weight_bits = 0;
   const ReplicaEnsemble ensemble(config);
   EXPECT_THROW(ensemble.solve(inst), ConfigError);

@@ -161,7 +161,7 @@ TEST(GenericAnnealer, MemoMatchesScalarExactly) {
   // each strategy: identical spins, energies, flips, trace and counters.
   const auto model = random_model(70, 0xA004);
   for (const auto strategy :
-       {ising::GroupStrategy::kChromatic, ising::GroupStrategy::kBfsBlocks}) {
+       {ising::GroupStrategy::kChromatic, ising::GroupStrategy::kIndexBlocks}) {
     SCOPED_TRACE(ising::group_strategy_name(strategy));
     auto config = base_config();
     config.strategy = strategy;
@@ -192,7 +192,7 @@ TEST(GenericAnnealer, MemoMatchesRecomputeOnHardCases) {
   // The incremental fields against the column-MAC oracle where they are
   // easiest to get wrong, each compared on every counter: hard-stuck
   // cells; windows of 151 × 128 ≥ 16 384 weights, so the write-back runs
-  // chunked on the shared pool (with the bias row); BFS blocks, whose
+  // chunked on the shared pool (with the bias row); index blocks, whose
   // groups are not independent sets; and the LFSR Metropolis path.
   struct Case {
     const char* name;
@@ -206,7 +206,7 @@ TEST(GenericAnnealer, MemoMatchesRecomputeOnHardCases) {
              NoiseMode::kSramWeight, 0.02},
         Case{"chunked", 150, ising::GroupStrategy::kIndexBlocks,
              NoiseMode::kSramWeight, 0.0},
-        Case{"bfs", 70, ising::GroupStrategy::kBfsBlocks,
+        Case{"blocked", 70, ising::GroupStrategy::kIndexBlocks,
              NoiseMode::kSramWeight, 0.0},
         Case{"lfsr", 70, ising::GroupStrategy::kChromatic, NoiseMode::kLfsr,
              0.0}}) {

@@ -1,14 +1,11 @@
 // The sparse incremental swap kernel must be a pure optimisation: for
 // every noise mode and backend it has to reproduce the dense
 // rebuild-and-scan kernel bit for bit — same tours, same hardware
-// counters (which model hardware row reads, not simulator work). The
-// colour-parallel mode has its own contract: deterministic for a given
-// seed and independent of the thread count (> 1).
+// counters (which model hardware row reads, not simulator work).
 #include <gtest/gtest.h>
 
 #include "anneal/clustered_annealer.hpp"
 #include "test_helpers.hpp"
-#include "util/error.hpp"
 
 namespace cim::anneal {
 namespace {
@@ -88,47 +85,6 @@ TEST(SwapKernel, SequentialGibbsAlsoEquivalent) {
   expect_identical(sparse, dense, "sequential");
 }
 
-TEST(SwapKernel, ColorThreadsIndependentOfThreadCount) {
-  // Per-slot RNG streams make the result a function of the seed alone:
-  // any thread count > 1 must produce the same tour and counters.
-  const auto inst = test::random_instance(150, 31);
-  AnnealerConfig config = base_config(4, 11);
-  config.color_threads = 2;
-  const auto two = ClusteredAnnealer(config).solve(inst);
-  config.color_threads = 3;
-  const auto three = ClusteredAnnealer(config).solve(inst);
-  config.color_threads = 8;
-  const auto eight = ClusteredAnnealer(config).solve(inst);
-  expect_identical(two, three, "2 vs 3 threads");
-  expect_identical(two, eight, "2 vs 8 threads");
-  EXPECT_TRUE(two.tour.is_valid(150));
-}
-
-TEST(SwapKernel, ColorThreadsDeterministicAcrossRuns) {
-  const auto inst = test::random_instance(120, 37);
-  AnnealerConfig config = base_config(3, 13);
-  config.color_threads = 4;
-  const auto a = ClusteredAnnealer(config).solve(inst);
-  const auto b = ClusteredAnnealer(config).solve(inst);
-  expect_identical(a, b, "repeat run");
-}
-
-TEST(SwapKernel, ColorParallelStress) {
-  // Larger ring with every noise mode's hot path exercised under
-  // threads; primarily a tsan target (scripts/ci.sh runs the suite under
-  // the tsan preset).
-  for (const NoiseMode mode :
-       {NoiseMode::kSramWeight, NoiseMode::kSramSpin, NoiseMode::kLfsr}) {
-    const auto inst = test::random_instance(300, 41);
-    AnnealerConfig config = base_config(4, 19);
-    config.noise = mode;
-    config.color_threads = 4;
-    config.schedule.total_iterations = 40;
-    const auto result = ClusteredAnnealer(config).solve(inst);
-    EXPECT_TRUE(result.tour.is_valid(300));
-  }
-}
-
 std::size_t total_memo_hits(const AnnealResult& r) {
   std::size_t total = 0;
   for (const auto& level : r.levels) total += level.memo_hits;
@@ -185,24 +141,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          NoiseMode::kLfsr),
                        ::testing::Values(BackendKind::kFast,
                                          BackendKind::kBitLevel)));
-
-TEST(SwapKernel, MemoMatchesRecomputeUnderColorThreads) {
-  // Memo state is per-slot and slots are partitioned across colour
-  // workers, so the memo must not perturb the thread-count-independence
-  // contract.
-  const auto inst = test::random_instance(150, 31);
-  AnnealerConfig config = base_config(4, 11);
-  config.color_threads = 4;
-  config.memoize_partial_sums = true;
-  const auto memo = ClusteredAnnealer(config).solve(inst);
-  config.memoize_partial_sums = false;
-  const auto recompute = ClusteredAnnealer(config).solve(inst);
-  expect_identical(memo, recompute, "memo vs recompute under threads");
-  config.memoize_partial_sums = true;
-  config.color_threads = 8;
-  const auto memo8 = ClusteredAnnealer(config).solve(inst);
-  expect_identical(memo, memo8, "memo 4 vs 8 threads");
-}
 
 TEST(SwapKernel, MemoOnCorruptedWeightGrids) {
   // Structured (grid) instances under heavy weight corruption: long
@@ -296,20 +234,6 @@ TEST(SwapKernel, MemoMatchesRecomputeOnSingleSlotRing) {
 
 TEST(SwapKernel, MemoMatchesRecomputeOnTwoSlotRing) {
   expect_memo_matches_on_small_ring(6, 2);
-}
-
-TEST(SwapKernel, ConfigValidation) {
-  AnnealerConfig config = base_config(3, 1);
-  config.color_threads = 0;
-  EXPECT_THROW(ClusteredAnnealer{config}, ConfigError);
-  config.color_threads = 2;
-  config.chromatic_parallel = false;
-  EXPECT_THROW(ClusteredAnnealer{config}, ConfigError);
-  config.chromatic_parallel = true;
-  config.sparse_swap_kernel = false;
-  EXPECT_THROW(ClusteredAnnealer{config}, ConfigError);
-  config.sparse_swap_kernel = true;
-  EXPECT_NO_THROW(ClusteredAnnealer{config});
 }
 
 }  // namespace

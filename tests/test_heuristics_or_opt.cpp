@@ -21,43 +21,6 @@ TEST(OrOpt, NeverWorsensAndStaysValid) {
   }
 }
 
-// The parallel scan must produce the exact same tour for every
-// scan_threads > 1: index-fixed chunking plus serial in-order apply keep
-// the pool width out of the result.
-TEST(OrOpt, ParallelScanIdenticalAcrossThreadCounts) {
-  const auto inst = test::random_instance(400, 91);
-  const auto base = random_tour(inst, 5);
-  const auto run_with = [&](std::size_t threads) {
-    auto tour = base;
-    OrOptOptions opt;
-    opt.scan_threads = threads;
-    const auto result = or_opt(inst, tour, opt);
-    EXPECT_EQ(result.final_length, tour.length(inst));
-    EXPECT_TRUE(tour.is_valid(inst.size()));
-    return tour;
-  };
-  const auto t2 = run_with(2);
-  const auto t3 = run_with(3);
-  const auto t8 = run_with(8);
-  EXPECT_EQ(t2, t3);
-  EXPECT_EQ(t2, t8);
-  EXPECT_LT(t2.length(inst), base.length(inst));
-}
-
-TEST(OrOpt, ParallelScanNeverWorsensAndStaysValid) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const auto inst = test::random_instance(150, 170 + seed);
-    auto tour = random_tour(inst, seed);
-    const long long before = tour.length(inst);
-    OrOptOptions opt;
-    opt.scan_threads = 4;
-    const auto result = or_opt(inst, tour, opt);
-    EXPECT_LE(result.final_length, before);
-    EXPECT_EQ(result.final_length, tour.length(inst));
-    EXPECT_TRUE(tour.is_valid(150));
-  }
-}
-
 TEST(OrOpt, ImprovesTwoOptLocalOptima) {
   // Or-opt moves are outside the 2-opt neighbourhood; over several seeds
   // it should find at least one further improvement.

@@ -3,15 +3,9 @@
 // "anneal.epoch" counter events (energy bits + swap/accept/noise counts)
 // are folded into one fingerprint that is pinned here. The fingerprint
 // must be bit-identical across CIMANNEAL_THREADS (the CMake registration
-// reruns this binary under 1, 2 and 8) and across the pool-vs-serial
-// execution paths, because every epoch event is emitted by the
-// coordinating thread in program order — the pool schedules slot updates
-// but never reorders the canonical event stream.
-//
-// Two constants, not one: color_threads == 1 anneals same-colour slots on
-// one shared RNG stream, color_threads > 1 on per-slot streams — by
-// design these are two different (each internally deterministic)
-// trajectories (clustered_annealer.hpp).
+// reruns this binary under 1, 2 and 8), because every epoch event is
+// emitted by the solving thread in program order — the pool runs the
+// write-backs but never reorders the canonical event stream.
 #include <bit>
 #include <cstdint>
 #include <map>
@@ -32,19 +26,17 @@ namespace {
 
 namespace telemetry = util::telemetry;
 
-// Pinned fingerprints for generate_drill_grid(120, 5), p = 3, seed = 9.
+// Pinned fingerprint for generate_drill_grid(120, 5), p = 3, seed = 9.
 // If an intentional change to the annealer or the epoch-event schema
-// moves these, rerun the test once and update the constants — but an
+// moves it, rerun the test once and update the constant — but an
 // unintentional move is exactly the regression this harness exists to
 // catch.
 constexpr std::uint64_t kSerialGolden = 1951260180603196579ULL;
-constexpr std::uint64_t kParallelGolden = 7438773455538212720ULL;
 
-AnnealerConfig config_with(std::uint32_t color_threads) {
+AnnealerConfig golden_config() {
   AnnealerConfig config;
   config.clustering.p = 3;
   config.seed = 9;
-  config.color_threads = color_threads;
   return config;
 }
 
@@ -73,21 +65,20 @@ std::uint64_t solve_fingerprint(const AnnealerConfig& config) {
   return h;
 }
 
-/// The annealer's monotonic counters after one solve on a clean registry.
-std::map<std::string, std::uint64_t> solve_counters(
-    const EnsembleConfig& config) {
-  const auto inst = golden_instance();
+/// The annealer's and the storage's monotonic counters after `solve`
+/// ran on a clean registry.
+template <typename Solve>
+std::map<std::string, std::uint64_t> counters_after(Solve&& solve) {
   telemetry::Registry& telem = telemetry::Registry::global();
   telem.reset();
-  ReplicaEnsemble(config).solve(inst);
+  solve();
   std::map<std::string, std::uint64_t> counters;
   for (const char* name :
        {"anneal.swaps_attempted", "anneal.swaps_accepted",
         "anneal.uphill_accepted", "anneal.settle_cache_hits",
         "anneal.settle_cache_refreshes", "anneal.noise_draws",
         "anneal.update_cycles", "anneal.levels_solved", "anneal.solves",
-        "ensemble.replicas_solved", "cim.storage.macs",
-        "cim.storage.writeback_bits"}) {
+        "cim.storage.macs", "cim.storage.writeback_bits"}) {
     counters[name] = telem.counter(name).value();
   }
   EXPECT_GT(counters["anneal.swaps_attempted"], 0u);
@@ -96,34 +87,37 @@ std::map<std::string, std::uint64_t> solve_counters(
 }
 
 TEST(TelemetryGolden, SerialTrajectoryMatchesPinnedFingerprint) {
-  const std::uint64_t first = solve_fingerprint(config_with(1));
+  const std::uint64_t first = solve_fingerprint(golden_config());
   EXPECT_EQ(first, kSerialGolden);
   // And it is a property of the seed, not of registry or process state.
-  EXPECT_EQ(solve_fingerprint(config_with(1)), kSerialGolden);
-}
-
-TEST(TelemetryGolden, ParallelTrajectoryIndependentOfTaskCount) {
-  // Any task count > 1 must produce the same canonical event stream:
-  // per-slot RNG streams + coordinator-only emission. The binary itself
-  // is additionally rerun under CIMANNEAL_THREADS = 1, 2 and 8 (see
-  // tests/CMakeLists.txt), so the same constant also pins independence
-  // from the shared pool's worker count.
-  EXPECT_EQ(solve_fingerprint(config_with(2)), kParallelGolden);
-  EXPECT_EQ(solve_fingerprint(config_with(4)), kParallelGolden);
-  EXPECT_EQ(solve_fingerprint(config_with(8)), kParallelGolden);
+  EXPECT_EQ(solve_fingerprint(golden_config()), kSerialGolden);
 }
 
 TEST(TelemetryGolden, EnsembleCountersAgreePoolVsSerial) {
   // Replica events race into per-worker sinks (their order is not part
   // of the contract) but the monotonic counters are order-independent
-  // sums, so threaded and serial ensembles must agree exactly.
-  EnsembleConfig serial;
-  serial.base = config_with(1);
-  serial.replicas = 3;
-  serial.use_threads = false;
-  EnsembleConfig threaded = serial;
-  threaded.use_threads = true;
-  EXPECT_EQ(solve_counters(serial), solve_counters(threaded));
+  // sums, so a pooled ensemble must agree exactly with its replicas
+  // solved one after another on this thread.
+  const auto inst = golden_instance();
+  EnsembleConfig ensemble;
+  ensemble.base = golden_config();
+  ensemble.replicas = 3;
+  std::uint64_t replicas_solved = 0;
+  const auto pooled = counters_after([&] {
+    ReplicaEnsemble(ensemble).solve(inst);
+    replicas_solved = telemetry::Registry::global()
+                          .counter("ensemble.replicas_solved")
+                          .value();
+  });
+  EXPECT_EQ(replicas_solved, ensemble.replicas);
+  const auto serial = counters_after([&] {
+    for (std::size_t r = 0; r < ensemble.replicas; ++r) {
+      AnnealerConfig config = ensemble.base;
+      config.seed = util::hash_combine(ensemble.base.seed, 0xE5E + r);
+      ClusteredAnnealer(config).solve(inst);
+    }
+  });
+  EXPECT_EQ(pooled, serial);
 }
 
 #else  // !CIMANNEAL_TELEMETRY_ENABLED

@@ -124,6 +124,12 @@ TEST(ThreadPool, ParseWidth) {
   EXPECT_EQ(ThreadPool::parse_width("8x"), 0U);
   EXPECT_EQ(ThreadPool::parse_width("5"), 5U);
   EXPECT_EQ(ThreadPool::parse_width("64"), 64U);
+  // Above the ceiling or past strtol's range: malformed, like "8x". Only
+  // parsed here — no pool of such a width is ever constructed.
+  EXPECT_EQ(ThreadPool::parse_width("1024"), ThreadPool::kMaxWidth);
+  EXPECT_EQ(ThreadPool::parse_width("1025"), 0U);
+  EXPECT_EQ(ThreadPool::parse_width("100000"), 0U);
+  EXPECT_EQ(ThreadPool::parse_width("99999999999999999999"), 0U);
 }
 
 TEST(ParallelFor, ChunkCountIsPure) {
