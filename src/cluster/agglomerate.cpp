@@ -58,7 +58,7 @@ struct Group {
 std::vector<std::vector<std::uint32_t>> group_agglomerative(
     const std::vector<geo::Point>& points,
     const std::vector<std::uint32_t>& weights, std::size_t target_count,
-    std::size_t max_size, util::Rng& rng) {
+    std::size_t max_size) {
   const std::size_t m = points.size();
   CIM_ASSERT(weights.size() == m);
   CIM_REQUIRE(target_count >= 1, "target cluster count must be positive");
@@ -72,7 +72,6 @@ std::vector<std::vector<std::uint32_t>> group_agglomerative(
     groups[i].weight = weights[i];
   }
   std::size_t active_count = m;
-  (void)rng;
 
   constexpr std::size_t kMaxRounds = 64;
   constexpr std::size_t kProbe = 8;  // nearest candidates examined

@@ -22,6 +22,6 @@ std::vector<std::vector<std::uint32_t>> group_fixed(
 std::vector<std::vector<std::uint32_t>> group_agglomerative(
     const std::vector<geo::Point>& points,
     const std::vector<std::uint32_t>& weights, std::size_t target_count,
-    std::size_t max_size, util::Rng& rng);
+    std::size_t max_size);
 
 }  // namespace cim::cluster

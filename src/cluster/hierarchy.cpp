@@ -64,14 +64,14 @@ void Hierarchy::build() {
               (1.0 + static_cast<double>(options_.p))));
           grouping = group_agglomerative(item_points, item_weights,
                                          std::max<std::size_t>(target, 1),
-                                         options_.p, rng);
+                                         options_.p);
           break;
         }
         case Strategy::kUnlimited: {
           const std::size_t target = (m + 1) / 2;
           grouping = group_agglomerative(
               item_points, item_weights, std::max<std::size_t>(target, 1),
-              std::numeric_limits<std::size_t>::max(), rng);
+              std::numeric_limits<std::size_t>::max());
           break;
         }
       }

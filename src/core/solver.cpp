@@ -6,6 +6,7 @@
 #include "tsp/fingerprint.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cim::core {
@@ -170,50 +171,60 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
     }
   }
 
-  if (config_.replicas > 1) {
-    anneal::EnsembleConfig ensemble_config;
-    ensemble_config.base = base;
-    ensemble_config.replicas = config_.replicas;
-    const anneal::ReplicaEnsemble ensemble(ensemble_config);
-    auto ensemble_result = ensemble.solve(instance);
-    outcome.replica_lengths = std::move(ensemble_result.replica_lengths);
-    outcome.anneal = std::move(ensemble_result.best);
-  } else {
-    const anneal::ClusteredAnnealer annealer(base);
-    outcome.anneal = annealer.solve(instance);
-  }
-  outcome.hardware_length = outcome.anneal.length;
-  outcome.tour_length = outcome.hardware_length;
-
-  if (config_.post_refine != PostRefine::kNone && instance.size() >= 5) {
-    heuristics::TwoOptOptions two;
-    heuristics::OrOptOptions oro;
-    if (config_.post_refine == PostRefine::kLight) {
-      two.max_passes = 2;
-      oro.max_passes = 2;
+  // The anneal, its telemetry events and the store I/O stay on this
+  // thread (DESIGN.md §12); the reference depends only on the instance,
+  // so it runs beside them on the shared pool (DESIGN.md §11).
+  const auto anneal_refine_store = [&] {
+    if (config_.replicas > 1) {
+      anneal::EnsembleConfig ensemble_config;
+      ensemble_config.base = base;
+      ensemble_config.replicas = config_.replicas;
+      const anneal::ReplicaEnsemble ensemble(ensemble_config);
+      auto ensemble_result = ensemble.solve(instance);
+      outcome.replica_lengths = std::move(ensemble_result.replica_lengths);
+      outcome.anneal = std::move(ensemble_result.best);
+    } else {
+      const anneal::ClusteredAnnealer annealer(base);
+      outcome.anneal = annealer.solve(instance);
     }
-    tsp::Tour& tour = outcome.anneal.tour;
-    heuristics::two_opt(instance, tour, two);
-    const auto refined = heuristics::or_opt(instance, tour, oro);
-    outcome.anneal.length = refined.final_length;
-    outcome.tour_length = refined.final_length;
-  }
+    outcome.hardware_length = outcome.anneal.length;
+    outcome.tour_length = outcome.hardware_length;
 
-  if (warm_store) {
-    const auto order = outcome.anneal.tour.order();
-    warm_store->store_tour(
-        fingerprint, std::span<const tsp::CityId>(order.data(), order.size()),
-        outcome.tour_length);
-    outcome.warm_start = warm_store->stats();
-  }
+    if (config_.post_refine != PostRefine::kNone && instance.size() >= 5) {
+      heuristics::TwoOptOptions two;
+      heuristics::OrOptOptions oro;
+      if (config_.post_refine == PostRefine::kLight) {
+        two.max_passes = 2;
+        oro.max_passes = 2;
+      }
+      tsp::Tour& tour = outcome.anneal.tour;
+      heuristics::two_opt(instance, tour, two);
+      const auto refined = heuristics::or_opt(instance, tour, oro);
+      outcome.anneal.length = refined.final_length;
+      outcome.tour_length = refined.final_length;
+    }
 
+    if (warm_store) {
+      const auto order = outcome.anneal.tour.order();
+      warm_store->store_tour(
+          fingerprint,
+          std::span<const tsp::CityId>(order.data(), order.size()),
+          outcome.tour_length);
+      outcome.warm_start = warm_store->stats();
+    }
+  };
   if (config_.compute_reference) {
-    const heuristics::Reference ref = heuristics::compute_reference(instance);
+    heuristics::Reference ref;
+    util::ThreadPool::shared().run_beside(
+        [&] { ref = heuristics::compute_reference(instance); },
+        anneal_refine_store);
     outcome.reference_length = ref.length;
     if (ref.length > 0) {
       outcome.optimal_ratio =
           tsp::optimal_ratio(outcome.tour_length, ref.length);
     }
+  } else {
+    anneal_refine_store();
   }
 
   if (config_.compute_ppa) {

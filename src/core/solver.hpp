@@ -63,7 +63,8 @@ struct SolverConfig {
   std::uint32_t group_block = 64;  ///< width bound for blocked strategies
 
   /// Compute the classical reference tour for optimal-ratio reporting
-  /// (costs one greedy+2-opt+Or-opt pass; disable for timing studies).
+  /// (costs one greedy+2-opt+Or-opt pass, run on the shared pool beside
+  /// the anneal; disable for timing studies).
   bool compute_reference = true;
   /// Attach the hardware PPA projection to the outcome.
   bool compute_ppa = true;

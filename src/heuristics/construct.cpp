@@ -91,6 +91,13 @@ class UnionFind {
 Tour greedy_edge(const Instance& instance, std::size_t k) {
   const std::size_t n = instance.size();
   if (n < 3) return Tour::identity(n);
+  return greedy_edge(instance, tsp::NeighborLists(instance, k));
+}
+
+Tour greedy_edge(const Instance& instance, const tsp::NeighborLists& nbrs) {
+  const std::size_t n = instance.size();
+  if (n < 3) return Tour::identity(n);
+  CIM_REQUIRE(nbrs.size() == n, "neighbour lists built for another instance");
 
   struct Edge {
     long long d;
@@ -99,7 +106,6 @@ Tour greedy_edge(const Instance& instance, std::size_t k) {
     bool operator<(const Edge& other) const { return d < other.d; }
   };
 
-  const tsp::NeighborLists nbrs(instance, k);
   std::vector<Edge> edges;
   edges.reserve(n * nbrs.k());
   for (CityId a = 0; a < n; ++a) {

@@ -13,18 +13,24 @@ namespace cim::heuristics {
 Reference compute_heuristic_reference(const tsp::Instance& instance,
                                       const ReferenceOptions& options) {
   Reference ref;
-  ref.tour = instance.size() >= 3 ? greedy_edge(instance, options.neighbor_k)
-                                  : tsp::Tour::identity(instance.size());
+  if (instance.size() < 3) {
+    ref.tour = tsp::Tour::identity(instance.size());
+    ref.length = ref.tour.length(instance);
+    return ref;
+  }
+
+  // Candidate lists with distances are built once here and shared by the
+  // greedy-edge construction and every 2-opt/Or-opt round — the scans
+  // then read d(city, cand) from the blocked arrays instead of
+  // recomputing the metric per visit.
+  const tsp::NeighborLists nbrs(instance, options.neighbor_k,
+                                {.with_distances = true});
+  ref.tour = greedy_edge(instance, nbrs);
   if (instance.size() < 4) {
     ref.length = ref.tour.length(instance);
     return ref;
   }
 
-  // Candidate distances are precomputed once here and reused across every
-  // 2-opt/Or-opt round — the scans then read d(city, cand) from the
-  // blocked arrays instead of recomputing the metric per visit.
-  const tsp::NeighborLists nbrs(instance, options.neighbor_k,
-                                {.with_distances = true});
   TwoOptOptions two;
   two.neighbors = &nbrs;
   OrOptOptions oro;

@@ -14,9 +14,10 @@ double margin_of(const SramCellModel& model, double vdd, int k1) {
   return model.snm(vdd, model.params().sigma_vth * cell_hash::unit_draw(k1));
 }
 
-/// Bit-line disturbance of a pseudo-read whose draw has popcount k2.
-double disturb_of(const SramNoiseParams& params, int k2) {
-  return params.sigma_disturb() * cell_hash::unit_draw(k2);
+/// Bit-line disturbance of a pseudo-read whose draw has popcount k2, for
+/// a disturbance scale `sigma_disturb` (SramNoiseParams::sigma_disturb()).
+double disturb_of(double sigma_disturb, int k2) {
+  return sigma_disturb * cell_hash::unit_draw(k2);
 }
 
 /// pmf of popcount(uniform 64-bit) = C(64,k) / 2^64.
@@ -92,7 +93,7 @@ bool SramCellModel::flips(std::uint64_t cell_id, std::uint64_t epoch,
   const double margin =
       margin_of(*this, vdd, cell_hash::vth_popcount(seed_, cell_id));
   if (margin <= 0.0) return true;  // no read margin: certain flip
-  return disturb_of(params_,
+  return disturb_of(params_.sigma_disturb(),
                     cell_hash::disturb_popcount(seed_, cell_id, epoch)) >
          margin;
 }
@@ -116,6 +117,9 @@ PhaseSettler::PhaseSettler(const SramCellModel& model, std::uint64_t epoch,
     : seed_(model.seed()),
       epoch_(epoch),
       stuck_rate_(model.params().stuck_cell_rate) {
+  // One sqrt and divide per settler, not per binary-search step: the
+  // same double every step would have recomputed.
+  const double sigma_disturb = model.params().sigma_disturb();
   for (int k1 = 0; k1 <= 64; ++k1) {
     const double margin = margin_of(model, vdd, k1);
     int from = 0;  // no read margin: every disturbance flips
@@ -125,7 +129,7 @@ PhaseSettler::PhaseSettler(const SramCellModel& model, std::uint64_t epoch,
       int hi = 65;
       while (lo < hi) {
         const int mid = (lo + hi) / 2;
-        if (disturb_of(model.params(), mid) > margin) {
+        if (disturb_of(sigma_disturb, mid) > margin) {
           hi = mid;
         } else {
           lo = mid + 1;

@@ -15,6 +15,16 @@ thread_local std::size_t t_worker_index = ThreadPool::kNotAWorker;
 /// shared_if_created() can observe the pool without instantiating it.
 std::atomic<const ThreadPool*> g_shared_pool{nullptr};
 
+/// Runs `fn`, returning its exception instead of throwing it.
+std::exception_ptr run_captured(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 /// One run() call: the shared function, the not-yet-finished task count
@@ -132,21 +142,8 @@ void ThreadPool::execute(const Task& task) {
   }
 }
 
-CIM_DETERMINISM_ROOT
-void ThreadPool::run(std::size_t count,
-                     const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (workers_.empty() || count == 1) {
-    // Inline serial execution: index order, so the first throwing index
-    // surfaces — the same index the parallel path rethrows.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  Batch batch;
-  batch.fn = &fn;
+void ThreadPool::enqueue(Batch& batch, std::size_t count) {
   batch.remaining.store(count, std::memory_order_relaxed);
-
   // Distribute round-robin over the worker deques. The cursor persists
   // across batches so repeated small runs don't all land on worker 0.
   const std::size_t base = next_queue_.fetch_add(count,
@@ -161,38 +158,78 @@ void ThreadPool::run(std::size_t count,
     ready_ += count;
   }
   work_cv_.notify_all();
+}
 
+void ThreadPool::help_until_done(Batch& batch) {
   // Help until the batch drains. The helper may execute tasks of *other*
   // batches it steals — that is what makes nested run() calls from pool
   // workers deadlock-free: every submitter keeps draining queues while
   // its own tasks are in flight elsewhere.
-  while (batch.remaining.load(std::memory_order_acquire) > 0) {
-    Task task;
-    if (pop_task(npos, task)) {
-      execute(task);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(batch.done_mu);
-    batch.done_cv.wait(lock, [&batch] { return batch.completed; });
-    break;  // completed implies remaining == 0
+  Task task;
+  while (batch.remaining.load(std::memory_order_acquire) > 0 &&
+         pop_task(npos, task)) {
+    execute(task);
   }
-  {
-    // Exit handshake: the Batch lives on this stack, so before it leaves
-    // scope the final decrementer must be fully out of notify_all —
-    // waiting for `completed` under done_mu synchronises with it.
-    std::unique_lock<std::mutex> lock(batch.done_mu);
-    batch.done_cv.wait(lock, [&batch] { return batch.completed; });
+  // Exit handshake: the Batch lives on the submitter's stack, so before
+  // it leaves scope the final decrementer must be fully out of
+  // notify_all — waiting for `completed` under done_mu synchronises with
+  // it.
+  std::unique_lock<std::mutex> lock(batch.done_mu);
+  batch.done_cv.wait(lock, [&batch] { return batch.completed; });
+}
+
+void ThreadPool::rethrow_lowest_error(Batch& batch) {
+  // Every task has finished, so errors is complete; rethrow the lowest
+  // index deterministically.
+  if (batch.errors.empty()) return;
+  std::size_t best = 0;
+  for (std::size_t e = 1; e < batch.errors.size(); ++e) {
+    if (batch.errors[e].first < batch.errors[best].first) best = e;
+  }
+  std::rethrow_exception(batch.errors[best].second);
+}
+
+CIM_DETERMINISM_ROOT
+void ThreadPool::run(std::size_t count,
+                     const std::function<void(std::size_t)>& fn) {
+  if (count == 0) return;
+  if (workers_.empty() || count == 1) {
+    // Inline serial execution: index order, so the first throwing index
+    // surfaces — the same index the parallel path rethrows.
+    for (std::size_t i = 0; i < count; ++i) fn(i);
+    return;
   }
 
-  if (!batch.errors.empty()) {
-    // Every task has finished, so errors is complete; rethrow the lowest
-    // index deterministically.
-    std::size_t best = 0;
-    for (std::size_t e = 1; e < batch.errors.size(); ++e) {
-      if (batch.errors[e].first < batch.errors[best].first) best = e;
-    }
-    std::rethrow_exception(batch.errors[best].second);
+  Batch batch;
+  batch.fn = &fn;
+  enqueue(batch, count);
+  help_until_done(batch);
+  rethrow_lowest_error(batch);
+}
+
+CIM_DETERMINISM_ROOT
+void ThreadPool::run_beside(const std::function<void()>& background,
+                            const std::function<void()>& foreground) {
+  if (workers_.empty()) {
+    // Inline, foreground first; both always run, as on the pooled path.
+    const std::exception_ptr foreground_error = run_captured(foreground);
+    const std::exception_ptr background_error = run_captured(background);
+    if (foreground_error) std::rethrow_exception(foreground_error);
+    if (background_error) std::rethrow_exception(background_error);
+    return;
   }
+
+  const std::function<void(std::size_t)> task =
+      [&background](std::size_t) { background(); };
+  Batch batch;
+  batch.fn = &task;
+  enqueue(batch, 1);
+  const std::exception_ptr foreground_error = run_captured(foreground);
+  // The background task references caller-owned state: whatever the
+  // foreground did, it must finish before this frame unwinds.
+  help_until_done(batch);
+  if (foreground_error) std::rethrow_exception(foreground_error);
+  rethrow_lowest_error(batch);
 }
 
 std::size_t ThreadPool::parse_width(const char* text) {

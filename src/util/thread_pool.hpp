@@ -1,8 +1,9 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
 // threaded site in the repo runs on (replica ensembles, k-NN
 // candidate-list construction, the pseudo-read write-back across slots and
-// weight chunks, and the per-write preferred-bit mask build over the same
-// chunks).
+// weight chunks, the per-write preferred-bit mask build over the same
+// chunks, and the TSP quality reference that run_beside() computes while
+// the caller anneals).
 //
 // Why a pool: the annealer's epoch loop used to spawn and join
 // std::threads per colour per epoch, so the per-swap wins of the sparse
@@ -58,6 +59,16 @@ class ThreadPool {
   void run(std::size_t count, const std::function<void(std::size_t)>& fn)
       CIM_EXCLUDES(sleep_mu_);
 
+  /// Queues `background` as one pool task, runs `foreground` inline on
+  /// the calling thread, then helps drain the queues until the background
+  /// task has finished. Both closures always run exactly once. If both
+  /// throw, the foreground's exception is rethrown — and only after the
+  /// background finished. With no workers the foreground runs first, then
+  /// the background, both inline.
+  void run_beside(const std::function<void()>& background,
+                  const std::function<void()>& foreground)
+      CIM_EXCLUDES(sleep_mu_);
+
   /// Total OS threads this pool ever created (== width(); the pool never
   /// creates threads after construction). Benches sample it around hot
   /// loops to prove the loop spawns nothing.
@@ -75,8 +86,9 @@ class ThreadPool {
   }
 
   /// The process-wide pool, created on first use with default_width()
-  /// workers and reused by every parallel site; serial code paths never
-  /// touch it, so fully serial runs create no threads at all.
+  /// workers and reused by every parallel site. Serial code paths never
+  /// touch it, but every TSP solve that computes its reference does
+  /// (run_beside), so only runs with neither create no threads at all.
   static ThreadPool& shared();
 
   /// The shared pool if shared() has already constructed it, else
@@ -126,6 +138,12 @@ class ThreadPool {
   /// Takes queue mutexes and sleep_mu_ internally.
   bool pop_task(std::size_t home, Task& task) CIM_EXCLUDES(sleep_mu_);
   void execute(const Task& task);
+  /// Pushes `count` tasks of `batch` round-robin onto the worker deques.
+  void enqueue(Batch& batch, std::size_t count) CIM_EXCLUDES(sleep_mu_);
+  /// Executes queued tasks (of any batch) until `batch` has completed.
+  void help_until_done(Batch& batch) CIM_EXCLUDES(sleep_mu_);
+  /// Rethrows the lowest-index exception of a finished `batch`, if any.
+  static void rethrow_lowest_error(Batch& batch);
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 

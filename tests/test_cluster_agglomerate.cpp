@@ -88,8 +88,7 @@ TEST(GroupFixed, GroupsAreSpatiallyCoherent) {
 TEST(GroupAgglomerative, ReachesTargetRespectingCap) {
   const auto pts = points_of(test::random_instance(300, 5));
   const std::vector<std::uint32_t> weights(300, 1);
-  util::Rng rng(5);
-  const auto groups = group_agglomerative(pts, weights, 150, 3, rng);
+  const auto groups = group_agglomerative(pts, weights, 150, 3);
   expect_partition(groups, 300);
   EXPECT_LE(groups.size(), 160U);  // near target (stalls allowed but rare)
   for (const auto& g : groups) {
@@ -100,9 +99,8 @@ TEST(GroupAgglomerative, ReachesTargetRespectingCap) {
 TEST(GroupAgglomerative, UnlimitedCap) {
   const auto pts = points_of(test::random_instance(128, 6));
   const std::vector<std::uint32_t> weights(128, 1);
-  util::Rng rng(6);
   const auto groups = group_agglomerative(
-      pts, weights, 64, std::numeric_limits<std::size_t>::max(), rng);
+      pts, weights, 64, std::numeric_limits<std::size_t>::max());
   expect_partition(groups, 128);
   EXPECT_EQ(groups.size(), 64U);
 }
@@ -110,8 +108,7 @@ TEST(GroupAgglomerative, UnlimitedCap) {
 TEST(GroupAgglomerative, TargetAboveCountIsIdentity) {
   const auto pts = points_of(test::random_instance(10, 7));
   const std::vector<std::uint32_t> weights(10, 1);
-  util::Rng rng(7);
-  const auto groups = group_agglomerative(pts, weights, 20, 4, rng);
+  const auto groups = group_agglomerative(pts, weights, 20, 4);
   EXPECT_EQ(groups.size(), 10U);
 }
 
@@ -122,8 +119,7 @@ TEST(GroupAgglomerative, MergesNearestPairsFirst) {
                                     {100, 100}, {101, 100},  // pair B
                                     {500, 0},   {0, 500}};   // isolated
   const std::vector<std::uint32_t> weights(6, 1);
-  util::Rng rng(8);
-  const auto groups = group_agglomerative(pts, weights, 4, 2, rng);
+  const auto groups = group_agglomerative(pts, weights, 4, 2);
   expect_partition(groups, 6);
   ASSERT_EQ(groups.size(), 4U);
   std::size_t pairs = 0;
@@ -140,9 +136,8 @@ TEST(GroupAgglomerative, MergesNearestPairsFirst) {
 TEST(GroupAgglomerative, InvalidArgsThrow) {
   const std::vector<geo::Point> pts{{0, 0}, {1, 1}};
   const std::vector<std::uint32_t> weights(2, 1);
-  util::Rng rng(9);
-  EXPECT_THROW(group_agglomerative(pts, weights, 0, 2, rng), ConfigError);
-  EXPECT_THROW(group_agglomerative(pts, weights, 1, 1, rng), ConfigError);
+  EXPECT_THROW(group_agglomerative(pts, weights, 0, 2), ConfigError);
+  EXPECT_THROW(group_agglomerative(pts, weights, 1, 1), ConfigError);
 }
 
 }  // namespace

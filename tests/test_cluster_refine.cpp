@@ -5,7 +5,6 @@
 #include "cluster/agglomerate.hpp"
 #include "cluster/hierarchy.hpp"
 #include "test_helpers.hpp"
-#include "util/random.hpp"
 #include "util/stats.hpp"
 
 namespace cim::cluster {
@@ -65,8 +64,7 @@ TEST(Refine, ImprovesCompactnessOnRandomInstances) {
     const auto inst = test::random_instance(400, 100 + seed);
     const auto pts = points_of(inst);
     const std::vector<std::uint32_t> weights(400, 1);
-    util::Rng rng(seed);
-    auto groups = group_agglomerative(pts, weights, 200, 3, rng);
+    auto groups = group_agglomerative(pts, weights, 200, 3);
     const double before = mean_point_to_centroid(pts, groups);
     refine_groups(pts, weights, groups, 3);
     const double after = mean_point_to_centroid(pts, groups);
@@ -79,8 +77,7 @@ TEST(Refine, RespectsSizeCap) {
   const auto inst = test::random_instance(200, 7);
   const auto pts = points_of(inst);
   const std::vector<std::uint32_t> weights(200, 1);
-  util::Rng rng(1);
-  auto groups = group_agglomerative(pts, weights, 100, 2, rng);
+  auto groups = group_agglomerative(pts, weights, 100, 2);
   refine_groups(pts, weights, groups, 2);
   expect_partition(groups, 200, 2);
 }
@@ -108,8 +105,7 @@ TEST(Refine, ConvergesWithinRounds) {
   const auto inst = test::random_instance(300, 9);
   const auto pts = points_of(inst);
   const std::vector<std::uint32_t> weights(300, 1);
-  util::Rng rng(2);
-  auto groups = group_agglomerative(pts, weights, 150, 3, rng);
+  auto groups = group_agglomerative(pts, weights, 150, 3);
   const auto stats = refine_groups(pts, weights, groups, 3, 32);
   EXPECT_LE(stats.rounds, 32U);
   // A second refinement makes no further moves.

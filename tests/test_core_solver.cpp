@@ -1,12 +1,16 @@
 #include "core/solver.hpp"
 
 #include <chrono>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
 #include "tsp/generator.hpp"
 #include "util/error.hpp"
+#include "util/telemetry.hpp"
 
 namespace cim::core {
 namespace {
@@ -42,6 +46,84 @@ TEST(CimSolver, ReferenceCanBeDisabled) {
   EXPECT_FALSE(outcome.reference_length.has_value());
   EXPECT_FALSE(outcome.optimal_ratio.has_value());
   EXPECT_FALSE(outcome.ppa.has_value());
+}
+
+/// The solve's trace events without their timestamps: everything the
+/// deterministic merge contract (DESIGN.md §12) pins.
+std::vector<std::tuple<std::string, char, std::uint64_t, std::vector<double>>>
+events_of_solve(const CimSolver& solver, const tsp::Instance& inst,
+                SolveOutcome& outcome) {
+  util::telemetry::Registry& telem = util::telemetry::Registry::global();
+  telem.reset();
+  outcome = solver.solve(inst);
+  std::vector<std::tuple<std::string, char, std::uint64_t,
+                         std::vector<double>>>
+      events;
+  for (const auto& event : telem.merged_events()) {
+    std::vector<double> values;
+    for (const auto& arg : event.args) values.push_back(arg.value);
+    events.emplace_back(event.name, event.phase, event.tid, values);
+  }
+  return events;
+}
+
+TEST(CimSolver, ReferenceBesideAnnealLeavesSolveIdentical) {
+  // The reference runs on the shared pool beside the anneal; the anneal,
+  // refinement and their telemetry stay on the calling thread, so turning
+  // the reference on must change nothing else in the outcome.
+  const auto inst = test::random_instance(400, 13);
+  SolverConfig off;
+  off.compute_reference = false;
+  off.post_refine = PostRefine::kLight;
+  SolverConfig on = off;
+  on.compute_reference = true;
+
+  SolveOutcome a;
+  SolveOutcome b;
+  const auto events_off = events_of_solve(CimSolver(off), inst, a);
+  const auto events_on = events_of_solve(CimSolver(on), inst, b);
+
+  EXPECT_EQ(a.anneal.tour, b.anneal.tour);
+  EXPECT_EQ(a.tour_length, b.tour_length);
+  EXPECT_EQ(a.hardware_length, b.hardware_length);
+  EXPECT_EQ(a.anneal.length, b.anneal.length);
+  EXPECT_EQ(a.anneal.hw.storage, b.anneal.hw.storage);
+  EXPECT_EQ(a.anneal.hw.update_cycles, b.anneal.hw.update_cycles);
+  EXPECT_EQ(a.anneal.hw.writeback_cycles, b.anneal.hw.writeback_cycles);
+  EXPECT_EQ(a.anneal.hw.swap_attempts, b.anneal.hw.swap_attempts);
+  ASSERT_TRUE(a.ppa.has_value());
+  ASSERT_TRUE(b.ppa.has_value());
+  EXPECT_EQ(a.ppa->chip_area, b.ppa->chip_area);
+  EXPECT_EQ(a.ppa->depth, b.ppa->depth);
+  EXPECT_EQ(a.ppa->latency.total(), b.ppa->latency.total());
+  EXPECT_EQ(a.ppa->energy.total(), b.ppa->energy.total());
+  EXPECT_EQ(a.ppa->average_power, b.ppa->average_power);
+  EXPECT_EQ(events_off, events_on);
+  if constexpr (util::telemetry::kEnabled) {
+    EXPECT_FALSE(events_on.empty());
+  }
+  EXPECT_FALSE(a.reference_length.has_value());
+  ASSERT_TRUE(b.reference_length.has_value());
+  EXPECT_EQ(*b.reference_length, heuristics::compute_reference(inst).length);
+  ASSERT_TRUE(b.optimal_ratio.has_value());
+  EXPECT_EQ(*b.optimal_ratio,
+            tsp::optimal_ratio(b.tour_length, *b.reference_length));
+}
+
+TEST(CimSolver, ReferenceBesideEnsembleLeavesResultIdentical) {
+  const auto inst = test::random_instance(200, 14);
+  SolverConfig off;
+  off.replicas = 3;
+  off.compute_reference = false;
+  SolverConfig on = off;
+  on.compute_reference = true;
+  const auto a = CimSolver(off).solve(inst);
+  const auto b = CimSolver(on).solve(inst);
+  EXPECT_EQ(a.anneal.tour, b.anneal.tour);
+  EXPECT_EQ(a.tour_length, b.tour_length);
+  EXPECT_EQ(a.replica_lengths, b.replica_lengths);
+  EXPECT_EQ(a.anneal.hw.storage, b.anneal.hw.storage);
+  ASSERT_TRUE(b.reference_length.has_value());
 }
 
 TEST(CimSolver, ConfigValidation) {

@@ -1,13 +1,15 @@
 // The parallel runtime's contracts: every index runs exactly once, the
 // lowest-index exception is the one rethrown, nested submission does not
-// deadlock, and parallel_for / parallel_reduce produce bit-identical
-// results on every worker count. The stress tests double as the TSan
+// deadlock, run_beside runs its foreground on the caller and surfaces the
+// foreground's error only once the background finished, and parallel_for
+// / parallel_reduce produce bit-identical results on every worker count. The stress tests double as the TSan
 // workload for the pool internals.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -82,6 +84,99 @@ TEST(ThreadPool, NestedRunFromWorkersDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(inner_total.load(), 32U);
+}
+
+TEST(ThreadPool, RunBesideRunsBothOnceWithForegroundOnCaller) {
+  for (const std::size_t width : {0U, 1U, 2U, 8U}) {
+    ThreadPool pool(width);
+    std::atomic<int> background_calls{0};
+    int foreground_calls = 0;
+    std::size_t foreground_worker = 0;
+    pool.run_beside(
+        [&] { background_calls.fetch_add(1, std::memory_order_relaxed); },
+        [&] {
+          ++foreground_calls;
+          foreground_worker = ThreadPool::current_worker_index();
+        });
+    EXPECT_EQ(background_calls.load(), 1) << "width " << width;
+    EXPECT_EQ(foreground_calls, 1) << "width " << width;
+    EXPECT_EQ(foreground_worker, ThreadPool::kNotAWorker) << "width " << width;
+  }
+}
+
+TEST(ThreadPool, RunBesideZeroWorkersRunsForegroundThenBackgroundInline) {
+  ThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::string> order;
+  std::thread::id background_thread;
+  pool.run_beside(
+      [&] {
+        order.emplace_back("background");
+        background_thread = std::this_thread::get_id();
+      },
+      [&] { order.emplace_back("foreground"); });
+  EXPECT_EQ(order, (std::vector<std::string>{"foreground", "background"}));
+  EXPECT_EQ(background_thread, caller);
+  EXPECT_EQ(pool.threads_created(), 0U);
+}
+
+TEST(ThreadPool, RunBesideForegroundErrorWinsAfterBackgroundFinished) {
+  for (const std::size_t width : {0U, 1U, 2U}) {
+    ThreadPool pool(width);
+    std::atomic<bool> background_done{false};
+    bool done_at_rethrow = false;
+    try {
+      pool.run_beside(
+          [&] {
+            // Outlast the foreground so an early rethrow would be seen.
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            background_done.store(true);
+            throw std::runtime_error("background");
+          },
+          [] { throw std::runtime_error("foreground"); });
+      FAIL() << "run_beside() swallowed the exceptions (width " << width
+             << ")";
+    } catch (const std::runtime_error& e) {
+      done_at_rethrow = background_done.load();
+      EXPECT_STREQ(e.what(), "foreground") << "width " << width;
+    }
+    EXPECT_TRUE(done_at_rethrow) << "width " << width;
+  }
+}
+
+TEST(ThreadPool, RunBesideBackgroundErrorSurfacesAlone) {
+  for (const std::size_t width : {0U, 1U, 2U}) {
+    ThreadPool pool(width);
+    bool foreground_ran = false;
+    EXPECT_THROW(
+        pool.run_beside([] { throw std::runtime_error("background"); },
+                        [&] { foreground_ran = true; }),
+        std::runtime_error)
+        << "width " << width;
+    EXPECT_TRUE(foreground_ran) << "width " << width;
+  }
+}
+
+TEST(ThreadPool, RunBesideNestedRunWhileBackgroundHoldsOnlyWorker) {
+  // The background parks the only worker until the foreground's nested
+  // run() has finished: that run() must complete on the caller alone.
+  ThreadPool pool(1);
+  std::atomic<bool> background_started{false};
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> inner_total{0};
+  pool.run_beside(
+      [&] {
+        background_started.store(true);
+        while (!release.load()) std::this_thread::yield();
+      },
+      [&] {
+        while (!background_started.load()) std::this_thread::yield();
+        pool.run(16, [&](std::size_t) {
+          inner_total.fetch_add(1, std::memory_order_relaxed);
+        });
+        release.store(true);
+      });
+  EXPECT_EQ(inner_total.load(), 16U);
 }
 
 TEST(ThreadPool, ThreadsCreatedNeverGrowsAfterConstruction) {
