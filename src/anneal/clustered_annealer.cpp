@@ -28,6 +28,11 @@ using noise::SchedulePhase;
 /// single-slot tasks would be mostly pool overhead.
 constexpr std::size_t kRefreshGrain = 8;
 
+/// Weights programmed per window-build task. Windows range from ~135
+/// weights (p = 3) to ~5000 (p = 8), so the task size is set in weights,
+/// not slots: a p = 3 task of a few slots would be mostly pool overhead.
+constexpr std::uint64_t kProgramGrain = 16384;
+
 /// One ring position during a level solve: a cluster, its members, its
 /// compact weight window and its current member order.
 struct Slot {
@@ -291,9 +296,15 @@ void LevelSolver::build_windows() {
   const noise::SramCellModel* weight_model =
       config_.noise == NoiseMode::kSramWeight ? &cell_model_ : nullptr;
 
+  // Distances, cell bases and storages serially: the level-0 distance
+  // cache is single-threaded and reports its hit/miss counts, and
+  // allocating here keeps the pooled writes below off the heap lock. The
+  // compact builders are kept, not the rows × cols images.
+  std::vector<hw::WindowBuilder> builders;
+  builders.reserve(slots_.size());
   std::uint64_t cell_base = 0;
   for (Slot& slot : slots_) {
-    hw::WindowBuilder builder(slot.shape);
+    hw::WindowBuilder& builder = builders.emplace_back(slot.shape);
     for (std::uint32_t a = 0; a < slot.p(); ++a) {
       for (std::uint32_t b = a + 1; b < slot.p(); ++b) {
         builder.set_own_distance(
@@ -316,7 +327,6 @@ void LevelSolver::build_windows() {
                                     next.members[j], slot.members[a])));
       }
     }
-    const auto image = builder.build();
     if (config_.backend == BackendKind::kFast) {
       slot.storage = hw::make_fast_storage(slot.shape.rows(),
                                            slot.shape.cols(), weight_model,
@@ -326,7 +336,6 @@ void LevelSolver::build_windows() {
           slot.shape.rows(), slot.shape.cols(), weight_model, cell_base,
           config_.weight_bits);
     }
-    slot.storage->write(image);
     cell_base += static_cast<std::uint64_t>(slot.shape.weights()) *
                  config_.weight_bits;
     if (memoize_) {
@@ -336,6 +345,16 @@ void LevelSolver::build_windows() {
                               {});
     }
   }
+
+  // Programming each slot's storage touches only that slot, so the
+  // writes run on the pool, in tasks of about kProgramGrain weights.
+  const std::uint64_t total_weights = cell_base / config_.weight_bits;
+  const std::size_t grain = static_cast<std::size_t>(std::max<std::uint64_t>(
+      1, slots_.size() * kProgramGrain / std::max<std::uint64_t>(
+                                             total_weights, 1)));
+  util::parallel_for(slots_.size(), grain, [&](std::size_t r) {
+    slots_[r].storage->write(builders[r].build());
+  });
 }
 
 void LevelSolver::assemble_input(const Slot& slot,

@@ -77,7 +77,17 @@ class StorageBase : public WeightStorage {
 
 class FastStorage final : public StorageBase {
  public:
-  using StorageBase::StorageBase;
+  FastStorage(std::uint32_t rows, std::uint32_t cols,
+              const noise::SramCellModel* model, std::uint64_t cell_base,
+              std::uint32_t weight_bits)
+      : StorageBase(rows, cols, model, cell_base, weight_bits) {
+    // Allocate the planes here, so that write() allocates nothing: a
+    // window build creates every storage on one thread and then writes
+    // them concurrently, where allocations would contend on the heap.
+    golden_.reserve(weight_count());
+    current_.reserve(weight_count());
+    if (model_) anti_.reserve(weight_count());
+  }
 
   void write(std::span<const std::uint8_t> golden) override {
     CIM_REQUIRE(golden.size() == weight_count(),

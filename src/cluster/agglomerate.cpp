@@ -7,6 +7,7 @@
 #include "geo/kdtree.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/parallel_for.hpp"
 
 namespace cim::cluster {
 
@@ -30,11 +31,12 @@ std::vector<std::vector<std::uint32_t>> group_fixed(
   // Random seed order keeps the strategy unbiased across the plane.
   auto seeds = util::random_permutation(m, rng);
   groups.reserve(m / p + 1);
+  std::vector<std::size_t> nearest;
   for (const std::uint32_t seed : seeds) {
     if (!tree.is_active(seed)) continue;
     tree.set_active(seed, false);
     std::vector<std::uint32_t> group{seed};
-    const auto nearest = tree.nearest_k(points[seed], p - 1);
+    tree.nearest_k(points[seed], p - 1, nearest);
     for (const std::size_t nb : nearest) {
       group.push_back(static_cast<std::uint32_t>(nb));
       tree.set_active(nb, false);
@@ -45,6 +47,10 @@ std::vector<std::vector<std::uint32_t>> group_fixed(
 }
 
 namespace {
+
+/// Partner queries per pool task: a k = 8 search takes about a
+/// microsecond, so smaller tasks would be mostly pool overhead.
+constexpr std::size_t kQueryGrain = 128;
 
 struct Group {
   std::vector<std::uint32_t> members;
@@ -91,20 +97,26 @@ std::vector<std::vector<std::uint32_t>> group_agglomerative(
     }
     const geo::KdTree tree(centroids);
 
-    // Nearest feasible partner (round-local index) for every group.
+    // Nearest feasible partner (round-local index) for every group. Each
+    // entry reads only the round's snapshot tree and the group sizes,
+    // which no merge has touched yet, so the queries run on the pool.
     constexpr std::uint32_t kNone = 0xFFFFFFFFU;
     std::vector<std::uint32_t> partner(ids.size(), kNone);
-    for (std::uint32_t li = 0; li < ids.size(); ++li) {
-      const Group& gi = groups[ids[li]];
-      for (const std::size_t lj :
-           tree.nearest_k(centroids[li], kProbe, li)) {
-        const Group& gj = groups[ids[lj]];
-        if (gi.members.size() + gj.members.size() <= max_size) {
-          partner[li] = static_cast<std::uint32_t>(lj);
-          break;
-        }
-      }
-    }
+    util::parallel_for_chunks(
+        ids.size(), kQueryGrain, [&](std::size_t begin, std::size_t end) {
+          std::vector<std::size_t> nearest;
+          for (std::size_t li = begin; li < end; ++li) {
+            const Group& gi = groups[ids[li]];
+            tree.nearest_k(centroids[li], kProbe, nearest, li);
+            for (const std::size_t lj : nearest) {
+              const Group& gj = groups[ids[lj]];
+              if (gi.members.size() + gj.members.size() <= max_size) {
+                partner[li] = static_cast<std::uint32_t>(lj);
+                break;
+              }
+            }
+          }
+        });
 
     // Merge mutual nearest pairs first; then greedy one-sided merges to
     // guarantee progress.

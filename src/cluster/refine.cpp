@@ -1,13 +1,18 @@
 #include "cluster/refine.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "geo/kdtree.hpp"
 #include "util/error.hpp"
+#include "util/parallel_for.hpp"
 
 namespace cim::cluster {
 
 namespace {
+
+/// Point queries per pool task (k = 4 searches of about a microsecond).
+constexpr std::size_t kQueryGrain = 128;
 
 struct GroupState {
   geo::Point weighted_sum{};
@@ -42,6 +47,10 @@ RefineStats refine_groups(const std::vector<geo::Point>& points,
   }
 
   constexpr std::size_t kProbe = 4;
+  // The tree holds one centroid per group and excludes none, so every
+  // query returns the same count.
+  const std::size_t probe = std::min(kProbe, groups.size());
+  std::vector<std::uint32_t> candidates(points.size() * probe);
   for (std::size_t round = 0; round < max_rounds; ++round) {
     ++stats.rounds;
     // Snapshot centroids into a kd-tree for nearest-cluster queries.
@@ -51,15 +60,30 @@ RefineStats refine_groups(const std::vector<geo::Point>& points,
     }
     const geo::KdTree tree(centroids);
 
+    // Every point's candidate clusters depend only on the snapshot tree,
+    // so the queries run on the pool into a flat points × probe buffer;
+    // the move pass below stays sequential over it.
+    util::parallel_for_chunks(
+        points.size(), kQueryGrain, [&](std::size_t begin, std::size_t end) {
+          std::vector<std::size_t> nearest;
+          for (std::size_t p = begin; p < end; ++p) {
+            tree.nearest_k(points[p], probe, nearest);
+            CIM_ASSERT(nearest.size() == probe);
+            for (std::size_t c = 0; c < probe; ++c) {
+              candidates[p * probe + c] =
+                  static_cast<std::uint32_t>(nearest[c]);
+            }
+          }
+        });
+
     std::size_t moves_this_round = 0;
     for (std::uint32_t p = 0; p < points.size(); ++p) {
       const std::uint32_t from = member_of[p];
       if (state[from].size <= 1) continue;  // never empty a cluster
       const double current_d2 =
           geo::squared_distance(points[p], centroids[from]);
-      for (const std::size_t candidate :
-           tree.nearest_k(points[p], kProbe)) {
-        const auto to = static_cast<std::uint32_t>(candidate);
+      for (std::size_t c = 0; c < probe; ++c) {
+        const std::uint32_t to = candidates[p * probe + c];
         if (to == from) break;  // own centroid is nearest: stop
         if (state[to].size >= max_size) continue;
         const double d2 = geo::squared_distance(points[p], centroids[to]);

@@ -81,7 +81,15 @@ std::size_t KdTree::nearest(Point query, std::size_t exclude) const {
 std::vector<std::size_t> KdTree::nearest_k(Point query, std::size_t k,
                                            std::size_t exclude) const {
   std::vector<std::size_t> out;
-  if (root_ < 0 || k == 0) return out;
+  nearest_k(query, k, out, exclude);
+  return out;
+}
+
+void KdTree::nearest_k(Point query, std::size_t k,
+                       std::vector<std::size_t>& out,
+                       std::size_t exclude) const {
+  out.clear();
+  if (root_ < 0 || k == 0) return;
 
   QueryScratch& scratch = query_scratch();
   std::vector<HeapItem>& best = scratch.heap;
@@ -130,7 +138,6 @@ std::vector<std::size_t> KdTree::nearest_k(Point query, std::size_t k,
     *it = best.back().index;
     best.pop_back();
   }
-  return out;
 }
 
 std::vector<std::size_t> KdTree::within_radius(Point query,

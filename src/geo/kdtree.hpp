@@ -29,6 +29,12 @@ class KdTree {
   std::vector<std::size_t> nearest_k(Point query, std::size_t k,
                                      std::size_t exclude = npos) const;
 
+  /// The same query, written into the caller-owned `out` (resized to the
+  /// result count). A loop that reuses one `out` per thread makes no heap
+  /// allocation per query once the buffer has grown to k.
+  void nearest_k(Point query, std::size_t k, std::vector<std::size_t>& out,
+                 std::size_t exclude = npos) const;
+
   /// All active points within `radius` of `query`.
   std::vector<std::size_t> within_radius(Point query, double radius) const;
 

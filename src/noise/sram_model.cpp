@@ -117,27 +117,32 @@ PhaseSettler::PhaseSettler(const SramCellModel& model, std::uint64_t epoch,
     : seed_(model.seed()),
       epoch_(epoch),
       stuck_rate_(model.params().stuck_cell_rate) {
-  // One sqrt and divide per settler, not per binary-search step: the
-  // same double every step would have recomputed.
+  // One sqrt and divide per settler, not per threshold: the same double
+  // every disturb_of() call would have recomputed.
   const double sigma_disturb = model.params().sigma_disturb();
-  for (int k1 = 0; k1 <= 64; ++k1) {
+  // The margin depends on k1 only through |k1 − 32|, and the draw
+  // (k1 − 32) / 4 negates exactly, so k1 and 64 − k1 share a threshold:
+  // fill k1 ≤ 32 and mirror.
+  for (int k1 = 0; k1 <= 32; ++k1) {
     const double margin = margin_of(model, vdd, k1);
     int from = 0;  // no read margin: every disturbance flips
     if (margin > 0.0) {
       // Least k2 in [0, 65] with disturb_of(k2) > margin (65: none).
-      int lo = 0;
-      int hi = 65;
-      while (lo < hi) {
-        const int mid = (lo + hi) / 2;
-        if (disturb_of(sigma_disturb, mid) > margin) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
+      // Solving sigma·(k2 − 32)/4 = margin gives the guess; the same
+      // predicate then walks it to the exact boundary, so rounding in the
+      // guess can never change the answer.
+      const double cut = 32.0 + 4.0 * margin / sigma_disturb;
+      from = cut < 64.0 ? static_cast<int>(std::floor(cut)) + 1 : 65;
+      while (from < 65 && !(disturb_of(sigma_disturb, from) > margin)) {
+        ++from;
       }
-      from = lo;
+      while (from > 0 && disturb_of(sigma_disturb, from - 1) > margin) {
+        --from;
+      }
     }
     flip_from_[static_cast<std::size_t>(k1)] =
+        static_cast<std::uint8_t>(from);
+    flip_from_[static_cast<std::size_t>(64 - k1)] =
         static_cast<std::uint8_t>(from);
   }
 }

@@ -41,9 +41,11 @@
 //     popcounts: k₁ of its ΔVth draw and k₂ of its disturbance draw. It
 //     flips iff margin(k₁) ≤ 0 or σ_d·z(k₂) > margin(k₁), and σ_d·z(k₂)
 //     is monotone in k₂, so the whole rule is one threshold byte per k₁:
-//     flip iff k₂ ≥ flip_from[k₁]. The 65 thresholds are found by binary
-//     search over k₂ with the same snm()/sigma_disturb() expressions
-//     flips() evaluates, so the table reproduces settled_value() bit for
+//     flip iff k₂ ≥ flip_from[k₁]. Each threshold starts from the
+//     closed-form root of σ_d·z(k₂) = margin(k₁) and is walked to the
+//     exact boundary with the same snm()/sigma_disturb() comparison
+//     flips() evaluates (k₁ and 64 − k₁ share one entry, their margins
+//     being bit-equal), so the table reproduces settled_value() bit for
 //     bit while the per-cell work shrinks to the counter hashes and one
 //     byte lookup (no sqrt, no double compare, no call). That rule for an
 //     anti-preferred, non-stuck cell is PhaseSettler::flips_anti(), and
@@ -204,6 +206,10 @@ class PhaseSettler {
     return static_cast<unsigned>(
                cell_hash::disturb_popcount(seed_, cell_id, epoch_)) >= from;
   }
+
+  /// The table entry for ΔVth popcount `k1` ≤ 64: the least disturbance
+  /// popcount that flips such a cell (0 = always, 65 = never).
+  unsigned flip_from(unsigned k1) const { return flip_from_[k1]; }
 
  private:
   std::uint64_t seed_;

@@ -33,10 +33,11 @@ NeighborLists::NeighborLists(const Instance& instance, std::size_t k,
             xs[t] = p.x;
             ys[t] = p.y;
           }
+          std::vector<std::size_t> nn;
           for (std::size_t t = 0; t < tile; ++t) {
             const std::size_t c = begin + t;
             const geo::Point query{xs[t], ys[t]};
-            const auto nn = tree.nearest_k(query, k_, c);
+            tree.nearest_k(query, k_, nn, c);
             CIM_ASSERT(nn.size() == k_);
             for (std::size_t j = 0; j < k_; ++j) {
               lists_[c * k_ + j] = static_cast<CityId>(nn[j]);

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 #include <utility>
 
 namespace cim::util {
@@ -10,6 +11,8 @@ namespace {
 
 /// Set once in worker_loop; kNotAWorker everywhere else.
 thread_local std::size_t t_worker_index = ThreadPool::kNotAWorker;
+/// The pool whose worker_loop owns this thread; nullptr elsewhere.
+thread_local const ThreadPool* t_worker_pool = nullptr;
 
 /// Published by shared() after the function-local static constructs, so
 /// shared_if_created() can observe the pool without instantiating it.
@@ -73,6 +76,7 @@ ThreadPool::~ThreadPool() {
 CIM_DETERMINISM_ROOT
 void ThreadPool::worker_loop(std::size_t id) {
   t_worker_index = id;
+  t_worker_pool = this;
   for (;;) {
     Task task;
     if (pop_task(id, task)) {
@@ -122,6 +126,27 @@ bool ThreadPool::pop_task(std::size_t home, Task& task) {
   return false;
 }
 
+bool ThreadPool::pop_batch_task(const Batch& batch, Task& task) {
+  // Newest first: a caller's own tasks sit at the back of the deques it
+  // just pushed them onto.
+  for (const std::unique_ptr<WorkerQueue>& queue : queues_) {
+    WorkerQueue& q = *queue;
+    const std::lock_guard<std::mutex> lock(q.mu);
+    for (auto it = q.tasks.rbegin(); it != q.tasks.rend(); ++it) {
+      if (it->batch != &batch) continue;
+      task = *it;
+      q.tasks.erase(std::next(it).base());
+      {
+        const std::lock_guard<std::mutex> ready_lock(sleep_mu_);
+        --ready_;
+      }
+      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
+}
+
 void ThreadPool::execute(const Task& task) {
   Batch& batch = *task.batch;
   try {
@@ -161,13 +186,18 @@ void ThreadPool::enqueue(Batch& batch, std::size_t count) {
 }
 
 void ThreadPool::help_until_done(Batch& batch) {
-  // Help until the batch drains. The helper may execute tasks of *other*
-  // batches it steals — that is what makes nested run() calls from pool
-  // workers deadlock-free: every submitter keeps draining queues while
-  // its own tasks are in flight elsewhere.
+  // Help until the batch drains. A worker of this pool may execute tasks
+  // of *other* batches it steals — that is what makes nested run() calls
+  // from pool workers deadlock-free: every submitting worker keeps
+  // draining queues while its own tasks are in flight elsewhere. Any
+  // other caller executes only its own batch's tasks, so it never runs,
+  // say, a run_beside background queued by an outer frame in place of
+  // the work it overlaps. That cannot deadlock: the tasks it leaves go
+  // to workers, and no worker ever waits on this caller.
+  const bool worker = t_worker_pool == this;
   Task task;
   while (batch.remaining.load(std::memory_order_acquire) > 0 &&
-         pop_task(npos, task)) {
+         (worker ? pop_task(npos, task) : pop_batch_task(batch, task))) {
     execute(task);
   }
   // Exit handshake: the Batch lives on the submitter's stack, so before

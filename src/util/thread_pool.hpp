@@ -1,9 +1,10 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
 // threaded site in the repo runs on (replica ensembles, k-NN
-// candidate-list construction, the pseudo-read write-back across slots and
-// weight chunks, the per-write preferred-bit mask build over the same
-// chunks, and the TSP quality reference that run_beside() computes while
-// the caller anneals).
+// candidate-list construction, the cluster hierarchy's per-round k-NN
+// searches, window programming across slots, the pseudo-read write-back
+// across slots and weight chunks, the per-write preferred-bit mask build
+// over the same chunks, and the TSP quality reference that run_beside()
+// computes while the caller anneals).
 //
 // Why a pool: the annealer's epoch loop used to spawn and join
 // std::threads per colour per epoch, so the per-swap wins of the sparse
@@ -51,17 +52,20 @@ class ThreadPool {
 
   /// Invokes fn(i) for every i in [0, count) and blocks until all
   /// complete. The calling thread helps execute queued tasks while it
-  /// waits, so pool workers may submit nested run() calls without
-  /// deadlock. If tasks throw, the exception of the *lowest* task index
-  /// is rethrown after every task finished (the same index a serial loop
-  /// would have surfaced first — callers see one deterministic error
-  /// regardless of scheduling).
+  /// waits. A worker of this pool helps with any batch's tasks, so
+  /// workers may submit nested run() calls without deadlock; any other
+  /// caller helps only with this batch's own tasks, so it never runs, say,
+  /// a run_beside background meant to overlap it. If tasks throw, the
+  /// exception of the *lowest* task index is rethrown after every task
+  /// finished (the same index a serial loop would have surfaced first —
+  /// callers see one deterministic error regardless of scheduling).
   void run(std::size_t count, const std::function<void(std::size_t)>& fn)
       CIM_EXCLUDES(sleep_mu_);
 
   /// Queues `background` as one pool task, runs `foreground` inline on
-  /// the calling thread, then helps drain the queues until the background
-  /// task has finished. Both closures always run exactly once. If both
+  /// the calling thread, then waits, helping by the run() rule, until the
+  /// background task has finished (a caller that is not a worker may run
+  /// it itself only once the foreground is done). Both closures always run exactly once. If both
   /// throw, the foreground's exception is rethrown — and only after the
   /// background finished. With no workers the foreground runs first, then
   /// the background, both inline.
@@ -138,9 +142,13 @@ class ThreadPool {
   /// Takes queue mutexes and sleep_mu_ internally.
   bool pop_task(std::size_t home, Task& task) CIM_EXCLUDES(sleep_mu_);
   void execute(const Task& task);
+  /// Pops one queued task of `batch` from any deque, newest first.
+  bool pop_batch_task(const Batch& batch, Task& task)
+      CIM_EXCLUDES(sleep_mu_);
   /// Pushes `count` tasks of `batch` round-robin onto the worker deques.
   void enqueue(Batch& batch, std::size_t count) CIM_EXCLUDES(sleep_mu_);
-  /// Executes queued tasks (of any batch) until `batch` has completed.
+  /// Executes queued tasks until `batch` has completed: tasks of any
+  /// batch on this pool's workers, only `batch`'s own on other callers.
   void help_until_done(Batch& batch) CIM_EXCLUDES(sleep_mu_);
   /// Rethrows the lowest-index exception of a finished `batch`, if any.
   static void rethrow_lowest_error(Batch& batch);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "test_helpers.hpp"
 #include "tsp/generator.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace cim::cluster {
 namespace {
@@ -152,6 +154,71 @@ TEST(Hierarchy, DeterministicForSeed) {
       EXPECT_EQ(a.level(k).clusters[c].members,
                 b.level(k).clusters[c].members);
     }
+  }
+}
+
+/// Chains every level's cluster count, member lists, city counts and
+/// centroid bits into one 64-bit digest.
+std::uint64_t hierarchy_digest(const Hierarchy& h) {
+  std::uint64_t digest = h.depth();
+  for (std::size_t k = 0; k < h.depth(); ++k) {
+    digest = util::hash_combine(digest, h.level(k).clusters.size());
+    for (const Cluster& c : h.level(k).clusters) {
+      digest = util::hash_combine(digest, c.members.size());
+      for (const std::uint32_t m : c.members) {
+        digest = util::hash_combine(digest, m);
+      }
+      digest = util::hash_combine(digest, c.city_count);
+      digest = util::hash_combine(
+          digest, std::bit_cast<std::uint64_t>(c.centroid.x));
+      digest = util::hash_combine(
+          digest, std::bit_cast<std::uint64_t>(c.centroid.y));
+    }
+  }
+  return digest;
+}
+
+TEST(Hierarchy, BuildDigestIsPinned) {
+  // The partner and refinement queries may run on the shared pool; the
+  // hierarchy they produce must not change by a single member or
+  // centroid bit. A tie-heavy drill grid and a clustered instance, large
+  // enough that every query loop splits into pool tasks, under each
+  // strategy. The digests were taken from the serial builder, before the
+  // queries moved onto the pool.
+  struct Pin {
+    const char* name;
+    const tsp::Instance* instance;
+    Strategy strategy;
+    std::size_t p;
+    std::uint64_t digest;
+  };
+  const tsp::Instance grid = tsp::generate_drill_grid(1500, 11);
+  const tsp::Instance clustered = tsp::generate_clustered(1200, 8, 13);
+  const Pin pins[] = {
+      {"grid semi p3", &grid, Strategy::kSemiFlexible, 3,
+       0xEA4D828B9C4F2262ULL},
+      {"grid semi p8", &grid, Strategy::kSemiFlexible, 8,
+       0x744C79281DC123B7ULL},
+      {"grid unlimited", &grid, Strategy::kUnlimited, 3,
+       0x4D9811B940745F24ULL},
+      {"grid fixed p4", &grid, Strategy::kFixed, 4,
+       0xEA0681C9AC2149CAULL},
+      {"clustered semi p3", &clustered, Strategy::kSemiFlexible, 3,
+       0x02C123D42CEF777FULL},
+      {"clustered semi p8", &clustered, Strategy::kSemiFlexible, 8,
+       0x3EEC93D726422945ULL},
+      {"clustered unlimited", &clustered, Strategy::kUnlimited, 3,
+       0x5ABAF81FB1B10178ULL},
+      {"clustered fixed p4", &clustered, Strategy::kFixed, 4,
+       0x0E314C391CC4F5F9ULL},
+  };
+  for (const Pin& pin : pins) {
+    Options options;
+    options.strategy = pin.strategy;
+    options.p = pin.p;
+    const std::uint64_t digest =
+        hierarchy_digest(Hierarchy(*pin.instance, options));
+    EXPECT_EQ(digest, pin.digest) << pin.name;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tsp/generator.hpp"
 #include "util/random.hpp"
 
 namespace cim::geo {
@@ -211,6 +212,26 @@ TEST(KdTree, NearestKMatchesBruteForce) {
     std::vector<std::size_t> unique(got);
     std::sort(unique.begin(), unique.end());
     EXPECT_EQ(std::adjacent_find(unique.begin(), unique.end()), unique.end());
+  }
+}
+
+TEST(KdTree, BufferOverloadMatchesReturningOverload) {
+  // A drill grid puts many cities at equal distances, so any difference
+  // in traversal or heap order between the overloads would show as a
+  // different tie order. One buffer serves every query with varying k and
+  // exclude: stale entries from a longer earlier result must not leak.
+  const tsp::Instance grid = tsp::generate_drill_grid(600, 5);
+  const KdTree tree(grid.coords());
+  std::vector<std::size_t> buffer;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const Point q = grid.coords()[i];
+    for (const std::size_t k : {std::size_t{17}, std::size_t{1},
+                                std::size_t{8}, std::size_t{0}}) {
+      const std::size_t exclude = i % 2 == 0 ? i : KdTree::npos;
+      tree.nearest_k(q, k, buffer, exclude);
+      EXPECT_EQ(buffer, tree.nearest_k(q, k, exclude))
+          << "city " << i << " k " << k;
+    }
   }
 }
 

@@ -224,6 +224,49 @@ TEST(PhaseSettler, MatchesSettledValue) {
   }
 }
 
+TEST(PhaseSettler, TableMatchesBinarySearch) {
+  // The thresholds come from a closed-form guess plus a walk and from a
+  // mirror of k1 ≤ 32; both must land exactly where a plain binary search
+  // over k2 with the flips() comparison does, for every supply on a fine
+  // grid and for scales where the guess rounds either way (including a
+  // zero disturbance scale, where nothing flips above zero margin).
+  for (const double base : {0.045, 0.0173, 0.12, 0.0}) {
+    for (const double sigma_vth : {0.05, 0.031}) {
+      SramNoiseParams params;
+      params.disturb_base = base;
+      params.sigma_vth = sigma_vth;
+      const SramCellModel model(params, 7);
+      const double sigma_disturb = params.sigma_disturb();
+      for (int step = 0; step <= 1000; ++step) {
+        const double vdd = 0.001 * step;
+        const PhaseSettler settler(model, 3, vdd);
+        for (int k1 = 0; k1 <= 64; ++k1) {
+          const double margin =
+              model.snm(vdd, sigma_vth * cell_hash::unit_draw(k1));
+          int want = 0;
+          if (margin > 0.0) {
+            int lo = 0;
+            int hi = 65;
+            while (lo < hi) {
+              const int mid = (lo + hi) / 2;
+              if (sigma_disturb * cell_hash::unit_draw(mid) > margin) {
+                hi = mid;
+              } else {
+                lo = mid + 1;
+              }
+            }
+            want = lo;
+          }
+          ASSERT_EQ(settler.flip_from(static_cast<unsigned>(k1)),
+                    static_cast<unsigned>(want))
+              << "k1 " << k1 << " vdd " << vdd << " base " << base
+              << " sigma_vth " << sigma_vth;
+        }
+      }
+    }
+  }
+}
+
 TEST(MonteCarlo, MeasuredTracksAnalytic) {
   const SramCellModel model;
   SweepOptions options;

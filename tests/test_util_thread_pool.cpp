@@ -1,9 +1,10 @@
 // The parallel runtime's contracts: every index runs exactly once, the
 // lowest-index exception is the one rethrown, nested submission does not
-// deadlock, run_beside runs its foreground on the caller and surfaces the
+// deadlock, a caller that is not a worker helps only its own batch,
+// run_beside runs its foreground on the caller and surfaces the
 // foreground's error only once the background finished, and parallel_for
-// / parallel_reduce produce bit-identical results on every worker count. The stress tests double as the TSan
-// workload for the pool internals.
+// / parallel_reduce produce bit-identical results on every worker count.
+// The stress tests double as the TSan workload for the pool internals.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -177,6 +178,36 @@ TEST(ThreadPool, RunBesideNestedRunWhileBackgroundHoldsOnlyWorker) {
         release.store(true);
       });
   EXPECT_EQ(inner_total.load(), 16U);
+}
+
+TEST(ThreadPool, CallerHelpsOnlyItsOwnBatch) {
+  // While its own run() batches wait, a caller that is not a pool worker
+  // may execute only those batches' tasks — never the run_beside
+  // background queued just before them, which is left to the worker so
+  // that it overlaps the foreground. The foreground waits for the
+  // background to start before returning, so the final wait cannot run it
+  // on the caller either: any caller index seen is a stolen background.
+  ThreadPool pool(1);
+  for (int rep = 0; rep < 200; ++rep) {
+    std::atomic<bool> background_started{false};
+    std::atomic<std::size_t> background_worker{ThreadPool::kNotAWorker};
+    std::atomic<std::size_t> inner_total{0};
+    pool.run_beside(
+        [&] {
+          background_worker.store(ThreadPool::current_worker_index());
+          background_started.store(true);
+        },
+        [&] {
+          for (int batch = 0; batch < 4; ++batch) {
+            pool.run(8, [&](std::size_t) {
+              inner_total.fetch_add(1, std::memory_order_relaxed);
+            });
+          }
+          while (!background_started.load()) std::this_thread::yield();
+        });
+    ASSERT_EQ(inner_total.load(), 32U);
+    ASSERT_EQ(background_worker.load(), 0U) << "repetition " << rep;
+  }
 }
 
 TEST(ThreadPool, ThreadsCreatedNeverGrowsAfterConstruction) {
