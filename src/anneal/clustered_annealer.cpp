@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 
 #include "anneal/top_ring.hpp"
@@ -10,7 +11,6 @@
 #include "tsp/dist_cache.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/parallel_for.hpp"
 #include "util/random.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_annotations.hpp"
@@ -23,15 +23,6 @@ namespace {
 
 using cluster::Hierarchy;
 using noise::SchedulePhase;
-
-/// Slots per write-back task: a p = 3 window refreshes in a few µs, so
-/// single-slot tasks would be mostly pool overhead.
-constexpr std::size_t kRefreshGrain = 8;
-
-/// Weights programmed per window-build task. Windows range from ~135
-/// weights (p = 3) to ~5000 (p = 8), so the task size is set in weights,
-/// not slots: a p = 3 task of a few slots would be mostly pool overhead.
-constexpr std::uint64_t kProgramGrain = 16384;
 
 /// One ring position during a level solve: a cluster, its members, its
 /// compact weight window and its current member order.
@@ -194,6 +185,9 @@ class LevelSolver {
   const bool memoize_;  ///< swap ΔE cache active for the sparse kernel
 
   std::vector<Slot> slots_;
+  /// Every slot's storage, in slot order: written in build_windows() and
+  /// written back by run().
+  std::optional<hw::StorageBatch> batch_;
   std::uint8_t color_count_ = 1;
   double scale_ = 0.0;  ///< quantisation: weight = distance * scale_
   std::vector<std::uint8_t> input_scratch_;  ///< dense input (legacy kernel)
@@ -296,15 +290,20 @@ void LevelSolver::build_windows() {
   const noise::SramCellModel* weight_model =
       config_.noise == NoiseMode::kSramWeight ? &cell_model_ : nullptr;
 
-  // Distances, cell bases and storages serially: the level-0 distance
-  // cache is single-threaded and reports its hit/miss counts, and
-  // allocating here keeps the pooled writes below off the heap lock. The
-  // compact builders are kept, not the rows × cols images.
-  std::vector<hw::WindowBuilder> builders;
-  builders.reserve(slots_.size());
+  // Distances, images, cell bases and storages serially: the level-0
+  // distance cache is single-threaded and reports its hit/miss counts,
+  // and allocating here keeps the pooled writes below off the heap lock.
+  // Each slot's image goes into one level-wide buffer, slot after slot —
+  // the layout the batch's write takes.
+  std::size_t level_weights = 0;
+  for (const Slot& slot : slots_) level_weights += slot.shape.weights();
+  std::vector<std::uint8_t> images(level_weights);
+  std::vector<hw::WeightStorage*> storages;
+  storages.reserve(slots_.size());
+  std::size_t image_offset = 0;
   std::uint64_t cell_base = 0;
   for (Slot& slot : slots_) {
-    hw::WindowBuilder& builder = builders.emplace_back(slot.shape);
+    hw::WindowBuilder builder(slot.shape);
     for (std::uint32_t a = 0; a < slot.p(); ++a) {
       for (std::uint32_t b = a + 1; b < slot.p(); ++b) {
         builder.set_own_distance(
@@ -336,6 +335,10 @@ void LevelSolver::build_windows() {
           slot.shape.rows(), slot.shape.cols(), weight_model, cell_base,
           config_.weight_bits);
     }
+    builder.build_into(std::span<std::uint8_t>(images).subspan(
+        image_offset, slot.shape.weights()));
+    image_offset += slot.shape.weights();
+    storages.push_back(slot.storage.get());
     cell_base += static_cast<std::uint64_t>(slot.shape.weights()) *
                  config_.weight_bits;
     if (memoize_) {
@@ -346,15 +349,10 @@ void LevelSolver::build_windows() {
     }
   }
 
-  // Programming each slot's storage touches only that slot, so the
-  // writes run on the pool, in tasks of about kProgramGrain weights.
-  const std::uint64_t total_weights = cell_base / config_.weight_bits;
-  const std::size_t grain = static_cast<std::size_t>(std::max<std::uint64_t>(
-      1, slots_.size() * kProgramGrain / std::max<std::uint64_t>(
-                                             total_weights, 1)));
-  util::parallel_for(slots_.size(), grain, [&](std::size_t r) {
-    slots_[r].storage->write(builders[r].build());
-  });
+  // One batch programs, and later refreshes, every window of the level
+  // in pooled tasks (DESIGN.md §11).
+  batch_.emplace(storages);
+  batch_->write(images);
 }
 
 void LevelSolver::assemble_input(const Slot& slot,
@@ -675,7 +673,7 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
   }();
 
   // All trace events of the level solve are emitted from this thread —
-  // write-back pool workers touch only their slot's storage — so the
+  // write-back pool workers touch only storage weights — so the
   // event stream lands in one sink and its order is program order,
   // independent of CIMANNEAL_THREADS (the golden-trajectory contract,
   // DESIGN.md §12).
@@ -692,12 +690,10 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     phase.epoch += epoch_base_;
 
     if (phase.write_back) {
-      // All arrays refresh in parallel — on the chip and on the shared
-      // pool alike. Each slot owns its storage and counters, so the
-      // result does not depend on the worker count.
-      util::parallel_for(slots_.size(), kRefreshGrain, [&](std::size_t r) {
-        slots_[r].storage->write_back(phase);
-      });
+      // All arrays refresh in parallel — on the chip, and in the level's
+      // pooled batch here, whose result does not depend on the worker
+      // count.
+      batch_->write_back(phase);
       for (Slot& slot : slots_) {
         // Weights changed (golden restore + fresh corruption pattern):
         // every cached swap delta is stale.

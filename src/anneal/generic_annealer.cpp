@@ -98,39 +98,45 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
     cell_base += 2 * plane_cells;
     windows.push_back(std::move(window));
   }
+  // One batch writes and writes back every plane (DESIGN.md §11); its
+  // image holds each group's pos then neg plane, back to back.
+  std::vector<hw::WeightStorage*> storages;
+  storages.reserve(2 * windows.size());
+  std::vector<std::size_t> pos_offset(windows.size(), 0);
+  std::size_t offset = 0;
+  for (std::size_t g = 0; g < windows.size(); ++g) {
+    storages.push_back(windows[g].pos.get());
+    storages.push_back(windows[g].neg.get());
+    pos_offset[g] = offset;
+    offset += 2 * static_cast<std::size_t>(rows) * partition.groups[g].size();
+  }
+  hw::StorageBatch batch(storages);
   // Plane images: fields into the bias row of each member's column, then
   // couplings scattered so W_uv lands in row u of spin v's column (both
-  // directions); install per group.
+  // directions).
   {
-    std::vector<std::vector<std::uint8_t>> pos_planes(windows.size());
-    std::vector<std::vector<std::uint8_t>> neg_planes(windows.size());
-    for (std::size_t g = 0; g < windows.size(); ++g) {
+    std::vector<std::uint8_t> images(batch.weights(), 0);
+    // Weight (row, spin v's column) of the pos or neg plane of v's group.
+    const auto at = [&](bool positive, std::size_t row,
+                        ising::SpinIndex v) -> std::uint8_t& {
+      const std::size_t g = group_of[v];
       const std::size_t cols = partition.groups[g].size();
-      pos_planes[g].assign(static_cast<std::size_t>(rows) * cols, 0);
-      neg_planes[g].assign(static_cast<std::size_t>(rows) * cols, 0);
-      for (std::uint32_t p = 0; p < cols; ++p) {
-        const ising::SpinIndex v = partition.groups[g][p];
-        if (mapping.has_fields && mapping.fields[v] != 0) {
-          auto& plane = mapping.fields[v] > 0 ? pos_planes[g] : neg_planes[g];
-          plane[static_cast<std::size_t>(n) * cols + p] =
-              quantise(mapping.fields[v]);
+      return images[pos_offset[g] + (positive ? 0 : rows * cols) +
+                    row * cols + col_of[v]];
+    };
+    if (mapping.has_fields) {
+      for (ising::SpinIndex v = 0; v < n; ++v) {
+        if (mapping.fields[v] != 0) {
+          at(mapping.fields[v] > 0, n, v) = quantise(mapping.fields[v]);
         }
       }
     }
     for (const ising::HardwareMapping::Term& t : mapping.couplings) {
       const std::uint8_t q = quantise(t.w);
-      auto& plane_a = t.w > 0 ? pos_planes : neg_planes;
-      plane_a[group_of[t.b]][static_cast<std::size_t>(t.a) *
-                                 partition.groups[group_of[t.b]].size() +
-                             col_of[t.b]] = q;
-      plane_a[group_of[t.a]][static_cast<std::size_t>(t.b) *
-                                 partition.groups[group_of[t.a]].size() +
-                             col_of[t.a]] = q;
+      at(t.w > 0, t.a, t.b) = q;
+      at(t.w > 0, t.b, t.a) = q;
     }
-    for (std::size_t g = 0; g < windows.size(); ++g) {
-      windows[g].pos->write(pos_planes[g]);
-      windows[g].neg->write(neg_planes[g]);
-    }
+    batch.write(images);
   }
 
   GenericResult result;
@@ -196,11 +202,9 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
   for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
     const auto phase = schedule.at(sweep);
     if (phase.write_back) {
-      for (Window& w : windows) {
-        w.pos->write_back(phase);
-        w.neg->write_back(phase);
-        result.update_cycles += rows;  // sequential row write per window
-      }
+      batch.write_back(phase);
+      // Rows within each window are written sequentially.
+      result.update_cycles += windows.size() * rows;
       refresh_row_sums();
     }
     const double lfsr_temperature =

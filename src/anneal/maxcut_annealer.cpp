@@ -73,8 +73,11 @@ MaxCutResult MaxCutAnnealer::solve(
                                            config_.weight_bits);
   auto neg_storage = hw::make_fast_storage(rows, cols, weight_model,
                                            plane_cells, config_.weight_bits);
-  pos_storage->write(plane_image(true));
-  neg_storage->write(plane_image(false));
+  // Each write is a one-storage batch, split into pooled tasks like the
+  // write-backs of both planes below (DESIGN.md §11).
+  hw::StorageBatch({pos_storage.get()}).write(plane_image(true));
+  hw::StorageBatch({neg_storage.get()}).write(plane_image(false));
+  hw::StorageBatch planes({pos_storage.get(), neg_storage.get()});
 
   // Chromatic classes for parallel updates, as per-colour vertex lists in
   // ascending vertex order (the update order within a colour).
@@ -128,8 +131,7 @@ MaxCutResult MaxCutAnnealer::solve(
   for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
     const auto phase = schedule.at(sweep);
     if (phase.write_back) {
-      pos_storage->write_back(phase);
-      neg_storage->write_back(phase);
+      planes.write_back(phase);
       if (fields) {
         fields->rebuild(sigma_plus);
       } else {

@@ -28,6 +28,10 @@ CimArray::CimArray(ArrayGeometry geometry, Backend backend,
                                                 geometry_.weight_bits));
     }
   }
+  std::vector<WeightStorage*> storages;
+  storages.reserve(windows_.size());
+  for (auto& w : windows_) storages.push_back(w.get());
+  refresh_.emplace(storages);
 }
 
 std::size_t CimArray::window_index(std::uint32_t wrow,
@@ -60,7 +64,7 @@ std::vector<std::int64_t> CimArray::cycle(
 }
 
 void CimArray::write_back_all(const noise::SchedulePhase& phase) {
-  for (auto& w : windows_) w->write_back(phase);
+  refresh_->write_back(phase);
 }
 
 StorageCounters CimArray::total_counters() const {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -58,7 +59,8 @@ class CimArray {
       std::uint32_t wcol, ColIndex cell_col,
       std::span<const std::vector<std::uint8_t>> inputs);
 
-  /// Write-back every window (the periodic weight refresh).
+  /// Write-back every window (the periodic weight refresh), as one
+  /// pooled StorageBatch.
   void write_back_all(const noise::SchedulePhase& phase);
 
   std::uint64_t compute_cycles() const { return compute_cycles_; }
@@ -69,6 +71,8 @@ class CimArray {
 
   ArrayGeometry geometry_;
   std::vector<std::unique_ptr<WeightStorage>> windows_;
+  /// Every window, planned once for write_back_all().
+  std::optional<StorageBatch> refresh_;
   std::uint64_t compute_cycles_ = 0;
 };
 

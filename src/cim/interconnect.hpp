@@ -8,6 +8,11 @@
 // the paper's claims: only boundary data moves, each link carries at most
 // p bits per phase, and the two directions never collide (they occupy
 // different phases).
+//
+// No solve path calls this module; it stays as the executable check of
+// those Fig. 5(e) claims, which tests/test_cim_pipeline_interconnect.cpp
+// pins (Interconnect.OnlyBoundaryBitsMove, LinkLoadIsAtMostPPerPhase,
+// DirectionsSeparateByPhase). Delete it only with that claim.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <memory>
 
 #include "util/error.hpp"
-#include "util/parallel_for.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cim::hw {
 
@@ -29,6 +30,29 @@ void WeightStorage::accumulate_row(RowIndex /*row*/, int /*sign*/,
 }
 
 namespace {
+
+/// Runs task(t) for every t < count: inline for a single task, so a
+/// batch that small never creates the shared pool, else as one pool batch.
+/// Callers pass a lambda of two references, which std::function holds
+/// without a heap allocation (GCC's -fanalyzer misreads a heap-held
+/// functor here as leaked).
+void run_tasks(std::size_t count,
+               const std::function<void(std::size_t)>& task) {
+  if (count == 1) {
+    task(0);
+  } else if (count > 1) {
+    util::ThreadPool::shared().run(count, task);
+  }
+}
+
+/// Weight values must fit the configured precision.
+void validate_image(std::span<const std::uint8_t> golden,
+                    std::uint32_t weight_bits) {
+  const std::uint32_t limit = 1U << weight_bits;
+  for (const std::uint8_t w : golden) {
+    CIM_REQUIRE(w < limit, "weight value exceeds configured precision");
+  }
+}
 
 class StorageBase : public WeightStorage {
  public:
@@ -60,13 +84,6 @@ class StorageBase : public WeightStorage {
     return cell_base_ + static_cast<std::uint64_t>(weight_index) * bits_ +
            bit;
   }
-  /// Weight values must fit the configured precision.
-  void validate_range(std::span<const std::uint8_t> golden) const {
-    const std::uint32_t limit = 1U << bits_;
-    for (const std::uint8_t w : golden) {
-      CIM_REQUIRE(w < limit, "weight value exceeds configured precision");
-    }
-  }
 
   std::uint32_t rows_;
   std::uint32_t cols_;
@@ -80,54 +97,129 @@ class FastStorage final : public StorageBase {
   FastStorage(std::uint32_t rows, std::uint32_t cols,
               const noise::SramCellModel* model, std::uint64_t cell_base,
               std::uint32_t weight_bits)
-      : StorageBase(rows, cols, model, cell_base, weight_bits) {
-    // Allocate the planes here, so that write() allocates nothing: a
-    // window build creates every storage on one thread and then writes
-    // them concurrently, where allocations would contend on the heap.
-    golden_.reserve(weight_count());
-    current_.reserve(weight_count());
-    if (model_) anti_.reserve(weight_count());
+      : StorageBase(rows, cols, model, cell_base, weight_bits),
+        // Allocate the planes here, so that write() allocates nothing: a
+        // window build creates every storage on one thread and then
+        // writes them in a pooled StorageBatch, where allocations would
+        // contend on the heap.
+        golden_(std::make_unique_for_overwrite<std::uint8_t[]>(
+            weight_count())),
+        current_(std::make_unique_for_overwrite<std::uint8_t[]>(
+            weight_count())) {
+    if (model_) {
+      anti_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
+    }
   }
+
+  const noise::SramCellModel* model() const { return model_; }
 
   void write(std::span<const std::uint8_t> golden) override {
     CIM_REQUIRE(golden.size() == weight_count(),
                 "weight image size mismatch");
-    validate_range(golden);
-    golden_.assign(golden.begin(), golden.end());
-    if (model_) {
-      // The hard faults and each cell's preferred value are fixed, so the
-      // stuck-adjusted image and its anti-preferred mask are built once
-      // per write, in the write-back's chunks, not once per write-back.
-      anti_.resize(weight_count());
-      util::parallel_for_chunks(
-          weight_count(), kWriteBackGrain,
-          [&](std::size_t begin, std::size_t end) {
-            build_mask(begin, end);
-          });
-    }
-    current_ = golden_;
+    validate_image(golden, bits_);
+    write_range(golden, 0, weight_count());
+    mark_written();
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
-    CIM_ASSERT_MSG(!golden_.empty(), "write_back before write");
-    ++counters_.writeback_events;
-    counters_.writeback_bits += weight_count() * bits_;
+    charge_write_back();
     if (!model_ || phase.noisy_lsbs == 0) {
-      current_ = golden_;
+      refresh(nullptr, 0, 0, weight_count());
       return;
     }
-    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-    const auto noisy_mask = static_cast<std::uint8_t>((1U << noisy) - 1U);
     const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
-    // Weights refresh independently, so fixed-grain chunks run on the
-    // shared pool; the chunking depends only on the weight count, and the
-    // flip counts fold in chunk order (DESIGN.md §11).
-    counters_.pseudo_read_flips += util::parallel_reduce(
-        weight_count(), kWriteBackGrain, std::uint64_t{0},
-        [&](std::size_t begin, std::size_t end) {
-          return refresh(begin, end, noisy_mask, settler);
-        },
-        std::plus<>{});
+    counters_.pseudo_read_flips +=
+        refresh(&settler, phase.noisy_lsbs, 0, weight_count());
+  }
+
+  // Installs weights [begin, end) of the validated full image `golden`:
+  // applies the hard manufacturing faults — a stuck cell overrides
+  // every write at any supply voltage, and holds its preferred value — and
+  // sets anti_[w] bit b iff the stored bit differs from the cell's
+  // preferred value. The stuck-adjusted image and its mask are built once
+  // per write, not once per write-back. Ranges are independent, so
+  // StorageBatch runs disjoint ones concurrently.
+  // NOLINT(cim-counter-charge) — a golden-image install, not an access.
+  void write_range(std::span<const std::uint8_t> golden, std::size_t begin,
+                   std::size_t end) {
+    if (model_) {
+      const std::uint64_t seed = model_->seed();
+      const double stuck_rate = model_->params().stuck_cell_rate;
+      for (std::size_t w = begin; w < end; ++w) {
+        std::uint8_t value = golden[w];
+        std::uint8_t anti = 0;
+        for (std::uint32_t b = 0; b < bits_; ++b) {
+          const std::uint64_t id = cell_id(w, b);
+          const bool preferred = noise::cell_hash::preferred_bit(seed, id);
+          if (noise::cell_hash::is_stuck(seed, id, stuck_rate)) {
+            value = static_cast<std::uint8_t>(
+                (value & ~(1U << b)) |
+                (static_cast<unsigned>(preferred) << b));
+          } else if (((value >> b) & 1U) !=
+                     static_cast<unsigned>(preferred)) {
+            anti = static_cast<std::uint8_t>(anti | (1U << b));
+          }
+        }
+        golden_[w] = value;
+        anti_[w] = anti;
+        current_[w] = value;
+      }
+    } else {
+      std::copy(golden.begin() + static_cast<std::ptrdiff_t>(begin),
+                golden.begin() + static_cast<std::ptrdiff_t>(end),
+                golden_.get() + begin);
+      std::copy(golden_.get() + begin, golden_.get() + end,
+                current_.get() + begin);
+    }
+  }
+
+  // Called once every range of a write has been installed.
+  void mark_written() { written_ = true; }
+
+  // The write-back's counters, bar the flips the refreshes return.
+  void charge_write_back() {
+    CIM_ASSERT_MSG(written_, "write_back before write");
+    ++counters_.writeback_events;
+    counters_.writeback_bits += weight_count() * bits_;
+  }
+
+  void add_flips(std::uint64_t flips) {
+    counters_.pseudo_read_flips += flips;
+  }
+
+  // Restores weights [begin, end) to the stuck-adjusted golden image,
+  // then — given a settler — settles the anti-preferred cells among the
+  // phase's `noisy_lsbs` low bits; returns the pseudo-read flips. A cell
+  // already at its preferred value is stable, so only the mask's set
+  // bits are visited. Ranges are independent, so StorageBatch runs
+  // disjoint ones concurrently; the caller charges the counters.
+  // NOLINT(cim-counter-charge)
+  std::uint64_t refresh(const noise::PhaseSettler* settler,
+                        std::uint32_t noisy_lsbs, std::size_t begin,
+                        std::size_t end) {
+    if (settler == nullptr) {
+      std::copy(golden_.get() + begin, golden_.get() + end,
+                current_.get() + begin);
+      return 0;
+    }
+    const std::uint32_t noisy = std::min(noisy_lsbs, bits_);
+    const auto noisy_mask = static_cast<std::uint8_t>((1U << noisy) - 1U);
+    std::uint64_t flips = 0;
+    for (std::size_t w = begin; w < end; ++w) {
+      std::uint8_t value = golden_[w];
+      // Stuck cells hold their preferred value, so the mask never names
+      // one: settle()'s is_stuck branch cannot apply here.
+      for (unsigned cells = anti_[w] & noisy_mask; cells != 0;
+           cells &= cells - 1) {
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(cells));
+        if (settler->flips_anti(cell_id(w, b))) {
+          value = static_cast<std::uint8_t>(value ^ (1U << b));
+          ++flips;
+        }
+      }
+      current_[w] = value;
+    }
+    return flips;
   }
 
   std::int64_t mac(ColIndex col_idx,
@@ -183,69 +275,14 @@ class FastStorage final : public StorageBase {
   }
 
  private:
-  /// Weights per write() mask-build and write-back chunk: small TSP
-  /// windows run inline, the Max-Cut planes and large generic windows
-  /// split across the pool.
-  static constexpr std::size_t kWriteBackGrain = 16384;
-
-  // Restores weights [begin, end) to the stuck-adjusted golden image,
-  // then settles the anti-preferred cells among their noisy LSBs
-  // (`noisy_mask`); returns the pseudo-read flips. A cell already at its
-  // preferred value is stable, so only the mask's set bits are visited.
-  // Charged by write_back, which owns the writeback counters.
-  // NOLINT(cim-counter-charge)
-  std::uint64_t refresh(std::size_t begin, std::size_t end,
-                        std::uint8_t noisy_mask,
-                        const noise::PhaseSettler& settler) {
-    std::uint64_t flips = 0;
-    for (std::size_t w = begin; w < end; ++w) {
-      std::uint8_t value = golden_[w];
-      // Stuck cells hold their preferred value, so the mask never names
-      // one: settle()'s is_stuck branch cannot apply here.
-      for (unsigned cells = anti_[w] & noisy_mask; cells != 0;
-           cells &= cells - 1) {
-        const auto b = static_cast<std::uint32_t>(std::countr_zero(cells));
-        if (settler.flips_anti(cell_id(w, b))) {
-          value = static_cast<std::uint8_t>(value ^ (1U << b));
-          ++flips;
-        }
-      }
-      current_[w] = value;
-    }
-    return flips;
-  }
-
-  // Applies the hard manufacturing faults to golden_ on weights
-  // [begin, end) — a stuck cell overrides every write at any supply
-  // voltage, and holds its preferred value — and sets anti_[w] bit b iff
-  // the stored bit differs from the cell's preferred value.
-  void build_mask(std::size_t begin, std::size_t end) {
-    const std::uint64_t seed = model_->seed();
-    const double stuck_rate = model_->params().stuck_cell_rate;
-    for (std::size_t w = begin; w < end; ++w) {
-      std::uint8_t value = golden_[w];
-      std::uint8_t anti = 0;
-      for (std::uint32_t b = 0; b < bits_; ++b) {
-        const std::uint64_t id = cell_id(w, b);
-        const bool preferred = noise::cell_hash::preferred_bit(seed, id);
-        if (noise::cell_hash::is_stuck(seed, id, stuck_rate)) {
-          value = static_cast<std::uint8_t>(
-              (value & ~(1U << b)) | (static_cast<unsigned>(preferred) << b));
-        } else if (((value >> b) & 1U) != static_cast<unsigned>(preferred)) {
-          anti = static_cast<std::uint8_t>(anti | (1U << b));
-        }
-      }
-      golden_[w] = value;
-      anti_[w] = anti;
-    }
-  }
-
   /// The written image with the hard faults applied.
-  std::vector<std::uint8_t> golden_;
+  std::unique_ptr<std::uint8_t[]> golden_;
+  /// The settled image the MACs read.
+  std::unique_ptr<std::uint8_t[]> current_;
   /// Bit b of anti_[w] is set iff cell (w, b) is not stuck and holds its
-  /// anti-preferred value in golden_; empty without a noise model.
-  std::vector<std::uint8_t> anti_;
-  std::vector<std::uint8_t> current_;
+  /// anti-preferred value in golden_; null without a noise model.
+  std::unique_ptr<std::uint8_t[]> anti_;
+  bool written_ = false;
 };
 
 class BitLevelStorage final : public StorageBase {
@@ -268,7 +305,7 @@ class BitLevelStorage final : public StorageBase {
   void write(std::span<const std::uint8_t> golden) override {
     CIM_REQUIRE(golden.size() == weight_count(),
                 "weight image size mismatch");
-    validate_range(golden);
+    validate_image(golden, bits_);
     for (std::size_t w = 0; w < weight_count(); ++w) {
       for (std::uint32_t b = 0; b < bits_; ++b) {
         const std::uint8_t bit = (golden[w] >> b) & 1U;
@@ -424,6 +461,113 @@ class BitLevelStorage final : public StorageBase {
 };
 
 }  // namespace
+
+StorageBatch::StorageBatch(const std::vector<WeightStorage*>& storages) {
+  std::size_t filled = 0;  // weights in the task being planned
+  const auto close_task = [&] {
+    task_end_.push_back(pieces_.size());
+    filled = 0;
+  };
+  for (WeightStorage* storage : storages) {
+    CIM_REQUIRE(storage != nullptr, "storage batch holds a null storage");
+    const std::size_t n =
+        static_cast<std::size_t>(storage->rows()) * storage->cols();
+    auto* fast = dynamic_cast<FastStorage*>(storage);
+    if (fast == nullptr) {
+      pieces_.push_back({storage, weights_, 0, n, kNoModel, false});
+      filled += n;
+      if (filled >= kGrain) close_task();
+    } else {
+      std::uint32_t settler = kNoModel;
+      if (fast->model() != nullptr) {
+        const auto known =
+            std::find(models_.begin(), models_.end(), fast->model());
+        settler = static_cast<std::uint32_t>(known - models_.begin());
+        if (known == models_.end()) models_.push_back(fast->model());
+      }
+      for (std::size_t begin = 0; begin < n;) {
+        const std::size_t end = std::min(n, begin + (kGrain - filled));
+        pieces_.push_back({storage, weights_, begin, end, settler, true});
+        filled += end - begin;
+        begin = end;
+        if (filled == kGrain) close_task();
+      }
+    }
+    weights_ += n;
+  }
+  if (filled > 0) close_task();
+  piece_flips_.assign(pieces_.size(), 0);
+  settlers_.reserve(models_.size());
+}
+
+void StorageBatch::write(std::span<const std::uint8_t> images) {
+  CIM_REQUIRE(images.size() == weights_, "batch image size mismatch");
+  // Validated here, on the caller, so that no task throws.
+  for (const Piece& piece : pieces_) {
+    if (piece.begin == 0) {
+      validate_image(images.subspan(piece.offset,
+                                    static_cast<std::size_t>(
+                                        piece.storage->rows()) *
+                                        piece.storage->cols()),
+                     piece.storage->weight_bits());
+    }
+  }
+  run_tasks(task_end_.size(), [this, &images](std::size_t t) {
+    for (std::size_t i = t == 0 ? 0 : task_end_[t - 1]; i < task_end_[t];
+         ++i) {
+      const Piece& piece = pieces_[i];
+      const std::span<const std::uint8_t> image = images.subspan(
+          piece.offset, static_cast<std::size_t>(piece.storage->rows()) *
+                            piece.storage->cols());
+      if (piece.split) {
+        static_cast<FastStorage*>(piece.storage)
+            ->write_range(image, piece.begin, piece.end);
+      } else {
+        piece.storage->write(image);
+      }
+    }
+  });
+  for (const Piece& piece : pieces_) {
+    if (piece.split) static_cast<FastStorage*>(piece.storage)->mark_written();
+  }
+}
+
+void StorageBatch::write_back(const noise::SchedulePhase& phase) {
+  for (const Piece& piece : pieces_) {
+    // A storage's first piece charges its write-back.
+    if (piece.split && piece.begin == 0) {
+      static_cast<FastStorage*>(piece.storage)->charge_write_back();
+    }
+  }
+  settlers_.clear();
+  if (phase.noisy_lsbs > 0) {
+    for (const noise::SramCellModel* model : models_) {
+      settlers_.emplace_back(*model, phase.epoch, phase.vdd);
+    }
+  }
+  run_tasks(task_end_.size(), [this, &phase](std::size_t t) {
+    for (std::size_t i = t == 0 ? 0 : task_end_[t - 1]; i < task_end_[t];
+         ++i) {
+      const Piece& piece = pieces_[i];
+      if (!piece.split) {
+        piece.storage->write_back(phase);
+        continue;
+      }
+      const noise::PhaseSettler* settler =
+          piece.settler == kNoModel || settlers_.empty()
+              ? nullptr
+              : &settlers_[piece.settler];
+      piece_flips_[i] = static_cast<FastStorage*>(piece.storage)
+                            ->refresh(settler, phase.noisy_lsbs, piece.begin,
+                                      piece.end);
+    }
+  });
+  for (std::size_t i = 0; i < pieces_.size(); ++i) {
+    if (pieces_[i].split) {
+      static_cast<FastStorage*>(pieces_[i].storage)->add_flips(piece_flips_[i]);
+    }
+  }
+}
 
 std::unique_ptr<WeightStorage> make_fast_storage(
     std::uint32_t rows, std::uint32_t cols,

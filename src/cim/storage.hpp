@@ -17,10 +17,11 @@
 //                      preferred value). A write-back restores that image
 //                      and settles only the mask's set noisy bits through
 //                      noise::PhaseSettler::flips_anti — a cell at its
-//                      preferred value is stable. Both passes run in fixed
-//                      16 384-weight chunks on the shared pool (windows
-//                      below one chunk run inline), so the result is
-//                      independent of the worker count.
+//                      preferred value is stable. The storage itself is
+//                      single-threaded: its own write() and write_back()
+//                      run inline. Both passes work on any weight range,
+//                      so StorageBatch (below) splits them into pooled
+//                      tasks across every storage of a solve.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
@@ -144,5 +145,70 @@ std::unique_ptr<WeightStorage> make_bit_level_storage(
     const noise::SramCellModel* model, std::uint64_t cell_base,
     std::uint32_t weight_bits = 8,
     PseudoReadPolicy policy = PseudoReadPolicy::kSettleAtWriteBack);
+
+/// Writes or writes back a fixed set of storages as one pooled batch —
+/// the one place storage work runs on host threads (DESIGN.md §11). The
+/// constructor lays the storages end to end in one weight range and plans
+/// tasks of kGrain weights over it, once: a fast storage splits at any
+/// weight, so a task may cover the tail of one storage and the head of the
+/// next, while any other backend (the bit-level oracle) is one indivisible
+/// task running its own write()/write_back(). Each weight is written by
+/// exactly one task and every counter is charged on the caller, a
+/// storage's pseudo-read flips as the integer sum over its pieces, so
+/// weights and StorageCounters equal those of per-storage calls on any
+/// pool width. A write-back builds one PhaseSettler per cell model, not
+/// one per storage. A batch of one task runs inline on the caller.
+///
+/// The storages must outlive the batch, and nothing else may touch them
+/// while a batch call runs.
+class StorageBatch {
+ public:
+  /// Weights per pooled task, from a 1 024 / 4 096 / 16 384 cimbench
+  /// sweep: the three read alike within their spread on ising-mix and
+  /// tsp-paper, while 16 384 left tsp-p8's window programming on too few
+  /// tasks (setup 45 vs 29 ms).
+  static constexpr std::size_t kGrain = 4096;
+
+  explicit StorageBatch(const std::vector<WeightStorage*>& storages);
+
+  /// Weights of all storages together: the size of write()'s image.
+  std::size_t weights() const { return weights_; }
+  /// Pooled tasks per call.
+  std::size_t tasks() const { return task_end_.size(); }
+
+  /// Installs every storage's golden image, as WeightStorage::write does.
+  /// `images` holds the storages' row-major images back to back, in the
+  /// order the batch was built with; it must have weights() entries. Every
+  /// image is validated before any storage changes (ConfigError).
+  void write(std::span<const std::uint8_t> images);
+
+  /// WeightStorage::write_back(phase) on every storage.
+  void write_back(const noise::SchedulePhase& phase);
+
+ private:
+  /// Weights [begin, end) of one storage, which sits at `offset` in the
+  /// batch's image; `split` marks a fast storage, `settler` its model's
+  /// index in models_ (kNoModel for none).
+  struct Piece {
+    WeightStorage* storage = nullptr;
+    std::size_t offset = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::uint32_t settler = 0;
+    bool split = false;
+  };
+  static constexpr std::uint32_t kNoModel = ~0U;
+
+  std::vector<Piece> pieces_;
+  /// Task t runs pieces [task_end_[t − 1], task_end_[t]).
+  std::vector<std::size_t> task_end_;
+  /// The pseudo-read flips of each piece in the current write-back.
+  std::vector<std::uint64_t> piece_flips_;
+  /// The distinct cell models of the fast storages, and this write-back's
+  /// settler for each.
+  std::vector<const noise::SramCellModel*> models_;
+  std::vector<noise::PhaseSettler> settlers_;
+  std::size_t weights_ = 0;
+};
 
 }  // namespace cim::hw

@@ -1,5 +1,7 @@
 #include "cim/window.hpp"
 
+#include <algorithm>
+
 namespace cim::hw {
 
 WindowBuilder::WindowBuilder(WindowShape shape) : shape_(shape) {
@@ -29,8 +31,15 @@ void WindowBuilder::set_next_distance(std::uint32_t j, std::uint32_t k,
 }
 
 std::vector<std::uint8_t> WindowBuilder::build() const {
+  std::vector<std::uint8_t> image(shape_.weights());
+  build_into(image);
+  return image;
+}
+
+void WindowBuilder::build_into(std::span<std::uint8_t> image) const {
+  CIM_ASSERT(image.size() == shape_.weights());
   const std::uint32_t p = shape_.p;
-  std::vector<std::uint8_t> image(shape_.weights(), 0);
+  std::fill(image.begin(), image.end(), std::uint8_t{0});
   const auto at = [&](RowIndex r, ColIndex c) -> std::uint8_t& {
     return image[static_cast<std::size_t>(r.get()) * shape_.cols() + c.get()];
   };
@@ -64,7 +73,6 @@ std::vector<std::uint8_t> WindowBuilder::build() const {
           next_[static_cast<std::size_t>(j) * p + sk];
     }
   }
-  return image;
 }
 
 }  // namespace cim::hw

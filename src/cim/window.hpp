@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/error.hpp"
@@ -68,6 +69,8 @@ class WindowBuilder {
   /// appear wherever visiting orders are adjacent; boundary weights appear
   /// in the first / last order columns.
   std::vector<std::uint8_t> build() const;
+  /// The same image, written into `image` (shape().weights() entries).
+  void build_into(std::span<std::uint8_t> image) const;
 
   /// Row/column index helpers (match the class comment). The tagged types
   /// keep the boundary-row address space from leaking into column MACs.

@@ -1,5 +1,7 @@
 #include "core/solver.hpp"
 
+#include <utility>
+
 #include "core/report.hpp"
 #include "heuristics/or_opt.hpp"
 #include "heuristics/two_opt.hpp"
@@ -173,18 +175,20 @@ SolveOutcome CimSolver::solve(const tsp::Instance& instance) const {
 
   // The anneal, its telemetry events and the store I/O stay on this
   // thread (DESIGN.md §12); the reference depends only on the instance,
-  // so it runs beside them on the shared pool (DESIGN.md §11).
+  // so it runs beside them on the shared pool (DESIGN.md §11). Nothing
+  // reads `base` after the anneal takes it, so it moves in rather than
+  // copying its n-entry initial order.
   const auto anneal_refine_store = [&] {
     if (config_.replicas > 1) {
       anneal::EnsembleConfig ensemble_config;
-      ensemble_config.base = base;
+      ensemble_config.base = std::move(base);
       ensemble_config.replicas = config_.replicas;
       const anneal::ReplicaEnsemble ensemble(ensemble_config);
       auto ensemble_result = ensemble.solve(instance);
       outcome.replica_lengths = std::move(ensemble_result.replica_lengths);
       outcome.anneal = std::move(ensemble_result.best);
     } else {
-      const anneal::ClusteredAnnealer annealer(base);
+      const anneal::ClusteredAnnealer annealer(std::move(base));
       outcome.anneal = annealer.solve(instance);
     }
     outcome.hardware_length = outcome.anneal.length;

@@ -9,6 +9,13 @@
 // specification against which the compact clustered/windowed machinery is
 // verified, and it demonstrates the O(N⁴) interaction blow-up that motivates
 // the paper (Fig. 1).
+//
+// No solve path calls this module; it stays as the executable check of
+// Eq. (3) and of the paper's 4-spin swap evaluation: ΔH of a swap equals
+// the sum of four local energies, which is what the annealer's 4-MAC
+// update computes (tests/test_ising_tsp_hamiltonian.cpp,
+// TspHamiltonian.SwapDeltaViaLocalEnergies). Delete it only with that
+// claim.
 #pragma once
 
 #include <cstdint>

@@ -54,10 +54,12 @@
 //     set iff the stuck-adjusted stored bit differs from preferred_bit),
 //     and a write-back calls flips_anti() only on the mask's set noisy
 //     bits — the preferred and stuck hashes leave the per-phase pass.
+//     A settler is read-only once built, so hw::StorageBatch builds one
+//     per cell model for a whole batch write-back and shares it across
+//     its pooled tasks, instead of one per storage.
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 
 #include "util/random.hpp"
@@ -69,10 +71,20 @@ namespace cim::noise {
 /// drift apart.
 namespace cell_hash {
 
+/// Bit count of `x`, equal to std::popcount. At the baseline x86-64
+/// target (no POPCNT instruction) std::popcount compiles to a call into
+/// libgcc; this branch-free SWAR count inlines into the write-back loop.
+constexpr int popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
+}
+
 /// popcount of the counter hash of (a, b, c): a Binomial(64, ½) draw.
 inline int draw_popcount(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
   std::uint64_t s = util::hash_combine(util::hash_combine(a, b), c);
-  return std::popcount(util::splitmix64(s));
+  return popcount64(util::splitmix64(s));
 }
 
 /// Unit-variance value of a popcount draw: (k − 32) / 4.
@@ -179,7 +191,7 @@ class SramCellModel {
 /// One pseudo-read phase of a model, precomputed for bulk write-backs
 /// (see the implementation notes above). Cheap to build — 65 binary
 /// searches over 65 disturbance classes — so a write-back builds one per
-/// call, whatever the array size.
+/// call, whatever the array size, and a batch write-back one per model.
 class PhaseSettler {
  public:
   PhaseSettler(const SramCellModel& model, std::uint64_t epoch, double vdd);

@@ -1,9 +1,9 @@
 // Persistent work-stealing thread pool — the one parallel runtime every
 // threaded site in the repo runs on (replica ensembles, k-NN
 // candidate-list construction, the cluster hierarchy's per-round k-NN
-// searches, window programming across slots, the pseudo-read write-back
-// across slots and weight chunks, the per-write preferred-bit mask build
-// over the same chunks, and the TSP quality reference that run_beside()
+// searches, hw::StorageBatch — the one site for every weight write and
+// pseudo-read write-back of a solve, in fixed-size weight tasks across
+// all its storages — and the TSP quality reference that run_beside()
 // computes while the caller anneals).
 //
 // Why a pool: the annealer's epoch loop used to spawn and join

@@ -191,9 +191,10 @@ TEST(GenericAnnealer, MemoMatchesScalarExactly) {
 TEST(GenericAnnealer, MemoMatchesRecomputeOnHardCases) {
   // The incremental fields against the column-MAC oracle where they are
   // easiest to get wrong, each compared on every counter: hard-stuck
-  // cells; windows of 151 × 128 ≥ 16 384 weights, so the write-back runs
-  // chunked on the shared pool (with the bias row); index blocks, whose
-  // groups are not independent sets; and the LFSR Metropolis path.
+  // cells; windows of 151 × 128 ≥ 4 096 weights, so each plane splits
+  // across several pooled write-back tasks (with the bias row); index
+  // blocks, whose groups are not independent sets; and the LFSR
+  // Metropolis path.
   struct Case {
     const char* name;
     std::size_t n;

@@ -198,9 +198,10 @@ void expect_identical_runs(const MaxCutResult& memo,
 
 TEST(MaxCutAnnealer, MemoMatchesRecomputeOnHardCases) {
   // The incremental fields against the column-MAC oracle where they are
-  // easiest to get wrong: hard-stuck cells, planes large enough that the
-  // write-back runs chunked on the shared pool (160² > 16 384 weights),
-  // and the LFSR Metropolis path, each compared on every counter.
+  // easiest to get wrong: hard-stuck cells, planes large enough that each
+  // one splits across several pooled write-back tasks (160² > 4 096
+  // weights), and the LFSR Metropolis path, each compared on every
+  // counter.
   struct Case {
     const char* name;
     std::size_t n;

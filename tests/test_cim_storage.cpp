@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "noise/schedule.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
@@ -112,11 +116,11 @@ TEST(Storage, BackendsAgreeWithStuckCellsAndNoise) {
 }
 
 TEST(Storage, ChunkedWriteBackMatchesBitLevel) {
-  // A plane of ~4.7 write-back chunks (16 384 weights each, the last one
-  // partial) refreshes on the shared pool; every default-schedule
-  // write-back must still match the serial bit-level oracle weight for
-  // weight and counter for counter. tests/CMakeLists.txt reruns this
-  // under 1, 2 and 8 pool workers.
+  // A plane of ~77 000 weights, written back by the fast backend's
+  // masked refresh: every default-schedule write-back must match the
+  // bit-level oracle weight for weight and counter for counter.
+  // (Storage.BatchMatchesPerStorage covers the same refresh split into
+  // pooled tasks.)
   constexpr std::uint32_t kRows = 257;
   constexpr std::uint32_t kCols = 300;
   const auto image = random_image(kRows, kCols, 31);
@@ -209,6 +213,87 @@ TEST(Storage, RewriteRebuildsPreferredMask) {
           << " bits " << c.bits;
     }
     EXPECT_GT(rewritten->counters().pseudo_read_flips, 0U);
+  }
+}
+
+TEST(Storage, BatchMatchesPerStorage) {
+  // One StorageBatch over storages below, at and above one task — plus a
+  // bit-level storage, which the batch runs as one indivisible task — must
+  // leave every weight and every counter exactly where per-storage
+  // write()/write_back() calls leave them, through every default-schedule
+  // write-back, the noise-free ones (noisy_lsbs = 0) included.
+  // tests/CMakeLists.txt reruns this under 1, 2 and 8 pool workers.
+  struct Shape {
+    std::uint32_t rows;
+    std::uint32_t cols;
+    std::uint32_t bits;
+    bool bit_level;
+  };
+  const std::vector<Shape> shapes = {
+      {15, 9, 8, false},     // below one task
+      {64, 64, 8, false},    // exactly one task
+      {80, 64, 5, false},    // just over one task, narrow weights
+      {12, 10, 8, true},     // indivisible oracle backend
+      {131, 140, 8, false},  // over four tasks
+  };
+  const noise::AnnealSchedule schedule;
+  std::vector<noise::SchedulePhase> phases;
+  for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
+    if (schedule.at(it).write_back) phases.push_back(schedule.at(it));
+  }
+  ASSERT_EQ(phases.front().noisy_lsbs, 6U);
+  ASSERT_EQ(phases.back().noisy_lsbs, 0U);
+  for (const double stuck_rate : {0.0, 0.01}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const noise::SramCellModel model(params, 71);
+    std::vector<std::unique_ptr<WeightStorage>> batched;
+    std::vector<std::unique_ptr<WeightStorage>> single;
+    std::vector<WeightStorage*> members;
+    std::vector<std::uint8_t> images;
+    std::uint64_t cell_base = 5;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const Shape& sh = shapes[i];
+      for (auto* twins : {&batched, &single}) {
+        twins->push_back(
+            sh.bit_level
+                ? make_bit_level_storage(sh.rows, sh.cols, &model, cell_base,
+                                         sh.bits)
+                : make_fast_storage(sh.rows, sh.cols, &model, cell_base,
+                                    sh.bits));
+      }
+      members.push_back(batched.back().get());
+      const auto image = random_image(sh.rows, sh.cols, 80 + i, sh.bits);
+      single.back()->write(image);
+      images.insert(images.end(), image.begin(), image.end());
+      cell_base += static_cast<std::uint64_t>(sh.rows) * sh.cols * sh.bits;
+    }
+    StorageBatch batch(members);
+    ASSERT_EQ(batch.weights(), images.size());
+    ASSERT_GT(batch.tasks(), 2U);
+    batch.write(images);
+    const auto expect_equal = [&](const std::string& when) {
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        for (std::uint32_t r = 0; r < shapes[i].rows; ++r) {
+          for (std::uint32_t c = 0; c < shapes[i].cols; ++c) {
+            ASSERT_EQ(batched[i]->weight(RowIndex(r), ColIndex(c)),
+                      single[i]->weight(RowIndex(r), ColIndex(c)))
+                << when << " storage " << i << " weight " << r << "," << c
+                << " stuck rate " << stuck_rate;
+          }
+        }
+        ASSERT_EQ(batched[i]->counters(), single[i]->counters())
+            << when << " storage " << i << " stuck rate " << stuck_rate;
+      }
+    };
+    expect_equal("write");
+    for (const auto& p : phases) {
+      batch.write_back(p);
+      for (auto& storage : single) storage->write_back(p);
+      expect_equal("epoch " + std::to_string(p.epoch) + " noisy " +
+                   std::to_string(p.noisy_lsbs));
+    }
+    EXPECT_GT(batched.back()->counters().pseudo_read_flips, 0U);
   }
 }
 
@@ -561,6 +646,15 @@ TEST(Storage, ValidationErrors) {
   auto storage = make_fast_storage(4, 4, nullptr, 0);
   EXPECT_THROW(storage->write(std::vector<std::uint8_t>(3)), ConfigError);
   storage->write(std::vector<std::uint8_t>(16, 1));
+  // A batch checks the whole image, and every weight's precision, before
+  // any storage changes.
+  auto narrow = make_fast_storage(2, 2, nullptr, 64, 4);
+  StorageBatch batch({storage.get(), narrow.get()});
+  EXPECT_THROW(batch.write(std::vector<std::uint8_t>(19, 1)), ConfigError);
+  std::vector<std::uint8_t> images(20, 1);
+  images.back() = 16;  // over 4 bits
+  EXPECT_THROW(batch.write(images), ConfigError);
+  EXPECT_EQ(storage->weight(RowIndex(0), ColIndex(0)), 1U);
   // Wrong input size trips the invariant.
   EXPECT_THROW(storage->mac(ColIndex(0), std::vector<std::uint8_t>(3)),
                InvariantError);

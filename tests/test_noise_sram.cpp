@@ -1,7 +1,9 @@
 #include "noise/sram_model.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -265,6 +267,33 @@ TEST(PhaseSettler, TableMatchesBinarySearch) {
       }
     }
   }
+}
+
+TEST(CellHash, PopcountMatchesStdPopcount) {
+  // The inline SWAR count behind every draw must equal std::popcount on
+  // every word: the edges, each single bit, runs and byte patterns, and
+  // a stream of hashed words.
+  std::vector<std::uint64_t> words = {
+      0ULL,
+      ~0ULL,
+      0x5555555555555555ULL,
+      0xAAAAAAAAAAAAAAAAULL,
+      0x0F0F0F0F0F0F0F0FULL,
+      0xFF00FF00FF00FF00ULL,
+      0x8000000000000001ULL,
+      0x7FFFFFFFFFFFFFFFULL,
+      0x0101010101010101ULL};
+  for (unsigned b = 0; b < 64; ++b) {
+    words.push_back(1ULL << b);
+    words.push_back(~(1ULL << b));
+    words.push_back(b == 0 ? 0ULL : (~0ULL >> (64 - b)));
+  }
+  std::uint64_t state = 0x1234;
+  for (int i = 0; i < 100000; ++i) words.push_back(util::splitmix64(state));
+  for (const std::uint64_t w : words) {
+    ASSERT_EQ(cell_hash::popcount64(w), std::popcount(w)) << std::hex << w;
+  }
+  static_assert(cell_hash::popcount64(~0ULL) == 64);
 }
 
 TEST(MonteCarlo, MeasuredTracksAnalytic) {

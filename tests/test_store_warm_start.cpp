@@ -462,6 +462,15 @@ TEST_F(WarmStartStoreTest, SolverWarmStartRoundTrip) {
   EXPECT_LE(stored_tour.length(inst),
             std::max(cold.tour_length, warm.tour_length));
 
+  // The replica ensemble starts from the stored tour too: the warm order
+  // moves into the ensemble's base config.
+  config.replicas = 2;
+  const auto ensemble = core::CimSolver(config).solve(inst);
+  EXPECT_TRUE(ensemble.warm_started);
+  EXPECT_EQ(ensemble.replica_lengths.size(), 2U);
+  EXPECT_TRUE(ensemble.anneal.tour.is_valid(120));
+  config.replicas = 1;
+
   // A perturbed instance has a different fingerprint → cold start again.
   const auto other = cim::test::random_instance(120, 12);
   const auto cross = core::CimSolver(config).solve(other);
