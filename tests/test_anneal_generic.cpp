@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <string>
 
 #include "ising/partition.hpp"
 #include "qubo/coloring.hpp"
@@ -322,6 +324,97 @@ TEST(GenericAnnealer, SingleSpinFieldOnlyModel) {
   const auto result = GenericAnnealer(base_config()).solve(model);
   EXPECT_EQ(result.best_spins[0], 1);  // E = −h·σ minimised at σ = +1
   EXPECT_EQ(result.best_energy_hw, -3);
+}
+
+/// Spins as a '+'/'-' string: short to pin, readable in a failure.
+std::string spin_string(const std::vector<ising::Spin>& spins) {
+  std::string s;
+  for (const ising::Spin v : spins) s += v > 0 ? '+' : '-';
+  return s;
+}
+
+TEST(GenericAnnealer, OutcomeIsPinned) {
+  // Every outcome field at fixed seeds on a model with fields and signed
+  // couplings: each noise mode under both group strategies with the memo
+  // on and off and a trace, plus a warm start without one. Memo on and
+  // off must reach the same numbers.
+  struct Pin {
+    const char* name;
+    NoiseMode noise;
+    ising::GroupStrategy strategy;
+    bool warm;
+    std::string spins;
+    std::string best_spins;
+    long long energy_hw;
+    long long best_energy_hw;
+    long long trace_sum;
+    std::size_t flips;
+    std::size_t memo_hits;
+    std::size_t memo_misses;
+    std::uint64_t update_cycles;
+    hw::StorageCounters storage;
+  };
+  constexpr auto kChromatic = ising::GroupStrategy::kChromatic;
+  constexpr auto kBlocks = ising::GroupStrategy::kIndexBlocks;
+  const Pin pins[] = {
+      {"sram_weight", NoiseMode::kSramWeight, kChromatic, false,
+       "+++--------++-+--+--+--+", "+++--------++-+--+--+--+", -98, -98,
+       -14242, 509, 3196, 1604, 2400, {10032, 2006400, 96, 76800, 1614}},
+      {"sram_spin", NoiseMode::kSramSpin, kChromatic, false,
+       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
+       -22772, 13, 4574, 226, 2400, {10032, 2006400, 96, 76800, 0}},
+      {"lfsr", NoiseMode::kLfsr, kChromatic, false,
+       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
+       -15788, 1555, 2011, 2789, 2400, {10032, 2006400, 96, 76800, 0}},
+      {"none", NoiseMode::kNone, kChromatic, false,
+       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
+       -22772, 13, 4574, 226, 2400, {10032, 2006400, 96, 76800, 0}},
+      {"blocks_sram_weight", NoiseMode::kSramWeight, kBlocks, false,
+       "+++-++------+-+-+---+---", "+++-++------+-+-+---+---", -92, -92,
+       -11914, 799, 2766, 2034, 5400, {10032, 2006400, 48, 76800, 1646}},
+      {"blocks_sram_spin", NoiseMode::kSramSpin, kBlocks, false,
+       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
+       -22784, 11, 4563, 237, 5400, {10032, 2006400, 48, 76800, 0}},
+      {"blocks_lfsr", NoiseMode::kLfsr, kBlocks, false,
+       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
+       -14926, 1589, 2070, 2730, 5400, {10032, 2006400, 48, 76800, 0}},
+      {"blocks_none", NoiseMode::kNone, kBlocks, false,
+       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
+       -22784, 11, 4563, 237, 5400, {10032, 2006400, 48, 76800, 0}},
+      {"warm", NoiseMode::kSramWeight, kChromatic, true,
+       "+++--------++-+--+--+--+", "+++--------++-+--+--+--+", -98, -98, 0,
+       555, 3062, 1738, 2400, {10032, 2006400, 96, 76800, 1614}},
+  };
+  const auto model = random_model(24, 0xA0F1);
+  for (const Pin& pin : pins) {
+    for (const bool memo : {true, false}) {
+      SCOPED_TRACE(std::string(pin.name) + (memo ? " memo" : " recompute"));
+      auto config = base_config();
+      config.noise = pin.noise;
+      config.strategy = pin.strategy;
+      config.group_block = 8;
+      config.memoize_partial_sums = memo;
+      config.record_trace = !pin.warm;
+      if (pin.warm) {
+        for (std::size_t v = 0; v < model.size(); ++v) {
+          config.initial_spins.push_back(v % 3 == 0 ? 1 : -1);
+        }
+      }
+      const auto r = GenericAnnealer(config).solve(model);
+      const long long trace_sum =
+          std::accumulate(r.trace.begin(), r.trace.end(), 0LL);
+      EXPECT_EQ(spin_string(r.spins), pin.spins);
+      EXPECT_EQ(spin_string(r.best_spins), pin.best_spins);
+      EXPECT_EQ(r.energy_hw, pin.energy_hw);
+      EXPECT_EQ(r.best_energy_hw, pin.best_energy_hw);
+      EXPECT_EQ(trace_sum, pin.trace_sum);
+      EXPECT_EQ(r.flips, pin.flips);
+      EXPECT_EQ(r.memo_hits, memo ? pin.memo_hits : 0U);
+      EXPECT_EQ(r.memo_misses, memo ? pin.memo_misses : 0U);
+      EXPECT_EQ(r.update_cycles, pin.update_cycles);
+      EXPECT_EQ(r.storage, pin.storage);
+    }
+  }
 }
 
 }  // namespace

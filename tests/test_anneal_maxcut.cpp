@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
 
 #include "noise/schedule.hpp"
 #include "util/error.hpp"
@@ -287,6 +289,77 @@ TEST(MaxCutAnnealer, WarmStartValidation) {
   EXPECT_THROW(MaxCutAnnealer(config).solve(problem), ConfigError);
   config.initial_spins[3] = -1;
   EXPECT_NO_THROW(MaxCutAnnealer(config).solve(problem));
+}
+
+/// Spins as a '+'/'-' string: short to pin, readable in a failure.
+std::string spin_string(const std::vector<ising::Spin>& spins) {
+  std::string s;
+  for (const ising::Spin v : spins) s += v > 0 ? '+' : '-';
+  return s;
+}
+
+TEST(MaxCutAnnealer, OutcomeIsPinned) {
+  // Every outcome field at fixed seeds, for each noise mode with the
+  // memo on and off, on a signed-weight graph with a trace, plus a warm
+  // start without one. A change to the update rule, the RNG stream, the
+  // write-back schedule or the hardware accounting moves at least one of
+  // these numbers; memo on and off must reach the same ones.
+  struct Pin {
+    const char* name;
+    NoiseMode noise;
+    bool warm;
+    std::string spins;
+    long long cut;
+    long long best_cut;
+    long long trace_sum;
+    std::size_t flips;
+    std::size_t memo_hits;
+    std::size_t memo_misses;
+    std::uint64_t update_cycles;
+    hw::StorageCounters storage;
+  };
+  const Pin pins[] = {
+      {"sram_weight", NoiseMode::kSramWeight, false,
+       "-+-++++-+--+++---+--+--+++++++++", 105, 105, 20933, 40, 5376, 1024,
+       1256, {13312, 3407872, 16, 131072, 2871}},
+      {"sram_spin", NoiseMode::kSramSpin, false,
+       "---++-+-+--+++--++--+---++++++++", 92, 92, 18365, 18, 6055, 345,
+       1256, {13312, 3407872, 16, 131072, 0}},
+      {"lfsr", NoiseMode::kLfsr, false, "-+-++++-+--+++---+--+--+++++++++",
+       105, 105, 20912, 40, 5816, 584, 1256, {13312, 3407872, 16, 131072, 0}},
+      {"none", NoiseMode::kNone, false, "---++-+-+--+++--++--+---++++++++",
+       92, 92, 18365, 18, 6055, 345, 1256, {13312, 3407872, 16, 131072, 0}},
+      {"warm", NoiseMode::kSramWeight, true,
+       "+---+--+--+--+-++++--+--+--+-++-", 85, 85, 0, 15, 6095, 305, 1256,
+       {13312, 3407872, 16, 131072, 2871}},
+  };
+  const auto problem = ising::random_maxcut(32, 0.2, 41, 5, true);
+  for (const Pin& pin : pins) {
+    for (const bool memo : {true, false}) {
+      SCOPED_TRACE(std::string(pin.name) + (memo ? " memo" : " recompute"));
+      auto config = base_config();
+      config.noise = pin.noise;
+      config.memoize_partial_sums = memo;
+      config.record_trace = !pin.warm;
+      if (pin.warm) {
+        for (std::size_t v = 0; v < problem.size(); ++v) {
+          config.initial_spins.push_back(v % 3 == 0 ? 1 : -1);
+        }
+      }
+      const auto r = MaxCutAnnealer(config).solve(problem);
+      const long long trace_sum =
+          std::accumulate(r.trace.begin(), r.trace.end(), 0LL);
+      EXPECT_EQ(spin_string(r.spins), pin.spins);
+      EXPECT_EQ(r.cut, pin.cut);
+      EXPECT_EQ(r.best_cut, pin.best_cut);
+      EXPECT_EQ(trace_sum, pin.trace_sum);
+      EXPECT_EQ(r.flips, pin.flips);
+      EXPECT_EQ(r.memo_hits, memo ? pin.memo_hits : 0U);
+      EXPECT_EQ(r.memo_misses, memo ? pin.memo_misses : 0U);
+      EXPECT_EQ(r.update_cycles, pin.update_cycles);
+      EXPECT_EQ(r.storage, pin.storage);
+    }
+  }
 }
 
 }  // namespace
