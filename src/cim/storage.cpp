@@ -4,6 +4,7 @@
 #include <bit>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -17,6 +18,14 @@ StorageCounters& StorageCounters::operator+=(const StorageCounters& other) {
   writeback_bits += other.writeback_bits;
   pseudo_read_flips += other.pseudo_read_flips;
   return *this;
+}
+
+std::ostream& operator<<(std::ostream& os, const StorageCounters& counters) {
+  return os << "{macs=" << counters.macs
+            << ", mac_bit_reads=" << counters.mac_bit_reads
+            << ", writeback_events=" << counters.writeback_events
+            << ", writeback_bits=" << counters.writeback_bits
+            << ", pseudo_read_flips=" << counters.pseudo_read_flips << "}";
 }
 
 // Under kFlipOnAccess the first MAC of a column still changes its cells,

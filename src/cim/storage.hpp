@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -55,6 +56,10 @@ struct StorageCounters {
   StorageCounters& operator+=(const StorageCounters& other);
   bool operator==(const StorageCounters&) const = default;
 };
+
+/// Prints every counter by name, so a failed comparison says which one
+/// differed.
+std::ostream& operator<<(std::ostream& os, const StorageCounters& counters);
 
 class WeightStorage {
  public:

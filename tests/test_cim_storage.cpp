@@ -575,6 +575,15 @@ TEST(Storage, CountersAccumulate) {
   EXPECT_EQ(storage->counters().macs, 0U);
 }
 
+TEST(Storage, CountersPrintByName) {
+  // A failed counter comparison must say which counter differed, not
+  // dump the struct's bytes.
+  const StorageCounters counters{1, 2, 3, 4, 5};
+  EXPECT_EQ(::testing::PrintToString(counters),
+            "{macs=1, mac_bit_reads=2, writeback_events=3, "
+            "writeback_bits=4, pseudo_read_flips=5}");
+}
+
 TEST(Storage, FlipOnAccessOnlyTouchesAccessedCells) {
   const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
   const auto image = random_image(15, 9, 12);
