@@ -65,11 +65,11 @@ done
 
 # Memoization defaults on — the TSP annealer's swap ΔE cache and the Ising
 # annealers' incremental local fields — so the preset run above already
-# covers the memoized paths. This leg, over every annealer suite, proves
-# that the recompute paths stay green when the environment disables
-# memoization: they run every MAC and are the §9 oracles the memoized
+# covers the memoized paths. This leg, over every annealer suite and the
+# golden GSet/colouring/knapsack pins, proves that the recompute paths
+# stay green when the environment disables memoization: they run every MAC and are the §9 oracles the memoized
 # paths must stay bit-identical to.
-anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
+anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|QuboGolden|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
 echo "==== annealer suites with CIMANNEAL_MEMOIZE=0"
 CIMANNEAL_MEMOIZE=0 \
   ctest --preset release -j "${jobs}" -R "${anneal_suites}"

@@ -1,11 +1,9 @@
-// Deterministic data-parallel loops over ThreadPool.
+// Deterministic chunked loops over ThreadPool.
 //
 // The determinism contract (DESIGN.md §11): chunk boundaries are a pure
 // function of (n, grain) — never of the pool width, the worker count, or
-// steal order — and parallel_reduce combines chunk results serially in
-// ascending chunk index. Two runs with the same inputs therefore produce
-// bit-identical results on 1, 2 or 64 workers, including for
-// non-associative reductions (floating-point sums, hash chains).
+// steal order. A body that writes only its own chunk's slots therefore
+// produces bit-identical results on 1, 2 or 64 workers.
 //
 // When the loop is too small to split (n <= grain) or the pool has no
 // workers, the body runs inline on the caller in index order; no pool —
@@ -14,8 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "util/thread_pool.hpp"
 
@@ -40,10 +36,19 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t n, std::size_t grain,
     if (n > 0) body(std::size_t{0}, n);
     return;
   }
-  pool.run(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * g;
-    const std::size_t end = begin + g < n ? begin + g : n;
-    body(begin, end);
+  // The task lambda holds one reference, so std::function keeps it in its
+  // small buffer: a heap-held functor is what GCC's -fanalyzer reports as
+  // leaked (-Wanalyzer-malloc-leak).
+  const struct {
+    std::size_t grain;
+    std::size_t n;
+    const Body& body;
+  } loop{g, n, body};
+  pool.run(chunks, [&loop](std::size_t c) {
+    const std::size_t begin = c * loop.grain;
+    const std::size_t end =
+        begin + loop.grain < loop.n ? begin + loop.grain : loop.n;
+    loop.body(begin, end);
   });
 }
 
@@ -57,62 +62,6 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, const Body& body) {
     return;
   }
   parallel_for_chunks(ThreadPool::shared(), n, g, body);
-}
-
-/// Element-wise parallel loop: body(i) for i in [0, n), chunked by grain.
-template <typename Body>
-void parallel_for(ThreadPool& pool, std::size_t n, std::size_t grain,
-                  const Body& body) {
-  parallel_for_chunks(pool, n, grain,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t i = begin; i < end; ++i) body(i);
-                      });
-}
-
-template <typename Body>
-void parallel_for(std::size_t n, std::size_t grain, const Body& body) {
-  parallel_for_chunks(n, grain, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  });
-}
-
-/// Maps chunks of [0, n) to partial values and folds them serially in
-/// ascending chunk index: combine(combine(identity, r0), r1)... — the
-/// reduction order is fixed by index, so even non-associative combines
-/// are reproducible across worker counts. map(begin, end) -> T runs
-/// concurrently; combine runs on the caller.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(ThreadPool& pool, std::size_t n, std::size_t grain,
-                  T identity, const Map& map, const Combine& combine) {
-  const std::size_t g = grain > 0 ? grain : 1;
-  const std::size_t chunks = parallel_chunk_count(n, g);
-  if (chunks <= 1) {
-    if (n == 0) return identity;
-    return combine(std::move(identity), map(std::size_t{0}, n));
-  }
-  std::vector<T> partial(chunks);
-  pool.run(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * g;
-    const std::size_t end = begin + g < n ? begin + g : n;
-    partial[c] = map(begin, end);
-  });
-  T acc = std::move(identity);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    acc = combine(std::move(acc), std::move(partial[c]));
-  }
-  return acc;
-}
-
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t n, std::size_t grain, T identity,
-                  const Map& map, const Combine& combine) {
-  const std::size_t g = grain > 0 ? grain : 1;
-  if (parallel_chunk_count(n, g) <= 1) {
-    if (n == 0) return identity;
-    return combine(std::move(identity), map(std::size_t{0}, n));
-  }
-  return parallel_reduce(ThreadPool::shared(), n, g, std::move(identity),
-                         map, combine);
 }
 
 }  // namespace cim::util

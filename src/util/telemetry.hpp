@@ -13,7 +13,7 @@
 //    sinks owned by shared-pool workers sort by their fixed worker
 //    index (then registration order), non-pool threads (the
 //    coordinator) come first. Event ordering therefore never depends on
-//    scheduling — the same contract parallel_for gives FP reductions
+//    scheduling — the same contract parallel_for_chunks gives its chunks
 //    (DESIGN.md §11, §12).
 //
 // When the build sets CIMANNEAL_TELEMETRY=OFF every type below becomes

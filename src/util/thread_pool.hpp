@@ -19,9 +19,8 @@
 // i < count, on an unspecified thread in an unspecified order — callers
 // that need reproducible results must make fn(i) a pure function of i
 // plus frozen shared state (per-index RNG streams, disjoint output
-// slots). parallel_for.hpp layers index-fixed chunking and reduction
-// order on top, which is what makes results independent of the worker
-// count. See DESIGN.md §11.
+// slots). parallel_for.hpp layers index-fixed chunking on top, which is
+// what makes results independent of the worker count. See DESIGN.md §11.
 #pragma once
 
 #include <atomic>

@@ -2,8 +2,8 @@
 // lowest-index exception is the one rethrown, nested submission does not
 // deadlock, a caller that is not a worker helps only its own batch,
 // run_beside runs its foreground on the caller and surfaces the
-// foreground's error only once the background finished, and parallel_for
-// / parallel_reduce produce bit-identical results on every worker count.
+// foreground's error only once the background finished, and
+// parallel_for_chunks splits a loop the same way on every worker count.
 // The stress tests double as the TSan workload for the pool internals.
 #include "util/thread_pool.hpp"
 
@@ -271,7 +271,9 @@ TEST(ParallelFor, CoversEveryIndexWithDisjointWrites) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1234;
   std::vector<std::size_t> out(kN, 0);
-  parallel_for(pool, kN, 37, [&](std::size_t i) { out[i] = i * i; });
+  parallel_for_chunks(pool, kN, 37, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) out[i] = i * i;
+  });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(out[i], i * i);
 }
 
@@ -293,71 +295,6 @@ TEST(ParallelFor, ChunkBoundariesIndependentOfWidth) {
   const auto c = boundaries(eight);
   EXPECT_EQ(a, b);
   EXPECT_EQ(b, c);
-}
-
-// The keystone determinism test: a floating-point sum — a non-associative
-// reduction — must come out bit-identical on 1, 2 and 8 workers because
-// chunking and fold order are fixed by index, not by scheduling.
-TEST(ParallelReduce, FloatingPointSumBitIdenticalAcrossWidths) {
-  constexpr std::size_t kN = 10000;
-  const auto reduce_on = [&](ThreadPool& pool) {
-    return parallel_reduce(
-        pool, kN, 113, 0.0,
-        [](std::size_t begin, std::size_t end) {
-          double s = 0.0;
-          for (std::size_t i = begin; i < end; ++i) {
-            s += std::sin(static_cast<double>(i)) /
-                 (1.0 + static_cast<double>(i % 97));
-          }
-          return s;
-        },
-        [](double acc, double chunk) { return acc + chunk; });
-  };
-  ThreadPool one(1), two(2), eight(8);
-  const double a = reduce_on(one);
-  const double b = reduce_on(two);
-  const double c = reduce_on(eight);
-  // Bitwise, not approximate: the contract is exact reproducibility.
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b, c);
-}
-
-// Same idea with an order-sensitive hash chain: any reordering of the
-// fold would change the result.
-TEST(ParallelReduce, HashChainIdenticalAcrossWidths) {
-  constexpr std::size_t kN = 4096;
-  const auto reduce_on = [&](ThreadPool& pool) {
-    return parallel_reduce(
-        pool, kN, 55, std::uint64_t{0xcbf29ce484222325ULL},
-        [](std::size_t begin, std::size_t end) {
-          std::uint64_t h = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            h = (h ^ (i * 0x9e3779b97f4a7c15ULL)) * 0x100000001b3ULL;
-          }
-          return h;
-        },
-        [](std::uint64_t acc, std::uint64_t chunk) {
-          return (acc ^ chunk) * 0x100000001b3ULL;
-        });
-  };
-  ThreadPool one(1), two(2), eight(8);
-  const std::uint64_t a = reduce_on(one);
-  const std::uint64_t b = reduce_on(two);
-  const std::uint64_t c = reduce_on(eight);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b, c);
-}
-
-TEST(ParallelReduce, EmptyAndSingleChunkInline) {
-  ThreadPool pool(2);
-  const auto sum = [](std::size_t begin, std::size_t end) {
-    std::uint64_t s = 0;
-    for (std::size_t i = begin; i < end; ++i) s += i;
-    return s;
-  };
-  const auto add = [](std::uint64_t a, std::uint64_t b) { return a + b; };
-  EXPECT_EQ(parallel_reduce(pool, 0, 8, std::uint64_t{7}, sum, add), 7U);
-  EXPECT_EQ(parallel_reduce(pool, 5, 8, std::uint64_t{0}, sum, add), 10U);
 }
 
 }  // namespace

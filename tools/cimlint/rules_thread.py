@@ -1,8 +1,8 @@
 """Parallel-runtime discipline.
 
 All threading must flow through the persistent work-stealing pool in
-src/util/thread_pool.hpp (plus the parallel_for/parallel_reduce wrappers
-layered on it). Raw std::thread at a call site reintroduces exactly the
+src/util/thread_pool.hpp (plus the parallel_for_chunks wrapper layered
+on it). Raw std::thread at a call site reintroduces exactly the
 per-epoch spawn/join churn the pool was built to kill, bypasses the
 pool's deterministic lowest-index exception contract, and dodges the
 threads_created() accounting the benches use to prove hot loops spawn
@@ -36,8 +36,8 @@ deterministic lowest-index exception rethrow, the helping-caller
 nested-submit guarantee, and the threads_created() counter benches use to
 assert hot loops create nothing.
 
-Use util::ThreadPool::shared() (or a locally sized pool) with run(),
-parallel_for or parallel_reduce. Only src/util/ — the runtime itself —
+Use util::ThreadPool::shared() (or a locally sized pool) with run() or
+parallel_for_chunks. Only src/util/ — the runtime itself —
 may construct std::thread. Legitimate exceptions (e.g. a test that needs
 an out-of-pool driver thread, or a bench measuring the spawn baseline
 itself) carry NOLINT(raw-thread) with a justification.""",
