@@ -1,13 +1,20 @@
 #include "anneal/local_fields.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "cim/activity.hpp"
 #include "util/error.hpp"
+#include "util/telemetry.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace cim::anneal {
 
-LocalFields::LocalFields(std::vector<Window> windows)
-    : windows_(std::move(windows)) {
+namespace telemetry = util::telemetry;
+
+LocalFields::LocalFields(std::vector<Window> windows,
+                         std::span<const ising::Spin> spins, bool memoize)
+    : windows_(std::move(windows)), memoize_(memoize) {
   CIM_ASSERT(!windows_.empty());
   std::size_t slots = 0;
   for (const Window& w : windows_) {
@@ -15,6 +22,11 @@ LocalFields::LocalFields(std::vector<Window> windows)
     CIM_ASSERT(w.neg->cols() == w.pos->cols());
     offset_.push_back(slots);
     slots += w.pos->cols();
+  }
+  CIM_ASSERT(spins.size() <= windows_.front().pos->rows());
+  sigma_plus_.assign(windows_.front().pos->rows(), 1);
+  for (std::size_t v = 0; v < spins.size(); ++v) {
+    sigma_plus_[v] = spins[v] > 0 ? 1 : 0;
   }
   mac_.assign(slots, 0);
   row_sum_.assign(slots, 0);
@@ -26,7 +38,18 @@ std::span<std::int64_t> LocalFields::window_span(
   return {values.data() + offset_[window], windows_[window].pos->cols()};
 }
 
-void LocalFields::rebuild(std::span<const std::uint8_t> sigma_plus) {
+void LocalFields::rebuild() {
+  if (!memoize_) {
+    const std::vector<std::uint8_t> ones(sigma_plus_.size(), 1);
+    for (std::size_t w = 0; w < windows_.size(); ++w) {
+      const std::span<std::int64_t> sums = window_span(row_sum_, w);
+      for (std::uint32_t c = 0; c < sums.size(); ++c) {
+        sums[c] = windows_[w].pos->mac(hw::ColIndex(c), ones) -
+                  windows_[w].neg->mac(hw::ColIndex(c), ones);
+      }
+    }
+    return;
+  }
   // Rows with σ+ = 1 accumulate into mac_, the rest into row_sum_; adding
   // mac_ afterwards completes the all-rows sum.
   std::fill(mac_.begin(), mac_.end(), 0);
@@ -34,10 +57,8 @@ void LocalFields::rebuild(std::span<const std::uint8_t> sigma_plus) {
   for (std::size_t w = 0; w < windows_.size(); ++w) {
     const std::span<std::int64_t> on = window_span(mac_, w);
     const std::span<std::int64_t> off = window_span(row_sum_, w);
-    const std::uint32_t rows = windows_[w].pos->rows();
-    CIM_ASSERT(sigma_plus.size() == rows);
-    for (std::uint32_t r = 0; r < rows; ++r) {
-      const std::span<std::int64_t> acc = sigma_plus[r] ? on : off;
+    for (std::uint32_t r = 0; r < sigma_plus_.size(); ++r) {
+      const std::span<std::int64_t> acc = sigma_plus_[r] ? on : off;
       windows_[w].pos->accumulate_row(hw::RowIndex(r), 1, acc);
       windows_[w].neg->accumulate_row(hw::RowIndex(r), -1, acc);
     }
@@ -49,9 +70,15 @@ void LocalFields::rebuild(std::span<const std::uint8_t> sigma_plus) {
 }
 
 std::int64_t LocalFields::field(std::size_t window, std::uint32_t col) {
-  windows_[window].pos->charge_repeat_macs(1);
-  windows_[window].neg->charge_repeat_macs(1);
+  const Window& w = windows_[window];
   const std::size_t slot = offset_[window] + col;
+  if (!memoize_) {
+    return 2 * (w.pos->mac(hw::ColIndex(col), sigma_plus_) -
+                w.neg->mac(hw::ColIndex(col), sigma_plus_)) -
+           row_sum_[slot];
+  }
+  w.pos->charge_repeat_macs(1);
+  w.neg->charge_repeat_macs(1);
   if (stamp_[slot] == generation_) {
     ++hits_;
   } else {
@@ -61,13 +88,125 @@ std::int64_t LocalFields::field(std::size_t window, std::uint32_t col) {
   return 2 * mac_[slot] - row_sum_[slot];
 }
 
-void LocalFields::flip(std::uint32_t row, int delta) {
+void LocalFields::flip(std::uint32_t row, ising::Spin next) {
+  sigma_plus_[row] = next > 0 ? 1 : 0;
+  if (!memoize_) return;
+  const int delta = next > 0 ? 1 : -1;
   for (std::size_t w = 0; w < windows_.size(); ++w) {
     const std::span<std::int64_t> acc = window_span(mac_, w);
     windows_[w].pos->accumulate_row(hw::RowIndex(row), delta, acc);
     windows_[w].neg->accumulate_row(hw::RowIndex(row), -delta, acc);
   }
   ++generation_;
+}
+
+SpinSweep::SpinSweep(const IsingAnnealConfig& config)
+    : config_(config),
+      cell_model_(config.sram, util::hash_combine(config.seed, 0x4C7)),
+      rng_(util::hash_combine(config.seed, 0x3C1)) {}
+
+std::unique_ptr<hw::WeightStorage> SpinSweep::make_plane(
+    std::uint32_t rows, std::uint32_t cols, std::uint64_t cell_base) const {
+  return hw::make_fast_storage(
+      rows, cols,
+      config_.noise == NoiseMode::kSramWeight ? &cell_model_ : nullptr,
+      cell_base, config_.weight_bits);
+}
+
+std::vector<ising::Spin> SpinSweep::initial_spins(std::size_t n) {
+  if (config_.initial_spins.empty()) return ising::random_spins(n, rng_);
+  CIM_REQUIRE(config_.initial_spins.size() == n,
+              "initial_spins must have one spin per variable");
+  for (const ising::Spin s : config_.initial_spins) {
+    CIM_REQUIRE(s == 1 || s == -1, "initial_spins entries must be ±1");
+  }
+  return config_.initial_spins;
+}
+
+CIM_DETERMINISM_ROOT
+void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
+                    SpinSweepResult& result,
+                    const std::function<void(std::size_t)>& after_sweep) {
+  const noise::AnnealSchedule schedule(config_.schedule);
+  LocalFields fields(layout.windows, result.spins,
+                     config_.memoize_partial_sums);
+  // Rows within each window are written sequentially.
+  const std::uint64_t write_back_cycles =
+      static_cast<std::uint64_t>(layout.windows.size()) *
+      layout.windows.front().pos->rows();
+  const double degree_scale =
+      std::sqrt(static_cast<double>(layout.max_degree));
+  result.sweeps = schedule.total_iterations();
+
+  for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
+    const auto phase = schedule.at(sweep);
+    if (phase.write_back) {
+      batch.write_back(phase);
+      fields.rebuild();
+      result.update_cycles += write_back_cycles;
+    }
+    const double lfsr_temperature =
+        config_.noise == NoiseMode::kLfsr
+            ? equivalent_temperature(cell_model_, phase) * degree_scale
+            : 0.0;
+
+    for (const auto& group : layout.groups) {
+      for (const ising::SpinIndex v : group) {
+        const std::int64_t field =
+            fields.field(layout.window_of[v], layout.col_of[v]);
+        const ising::Spin spin = result.spins[v];
+        // E = −Σ Jσσ − Σ hσ: aligning σ_v with sign(field) descends.
+        ising::Spin next = spin;
+        switch (config_.noise) {
+          case NoiseMode::kSramWeight:
+          case NoiseMode::kSramSpin:  // spin noise degenerates to weight-free
+          case NoiseMode::kNone:
+            if (field > 0) next = 1;
+            if (field < 0) next = -1;
+            break;
+          case NoiseMode::kLfsr: {
+            // Metropolis on the flip: ΔE = 2 σ_v field.
+            const auto delta = static_cast<double>(
+                2 * static_cast<std::int64_t>(spin) * field);
+            const bool accept =
+                delta < 0.0 ||
+                (lfsr_temperature > 0.0 &&
+                 rng_.uniform() < std::exp(-delta / lfsr_temperature));
+            if (accept) next = static_cast<ising::Spin>(-spin);
+            break;
+          }
+        }
+        if (next != spin) {
+          result.spins[v] = next;
+          fields.flip(v, next);
+          ++result.flips;
+        }
+      }
+      result.update_cycles += layout.group_in_one_cycle ? 1 : group.size();
+    }
+    after_sweep(sweep);
+  }
+
+  result.memo_hits = fields.hits();
+  result.memo_misses = fields.misses();
+  for (const LocalFields::Window& w : layout.windows) {
+    result.storage += w.pos->counters();
+    result.storage += w.neg->counters();
+  }
+}
+
+void publish_sweep_telemetry(const SpinSweepResult& result,
+                             const std::string& prefix) {
+  if constexpr (telemetry::kEnabled) {
+    telemetry::Registry& telem = telemetry::Registry::global();
+    telem.counter(prefix + ".solves").add(1);
+    telem.counter(prefix + ".sweeps").add(result.sweeps);
+    telem.counter(prefix + ".flips").add(result.flips);
+    telem.counter(prefix + ".memo_hits").add(result.memo_hits);
+    telem.counter(prefix + ".memo_misses").add(result.memo_misses);
+    telem.counter(prefix + ".update_cycles").add(result.update_cycles);
+    hw::publish_storage(result.storage, telem);
+  }
 }
 
 }  // namespace cim::anneal

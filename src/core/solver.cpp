@@ -13,6 +13,22 @@
 
 namespace cim::core {
 
+namespace {
+
+/// The settings both Ising front ends take from the solver config.
+anneal::IsingAnnealConfig ising_config(const SolverConfig& config) {
+  anneal::IsingAnnealConfig cfg;
+  cfg.schedule = config.schedule;
+  cfg.sram = config.sram;
+  cfg.noise = config.noise;
+  cfg.weight_bits = config.weight_bits;
+  cfg.seed = config.seed;
+  cfg.record_trace = config.record_trace;
+  return cfg;
+}
+
+}  // namespace
+
 std::string telemetry_trace_path(const std::string& snapshot_path) {
   const std::string suffix = ".json";
   if (snapshot_path.size() > suffix.size() &&
@@ -67,15 +83,9 @@ IsingOutcome CimSolver::solve_ising(const ising::GenericModel& model) const {
   IsingOutcome outcome;
   const util::Timer timer;
 
-  anneal::GenericAnnealConfig cfg;
-  cfg.schedule = config_.schedule;
-  cfg.sram = config_.sram;
-  cfg.noise = config_.noise;
-  cfg.strategy = config_.group_strategy;
-  cfg.group_block = config_.group_block;
-  cfg.weight_bits = config_.weight_bits;
-  cfg.seed = config_.seed;
-  cfg.record_trace = config_.record_trace;
+  anneal::GenericAnnealConfig cfg{ising_config(config_),
+                                  config_.group_strategy,
+                                  config_.group_block};
 
   std::optional<store::WarmStartStore> warm_store;
   std::string fingerprint;
@@ -116,13 +126,7 @@ MaxCutOutcome CimSolver::solve_maxcut(
   MaxCutOutcome outcome;
   const util::Timer timer;
 
-  anneal::MaxCutConfig cfg;
-  cfg.schedule = config_.schedule;
-  cfg.sram = config_.sram;
-  cfg.noise = config_.noise;
-  cfg.weight_bits = config_.weight_bits;
-  cfg.seed = config_.seed;
-  cfg.record_trace = config_.record_trace;
+  anneal::MaxCutConfig cfg = ising_config(config_);
 
   std::optional<store::WarmStartStore> warm_store;
   std::string fingerprint;

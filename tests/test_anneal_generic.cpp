@@ -354,36 +354,41 @@ TEST(GenericAnnealer, OutcomeIsPinned) {
     std::uint64_t update_cycles;
     hw::StorageCounters storage;
   };
+  // 200 sweeps × 24 spins × 2 planes of field MACs plus 8 write-backs ×
+  // 24 columns × 2 planes of all-ones row-sum MACs: 9 600 + 384. Each MAC
+  // reads 25 rows (24 spins and the bias row) × 8 bits.
+  constexpr std::uint64_t kMacs = 9984;
+  constexpr std::uint64_t kBitReads = kMacs * 25 * 8;
   constexpr auto kChromatic = ising::GroupStrategy::kChromatic;
   constexpr auto kBlocks = ising::GroupStrategy::kIndexBlocks;
   const Pin pins[] = {
       {"sram_weight", NoiseMode::kSramWeight, kChromatic, false,
        "+++--------++-+--+--+--+", "+++--------++-+--+--+--+", -98, -98,
-       -14242, 509, 3196, 1604, 2400, {10032, 2006400, 96, 76800, 1614}},
+       -14242, 509, 3196, 1604, 2400, {kMacs, kBitReads, 96, 76800, 1614}},
       {"sram_spin", NoiseMode::kSramSpin, kChromatic, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -22772, 13, 4574, 226, 2400, {10032, 2006400, 96, 76800, 0}},
+       -22772, 13, 4574, 226, 2400, {kMacs, kBitReads, 96, 76800, 0}},
       {"lfsr", NoiseMode::kLfsr, kChromatic, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -15788, 1555, 2011, 2789, 2400, {10032, 2006400, 96, 76800, 0}},
+       -15788, 1555, 2011, 2789, 2400, {kMacs, kBitReads, 96, 76800, 0}},
       {"none", NoiseMode::kNone, kChromatic, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -22772, 13, 4574, 226, 2400, {10032, 2006400, 96, 76800, 0}},
+       -22772, 13, 4574, 226, 2400, {kMacs, kBitReads, 96, 76800, 0}},
       {"blocks_sram_weight", NoiseMode::kSramWeight, kBlocks, false,
        "+++-++------+-+-+---+---", "+++-++------+-+-+---+---", -92, -92,
-       -11914, 799, 2766, 2034, 5400, {10032, 2006400, 48, 76800, 1646}},
+       -11914, 799, 2766, 2034, 5400, {kMacs, kBitReads, 48, 76800, 1646}},
       {"blocks_sram_spin", NoiseMode::kSramSpin, kBlocks, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -22784, 11, 4563, 237, 5400, {10032, 2006400, 48, 76800, 0}},
+       -22784, 11, 4563, 237, 5400, {kMacs, kBitReads, 48, 76800, 0}},
       {"blocks_lfsr", NoiseMode::kLfsr, kBlocks, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -14926, 1589, 2070, 2730, 5400, {10032, 2006400, 48, 76800, 0}},
+       -14926, 1589, 2070, 2730, 5400, {kMacs, kBitReads, 48, 76800, 0}},
       {"blocks_none", NoiseMode::kNone, kBlocks, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -22784, 11, 4563, 237, 5400, {10032, 2006400, 48, 76800, 0}},
+       -22784, 11, 4563, 237, 5400, {kMacs, kBitReads, 48, 76800, 0}},
       {"warm", NoiseMode::kSramWeight, kChromatic, true,
        "+++--------++-+--+--+--+", "+++--------++-+--+--+--+", -98, -98, 0,
-       555, 3062, 1738, 2400, {10032, 2006400, 96, 76800, 1614}},
+       555, 3062, 1738, 2400, {kMacs, kBitReads, 96, 76800, 1614}},
   };
   const auto model = random_model(24, 0xA0F1);
   for (const Pin& pin : pins) {
