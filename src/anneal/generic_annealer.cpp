@@ -69,8 +69,6 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
   // image holds each group's pos then neg plane, back to back.
   std::vector<std::unique_ptr<hw::WeightStorage>> planes;
   planes.reserve(2 * partition.groups.size());
-  std::vector<hw::WeightStorage*> storages;
-  storages.reserve(2 * partition.groups.size());
   std::vector<std::size_t> pos_offset(partition.groups.size(), 0);
   std::uint64_t cell_base = 0;
   std::size_t offset = 0;
@@ -78,15 +76,16 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
     const auto cols = static_cast<std::uint32_t>(partition.groups[g].size());
     const std::uint64_t plane_cells =
         static_cast<std::uint64_t>(rows) * cols * config_.weight_bits;
-    for (int sign = 0; sign < 2; ++sign) {
-      planes.push_back(core.make_plane(rows, cols, cell_base));
-      storages.push_back(planes.back().get());
-      cell_base += plane_cells;
-    }
-    layout.windows.push_back({storages[2 * g], storages[2 * g + 1]});
+    planes.push_back(core.make_plane(rows, cols, cell_base));
+    planes.push_back(core.make_plane(rows, cols, cell_base + plane_cells));
+    cell_base += 2 * plane_cells;
+    layout.windows.push_back({planes[2 * g].get(), planes[2 * g + 1].get()});
     pos_offset[g] = offset;
     offset += 2 * static_cast<std::size_t>(rows) * cols;
   }
+  std::vector<hw::WeightStorage*> storages;
+  storages.reserve(planes.size());
+  for (const auto& plane : planes) storages.push_back(plane.get());
   hw::StorageBatch batch(storages);
   // Plane images: fields into the bias row of each member's column, then
   // couplings scattered so W_uv lands in row u of spin v's column (both
@@ -125,26 +124,20 @@ GenericResult GenericAnnealer::solve(const ising::GenericModel& model) const {
   result.energy_hw = mapping.energy_hw(result.spins);
   result.best_energy_hw = result.energy_hw;
   result.best_spins = result.spins;
-  core.run(layout, batch, result, [&](std::size_t sweep) {
+  const auto track_best = [&] {
     result.energy_hw = mapping.energy_hw(result.spins);
     if (result.energy_hw < result.best_energy_hw) {
       result.best_energy_hw = result.energy_hw;
       result.best_spins = result.spins;
     }
-    if (!config_.record_trace) return;
-    result.trace.push_back(result.energy_hw);
-    if constexpr (telemetry::kEnabled) {
-      telemetry::Registry::global().instant(
-          "generic.sweep",
-          {{"sweep", static_cast<double>(sweep)},
-           {"energy_hw", static_cast<double>(result.energy_hw)}});
-    }
-  });
+  };
+  core.run(layout, batch, result,
+           {"generic", "energy_hw", track_best,
+            [&] { return result.energy_hw; }});
   result.energy = mapping.to_model_energy(result.energy_hw, model.offset());
   result.best_energy =
       mapping.to_model_energy(result.best_energy_hw, model.offset());
 
-  publish_sweep_telemetry(result, "generic");
   if constexpr (telemetry::kEnabled) {
     telemetry::Registry::global()
         .gauge("generic.last_best_energy_hw")

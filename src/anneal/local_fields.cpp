@@ -125,8 +125,7 @@ std::vector<ising::Spin> SpinSweep::initial_spins(std::size_t n) {
 
 CIM_DETERMINISM_ROOT
 void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
-                    SpinSweepResult& result,
-                    const std::function<void(std::size_t)>& after_sweep) {
+                    SpinSweepResult& result, const SweepHooks& hooks) {
   const noise::AnnealSchedule schedule(config_.schedule);
   LocalFields fields(layout.windows, result.spins,
                      config_.memoize_partial_sums);
@@ -184,7 +183,17 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
       }
       result.update_cycles += layout.group_in_one_cycle ? 1 : group.size();
     }
-    after_sweep(sweep);
+    if (hooks.after_sweep) hooks.after_sweep();
+    if (config_.record_trace) {
+      const long long objective = hooks.objective();
+      result.trace.push_back(objective);
+      if constexpr (telemetry::kEnabled) {
+        telemetry::Registry::global().instant(
+            hooks.prefix + ".sweep",
+            {{"sweep", static_cast<double>(sweep)},
+             {hooks.objective_key, static_cast<double>(objective)}});
+      }
+    }
   }
 
   result.memo_hits = fields.hits();
@@ -193,18 +202,15 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
     result.storage += w.pos->counters();
     result.storage += w.neg->counters();
   }
-}
 
-void publish_sweep_telemetry(const SpinSweepResult& result,
-                             const std::string& prefix) {
   if constexpr (telemetry::kEnabled) {
     telemetry::Registry& telem = telemetry::Registry::global();
-    telem.counter(prefix + ".solves").add(1);
-    telem.counter(prefix + ".sweeps").add(result.sweeps);
-    telem.counter(prefix + ".flips").add(result.flips);
-    telem.counter(prefix + ".memo_hits").add(result.memo_hits);
-    telem.counter(prefix + ".memo_misses").add(result.memo_misses);
-    telem.counter(prefix + ".update_cycles").add(result.update_cycles);
+    telem.counter(hooks.prefix + ".solves").add(1);
+    telem.counter(hooks.prefix + ".sweeps").add(result.sweeps);
+    telem.counter(hooks.prefix + ".flips").add(result.flips);
+    telem.counter(hooks.prefix + ".memo_hits").add(result.memo_hits);
+    telem.counter(hooks.prefix + ".memo_misses").add(result.memo_misses);
+    telem.counter(hooks.prefix + ".update_cycles").add(result.update_cycles);
     hw::publish_storage(result.storage, telem);
   }
 }

@@ -8,8 +8,10 @@
 // (energy E = −Σ J σσ, so ΔE = 2σ_v·field_v), under the §IV.B write-back
 // schedule. A front end builds and writes its planes, then hands
 // SpinSweep a SpinLayout; SpinSweep owns the rest — seeding, initial
-// spins, σ+, field evaluation, write-backs, the noise-mode switch and the
-// flip, cycle, memo and StorageCounters bookkeeping.
+// spins, σ+, field evaluation, write-backs, the noise-mode switch, the
+// flip, cycle, memo and StorageCounters bookkeeping, the per-sweep trace
+// and the telemetry counters. A front end's SweepHooks name its objective
+// and add its own per-sweep work (best-state tracking).
 //
 // LocalFields evaluates the fields. With memoization on it keeps both
 // terms for every spin in flat arrays — window w's column c sits at
@@ -147,6 +149,21 @@ struct SpinLayout {
   std::uint32_t max_degree = 0;
 };
 
+/// What a front end adds to each sweep, and its telemetry names.
+struct SweepHooks {
+  /// `<prefix>.sweep` instants and the `<prefix>.{solves,sweeps,flips,
+  /// memo_hits,memo_misses,update_cycles}` counters.
+  std::string prefix;
+  /// The key of the objective in a `<prefix>.sweep` instant (a literal).
+  const char* objective_key = "";
+  /// Runs after every sweep (may be empty).
+  std::function<void()> after_sweep;
+  /// The objective after a sweep (a cut, an energy). With record_trace on
+  /// it is called after after_sweep(), appended to result.trace and
+  /// emitted as a `<prefix>.sweep` instant.
+  std::function<long long()> objective;
+};
+
 class SpinSweep {
  public:
   /// Seeds the SRAM cell model and the RNG from config.seed; `config`
@@ -165,21 +182,15 @@ class SpinSweep {
   /// Runs every sweep of the schedule from result.spins: each write-back
   /// phase writes back `batch` (which holds every plane of `layout`) and
   /// charges windows × rows cycles, then each group updates in order.
-  /// Calls after_sweep(sweep) once each sweep ends, and fills every
-  /// SpinSweepResult field.
+  /// Fills every SpinSweepResult field and publishes hooks.prefix's
+  /// counters.
   void run(const SpinLayout& layout, hw::StorageBatch& batch,
-           SpinSweepResult& result,
-           const std::function<void(std::size_t)>& after_sweep);
+           SpinSweepResult& result, const SweepHooks& hooks);
 
  private:
   const IsingAnnealConfig& config_;
   noise::SramCellModel cell_model_;
   util::Rng rng_;
 };
-
-/// Publishes `<prefix>.{solves,sweeps,flips,memo_hits,memo_misses,
-/// update_cycles}` and the storage counters.
-void publish_sweep_telemetry(const SpinSweepResult& result,
-                             const std::string& prefix);
 
 }  // namespace cim::anneal

@@ -90,20 +90,15 @@ MaxCutResult MaxCutAnnealer::solve(
   result.color_count = color_count;
   result.spins = core.initial_spins(n);
   result.best_cut = problem.cut_value(result.spins);
-  core.run(layout, planes, result, [&](std::size_t sweep) {
-    if (!config_.record_trace) return;
-    result.trace.push_back(problem.cut_value(result.spins));
-    result.best_cut = std::max(result.best_cut, result.trace.back());
-    if constexpr (telemetry::kEnabled) {
-      telemetry::Registry::global().instant(
-          "maxcut.sweep", {{"sweep", static_cast<double>(sweep)},
-                           {"cut", static_cast<double>(result.trace.back())}});
-    }
-  });
+  core.run(layout, planes, result,
+           {"maxcut", "cut", {},
+            [&] { return problem.cut_value(result.spins); }});
   result.cut = problem.cut_value(result.spins);
+  for (const long long cut : result.trace) {
+    result.best_cut = std::max(result.best_cut, cut);
+  }
   result.best_cut = std::max(result.best_cut, result.cut);
 
-  publish_sweep_telemetry(result, "maxcut");
   if constexpr (telemetry::kEnabled) {
     telemetry::Registry::global()
         .gauge("maxcut.last_best_cut")
