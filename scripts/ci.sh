@@ -5,6 +5,8 @@
 #
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
+#                    on x86-64 a check that the write-back object code
+#                    uses the popcnt instruction,
 #                    the annealer suites re-run with memoization
 #                    disabled, the bench smoke runs
 #                    (BENCH_swap_kernel, BENCH_reuse and BENCH_ext_qubo
@@ -62,6 +64,26 @@ esac
 for preset in "${presets[@]}"; do
   run_preset "${preset}"
 done
+
+# x86-64 builds compile with -mpopcnt (root CMakeLists.txt), so each
+# write-back draw's popcount is one instruction. A dropped flag, or a
+# popcount that goes back through libgcc, fails here rather than as a
+# silent slowdown of every write-back.
+if [[ "$(uname -m)" == "x86_64" ]]; then
+  echo "==== popcnt in the release write-back object code"
+  storage_obj="${repo_root}/build/release/src/cim/CMakeFiles/cim_hw.dir/storage.cpp.o"
+  require_artifact "${storage_obj}"
+  storage_asm="$(objdump -dr --no-show-raw-insn "${storage_obj}")"
+  if ! grep -qw popcnt <<<"${storage_asm}"; then
+    echo "ci.sh: no popcnt instruction in ${storage_obj}" >&2
+    exit 1
+  fi
+  if grep -q __popcountdi2 <<<"${storage_asm}"; then
+    echo "ci.sh: ${storage_obj} calls libgcc's __popcountdi2" >&2
+    exit 1
+  fi
+  echo "storage.cpp.o: $(grep -cw popcnt <<<"${storage_asm}") popcnt, no __popcountdi2"
+fi
 
 # Memoization defaults on — the TSP annealer's swap ΔE cache and the Ising
 # annealers' incremental local fields — so the preset run above already

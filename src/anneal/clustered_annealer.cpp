@@ -685,25 +685,14 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
   [[maybe_unused]] std::size_t epoch_attempted = 0;
   [[maybe_unused]] std::size_t epoch_accepted = 0;
 
-  for (std::size_t iter = 0; iter < schedule_.total_iterations(); ++iter) {
+  const std::size_t iterations = schedule_.total_iterations();
+  const auto phase_at = [&](std::size_t iter) {
     SchedulePhase phase = schedule_.at(iter);
     phase.epoch += epoch_base_;
-
-    if (phase.write_back) {
-      // All arrays refresh in parallel — on the chip, and in the level's
-      // pooled batch here, whose result does not depend on the worker
-      // count.
-      batch_->write_back(phase);
-      for (Slot& slot : slots_) {
-        // Weights changed (golden restore + fresh corruption pattern):
-        // every cached swap delta is stale.
-        slot.input_gen = ++slot.gen_counter;
-      }
-      // Rows within an array are written sequentially.
-      hw.writeback_cycles += max_rows;
-      stats.update_cycles += max_rows;
-    }
-
+    return phase;
+  };
+  const auto iterate = [&](std::size_t iter) {
+    const SchedulePhase phase = phase_at(iter);
     if (config_.chromatic_parallel) {
       // All slots of one colour update in the same 4 MAC cycles: their
       // ring neighbours hold other colours, so the frozen-neighbour reads
@@ -766,6 +755,44 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
         epoch_attempted = stats.swaps_attempted;
         epoch_accepted = stats.swaps_accepted;
       }
+    }
+  };
+
+  // One epoch at a time: commit its write-back on this thread, then run
+  // its iterations here while the pool settles the next epoch's
+  // write-back into the spare planes (DESIGN.md §11). The commit must
+  // come first: a prepare still running would be settling the plane it
+  // swaps in.
+  const std::size_t step = schedule_.params().iterations_per_step;
+  struct {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  } span;  // the epoch's iterations
+  // Two references, which std::function holds without a heap allocation.
+  const std::function<void()> epoch = [&iterate, &span] {
+    for (std::size_t iter = span.begin; iter < span.end; ++iter) {
+      iterate(iter);
+    }
+  };
+  for (std::size_t e = 0; e < schedule_.epochs(); ++e) {
+    span.begin = e * step;
+    span.end = std::min(span.begin + step, iterations);
+    // All arrays refresh in parallel — on the chip, and in the level's
+    // pooled batch here, whose result does not depend on the worker
+    // count.
+    batch_->write_back(phase_at(span.begin));
+    for (Slot& slot : slots_) {
+      // Weights changed (golden restore + fresh corruption pattern):
+      // every cached swap delta is stale.
+      slot.input_gen = ++slot.gen_counter;
+    }
+    // Rows within an array are written sequentially.
+    hw.writeback_cycles += max_rows;
+    stats.update_cycles += max_rows;
+    if (span.end < iterations) {
+      batch_->prepare_beside(phase_at(span.end), epoch);
+    } else {
+      epoch();
     }
   }
 

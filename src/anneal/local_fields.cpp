@@ -28,6 +28,7 @@ LocalFields::LocalFields(std::vector<Window> windows,
   for (std::size_t v = 0; v < spins.size(); ++v) {
     sigma_plus_[v] = spins[v] > 0 ? 1 : 0;
   }
+  if (!memoize_) ones_.assign(sigma_plus_.size(), 1);
   mac_.assign(slots, 0);
   row_sum_.assign(slots, 0);
   stamp_.assign(slots, 0);
@@ -40,12 +41,11 @@ std::span<std::int64_t> LocalFields::window_span(
 
 void LocalFields::rebuild() {
   if (!memoize_) {
-    const std::vector<std::uint8_t> ones(sigma_plus_.size(), 1);
     for (std::size_t w = 0; w < windows_.size(); ++w) {
       const std::span<std::int64_t> sums = window_span(row_sum_, w);
       for (std::uint32_t c = 0; c < sums.size(); ++c) {
-        sums[c] = windows_[w].pos->mac(hw::ColIndex(c), ones) -
-                  windows_[w].neg->mac(hw::ColIndex(c), ones);
+        sums[c] = windows_[w].pos->mac(hw::ColIndex(c), ones_) -
+                  windows_[w].neg->mac(hw::ColIndex(c), ones_);
       }
     }
     return;
@@ -103,7 +103,13 @@ void LocalFields::flip(std::uint32_t row, ising::Spin next) {
 SpinSweep::SpinSweep(const IsingAnnealConfig& config)
     : config_(config),
       cell_model_(config.sram, util::hash_combine(config.seed, 0x4C7)),
-      rng_(util::hash_combine(config.seed, 0x3C1)) {}
+      rng_(util::hash_combine(config.seed, 0x3C1)) {
+  // SRAM spin noise filters the TSP annealer's input register; the spin
+  // sweep has no such register to corrupt.
+  CIM_REQUIRE(config_.noise != NoiseMode::kSramSpin,
+              "the Ising annealers support sram-weight, lfsr and none "
+              "noise, not sram-spin");
+}
 
 std::unique_ptr<hw::WeightStorage> SpinSweep::make_plane(
     std::uint32_t rows, std::uint32_t cols, std::uint64_t cell_base) const {
@@ -136,14 +142,12 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
   const double degree_scale =
       std::sqrt(static_cast<double>(layout.max_degree));
   result.sweeps = schedule.total_iterations();
+  CIM_ASSERT(result.trace.empty());  // the trace is indexed by sweep
 
-  for (std::size_t sweep = 0; sweep < schedule.total_iterations(); ++sweep) {
+  const auto sweep_once = [&](std::size_t sweep) {
     const auto phase = schedule.at(sweep);
-    if (phase.write_back) {
-      batch.write_back(phase);
-      fields.rebuild();
-      result.update_cycles += write_back_cycles;
-    }
+    // The epoch's write-back has been committed: refresh the fields.
+    if (phase.write_back) fields.rebuild();
     const double lfsr_temperature =
         config_.noise == NoiseMode::kLfsr
             ? equivalent_temperature(cell_model_, phase) * degree_scale
@@ -156,24 +160,19 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
         const ising::Spin spin = result.spins[v];
         // E = −Σ Jσσ − Σ hσ: aligning σ_v with sign(field) descends.
         ising::Spin next = spin;
-        switch (config_.noise) {
-          case NoiseMode::kSramWeight:
-          case NoiseMode::kSramSpin:  // spin noise degenerates to weight-free
-          case NoiseMode::kNone:
-            if (field > 0) next = 1;
-            if (field < 0) next = -1;
-            break;
-          case NoiseMode::kLfsr: {
-            // Metropolis on the flip: ΔE = 2 σ_v field.
-            const auto delta = static_cast<double>(
-                2 * static_cast<std::int64_t>(spin) * field);
-            const bool accept =
-                delta < 0.0 ||
-                (lfsr_temperature > 0.0 &&
-                 rng_.uniform() < std::exp(-delta / lfsr_temperature));
-            if (accept) next = static_cast<ising::Spin>(-spin);
-            break;
-          }
+        if (config_.noise == NoiseMode::kLfsr) {
+          // Metropolis on the flip: ΔE = 2 σ_v field.
+          const auto delta = static_cast<double>(
+              2 * static_cast<std::int64_t>(spin) * field);
+          const bool accept =
+              delta < 0.0 ||
+              (lfsr_temperature > 0.0 &&
+               rng_.uniform() < std::exp(-delta / lfsr_temperature));
+          if (accept) next = static_cast<ising::Spin>(-spin);
+        } else {
+          // kSramWeight (the noise is in the planes) and kNone.
+          if (field > 0) next = 1;
+          if (field < 0) next = -1;
         }
         if (next != spin) {
           result.spins[v] = next;
@@ -184,14 +183,46 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
       result.update_cycles += layout.group_in_one_cycle ? 1 : group.size();
     }
     if (hooks.after_sweep) hooks.after_sweep();
-    if (config_.record_trace) {
-      const long long objective = hooks.objective();
-      result.trace.push_back(objective);
-      if constexpr (telemetry::kEnabled) {
+    if (config_.record_trace) result.trace.push_back(hooks.objective());
+  };
+
+  // One epoch at a time: commit its write-back on this thread, then run
+  // its sweeps here while the pool settles the next epoch's write-back
+  // into the spare planes (DESIGN.md §11). The commit must come first: a
+  // prepare still running would be settling the plane it swaps in.
+  const std::size_t sweeps = schedule.total_iterations();
+  const std::size_t step = config_.schedule.iterations_per_step;
+  struct {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  } span;  // the epoch's sweeps
+  // Two references, which std::function holds without a heap allocation.
+  const std::function<void()> epoch = [&sweep_once, &span] {
+    for (std::size_t sweep = span.begin; sweep < span.end; ++sweep) {
+      sweep_once(sweep);
+    }
+  };
+  for (std::size_t e = 0; e < schedule.epochs(); ++e) {
+    span.begin = e * step;
+    span.end = std::min(span.begin + step, sweeps);
+    batch.write_back(schedule.at(span.begin));
+    result.update_cycles += write_back_cycles;
+    if (span.end < sweeps) {
+      batch.prepare_beside(schedule.at(span.end), epoch);
+    } else {
+      epoch();
+    }
+    // The epoch's `<prefix>.sweep` instants, in sweep order, from this
+    // frame: emitted inside the epoch closure, GCC 12 -fanalyzer reports
+    // their argument strings as leaked and null-dereferenced.
+    if constexpr (telemetry::kEnabled) {
+      for (std::size_t sweep = span.begin;
+           config_.record_trace && sweep < span.end; ++sweep) {
         telemetry::Registry::global().instant(
             hooks.prefix + ".sweep",
             {{"sweep", static_cast<double>(sweep)},
-             {hooks.objective_key, static_cast<double>(objective)}});
+             {hooks.objective_key,
+              static_cast<double>(result.trace[sweep])}});
       }
     }
   }

@@ -124,6 +124,8 @@ class LocalFields {
   std::vector<Window> windows_;
   bool memoize_;
   std::vector<std::uint8_t> sigma_plus_;
+  /// The all-ones input of the recompute path's row-sum MACs.
+  std::vector<std::uint8_t> ones_;
   std::vector<std::size_t> offset_;  ///< first slot of each window
   std::vector<std::int64_t> mac_;
   std::vector<std::int64_t> row_sum_;
@@ -159,15 +161,17 @@ struct SweepHooks {
   /// Runs after every sweep (may be empty).
   std::function<void()> after_sweep;
   /// The objective after a sweep (a cut, an energy). With record_trace on
-  /// it is called after after_sweep(), appended to result.trace and
-  /// emitted as a `<prefix>.sweep` instant.
+  /// it is called after after_sweep() and appended to result.trace; the
+  /// `<prefix>.sweep` instants of an epoch's sweeps are emitted, in sweep
+  /// order, once the epoch's sweeps have run.
   std::function<long long()> objective;
 };
 
 class SpinSweep {
  public:
   /// Seeds the SRAM cell model and the RNG from config.seed; `config`
-  /// must outlive the sweep.
+  /// must outlive the sweep. Rejects NoiseMode::kSramSpin (ConfigError):
+  /// the sweep has no input register for spin noise to corrupt.
   explicit SpinSweep(const IsingAnnealConfig& config);
 
   /// A rows×cols weight plane at `cell_base`, noisy under
@@ -181,7 +185,9 @@ class SpinSweep {
 
   /// Runs every sweep of the schedule from result.spins: each write-back
   /// phase writes back `batch` (which holds every plane of `layout`) and
-  /// charges windows × rows cycles, then each group updates in order.
+  /// charges windows × rows cycles, then each group updates in order. An
+  /// epoch's sweeps run beside the pooled prepare of the next epoch's
+  /// write-back (StorageBatch::prepare_beside).
   /// Fills every SpinSweepResult field and publishes hooks.prefix's
   /// counters.
   void run(const SpinLayout& layout, hw::StorageBatch& batch,

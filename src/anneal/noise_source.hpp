@@ -7,7 +7,8 @@
 //   * kSramSpin   — the [4]-style design the paper argues against: the
 //     same spatially fixed error pattern is applied to the *spin inputs*.
 //     With frozen weights the dynamics are deterministic and converge
-//     poorly; reproduced for the ablation bench.
+//     poorly; reproduced for the ablation bench. TSP annealer only: the
+//     Max-Cut and generic Ising annealers reject it (ConfigError).
 //   * kLfsr       — conventional digital annealing: exact weights, a
 //     pseudo-random number generator drives Metropolis acceptance. The
 //     temperature is matched to the SRAM noise magnitude of the same

@@ -15,13 +15,19 @@
 //                      1-byte-per-weight anti-preferred mask (bit b set
 //                      iff the stored bit differs from the cell's
 //                      preferred value). A write-back restores that image
-//                      and settles only the mask's set noisy bits through
-//                      noise::PhaseSettler::flips_anti — a cell at its
-//                      preferred value is stable. The storage itself is
-//                      single-threaded: its own write() and write_back()
-//                      run inline. Both passes work on any weight range,
-//                      so StorageBatch (below) splits them into pooled
-//                      tasks across every storage of a solve.
+//                      and settles only the mask's set noisy bits — a
+//                      cell at its preferred value is stable — in blocks
+//                      of 256 weights: list the candidate cells, draw
+//                      all their ΔVth popcounts in one loop, settle the
+//                      PhaseSettler table's always/never cells, then
+//                      draw disturbances only for the open ones (the
+//                      draws and rule of PhaseSettler::flips_anti). The
+//                      storage itself is single-threaded: its own write()
+//                      and write_back() run inline. Both passes work on
+//                      any weight range, so StorageBatch (below) splits
+//                      them into pooled tasks across every storage of a
+//                      solve, and can settle a write-back into a spare
+//                      plane while the MACs still read the current one.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
@@ -30,8 +36,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -164,8 +172,16 @@ std::unique_ptr<WeightStorage> make_bit_level_storage(
 /// pool width. A write-back builds one PhaseSettler per cell model, not
 /// one per storage. A batch of one task runs inline on the caller.
 ///
+/// A write-back can also be settled an epoch early. prepare(next) settles
+/// each noisy fast storage into a spare plane while the MACs keep reading
+/// the current one; write_back(next) then commits it by swapping the
+/// planes and charging the counters, so weights and counters are those
+/// of a direct write-back. The annealers run each epoch's iterations
+/// beside the next epoch's prepare (prepare_beside), always committing
+/// the epoch's own write-back before launching the next prepare.
+///
 /// The storages must outlive the batch, and nothing else may touch them
-/// while a batch call runs.
+/// while a batch call runs; MACs may run while a prepare does.
 class StorageBatch {
  public:
   /// Weights per pooled task, from a 1 024 / 4 096 / 16 384 cimbench
@@ -187,8 +203,29 @@ class StorageBatch {
   /// image is validated before any storage changes (ConfigError).
   void write(std::span<const std::uint8_t> images);
 
-  /// WeightStorage::write_back(phase) on every storage.
+  /// WeightStorage::write_back(phase) on every storage. Commits the
+  /// pending prepare(phase) if it was for exactly this phase (epoch, vdd,
+  /// noisy_lsbs) and no storage was written since; otherwise settles
+  /// directly, as if nothing had been prepared. Either way weights and
+  /// counters are the same, and every counter is charged here.
   void write_back(const noise::SchedulePhase& phase);
+
+  /// Settles `phase` into each noisy fast storage's spare plane, which
+  /// it allocates on first use, and records each piece's flips, while the
+  /// MACs still read the current planes; the matching write_back(phase)
+  /// swaps the planes in. Charges nothing, and replaces any pending
+  /// prepare. A no-op for a one-task batch, a noise-free phase or a batch
+  /// without a noise model. Nothing may write back or write the storages
+  /// while it runs, but their MACs may.
+  void prepare(const noise::SchedulePhase& phase);
+
+  /// Runs `foreground` on the caller while prepare(next) runs as the
+  /// shared pool's run_beside background, or just `foreground` when
+  /// prepare(next) would be a no-op. The annealers' epoch loops commit
+  /// an epoch's write-back first, then run its iterations here with the
+  /// next write-back phase (DESIGN.md §11).
+  void prepare_beside(const noise::SchedulePhase& next,
+                      const std::function<void()>& foreground);
 
  private:
   /// Weights [begin, end) of one storage, which sits at `offset` in the
@@ -204,11 +241,27 @@ class StorageBatch {
   };
   static constexpr std::uint32_t kNoModel = ~0U;
 
+  /// Whether prepare(phase) would settle anything.
+  bool prepares(const noise::SchedulePhase& phase) const;
+  /// Whether write_back(phase) can commit the pending prepare.
+  bool committable(const noise::SchedulePhase& phase) const;
+  void build_settlers(const noise::SchedulePhase& phase);
+  /// Settles piece i for `phase` into the storage's current plane, or
+  /// into its spare plane; returns the piece's flips.
+  std::uint64_t settle_piece(std::size_t i, const noise::SchedulePhase& phase,
+                             bool into_spare);
+
   std::vector<Piece> pieces_;
   /// Task t runs pieces [task_end_[t − 1], task_end_[t]).
   std::vector<std::size_t> task_end_;
-  /// The pseudo-read flips of each piece in the current write-back.
+  /// The pseudo-read flips of each piece in the current or prepared
+  /// write-back.
   std::vector<std::uint64_t> piece_flips_;
+  /// Per piece, the spare plane the last prepare settled it into, or
+  /// null for a piece settled only at write_back (bit-level, noise-free).
+  std::vector<std::uint8_t*> spare_planes_;
+  /// The phase of the pending prepare.
+  std::optional<noise::SchedulePhase> prepared_;
   /// The distinct cell models of the fast storages, and this write-back's
   /// settler for each.
   std::vector<const noise::SramCellModel*> models_;

@@ -57,6 +57,15 @@
 //     A settler is read-only once built, so hw::StorageBatch builds one
 //     per cell model for a whole batch write-back and shares it across
 //     its pooled tasks, instead of one per storage.
+//   * Batched draws: flips_anti() is threshold() — the ΔVth draw and its
+//     table entry — then, only for an entry in [1, 64], disturbed().
+//     FastStorage calls the two halves over a block of cells rather than
+//     cell by cell: every threshold in one loop of independent hash
+//     chains the core can overlap, the table's extremes settled without
+//     a branch, and the disturbance draws in a second loop over the open
+//     cells alone. Same draws, same rule, no per-cell branch on the
+//     table entry. The draws are popcounts of 64-bit hashes; x86-64
+//     builds compile with -mpopcnt so each is one instruction.
 #pragma once
 
 #include <array>
@@ -71,9 +80,11 @@ namespace cim::noise {
 /// drift apart.
 namespace cell_hash {
 
-/// Bit count of `x`, equal to std::popcount. At the baseline x86-64
-/// target (no POPCNT instruction) std::popcount compiles to a call into
-/// libgcc; this branch-free SWAR count inlines into the write-back loop.
+/// Bit count of `x`, equal to std::popcount. x86-64 builds compile with
+/// -mpopcnt (the root CMakeLists.txt), where GCC folds this SWAR count
+/// into one `popcnt` (scripts/ci.sh checks storage.cpp.o for it); on a
+/// target without the instruction it still inlines branch-free, where
+/// std::popcount would call into libgcc.
 constexpr int popcount64(std::uint64_t x) {
   x -= (x >> 1) & 0x5555555555555555ULL;
   x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
@@ -207,14 +218,27 @@ class PhaseSettler {
 
   /// True iff this phase's pseudo-read flips a non-stuck cell that holds
   /// its anti-preferred value: the rule settle() applies to such a cell,
-  /// and the whole per-phase decision of FastStorage's mask walk.
+  /// and the whole per-phase decision of FastStorage's mask walk, which
+  /// applies it in the two halves below.
   bool flips_anti(std::uint64_t cell_id) const {
-    const unsigned from =
-        flip_from_[static_cast<std::size_t>(
-            cell_hash::vth_popcount(seed_, cell_id))];
+    const unsigned from = threshold(cell_id);
     // The table's extremes decide without the disturbance draw.
     if (from == 0) return true;
     if (from > 64) return false;
+    return disturbed(cell_id, from);
+  }
+
+  /// flips_anti()'s first draw: the flip_from() entry of the cell's ΔVth
+  /// popcount. A batched caller draws these for a whole block of cells,
+  /// then settles 0 (flips) and 65 (stays) without a second draw.
+  unsigned threshold(std::uint64_t cell_id) const {
+    return flip_from_[static_cast<std::size_t>(
+        cell_hash::vth_popcount(seed_, cell_id))];
+  }
+
+  /// flips_anti()'s second draw, for a cell whose threshold() `from` is
+  /// in [1, 64]: true iff this phase's disturbance popcount reaches it.
+  bool disturbed(std::uint64_t cell_id, unsigned from) const {
     return static_cast<unsigned>(
                cell_hash::disturb_popcount(seed_, cell_id, epoch_)) >= from;
   }

@@ -365,9 +365,6 @@ TEST(GenericAnnealer, OutcomeIsPinned) {
       {"sram_weight", NoiseMode::kSramWeight, kChromatic, false,
        "+++--------++-+--+--+--+", "+++--------++-+--+--+--+", -98, -98,
        -14242, 509, 3196, 1604, 2400, {kMacs, kBitReads, 96, 76800, 1614}},
-      {"sram_spin", NoiseMode::kSramSpin, kChromatic, false,
-       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -22772, 13, 4574, 226, 2400, {kMacs, kBitReads, 96, 76800, 0}},
       {"lfsr", NoiseMode::kLfsr, kChromatic, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
        -15788, 1555, 2011, 2789, 2400, {kMacs, kBitReads, 96, 76800, 0}},
@@ -377,9 +374,6 @@ TEST(GenericAnnealer, OutcomeIsPinned) {
       {"blocks_sram_weight", NoiseMode::kSramWeight, kBlocks, false,
        "+++-++------+-+-+---+---", "+++-++------+-+-+---+---", -92, -92,
        -11914, 799, 2766, 2034, 5400, {kMacs, kBitReads, 48, 76800, 1646}},
-      {"blocks_sram_spin", NoiseMode::kSramSpin, kBlocks, false,
-       "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
-       -22784, 11, 4563, 237, 5400, {kMacs, kBitReads, 48, 76800, 0}},
       {"blocks_lfsr", NoiseMode::kLfsr, kBlocks, false,
        "+---+--+--+-++--+-+-+++-", "+---+--+--+-++--+-+-+++-", -114, -114,
        -14926, 1589, 2070, 2730, 5400, {kMacs, kBitReads, 48, 76800, 0}},
@@ -391,6 +385,20 @@ TEST(GenericAnnealer, OutcomeIsPinned) {
        555, 3062, 1738, 2400, {kMacs, kBitReads, 96, 76800, 1614}},
   };
   const auto model = random_model(24, 0xA0F1);
+  // SRAM spin noise has no input register to corrupt here: a ConfigError
+  // under either group strategy, not a silent greedy descent.
+  for (const auto strategy : {kChromatic, kBlocks}) {
+    for (const bool memo : {true, false}) {
+      auto config = base_config();
+      config.noise = NoiseMode::kSramSpin;
+      config.strategy = strategy;
+      config.group_block = 8;
+      config.memoize_partial_sums = memo;
+      config.record_trace = true;
+      EXPECT_THROW(GenericAnnealer(config).solve(model), ConfigError)
+          << (memo ? "memo" : "recompute");
+    }
+  }
   for (const Pin& pin : pins) {
     for (const bool memo : {true, false}) {
       SCOPED_TRACE(std::string(pin.name) + (memo ? " memo" : " recompute"));

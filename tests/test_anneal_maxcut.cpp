@@ -146,11 +146,17 @@ TEST(MaxCutAnnealer, EmptyProblemThrows) {
 TEST(MaxCutAnnealer, MemoMatchesRecomputeExactly) {
   // The per-vertex partial-sum memo must be a pure optimisation: same
   // flip sequence, same cuts, same hardware counters (a hit charges the
-  // full read cost of both planes), for every noise mode.
+  // full read cost of both planes), for every noise mode the annealer
+  // takes; both paths reject SRAM spin noise.
+  const auto problem = ising::random_maxcut(90, 0.15, 21, 3);
+  for (const bool memoize : {true, false}) {
+    auto config = base_config();
+    config.noise = NoiseMode::kSramSpin;
+    config.memoize_partial_sums = memoize;
+    EXPECT_THROW(MaxCutAnnealer(config).solve(problem), ConfigError);
+  }
   for (const NoiseMode mode :
-       {NoiseMode::kNone, NoiseMode::kSramWeight, NoiseMode::kSramSpin,
-        NoiseMode::kLfsr}) {
-    const auto problem = ising::random_maxcut(90, 0.15, 21, 3);
+       {NoiseMode::kNone, NoiseMode::kSramWeight, NoiseMode::kLfsr}) {
     auto config = base_config();
     config.noise = mode;
     config.record_trace = true;
@@ -322,9 +328,6 @@ TEST(MaxCutAnnealer, OutcomeIsPinned) {
       {"sram_weight", NoiseMode::kSramWeight, false,
        "-+-++++-+--+++---+--+--+++++++++", 105, 105, 20933, 40, 5376, 1024,
        1256, {13312, 3407872, 16, 131072, 2871}},
-      {"sram_spin", NoiseMode::kSramSpin, false,
-       "---++-+-+--+++--++--+---++++++++", 92, 92, 18365, 18, 6055, 345,
-       1256, {13312, 3407872, 16, 131072, 0}},
       {"lfsr", NoiseMode::kLfsr, false, "-+-++++-+--+++---+--+--+++++++++",
        105, 105, 20912, 40, 5816, 584, 1256, {13312, 3407872, 16, 131072, 0}},
       {"none", NoiseMode::kNone, false, "---++-+-+--+++--++--+---++++++++",
@@ -334,6 +337,16 @@ TEST(MaxCutAnnealer, OutcomeIsPinned) {
        {13312, 3407872, 16, 131072, 2871}},
   };
   const auto problem = ising::random_maxcut(32, 0.2, 41, 5, true);
+  // SRAM spin noise has no input register to corrupt here: a ConfigError,
+  // not a silent greedy descent.
+  for (const bool memo : {true, false}) {
+    auto config = base_config();
+    config.noise = NoiseMode::kSramSpin;
+    config.memoize_partial_sums = memo;
+    config.record_trace = true;
+    EXPECT_THROW(MaxCutAnnealer(config).solve(problem), ConfigError)
+        << (memo ? "memo" : "recompute");
+  }
   for (const Pin& pin : pins) {
     for (const bool memo : {true, false}) {
       SCOPED_TRACE(std::string(pin.name) + (memo ? " memo" : " recompute"));

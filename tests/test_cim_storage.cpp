@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "noise/schedule.hpp"
@@ -294,6 +296,142 @@ TEST(Storage, BatchMatchesPerStorage) {
                    std::to_string(p.noisy_lsbs));
     }
     EXPECT_GT(batched.back()->counters().pseudo_read_flips, 0U);
+  }
+}
+
+TEST(Storage, PreparedWriteBackMatchesDirect) {
+  // Two twin batches over a mixed set — noisy fast storages below and
+  // above one task, a noise-free fast storage and a bit-level one. One
+  // prepares every write-back during the epoch before it and then commits
+  // it, the other writes back directly; weights and all five counters
+  // must agree after every default-schedule write-back, the noise-free
+  // ones included, and the MACs issued between prepare and commit must
+  // read the committed epoch, not the prepared one. A prepare for another
+  // phase, and a write() between prepare and commit, must fall back to a
+  // direct settle. tests/CMakeLists.txt reruns this under 1, 2 and 8 pool
+  // workers.
+  struct Shape {
+    std::uint32_t rows;
+    std::uint32_t cols;
+    bool noisy;
+    bool bit_level;
+  };
+  const std::vector<Shape> shapes = {
+      {15, 9, true, false},     // below one task
+      {131, 140, true, false},  // over four tasks
+      {40, 50, false, false},   // noise-free fast storage
+      {12, 10, true, true},     // bit-level oracle
+      {70, 70, true, false},    // over one task
+  };
+  const noise::AnnealSchedule schedule;
+  std::vector<noise::SchedulePhase> phases;
+  for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
+    if (schedule.at(it).write_back) phases.push_back(schedule.at(it));
+  }
+  ASSERT_GT(phases.front().noisy_lsbs, 0U);
+  ASSERT_EQ(phases.back().noisy_lsbs, 0U);
+  for (const double stuck_rate : {0.0, 0.01}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const noise::SramCellModel model(params, 91);
+    std::vector<std::unique_ptr<WeightStorage>> prepared;
+    std::vector<std::unique_ptr<WeightStorage>> direct;
+    std::vector<std::uint8_t> images;
+    std::vector<std::uint8_t> rewrite;
+    std::uint64_t cell_base = 9;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const Shape& sh = shapes[i];
+      const noise::SramCellModel* m = sh.noisy ? &model : nullptr;
+      for (auto* twins : {&prepared, &direct}) {
+        twins->push_back(
+            sh.bit_level
+                ? make_bit_level_storage(sh.rows, sh.cols, m, cell_base)
+                : make_fast_storage(sh.rows, sh.cols, m, cell_base));
+      }
+      const auto image = random_image(sh.rows, sh.cols, 90 + i);
+      images.insert(images.end(), image.begin(), image.end());
+      const auto image_b = random_image(sh.rows, sh.cols, 190 + i);
+      rewrite.insert(rewrite.end(), image_b.begin(), image_b.end());
+      cell_base += static_cast<std::uint64_t>(sh.rows) * sh.cols * 8;
+    }
+    const auto members = [](const auto& twins) {
+      std::vector<WeightStorage*> out;
+      for (const auto& storage : twins) out.push_back(storage.get());
+      return out;
+    };
+    StorageBatch with_prepare(members(prepared));
+    StorageBatch without(members(direct));
+    ASSERT_GT(with_prepare.tasks(), 2U);
+    with_prepare.write(images);
+    without.write(images);
+    const auto expect_equal = [&](const std::string& when) {
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        for (std::uint32_t r = 0; r < shapes[i].rows; ++r) {
+          for (std::uint32_t c = 0; c < shapes[i].cols; ++c) {
+            ASSERT_EQ(prepared[i]->weight(RowIndex(r), ColIndex(c)),
+                      direct[i]->weight(RowIndex(r), ColIndex(c)))
+                << when << " storage " << i << " weight " << r << "," << c
+                << " stuck rate " << stuck_rate;
+          }
+        }
+        ASSERT_EQ(prepared[i]->counters(), direct[i]->counters())
+            << when << " storage " << i << " stuck rate " << stuck_rate;
+      }
+    };
+    // One all-rows MAC per column of every storage: values and counters.
+    const auto mac_all = [&](const std::string& when) {
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        std::vector<std::uint32_t> rows(shapes[i].rows);
+        for (std::uint32_t r = 0; r < shapes[i].rows; ++r) rows[r] = r;
+        for (std::uint32_t c = 0; c < shapes[i].cols; ++c) {
+          ASSERT_EQ(prepared[i]->mac_sparse(ColIndex(c), rows),
+                    direct[i]->mac_sparse(ColIndex(c), rows))
+              << when << " storage " << i << " column " << c;
+        }
+      }
+    };
+    for (std::size_t k = 0; k < phases.size(); ++k) {
+      const std::string when = "epoch " + std::to_string(phases[k].epoch);
+      with_prepare.write_back(phases[k]);
+      without.write_back(phases[k]);
+      expect_equal(when);
+      if (k + 1 < phases.size()) with_prepare.prepare(phases[k + 1]);
+      mac_all(when + " after prepare");
+      expect_equal(when + " after prepare");
+    }
+
+    // A prepare for another phase is dropped: a later epoch, and the same
+    // epoch at another supply.
+    noise::SchedulePhase other_vdd = phases[1];
+    other_vdd.vdd += 0.01;
+    for (const auto& [ahead, committed] :
+         {std::pair{phases[1], phases[2]}, std::pair{phases[1], other_vdd}}) {
+      with_prepare.prepare(ahead);
+      with_prepare.write_back(committed);
+      without.write_back(committed);
+      expect_equal("mismatched phase, epoch " +
+                   std::to_string(committed.epoch));
+    }
+
+    // A write() between prepare and commit discards the prepare: through
+    // the batch, and straight to one storage.
+    with_prepare.prepare(phases[1]);
+    with_prepare.write(rewrite);
+    without.write(rewrite);
+    with_prepare.write_back(phases[1]);
+    without.write_back(phases[1]);
+    expect_equal("batch write between prepare and commit");
+    // Storage 1 gets its first image back.
+    const auto original = std::span<const std::uint8_t>(images).subspan(
+        static_cast<std::size_t>(shapes[0].rows) * shapes[0].cols,
+        static_cast<std::size_t>(shapes[1].rows) * shapes[1].cols);
+    with_prepare.prepare(phases[0]);
+    prepared[1]->write(original);
+    direct[1]->write(original);
+    with_prepare.write_back(phases[0]);
+    without.write_back(phases[0]);
+    expect_equal("storage write between prepare and commit");
+    EXPECT_GT(prepared[1]->counters().pseudo_read_flips, 0U);
   }
 }
 
