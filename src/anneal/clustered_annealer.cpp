@@ -655,9 +655,10 @@ double LevelSolver::exact_swap_delta_applied(Slot& slot, std::uint32_t i,
   return after - before;
 }
 
-// The epoch loop — the canonical determinism-taint root (DESIGN.md
-// §13): everything reachable from here must draw randomness only
-// from the solver's seeded stream.
+// The level solve — the canonical determinism-taint root (DESIGN.md
+// §13): everything reachable from here, the epoch bodies that the
+// level's StorageBatch::run_epochs calls included, must draw randomness
+// only from the solver's seeded stream.
 CIM_DETERMINISM_ROOT
 LevelStats LevelSolver::run(HardwareActivity& hw,
                             std::vector<double>* trace) {
@@ -685,14 +686,18 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
   [[maybe_unused]] std::size_t epoch_attempted = 0;
   [[maybe_unused]] std::size_t epoch_accepted = 0;
 
-  const std::size_t iterations = schedule_.total_iterations();
-  const auto phase_at = [&](std::size_t iter) {
+  const auto iterate = [&](std::size_t iter) {
     SchedulePhase phase = schedule_.at(iter);
     phase.epoch += epoch_base_;
-    return phase;
-  };
-  const auto iterate = [&](std::size_t iter) {
-    const SchedulePhase phase = phase_at(iter);
+    if (phase.write_back) {
+      // The epoch's write-back has been committed — all arrays refresh
+      // in parallel, on the chip and in the level's pooled batch — so
+      // every cached swap delta is stale.
+      for (Slot& slot : slots_) slot.input_gen = ++slot.gen_counter;
+      // Rows within an array are written sequentially.
+      hw.writeback_cycles += max_rows;
+      stats.update_cycles += max_rows;
+    }
     if (config_.chromatic_parallel) {
       // All slots of one colour update in the same 4 MAC cycles: their
       // ring neighbours hold other colours, so the frozen-neighbour reads
@@ -758,43 +763,14 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     }
   };
 
-  // One epoch at a time: commit its write-back on this thread, then run
-  // its iterations here while the pool settles the next epoch's
-  // write-back into the spare planes (DESIGN.md §11). The commit must
-  // come first: a prepare still running would be settling the plane it
-  // swaps in.
-  const std::size_t step = schedule_.params().iterations_per_step;
-  struct {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  } span;  // the epoch's iterations
-  // Two references, which std::function holds without a heap allocation.
-  const std::function<void()> epoch = [&iterate, &span] {
-    for (std::size_t iter = span.begin; iter < span.end; ++iter) {
-      iterate(iter);
-    }
-  };
-  for (std::size_t e = 0; e < schedule_.epochs(); ++e) {
-    span.begin = e * step;
-    span.end = std::min(span.begin + step, iterations);
-    // All arrays refresh in parallel — on the chip, and in the level's
-    // pooled batch here, whose result does not depend on the worker
-    // count.
-    batch_->write_back(phase_at(span.begin));
-    for (Slot& slot : slots_) {
-      // Weights changed (golden restore + fresh corruption pattern):
-      // every cached swap delta is stale.
-      slot.input_gen = ++slot.gen_counter;
-    }
-    // Rows within an array are written sequentially.
-    hw.writeback_cycles += max_rows;
-    stats.update_cycles += max_rows;
-    if (span.end < iterations) {
-      batch_->prepare_beside(phase_at(span.end), epoch);
-    } else {
-      epoch();
-    }
-  }
+  // Each epoch's iterations run beside the pooled settle of the next
+  // epoch's write-back (DESIGN.md §11).
+  batch_->run_epochs(schedule_, epoch_base_,
+                     [&iterate](std::size_t begin, std::size_t end) {
+                       for (std::size_t iter = begin; iter < end; ++iter) {
+                         iterate(iter);
+                       }
+                     });
 
   stats.ring_length_after = exact_ring_length();
   for (const Slot& slot : slots_) {

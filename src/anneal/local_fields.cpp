@@ -146,8 +146,11 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
 
   const auto sweep_once = [&](std::size_t sweep) {
     const auto phase = schedule.at(sweep);
-    // The epoch's write-back has been committed: refresh the fields.
-    if (phase.write_back) fields.rebuild();
+    if (phase.write_back) {
+      // The epoch's write-back has been committed: refresh the fields.
+      result.update_cycles += write_back_cycles;
+      fields.rebuild();
+    }
     const double lfsr_temperature =
         config_.noise == NoiseMode::kLfsr
             ? equivalent_temperature(cell_model_, phase) * degree_scale
@@ -186,44 +189,23 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
     if (config_.record_trace) result.trace.push_back(hooks.objective());
   };
 
-  // One epoch at a time: commit its write-back on this thread, then run
-  // its sweeps here while the pool settles the next epoch's write-back
-  // into the spare planes (DESIGN.md §11). The commit must come first: a
-  // prepare still running would be settling the plane it swaps in.
-  const std::size_t sweeps = schedule.total_iterations();
-  const std::size_t step = config_.schedule.iterations_per_step;
-  struct {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  } span;  // the epoch's sweeps
-  // Two references, which std::function holds without a heap allocation.
-  const std::function<void()> epoch = [&sweep_once, &span] {
-    for (std::size_t sweep = span.begin; sweep < span.end; ++sweep) {
-      sweep_once(sweep);
-    }
-  };
-  for (std::size_t e = 0; e < schedule.epochs(); ++e) {
-    span.begin = e * step;
-    span.end = std::min(span.begin + step, sweeps);
-    batch.write_back(schedule.at(span.begin));
-    result.update_cycles += write_back_cycles;
-    if (span.end < sweeps) {
-      batch.prepare_beside(schedule.at(span.end), epoch);
-    } else {
-      epoch();
-    }
-    // The epoch's `<prefix>.sweep` instants, in sweep order, from this
-    // frame: emitted inside the epoch closure, GCC 12 -fanalyzer reports
-    // their argument strings as leaked and null-dereferenced.
-    if constexpr (telemetry::kEnabled) {
-      for (std::size_t sweep = span.begin;
-           config_.record_trace && sweep < span.end; ++sweep) {
-        telemetry::Registry::global().instant(
-            hooks.prefix + ".sweep",
-            {{"sweep", static_cast<double>(sweep)},
-             {hooks.objective_key,
-              static_cast<double>(result.trace[sweep])}});
-      }
+  // Each epoch's sweeps run beside the pooled settle of the next epoch's
+  // write-back (DESIGN.md §11).
+  batch.run_epochs(schedule, 0,
+                   [&sweep_once](std::size_t begin, std::size_t end) {
+                     for (std::size_t sweep = begin; sweep < end; ++sweep) {
+                       sweep_once(sweep);
+                     }
+                   });
+  // The `<prefix>.sweep` instants, in sweep order, from this frame:
+  // emitted inside the epoch body, GCC 12 -fanalyzer reports their
+  // argument strings as leaked and null-dereferenced.
+  if constexpr (telemetry::kEnabled) {
+    for (std::size_t sweep = 0; sweep < result.trace.size(); ++sweep) {
+      telemetry::Registry::global().instant(
+          hooks.prefix + ".sweep",
+          {{"sweep", static_cast<double>(sweep)},
+           {hooks.objective_key, static_cast<double>(result.trace[sweep])}});
     }
   }
 

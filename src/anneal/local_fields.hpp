@@ -8,9 +8,11 @@
 // (energy E = −Σ J σσ, so ΔE = 2σ_v·field_v), under the §IV.B write-back
 // schedule. A front end builds and writes its planes, then hands
 // SpinSweep a SpinLayout; SpinSweep owns the rest — seeding, initial
-// spins, σ+, field evaluation, write-backs, the noise-mode switch, the
-// flip, cycle, memo and StorageCounters bookkeeping, the per-sweep trace
-// and the telemetry counters. A front end's SweepHooks name its objective
+// spins, σ+, field evaluation, the noise-mode switch, the flip, cycle,
+// memo and StorageCounters bookkeeping, the per-sweep trace and the
+// telemetry counters. The epoch loop and its write-backs belong to the
+// planes' hw::StorageBatch (run_epochs), which the TSP annealer's
+// level solve shares. A front end's SweepHooks name its objective
 // and add its own per-sweep work (best-state tracking).
 //
 // LocalFields evaluates the fields. With memoization on it keeps both
@@ -183,11 +185,11 @@ class SpinSweep {
   /// The warm start (validated: n entries of ±1) or n random spins.
   std::vector<ising::Spin> initial_spins(std::size_t n);
 
-  /// Runs every sweep of the schedule from result.spins: each write-back
-  /// phase writes back `batch` (which holds every plane of `layout`) and
-  /// charges windows × rows cycles, then each group updates in order. An
-  /// epoch's sweeps run beside the pooled prepare of the next epoch's
-  /// write-back (StorageBatch::prepare_beside).
+  /// Runs every sweep of the schedule from result.spins through
+  /// batch.run_epochs() (`batch` holds every plane of `layout`): each
+  /// epoch's sweeps run after its write-back and beside the pooled settle
+  /// of the next one. A write-back charges windows × rows cycles, then
+  /// each group updates in order.
   /// Fills every SpinSweepResult field and publishes hooks.prefix's
   /// counters.
   void run(const SpinLayout& layout, hw::StorageBatch& batch,

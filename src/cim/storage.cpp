@@ -5,6 +5,7 @@
 #include <bit>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -105,8 +106,8 @@ class StorageBase : public WeightStorage {
 
 class FastStorage final : public StorageBase {
  public:
-  /// Weights per batched settle pass of refresh(): 2 048 candidate cells
-  /// at most, so its three scratch lists stay on the stack (10 KiB).
+  /// Weights per settle() block: 2 048 candidate cells at most, so its
+  /// two scratch lists stay on the stack (6 KiB).
   static constexpr std::size_t kSettleBlock = 256;
 
   FastStorage(std::uint32_t rows, std::uint32_t cols,
@@ -117,11 +118,10 @@ class FastStorage final : public StorageBase {
         // window build creates every storage on one thread and then
         // writes them in a pooled StorageBatch, where allocations would
         // contend on the heap.
-        golden_(std::make_unique_for_overwrite<std::uint8_t[]>(
-            weight_count())),
         current_(std::make_unique_for_overwrite<std::uint8_t[]>(
             weight_count())) {
     if (model_) {
+      golden_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
       anti_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
     }
   }
@@ -133,18 +133,17 @@ class FastStorage final : public StorageBase {
                 "weight image size mismatch");
     validate_image(golden, bits_);
     write_range(golden, 0, weight_count());
-    mark_written();
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
     charge_write_back();
-    if (!model_ || phase.noisy_lsbs == 0) {
-      refresh(nullptr, 0, 0, weight_count(), current_.get());
-      return;
-    }
-    const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
-    counters_.pseudo_read_flips += refresh(&settler, phase.noisy_lsbs, 0,
-                                           weight_count(), current_.get());
+    if (!model_) return;  // no MAC changes current_
+    std::optional<noise::PhaseSettler> settler;
+    if (phase.noisy_lsbs > 0) settler.emplace(*model_, phase.epoch, phase.vdd);
+    reserve_spare();
+    add_flips(settle(settler ? &*settler : nullptr, phase.noisy_lsbs, 0,
+                     weight_count()));
+    swap_planes();
   }
 
   // Installs weights [begin, end) of the validated full image `golden`:
@@ -182,20 +181,13 @@ class FastStorage final : public StorageBase {
     } else {
       std::copy(golden.begin() + static_cast<std::ptrdiff_t>(begin),
                 golden.begin() + static_cast<std::ptrdiff_t>(end),
-                golden_.get() + begin);
-      std::copy(golden_.get() + begin, golden_.get() + end,
                 current_.get() + begin);
     }
+    // One range per write starts the storage.
+    if (begin == 0) written_ = true;
   }
 
-  // Called once every range of a write has been installed; a spare plane
-  // settled from the previous image is stale from here on.
-  void mark_written() {
-    written_ = true;
-    spare_ready_ = false;
-  }
-
-  // The write-back's counters, bar the flips the refreshes return.
+  // The write-back's counters, bar the flips the settles return.
   void charge_write_back() {
     CIM_ASSERT_MSG(written_, "write_back before write");
     ++counters_.writeback_events;
@@ -206,94 +198,78 @@ class FastStorage final : public StorageBase {
     counters_.pseudo_read_flips += flips;
   }
 
-  // The plane a prepared write-back settles into while MACs still read
-  // current_. Allocated on first use, so a storage that is never
-  // prepared (a one-task batch, a noise-free model) carries none.
-  std::uint8_t* spare() {
+  // Allocates the plane settle() writes, on the first write-back rather
+  // than with the storage: by then the caller's write() image is freed
+  // and the plane can reuse its memory instead of raising the peak (by
+  // about 3% on cimbench's tsp-p8). Never called from a pooled task.
+  void reserve_spare() {
     if (!spare_) {
       spare_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
     }
-    spare_ready_ = false;
-    return spare_.get();
-  }
-  // The spare plane holds a complete settled image (every range of a
-  // prepare has run).
-  void mark_spare_ready() { spare_ready_ = true; }
-  bool spare_ready() const { return spare_ready_; }
-  // Makes the settled spare plane the one the MACs read.
-  void commit_spare() {
-    CIM_ASSERT(spare_ready_);
-    std::swap(current_, spare_);
-    spare_ready_ = false;
   }
 
-  // Restores weights [begin, end) of `out` (current_ or the spare plane)
-  // to the stuck-adjusted golden image, then — given a settler — settles
-  // the anti-preferred cells among the phase's `noisy_lsbs` low bits;
-  // returns the pseudo-read flips. A cell already at its preferred value
-  // is stable, so only the mask's set bits are candidates. Each block of
-  // kSettleBlock weights is settled in batched passes: list its
-  // candidate cells, draw every ΔVth threshold in one loop of independent
-  // hash chains, settle the table's always/never cells, then draw the
-  // disturbance only for the cells left open — the draws and the rule of
-  // PhaseSettler::flips_anti, without its per-cell branches. Ranges are
-  // independent, so StorageBatch runs disjoint ones concurrently; the
-  // caller charges the counters.
+  // Makes the settled spare plane the one the MACs read.
+  void swap_planes() { std::swap(current_, spare_); }
+
+  // Settles weights [begin, end) of the spare plane, which no MAC reads:
+  // restores the stuck-adjusted golden image, then — given a settler —
+  // settles the anti-preferred cells among the phase's `noisy_lsbs` low
+  // bits; returns the pseudo-read flips. A cell already at its preferred
+  // value is stable, so only the mask's set bits are candidates. Each
+  // block of kSettleBlock weights takes two passes. The first walks the
+  // mask and draws every candidate's ΔVth threshold, flips the cells whose
+  // table entry is 0 (no read margin) as it writes each weight, and lists
+  // only the cells left open (entries 1..64) with their entry; the second
+  // draws the disturbance for the open cells alone. These are the draws
+  // and the rule of PhaseSettler::flips_anti, without its per-cell branch
+  // on the entry. Ranges are independent, so StorageBatch runs disjoint
+  // ones concurrently; the caller charges the counters.
   // NOLINT(cim-counter-charge)
-  std::uint64_t refresh(const noise::PhaseSettler* settler,
-                        std::uint32_t noisy_lsbs, std::size_t begin,
-                        std::size_t end, std::uint8_t* out) const {
+  std::uint64_t settle(const noise::PhaseSettler* settler,
+                       std::uint32_t noisy_lsbs, std::size_t begin,
+                       std::size_t end) {
+    std::uint8_t* const out = spare_.get();
     if (settler == nullptr) {
       std::copy(golden_.get() + begin, golden_.get() + end, out + begin);
       return 0;
     }
     const std::uint32_t noisy = std::min(noisy_lsbs, bits_);
-    const auto noisy_mask = static_cast<std::uint8_t>((1U << noisy) - 1U);
-    // A candidate is (w − block) · 8 + b; `open` indexes `cells`.
-    std::array<std::uint16_t, kSettleBlock * 8> cells;
-    std::array<std::uint8_t, kSettleBlock * 8> from;
+    const auto noisy_mask = static_cast<unsigned>((1U << noisy) - 1U);
+    // An open cell is (w − block) · 8 + b.
     std::array<std::uint16_t, kSettleBlock * 8> open;
+    std::array<std::uint8_t, kSettleBlock * 8> from;
     std::uint64_t flips = 0;
     for (std::size_t block = begin; block < end; block += kSettleBlock) {
       const std::size_t stop = std::min(end, block + kSettleBlock);
-      std::copy(golden_.get() + block, golden_.get() + stop, out + block);
-      const auto id = [&](std::uint16_t cell) {
-        return cell_id(block + (cell >> 3U), cell & 7U);
-      };
-      const auto flip = [&](std::uint16_t cell, unsigned hit) {
-        out[block + (cell >> 3U)] ^=
-            static_cast<std::uint8_t>(hit << (cell & 7U));
-        flips += hit;
-      };
       // Stuck cells hold their preferred value, so the mask never names
-      // one: settle()'s is_stuck branch cannot apply here.
-      std::size_t n = 0;
+      // one: PhaseSettler::settle()'s is_stuck branch cannot apply here.
+      std::size_t m = 0;
       for (std::size_t w = block; w < stop; ++w) {
+        unsigned value = golden_[w];
         for (unsigned bits = anti_[w] & noisy_mask; bits != 0;
              bits &= bits - 1) {
-          cells[n++] = static_cast<std::uint16_t>(
-              (w - block) * 8 + static_cast<unsigned>(std::countr_zero(bits)));
+          const auto b = static_cast<unsigned>(std::countr_zero(bits));
+          const unsigned entry = settler->threshold(cell_id(w, b));
+          const unsigned hit = entry == 0 ? 1U : 0U;
+          value ^= hit << b;
+          flips += hit;
+          open[m] = static_cast<std::uint16_t>((w - block) * 8 + b);
+          from[m] = static_cast<std::uint8_t>(entry);
+          m += entry - 1U < 64U ? 1U : 0U;  // 1..64: the draw decides
         }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        from[i] = static_cast<std::uint8_t>(settler->threshold(id(cells[i])));
-      }
-      std::size_t m = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        flip(cells[i], from[i] == 0 ? 1U : 0U);  // no read margin
-        open[m] = static_cast<std::uint16_t>(i);
-        m += from[i] - 1U < 64U ? 1U : 0U;  // 1..64: the draw decides
+        out[w] = static_cast<std::uint8_t>(value);
       }
       for (std::size_t j = 0; j < m; ++j) {
-        const std::uint16_t cell = cells[open[j]];
-        flip(cell, settler->disturbed(id(cell), from[open[j]]) ? 1U : 0U);
+        const std::size_t w = block + (open[j] >> 3U);
+        const unsigned b = open[j] & 7U;
+        const unsigned hit =
+            settler->disturbed(cell_id(w, b), from[j]) ? 1U : 0U;
+        out[w] = static_cast<std::uint8_t>(out[w] ^ (hit << b));
+        flips += hit;
       }
     }
     return flips;
   }
-
-  // Where refresh() writes without a prepared write-back.
-  std::uint8_t* current() { return current_.get(); }
 
   std::int64_t mac(ColIndex col_idx,
                    std::span<const std::uint8_t> input) override {
@@ -348,18 +324,17 @@ class FastStorage final : public StorageBase {
   }
 
  private:
-  /// The written image with the hard faults applied.
-  std::unique_ptr<std::uint8_t[]> golden_;
   /// The settled image the MACs read.
   std::unique_ptr<std::uint8_t[]> current_;
-  /// Bit b of anti_[w] is set iff cell (w, b) is not stuck and holds its
-  /// anti-preferred value in golden_; null without a noise model.
+  /// With a noise model only: the written image with the hard faults
+  /// applied; bit b of anti_[w], set iff cell (w, b) is not stuck and
+  /// holds its anti-preferred value there; and, from the first
+  /// write-back, the plane a write-back settles into before it swaps
+  /// with current_.
+  std::unique_ptr<std::uint8_t[]> golden_;
   std::unique_ptr<std::uint8_t[]> anti_;
-  /// The next phase's settled image while a prepared write-back waits for
-  /// its commit; null until the first prepare.
   std::unique_ptr<std::uint8_t[]> spare_;
   bool written_ = false;
-  bool spare_ready_ = false;
 };
 
 class BitLevelStorage final : public StorageBase {
@@ -574,13 +549,11 @@ StorageBatch::StorageBatch(const std::vector<WeightStorage*>& storages) {
   }
   if (filled > 0) close_task();
   piece_flips_.assign(pieces_.size(), 0);
-  spare_planes_.assign(pieces_.size(), nullptr);
   settlers_.reserve(models_.size());
 }
 
 void StorageBatch::write(std::span<const std::uint8_t> images) {
   CIM_REQUIRE(images.size() == weights_, "batch image size mismatch");
-  prepared_.reset();
   // Validated here, on the caller, so that no task throws.
   for (const Piece& piece : pieces_) {
     if (piece.begin == 0) {
@@ -606,128 +579,91 @@ void StorageBatch::write(std::span<const std::uint8_t> images) {
       }
     }
   });
+}
+
+void StorageBatch::prepare(const noise::SchedulePhase& phase) {
+  if (models_.empty()) return;
   for (const Piece& piece : pieces_) {
-    if (piece.split) static_cast<FastStorage*>(piece.storage)->mark_written();
+    if (piece.settler != kNoModel && piece.begin == 0) {
+      static_cast<FastStorage*>(piece.storage)->reserve_spare();
+    }
   }
-}
-
-bool StorageBatch::prepares(const noise::SchedulePhase& phase) const {
-  return task_end_.size() > 1 && phase.noisy_lsbs > 0 && !models_.empty();
-}
-
-void StorageBatch::build_settlers(const noise::SchedulePhase& phase) {
   settlers_.clear();
   if (phase.noisy_lsbs > 0) {
     for (const noise::SramCellModel* model : models_) {
       settlers_.emplace_back(*model, phase.epoch, phase.vdd);
     }
   }
-}
-
-std::uint64_t StorageBatch::settle_piece(std::size_t i,
-                                         const noise::SchedulePhase& phase,
-                                         bool into_spare) {
-  const Piece& piece = pieces_[i];
-  if (!piece.split) {
-    piece.storage->write_back(phase);
-    return 0;
-  }
-  auto* fast = static_cast<FastStorage*>(piece.storage);
-  const noise::PhaseSettler* settler =
-      piece.settler == kNoModel || settlers_.empty()
-          ? nullptr
-          : &settlers_[piece.settler];
-  return fast->refresh(settler, phase.noisy_lsbs, piece.begin, piece.end,
-                       into_spare ? spare_planes_[i] : fast->current());
-}
-
-void StorageBatch::prepare(const noise::SchedulePhase& phase) {
-  prepared_.reset();
-  if (!prepares(phase)) return;
-  // Serial, before any task runs: a storage's first prepare allocates its
-  // spare plane here, and every task then only writes into planes.
-  spare_planes_.assign(pieces_.size(), nullptr);
-  for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    if (pieces_[i].split && pieces_[i].settler != kNoModel) {
-      auto* fast = static_cast<FastStorage*>(pieces_[i].storage);
-      spare_planes_[i] = pieces_[i].begin == 0 ? fast->spare()
-                                               : spare_planes_[i - 1];
-    }
-  }
-  build_settlers(phase);
   run_tasks(task_end_.size(), [this, &phase](std::size_t t) {
     for (std::size_t i = t == 0 ? 0 : task_end_[t - 1]; i < task_end_[t];
          ++i) {
-      if (spare_planes_[i] != nullptr) {
-        piece_flips_[i] = settle_piece(i, phase, true);
-      }
+      const Piece& piece = pieces_[i];
+      if (piece.settler == kNoModel) continue;
+      piece_flips_[i] = static_cast<FastStorage*>(piece.storage)
+                            ->settle(settlers_.empty()
+                                         ? nullptr
+                                         : &settlers_[piece.settler],
+                                     phase.noisy_lsbs, piece.begin, piece.end);
     }
   });
-  for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    if (spare_planes_[i] != nullptr && pieces_[i].begin == 0) {
-      static_cast<FastStorage*>(pieces_[i].storage)->mark_spare_ready();
-    }
-  }
-  prepared_ = phase;
 }
 
-void StorageBatch::prepare_beside(const noise::SchedulePhase& next,
-                                  const std::function<void()>& foreground) {
-  if (!prepares(next)) {
-    prepared_.reset();
-    foreground();
-    return;
-  }
-  util::ThreadPool::shared().run_beside([this, &next] { prepare(next); },
-                                        foreground);
-}
-
-bool StorageBatch::committable(const noise::SchedulePhase& phase) const {
-  if (!prepared_ || prepared_->epoch != phase.epoch ||
-      prepared_->vdd != phase.vdd ||
-      prepared_->noisy_lsbs != phase.noisy_lsbs) {
-    return false;
-  }
-  // A write() straight to a storage since the prepare staled its plane.
+void StorageBatch::commit(const noise::SchedulePhase& phase) {
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    if (spare_planes_[i] != nullptr && pieces_[i].begin == 0 &&
-        !static_cast<const FastStorage*>(pieces_[i].storage)->spare_ready()) {
-      return false;
+    const Piece& piece = pieces_[i];
+    if (!piece.split) {
+      piece.storage->write_back(phase);
+      continue;
     }
+    auto* fast = static_cast<FastStorage*>(piece.storage);
+    // A storage's first piece charges its write-back and swaps its planes.
+    if (piece.begin == 0) {
+      fast->charge_write_back();
+      if (piece.settler != kNoModel) fast->swap_planes();
+    }
+    fast->add_flips(piece_flips_[i]);
   }
-  return true;
 }
 
 void StorageBatch::write_back(const noise::SchedulePhase& phase) {
-  for (const Piece& piece : pieces_) {
-    // A storage's first piece charges its write-back.
-    if (piece.split && piece.begin == 0) {
-      static_cast<FastStorage*>(piece.storage)->charge_write_back();
-    }
-  }
-  if (committable(phase)) {
-    // The prepared pieces' planes and flips are final: swap them in, and
-    // settle the rest (bit-level, noise-free) here as a direct pass would.
-    for (std::size_t i = 0; i < pieces_.size(); ++i) {
-      if (spare_planes_[i] == nullptr) {
-        piece_flips_[i] = settle_piece(i, phase, false);
-      } else if (pieces_[i].begin == 0) {
-        static_cast<FastStorage*>(pieces_[i].storage)->commit_spare();
-      }
-    }
-  } else {
-    build_settlers(phase);
-    run_tasks(task_end_.size(), [this, &phase](std::size_t t) {
-      for (std::size_t i = t == 0 ? 0 : task_end_[t - 1]; i < task_end_[t];
-           ++i) {
-        piece_flips_[i] = settle_piece(i, phase, false);
-      }
-    });
-  }
-  prepared_.reset();
-  for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    if (pieces_[i].split) {
-      static_cast<FastStorage*>(pieces_[i].storage)->add_flips(piece_flips_[i]);
+  prepare(phase);
+  commit(phase);
+}
+
+void StorageBatch::run_epochs(
+    const noise::AnnealSchedule& schedule, std::uint64_t epoch_base,
+    const std::function<void(std::size_t, std::size_t)>& epoch) {
+  const auto phase_at = [&](std::size_t iteration) {
+    noise::SchedulePhase phase = schedule.at(iteration);
+    phase.epoch += epoch_base;
+    return phase;
+  };
+  const std::size_t iterations = schedule.total_iterations();
+  // A one-task pass is too short to pay for a pool task.
+  const bool beside = task_end_.size() > 1 && !models_.empty();
+  struct {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  } span;  // the epoch's iterations
+  noise::SchedulePhase next;
+  prepare(phase_at(0));
+  for (; span.begin < iterations; span.begin = span.end) {
+    span.end = std::min(span.begin + schedule.params().iterations_per_step,
+                        iterations);
+    // Commit before the next prepare starts: it settles into the plane
+    // this swaps out.
+    commit(phase_at(span.begin));
+    if (span.end < iterations && beside) {
+      next = phase_at(span.end);
+      // Two references each, which std::function holds without a heap
+      // allocation (GCC's -fanalyzer misreads a heap-held functor as
+      // leaked).
+      util::ThreadPool::shared().run_beside(
+          [this, &next] { prepare(next); },
+          [&epoch, &span] { epoch(span.begin, span.end); });
+    } else {
+      epoch(span.begin, span.end);
+      if (span.end < iterations) prepare(phase_at(span.end));
     }
   }
 }

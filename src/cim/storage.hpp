@@ -14,20 +14,24 @@
 //                      faults to the golden image once and builds a
 //                      1-byte-per-weight anti-preferred mask (bit b set
 //                      iff the stored bit differs from the cell's
-//                      preferred value). A write-back restores that image
-//                      and settles only the mask's set noisy bits — a
-//                      cell at its preferred value is stable — in blocks
-//                      of 256 weights: list the candidate cells, draw
-//                      all their ΔVth popcounts in one loop, settle the
-//                      PhaseSettler table's always/never cells, then
-//                      draw disturbances only for the open ones (the
-//                      draws and rule of PhaseSettler::flips_anti). The
-//                      storage itself is single-threaded: its own write()
-//                      and write_back() run inline. Both passes work on
-//                      any weight range, so StorageBatch (below) splits
-//                      them into pooled tasks across every storage of a
-//                      solve, and can settle a write-back into a spare
-//                      plane while the MACs still read the current one.
+//                      preferred value). A write-back settles the phase
+//                      into a spare plane and swaps it in: it restores the
+//                      image there and settles only the mask's set noisy
+//                      bits — a cell at its preferred value is stable — in
+//                      blocks of 256 weights of two passes: walk the mask
+//                      drawing each cell's ΔVth popcount, flip the
+//                      PhaseSettler table's always cells and list the
+//                      open ones, then draw disturbances for the open
+//                      ones alone (the draws and rule of
+//                      PhaseSettler::flips_anti). A storage without a
+//                      noise model has nothing to settle: its write-back
+//                      only charges the counters. The storage itself is
+//                      single-threaded: its own write() and write_back()
+//                      run inline. Both passes work on any weight range,
+//                      so StorageBatch (below) splits them into pooled
+//                      tasks across every storage of a solve, and settles
+//                      the next epoch's write-back while the MACs still
+//                      read the current plane.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
@@ -39,7 +43,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -165,23 +168,21 @@ std::unique_ptr<WeightStorage> make_bit_level_storage(
 /// tasks of kGrain weights over it, once: a fast storage splits at any
 /// weight, so a task may cover the tail of one storage and the head of the
 /// next, while any other backend (the bit-level oracle) is one indivisible
-/// task running its own write()/write_back(). Each weight is written by
+/// piece running its own write()/write_back(). Each weight is written by
 /// exactly one task and every counter is charged on the caller, a
 /// storage's pseudo-read flips as the integer sum over its pieces, so
 /// weights and StorageCounters equal those of per-storage calls on any
 /// pool width. A write-back builds one PhaseSettler per cell model, not
 /// one per storage. A batch of one task runs inline on the caller.
 ///
-/// A write-back can also be settled an epoch early. prepare(next) settles
-/// each noisy fast storage into a spare plane while the MACs keep reading
-/// the current one; write_back(next) then commits it by swapping the
-/// planes and charging the counters, so weights and counters are those
-/// of a direct write-back. The annealers run each epoch's iterations
-/// beside the next epoch's prepare (prepare_beside), always committing
-/// the epoch's own write-back before launching the next prepare.
+/// A write-back has two halves: prepare(phase) settles every noisy fast
+/// storage into its spare plane, which the MACs do not read, and charges
+/// nothing; commit(phase) swaps the planes and charges every counter.
+/// run_epochs() runs an epoch's iterations beside the prepare of the next
+/// epoch's write-back, which takes the write-back off the critical path.
 ///
 /// The storages must outlive the batch, and nothing else may touch them
-/// while a batch call runs; MACs may run while a prepare does.
+/// while a batch call runs, bar the MACs of run_epochs()' epoch body.
 class StorageBatch {
  public:
   /// Weights per pooled task, from a 1 024 / 4 096 / 16 384 cimbench
@@ -203,29 +204,21 @@ class StorageBatch {
   /// image is validated before any storage changes (ConfigError).
   void write(std::span<const std::uint8_t> images);
 
-  /// WeightStorage::write_back(phase) on every storage. Commits the
-  /// pending prepare(phase) if it was for exactly this phase (epoch, vdd,
-  /// noisy_lsbs) and no storage was written since; otherwise settles
-  /// directly, as if nothing had been prepared. Either way weights and
-  /// counters are the same, and every counter is charged here.
+  /// WeightStorage::write_back(phase) on every storage: prepare, then
+  /// commit.
   void write_back(const noise::SchedulePhase& phase);
 
-  /// Settles `phase` into each noisy fast storage's spare plane, which
-  /// it allocates on first use, and records each piece's flips, while the
-  /// MACs still read the current planes; the matching write_back(phase)
-  /// swaps the planes in. Charges nothing, and replaces any pending
-  /// prepare. A no-op for a one-task batch, a noise-free phase or a batch
-  /// without a noise model. Nothing may write back or write the storages
-  /// while it runs, but their MACs may.
-  void prepare(const noise::SchedulePhase& phase);
-
-  /// Runs `foreground` on the caller while prepare(next) runs as the
-  /// shared pool's run_beside background, or just `foreground` when
-  /// prepare(next) would be a no-op. The annealers' epoch loops commit
-  /// an epoch's write-back first, then run its iterations here with the
-  /// next write-back phase (DESIGN.md §11).
-  void prepare_beside(const noise::SchedulePhase& next,
-                      const std::function<void()>& foreground);
+  /// Runs every epoch of `schedule`, with `epoch_base` added to each
+  /// phase's epoch: commits the epoch's write-back on the caller, then
+  /// calls epoch(begin, end) there for the epoch's iterations [begin,
+  /// end) while the shared pool prepares the next epoch's write-back
+  /// (ThreadPool::run_beside). The body's MACs read the committed epoch.
+  /// The first epoch's write-back, and every write-back of a one-task
+  /// batch, is prepared inline before its commit. Weights and counters
+  /// are those of write_back() at every epoch start.
+  void run_epochs(
+      const noise::AnnealSchedule& schedule, std::uint64_t epoch_base,
+      const std::function<void(std::size_t, std::size_t)>& epoch);
 
  private:
   /// Weights [begin, end) of one storage, which sits at `offset` in the
@@ -241,29 +234,21 @@ class StorageBatch {
   };
   static constexpr std::uint32_t kNoModel = ~0U;
 
-  /// Whether prepare(phase) would settle anything.
-  bool prepares(const noise::SchedulePhase& phase) const;
-  /// Whether write_back(phase) can commit the pending prepare.
-  bool committable(const noise::SchedulePhase& phase) const;
-  void build_settlers(const noise::SchedulePhase& phase);
-  /// Settles piece i for `phase` into the storage's current plane, or
-  /// into its spare plane; returns the piece's flips.
-  std::uint64_t settle_piece(std::size_t i, const noise::SchedulePhase& phase,
-                             bool into_spare);
+  /// Settles `phase` into each noisy fast storage's spare plane and
+  /// records each piece's flips, while the MACs may still read the
+  /// current planes. Charges nothing.
+  void prepare(const noise::SchedulePhase& phase);
+  /// Swaps the prepared planes in, writes back every other storage and
+  /// charges every counter.
+  void commit(const noise::SchedulePhase& phase);
 
   std::vector<Piece> pieces_;
   /// Task t runs pieces [task_end_[t − 1], task_end_[t]).
   std::vector<std::size_t> task_end_;
-  /// The pseudo-read flips of each piece in the current or prepared
-  /// write-back.
+  /// The pseudo-read flips of each piece in the prepared write-back.
   std::vector<std::uint64_t> piece_flips_;
-  /// Per piece, the spare plane the last prepare settled it into, or
-  /// null for a piece settled only at write_back (bit-level, noise-free).
-  std::vector<std::uint8_t*> spare_planes_;
-  /// The phase of the pending prepare.
-  std::optional<noise::SchedulePhase> prepared_;
-  /// The distinct cell models of the fast storages, and this write-back's
-  /// settler for each.
+  /// The distinct cell models of the fast storages, and the prepared
+  /// write-back's settler for each.
   std::vector<const noise::SramCellModel*> models_;
   std::vector<noise::PhaseSettler> settlers_;
   std::size_t weights_ = 0;

@@ -60,12 +60,13 @@
 //   * Batched draws: flips_anti() is threshold() — the ΔVth draw and its
 //     table entry — then, only for an entry in [1, 64], disturbed().
 //     FastStorage calls the two halves over a block of cells rather than
-//     cell by cell: every threshold in one loop of independent hash
-//     chains the core can overlap, the table's extremes settled without
-//     a branch, and the disturbance draws in a second loop over the open
-//     cells alone. Same draws, same rule, no per-cell branch on the
-//     table entry. The draws are popcounts of 64-bit hashes; x86-64
-//     builds compile with -mpopcnt so each is one instruction.
+//     cell by cell, in two passes: the first walks the mask drawing every
+//     threshold (independent hash chains the core can overlap), flips the
+//     entry-0 cells without a branch and lists only the open cells with
+//     their entry; the second draws the disturbances of the open cells
+//     alone. Same draws, same rule, no per-cell branch on the table
+//     entry. The draws are popcounts of 64-bit hashes; x86-64 builds
+//     compile with -mpopcnt so each is one instruction.
 #pragma once
 
 #include <array>

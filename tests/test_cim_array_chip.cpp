@@ -4,7 +4,6 @@
 #include "cim/chip.hpp"
 #include "cim/dataflow.hpp"
 #include "util/error.hpp"
-#include "util/random.hpp"
 
 namespace cim::hw {
 namespace {
@@ -23,96 +22,6 @@ TEST(ArrayGeometry, PaperTable2CellCounts) {
   p4.p_max = 4;
   EXPECT_EQ(p4.cell_rows(), 120U);  // 5 × 24
   EXPECT_EQ(p4.cell_cols(), 256U);  // 2 × 16 × 8
-}
-
-TEST(CimArray, CycleMatchesPerWindowMacs) {
-  ArrayGeometry geom;
-  geom.p_max = 3;
-  CimArray array(geom, Backend::kFast, nullptr, 0);
-  util::Rng rng(1);
-  const WindowShape shape = geom.window();
-
-  // Load distinct random images into all 10 windows.
-  std::vector<std::vector<std::uint8_t>> images;
-  for (std::uint32_t wr = 0; wr < geom.window_rows; ++wr) {
-    for (std::uint32_t wc = 0; wc < geom.window_cols; ++wc) {
-      std::vector<std::uint8_t> image(shape.weights());
-      for (auto& w : image) w = static_cast<std::uint8_t>(rng.below(256));
-      array.window(wr, wc).write(image);
-      images.push_back(image);
-    }
-  }
-
-  std::vector<std::vector<std::uint8_t>> inputs(geom.window_rows);
-  for (auto& input : inputs) {
-    input.resize(shape.rows());
-    for (auto& b : input) b = rng.chance(0.5) ? 1 : 0;
-  }
-
-  const std::uint32_t wcol = 1;
-  const ColIndex cell_col{4};
-  const auto results = array.cycle(wcol, cell_col, inputs);
-  ASSERT_EQ(results.size(), geom.window_rows);
-  for (std::uint32_t wr = 0; wr < geom.window_rows; ++wr) {
-    std::int64_t expected = 0;
-    const auto& image = images[wr * geom.window_cols + wcol];
-    for (std::uint32_t r = 0; r < shape.rows(); ++r) {
-      if (inputs[wr][r]) expected += image[r * shape.cols() + cell_col.get()];
-    }
-    EXPECT_EQ(results[wr], expected);
-  }
-  EXPECT_EQ(array.compute_cycles(), 1U);
-}
-
-TEST(CimArray, WriteBackAllPropagates) {
-  const noise::SramCellModel model(noise::SramNoiseParams{}, 5);
-  ArrayGeometry geom;
-  geom.p_max = 2;
-  CimArray array(geom, Backend::kFast, &model, 0);
-  const WindowShape shape = geom.window();
-  const std::vector<std::uint8_t> image(shape.weights(), 0xAA);
-  for (std::uint32_t wr = 0; wr < geom.window_rows; ++wr) {
-    for (std::uint32_t wc = 0; wc < geom.window_cols; ++wc) {
-      array.window(wr, wc).write(image);
-    }
-  }
-  noise::SchedulePhase phase;
-  phase.vdd = 0.25;
-  phase.noisy_lsbs = 6;
-  array.write_back_all(phase);
-  const auto counters = array.total_counters();
-  EXPECT_EQ(counters.writeback_events, 10U);
-  EXPECT_GT(counters.pseudo_read_flips, 0U);
-}
-
-TEST(CimArray, WindowsHaveDisjointNoise) {
-  // Same image everywhere; corruption patterns must differ between
-  // windows (distinct physical cells).
-  const noise::SramCellModel model(noise::SramNoiseParams{}, 9);
-  ArrayGeometry geom;
-  geom.p_max = 3;
-  CimArray array(geom, Backend::kFast, &model, 0);
-  const WindowShape shape = geom.window();
-  const std::vector<std::uint8_t> image(shape.weights(), 0x3C);
-  for (std::uint32_t wr = 0; wr < geom.window_rows; ++wr) {
-    for (std::uint32_t wc = 0; wc < geom.window_cols; ++wc) {
-      array.window(wr, wc).write(image);
-    }
-  }
-  noise::SchedulePhase phase;
-  phase.vdd = 0.22;
-  phase.noisy_lsbs = 6;
-  array.write_back_all(phase);
-  std::size_t differing = 0;
-  for (std::uint32_t r = 0; r < shape.rows(); ++r) {
-    for (std::uint32_t c = 0; c < shape.cols(); ++c) {
-      if (array.window(0, 0).weight(RowIndex(r), ColIndex(c)) !=
-          array.window(0, 1).weight(RowIndex(r), ColIndex(c))) {
-        ++differing;
-      }
-    }
-  }
-  EXPECT_GT(differing, 0U);
 }
 
 TEST(ChipPlan, PaperCapacities) {

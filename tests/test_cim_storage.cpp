@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -300,15 +301,17 @@ TEST(Storage, BatchMatchesPerStorage) {
 }
 
 TEST(Storage, PreparedWriteBackMatchesDirect) {
-  // Two twin batches over a mixed set — noisy fast storages below and
-  // above one task, a noise-free fast storage and a bit-level one. One
-  // prepares every write-back during the epoch before it and then commits
-  // it, the other writes back directly; weights and all five counters
-  // must agree after every default-schedule write-back, the noise-free
-  // ones included, and the MACs issued between prepare and commit must
-  // read the committed epoch, not the prepared one. A prepare for another
-  // phase, and a write() between prepare and commit, must fall back to a
-  // direct settle. tests/CMakeLists.txt reruns this under 1, 2 and 8 pool
+  // A batch over a mixed set — noisy fast storages below and above one
+  // task, a noise-free fast storage and a bit-level one — runs the default
+  // schedule through run_epochs(), which commits each epoch's write-back
+  // and runs the epoch body beside the settle of the next. Its twin holds
+  // a bit-level oracle of every storage and writes each back phase by
+  // phase. Inside every epoch body, weights, all five counters and one
+  // all-rows MAC per column must equal the twin's after that epoch's
+  // write-back — the body reads the committed epoch, not the one being
+  // prepared — through every phase, the noise-free ones included. The
+  // same holds for a one-task batch of the small storages, which prepares
+  // inline. tests/CMakeLists.txt reruns this under 1, 2 and 8 pool
   // workers.
   struct Shape {
     std::uint32_t rows;
@@ -323,115 +326,92 @@ TEST(Storage, PreparedWriteBackMatchesDirect) {
       {12, 10, true, true},     // bit-level oracle
       {70, 70, true, false},    // over one task
   };
+  constexpr std::uint64_t kEpochBase = 5;
   const noise::AnnealSchedule schedule;
-  std::vector<noise::SchedulePhase> phases;
-  for (std::size_t it = 0; it < schedule.total_iterations(); ++it) {
-    if (schedule.at(it).write_back) phases.push_back(schedule.at(it));
-  }
-  ASSERT_GT(phases.front().noisy_lsbs, 0U);
-  ASSERT_EQ(phases.back().noisy_lsbs, 0U);
+  ASSERT_GT(schedule.at(0).noisy_lsbs, 0U);
+  ASSERT_TRUE(schedule.ends_noise_free());
   for (const double stuck_rate : {0.0, 0.01}) {
     noise::SramNoiseParams params;
     params.stuck_cell_rate = stuck_rate;
     const noise::SramCellModel model(params, 91);
-    std::vector<std::unique_ptr<WeightStorage>> prepared;
-    std::vector<std::unique_ptr<WeightStorage>> direct;
-    std::vector<std::uint8_t> images;
-    std::vector<std::uint8_t> rewrite;
-    std::uint64_t cell_base = 9;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      const Shape& sh = shapes[i];
-      const noise::SramCellModel* m = sh.noisy ? &model : nullptr;
-      for (auto* twins : {&prepared, &direct}) {
-        twins->push_back(
+    for (const std::vector<std::size_t>& set :
+         {std::vector<std::size_t>{0, 1, 2, 3, 4},
+          std::vector<std::size_t>{0, 2, 3}}) {
+      std::vector<std::unique_ptr<WeightStorage>> batched;
+      std::vector<std::unique_ptr<WeightStorage>> oracle;
+      std::vector<WeightStorage*> members;
+      std::vector<std::uint8_t> images;
+      std::uint64_t cell_base = 9;
+      for (const std::size_t i : set) {
+        const Shape& sh = shapes[i];
+        const noise::SramCellModel* m = sh.noisy ? &model : nullptr;
+        batched.push_back(
             sh.bit_level
                 ? make_bit_level_storage(sh.rows, sh.cols, m, cell_base)
                 : make_fast_storage(sh.rows, sh.cols, m, cell_base));
+        oracle.push_back(
+            make_bit_level_storage(sh.rows, sh.cols, m, cell_base));
+        members.push_back(batched.back().get());
+        const auto image = random_image(sh.rows, sh.cols, 90 + i);
+        oracle.back()->write(image);
+        images.insert(images.end(), image.begin(), image.end());
+        cell_base += static_cast<std::uint64_t>(sh.rows) * sh.cols * 8;
       }
-      const auto image = random_image(sh.rows, sh.cols, 90 + i);
-      images.insert(images.end(), image.begin(), image.end());
-      const auto image_b = random_image(sh.rows, sh.cols, 190 + i);
-      rewrite.insert(rewrite.end(), image_b.begin(), image_b.end());
-      cell_base += static_cast<std::uint64_t>(sh.rows) * sh.cols * 8;
-    }
-    const auto members = [](const auto& twins) {
-      std::vector<WeightStorage*> out;
-      for (const auto& storage : twins) out.push_back(storage.get());
-      return out;
-    };
-    StorageBatch with_prepare(members(prepared));
-    StorageBatch without(members(direct));
-    ASSERT_GT(with_prepare.tasks(), 2U);
-    with_prepare.write(images);
-    without.write(images);
-    const auto expect_equal = [&](const std::string& when) {
-      for (std::size_t i = 0; i < shapes.size(); ++i) {
-        for (std::uint32_t r = 0; r < shapes[i].rows; ++r) {
-          for (std::uint32_t c = 0; c < shapes[i].cols; ++c) {
-            ASSERT_EQ(prepared[i]->weight(RowIndex(r), ColIndex(c)),
-                      direct[i]->weight(RowIndex(r), ColIndex(c)))
-                << when << " storage " << i << " weight " << r << "," << c
-                << " stuck rate " << stuck_rate;
+      StorageBatch batch(members);
+      ASSERT_EQ(batch.tasks() == 1, set.size() < shapes.size());
+      batch.write(images);
+      const std::string where =
+          std::to_string(batch.tasks()) + "-task batch, stuck rate " +
+          std::to_string(stuck_rate);
+      const auto expect_equal = [&](const std::string& when) {
+        for (std::size_t k = 0; k < set.size(); ++k) {
+          const Shape& sh = shapes[set[k]];
+          for (std::uint32_t r = 0; r < sh.rows; ++r) {
+            for (std::uint32_t c = 0; c < sh.cols; ++c) {
+              ASSERT_EQ(batched[k]->weight(RowIndex(r), ColIndex(c)),
+                        oracle[k]->weight(RowIndex(r), ColIndex(c)))
+                  << when << " storage " << set[k] << " weight " << r << ","
+                  << c << ", " << where;
+            }
+          }
+          ASSERT_EQ(batched[k]->counters(), oracle[k]->counters())
+              << when << " storage " << set[k] << ", " << where;
+        }
+      };
+      // One all-rows MAC per column of every storage.
+      const auto mac_all = [&](const std::string& when) {
+        for (std::size_t k = 0; k < set.size(); ++k) {
+          const Shape& sh = shapes[set[k]];
+          std::vector<std::uint32_t> rows(sh.rows);
+          for (std::uint32_t r = 0; r < sh.rows; ++r) rows[r] = r;
+          for (std::uint32_t c = 0; c < sh.cols; ++c) {
+            ASSERT_EQ(batched[k]->mac_sparse(ColIndex(c), rows),
+                      oracle[k]->mac_sparse(ColIndex(c), rows))
+                << when << " storage " << set[k] << " column " << c << ", "
+                << where;
           }
         }
-        ASSERT_EQ(prepared[i]->counters(), direct[i]->counters())
-            << when << " storage " << i << " stuck rate " << stuck_rate;
-      }
-    };
-    // One all-rows MAC per column of every storage: values and counters.
-    const auto mac_all = [&](const std::string& when) {
-      for (std::size_t i = 0; i < shapes.size(); ++i) {
-        std::vector<std::uint32_t> rows(shapes[i].rows);
-        for (std::uint32_t r = 0; r < shapes[i].rows; ++r) rows[r] = r;
-        for (std::uint32_t c = 0; c < shapes[i].cols; ++c) {
-          ASSERT_EQ(prepared[i]->mac_sparse(ColIndex(c), rows),
-                    direct[i]->mac_sparse(ColIndex(c), rows))
-              << when << " storage " << i << " column " << c;
-        }
-      }
-    };
-    for (std::size_t k = 0; k < phases.size(); ++k) {
-      const std::string when = "epoch " + std::to_string(phases[k].epoch);
-      with_prepare.write_back(phases[k]);
-      without.write_back(phases[k]);
-      expect_equal(when);
-      if (k + 1 < phases.size()) with_prepare.prepare(phases[k + 1]);
-      mac_all(when + " after prepare");
-      expect_equal(when + " after prepare");
+      };
+      const std::size_t step = schedule.params().iterations_per_step;
+      std::size_t next_begin = 0;
+      batch.run_epochs(schedule, kEpochBase, [&](std::size_t begin,
+                                                 std::size_t end) {
+        ASSERT_EQ(begin, next_begin);
+        ASSERT_EQ(end,
+                  std::min(begin + step, schedule.total_iterations()));
+        next_begin = end;
+        noise::SchedulePhase p = schedule.at(begin);
+        p.epoch += kEpochBase;
+        for (auto& storage : oracle) storage->write_back(p);
+        const std::string when = "epoch " + std::to_string(p.epoch) +
+                                 " noisy " + std::to_string(p.noisy_lsbs);
+        expect_equal(when);
+        mac_all(when);
+        expect_equal(when + " after MACs");
+      });
+      EXPECT_EQ(next_begin, schedule.total_iterations()) << where;
+      EXPECT_GT(batched[0]->counters().pseudo_read_flips, 0U) << where;
     }
-
-    // A prepare for another phase is dropped: a later epoch, and the same
-    // epoch at another supply.
-    noise::SchedulePhase other_vdd = phases[1];
-    other_vdd.vdd += 0.01;
-    for (const auto& [ahead, committed] :
-         {std::pair{phases[1], phases[2]}, std::pair{phases[1], other_vdd}}) {
-      with_prepare.prepare(ahead);
-      with_prepare.write_back(committed);
-      without.write_back(committed);
-      expect_equal("mismatched phase, epoch " +
-                   std::to_string(committed.epoch));
-    }
-
-    // A write() between prepare and commit discards the prepare: through
-    // the batch, and straight to one storage.
-    with_prepare.prepare(phases[1]);
-    with_prepare.write(rewrite);
-    without.write(rewrite);
-    with_prepare.write_back(phases[1]);
-    without.write_back(phases[1]);
-    expect_equal("batch write between prepare and commit");
-    // Storage 1 gets its first image back.
-    const auto original = std::span<const std::uint8_t>(images).subspan(
-        static_cast<std::size_t>(shapes[0].rows) * shapes[0].cols,
-        static_cast<std::size_t>(shapes[1].rows) * shapes[1].cols);
-    with_prepare.prepare(phases[0]);
-    prepared[1]->write(original);
-    direct[1]->write(original);
-    with_prepare.write_back(phases[0]);
-    without.write_back(phases[0]);
-    expect_equal("storage write between prepare and commit");
-    EXPECT_GT(prepared[1]->counters().pseudo_read_flips, 0U);
   }
 }
 
