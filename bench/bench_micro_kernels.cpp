@@ -101,12 +101,13 @@ void BM_WriteBackNoisy(benchmark::State& state) {
   static const cim::noise::SramCellModel model;
   auto storage =
       cim::hw::make_fast_storage(shape.rows(), shape.cols(), &model, 0);
-  storage->write(random_image(shape.rows(), shape.cols(), 3));
+  cim::hw::StorageBatch batch({storage.get()});
+  batch.write(random_image(shape.rows(), shape.cols(), 3));
   cim::noise::SchedulePhase phase;
   phase.vdd = 0.30;
   phase.noisy_lsbs = 6;
   for (auto _ : state) {
-    storage->write_back(phase);
+    batch.write_back(phase);
     ++phase.epoch;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -327,13 +328,13 @@ void BM_DistanceCacheRescan(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceCacheRescan)->Arg(2000);
 
-/// Times FastStorage write-backs of one 800×800 plane (the Max-Cut
-/// annealer's plane at n = 800) through every write-back of the default
-/// schedule, against a serial SramCellModel::settled_value() loop over the
-/// same noisy cells. Aborts unless the two count the same flips. The
-/// plane's write() is timed too (`write_ns_per_weight`): it builds the
-/// anti-preferred mask the write-backs reuse, so the work hoisted out of
-/// them is reported rather than hidden.
+/// Times every write-back of the default schedule on one 800×800 plane
+/// (the Max-Cut annealer's plane at n = 800): StorageBatch::run_epochs
+/// with an empty epoch body, that is the one settle pass over all noisy
+/// epochs plus each epoch's commit, against a serial
+/// SramCellModel::settled_value() loop over the same noisy cells. Aborts
+/// unless the two count the same flips. The plane's write() (a copy plus
+/// the stuck-cell adjustment) is timed too, as `write_ns_per_weight`.
 cim::util::Json write_back_report() {
   constexpr std::uint32_t kN = 800;
   constexpr std::uint32_t kBits = 8;
@@ -357,7 +358,7 @@ cim::util::Json write_back_report() {
   }
 
   cim::util::Timer timer;
-  for (const auto& phase : phases) batch.write_back(phase);
+  batch.run_epochs(schedule, 0, [](std::size_t, std::size_t) {});
   const double seconds = timer.seconds();
 
   cim::util::Timer serial_timer;

@@ -108,9 +108,10 @@ if [[ -x "${bench_bin}" ]]; then
     "${bench_bin}" --benchmark_filter='BM_SwapKernel.*|BM_DistanceCacheRescan.*'
   require_artifact "${bench_out_dir}/BENCH_swap_kernel.json"
   # Structural gate on the swap-kernel report: the dense, sparse and
-  # incremental columns, the write-back row (ns per noisy cell, flips
-  # checked against the serial settled_value loop, and the write() that
-  # builds the preferred-bit mask, ns per weight) and the Ising-update
+  # incremental columns, the write-back row (ns per noisy cell over the
+  # default schedule run through run_epochs, flips checked against the
+  # serial settled_value loop, and the write() that copies the image and
+  # applies the stuck cells, ns per weight) and the Ising-update
   # row (incremental vs recompute ns per spin update) must be present and
   # self-consistent — a bench
   # refactor that silently drops a column must fail here, not in a

@@ -763,8 +763,8 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     }
   };
 
-  // Each epoch's iterations run beside the pooled settle of the next
-  // epoch's write-back (DESIGN.md §11).
+  // Each epoch's iterations run after its write-back, settled with the
+  // schedule's other noisy epochs in one pooled pass (DESIGN.md §11).
   batch_->run_epochs(schedule_, epoch_base_,
                      [&iterate](std::size_t begin, std::size_t end) {
                        for (std::size_t iter = begin; iter < end; ++iter) {

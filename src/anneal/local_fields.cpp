@@ -189,8 +189,8 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
     if (config_.record_trace) result.trace.push_back(hooks.objective());
   };
 
-  // Each epoch's sweeps run beside the pooled settle of the next epoch's
-  // write-back (DESIGN.md §11).
+  // Each epoch's sweeps run after its write-back, settled with the
+  // schedule's other noisy epochs in one pooled pass (DESIGN.md §11).
   batch.run_epochs(schedule, 0,
                    [&sweep_once](std::size_t begin, std::size_t end) {
                      for (std::size_t sweep = begin; sweep < end; ++sweep) {

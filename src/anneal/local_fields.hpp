@@ -186,10 +186,10 @@ class SpinSweep {
   std::vector<ising::Spin> initial_spins(std::size_t n);
 
   /// Runs every sweep of the schedule from result.spins through
-  /// batch.run_epochs() (`batch` holds every plane of `layout`): each
-  /// epoch's sweeps run after its write-back and beside the pooled settle
-  /// of the next one. A write-back charges windows × rows cycles, then
-  /// each group updates in order.
+  /// batch.run_epochs() (`batch` holds every plane of `layout`), which
+  /// settles every noisy epoch in one pass and commits each epoch's
+  /// write-back before its sweeps. A write-back charges windows × rows
+  /// cycles, then each group updates in order.
   /// Fills every SpinSweepResult field and publishes hooks.prefix's
   /// counters.
   void run(const SpinLayout& layout, hw::StorageBatch& batch,

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -106,8 +104,8 @@ class StorageBase : public WeightStorage {
 
 class FastStorage final : public StorageBase {
  public:
-  /// Weights per settle() block: 2 048 candidate cells at most, so its
-  /// two scratch lists stay on the stack (6 KiB).
+  /// Weights per settle_epochs() block: 2 048 candidate cells at most, so
+  /// its scratch lists stay on the stack (about 14 KiB).
   static constexpr std::size_t kSettleBlock = 256;
 
   FastStorage(std::uint32_t rows, std::uint32_t cols,
@@ -122,7 +120,6 @@ class FastStorage final : public StorageBase {
             weight_count())) {
     if (model_) {
       golden_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
-      anti_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
     }
   }
 
@@ -135,140 +132,164 @@ class FastStorage final : public StorageBase {
     write_range(golden, 0, weight_count());
   }
 
+  // The single-phase oracle: restores the golden image and settles each
+  // of the phase's noisy cells through PhaseSettler::settle(). An anneal
+  // settles through StorageBatch's pass instead.
   void write_back(const noise::SchedulePhase& phase) override {
     charge_write_back();
     if (!model_) return;  // no MAC changes current_
-    std::optional<noise::PhaseSettler> settler;
-    if (phase.noisy_lsbs > 0) settler.emplace(*model_, phase.epoch, phase.vdd);
-    reserve_spare();
-    add_flips(settle(settler ? &*settler : nullptr, phase.noisy_lsbs, 0,
-                     weight_count()));
-    swap_planes();
+    const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
+    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
+    for (std::size_t w = 0; w < weight_count(); ++w) {
+      unsigned value = golden_[w];
+      for (std::uint32_t b = 0; b < noisy; ++b) {
+        const bool bit = ((value >> b) & 1U) != 0;
+        const unsigned flip = settler.settle(cell_id(w, b), bit) != bit;
+        value ^= flip << b;
+        counters_.pseudo_read_flips += flip;
+      }
+      current_[w] = static_cast<std::uint8_t>(value);
+    }
   }
 
-  // Installs weights [begin, end) of the validated full image `golden`:
-  // applies the hard manufacturing faults — a stuck cell overrides
-  // every write at any supply voltage, and holds its preferred value — and
-  // sets anti_[w] bit b iff the stored bit differs from the cell's
-  // preferred value. The stuck-adjusted image and its mask are built once
-  // per write, not once per write-back. Ranges are independent, so
-  // StorageBatch runs disjoint ones concurrently.
+  // Installs weights [begin, end) of the validated full image `golden`
+  // with the hard manufacturing faults applied: a stuck cell overrides
+  // every write at any supply voltage, and holds its preferred value.
+  // Ranges are independent, so StorageBatch runs disjoint ones
+  // concurrently.
   // NOLINT(cim-counter-charge) — a golden-image install, not an access.
   void write_range(std::span<const std::uint8_t> golden, std::size_t begin,
                    std::size_t end) {
-    if (model_) {
-      const std::uint64_t seed = model_->seed();
-      const double stuck_rate = model_->params().stuck_cell_rate;
-      for (std::size_t w = begin; w < end; ++w) {
-        std::uint8_t value = golden[w];
-        std::uint8_t anti = 0;
-        for (std::uint32_t b = 0; b < bits_; ++b) {
-          const std::uint64_t id = cell_id(w, b);
-          const bool preferred = noise::cell_hash::preferred_bit(seed, id);
-          if (noise::cell_hash::is_stuck(seed, id, stuck_rate)) {
-            value = static_cast<std::uint8_t>(
-                (value & ~(1U << b)) |
-                (static_cast<unsigned>(preferred) << b));
-          } else if (((value >> b) & 1U) !=
-                     static_cast<unsigned>(preferred)) {
-            anti = static_cast<std::uint8_t>(anti | (1U << b));
-          }
+    std::copy(golden.data() + begin, golden.data() + end,
+              current_.get() + begin);
+    const double stuck_rate = model_ ? model_->params().stuck_cell_rate : 0;
+    for (std::size_t w = begin; w < end && stuck_rate > 0.0; ++w) {
+      for (std::uint32_t b = 0; b < bits_; ++b) {
+        const std::uint64_t id = cell_id(w, b);
+        if (noise::cell_hash::is_stuck(model_->seed(), id, stuck_rate)) {
+          current_[w] = static_cast<std::uint8_t>(
+              (current_[w] & ~(1U << b)) |
+              (noise::cell_hash::preferred_bit(model_->seed(), id) << b));
         }
-        golden_[w] = value;
-        anti_[w] = anti;
-        current_[w] = value;
       }
-    } else {
-      std::copy(golden.begin() + static_cast<std::ptrdiff_t>(begin),
-                golden.begin() + static_cast<std::ptrdiff_t>(end),
-                current_.get() + begin);
+    }
+    if (model_) {
+      std::copy(current_.get() + begin, current_.get() + end,
+                golden_.get() + begin);
     }
     // One range per write starts the storage.
     if (begin == 0) written_ = true;
   }
 
-  // The write-back's counters, bar the flips the settles return.
-  void charge_write_back() {
+  // Charges `flips` pseudo-read flips and, for a whole storage, the
+  // write-back's other counters.
+  void charge_write_back(bool whole = true, std::uint64_t flips = 0) {
     CIM_ASSERT_MSG(written_, "write_back before write");
-    ++counters_.writeback_events;
-    counters_.writeback_bits += weight_count() * bits_;
-  }
-
-  void add_flips(std::uint64_t flips) {
+    counters_.writeback_events += whole ? 1 : 0;
+    counters_.writeback_bits += whole ? weight_count() * bits_ : 0;
     counters_.pseudo_read_flips += flips;
   }
 
-  // Allocates the plane settle() writes, on the first write-back rather
-  // than with the storage: by then the caller's write() image is freed
-  // and the plane can reuse its memory instead of raising the peak (by
-  // about 3% on cimbench's tsp-p8). Never called from a pooled task.
-  void reserve_spare() {
-    if (!spare_) {
-      spare_ = std::make_unique_for_overwrite<std::uint8_t[]>(weight_count());
+  // Allocates flip words of `halves` 16-bit halves per weight (0: none
+  // needed), on the first anneal rather than with the storage: by then the
+  // caller's write() image is freed and the words can reuse its memory
+  // instead of raising the peak. Never called from a pooled task.
+  void reserve_flips(unsigned halves) {
+    if (halves == 0 || halves == halves_) return;
+    flips_ = std::make_unique_for_overwrite<std::uint16_t[]>(weight_count() *
+                                                             halves);
+    halves_ = halves;
+  }
+
+  // Settles weights [begin, end) through consecutive noisy epochs at once
+  // (sram_model.hpp, "Batched draws"): epoch e (settlers[e], lsbs[e] noisy
+  // LSBs, not growing) flips bit b of a weight into bit shifts[e] + b of
+  // its accumulator, whose low byte (epoch 0) lands in the plane the MACs
+  // read and whose bits 8 up are stored as its flip word; flips[e] gains
+  // the epoch's count. Ranges are independent; the caller charges.
+  // NOLINT(cim-counter-charge)
+  void settle_epochs(std::span<const noise::PhaseSettler> settlers,
+                     std::span<const unsigned> lsbs, const unsigned* shifts,
+                     std::size_t begin, std::size_t end, std::uint64_t* flips) {
+    const std::uint64_t seed = model_->seed();
+    const std::uint32_t noisy = std::min(lsbs[0], bits_);
+    // A candidate cell is (w − block) · 8 + b, listed by bit: below[b] of
+    // them have a bit under b, so each epoch's candidates are a prefix.
+    std::array<std::uint16_t, kSettleBlock * 8> cells{};
+    std::array<std::uint16_t, kSettleBlock * 8> open{};
+    std::array<std::uint8_t, kSettleBlock * 8> k1{};
+    std::array<std::uint8_t, kSettleBlock * 8> from{};
+    std::array<std::size_t, 9> below{};
+    std::array<std::uint64_t, kSettleBlock> acc{};
+    for (std::size_t block = begin; block < end; block += kSettleBlock) {
+      const std::size_t n = std::min(end - block, kSettleBlock);
+      // Only a cell off its preferred value can flip (a stuck one is on
+      // it), and its ΔVth popcount is drawn once for every epoch.
+      std::size_t m = 0;
+      for (std::uint32_t b = 0; b < noisy; ++b) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool preferred =
+              noise::cell_hash::preferred_bit(seed, cell_id(block + i, b));
+          cells[m] = static_cast<std::uint16_t>(i * 8 + b);
+          m += ((golden_[block + i] >> b) & 1U) ^ (preferred ? 1U : 0U);
+        }
+        below[b + 1] = m;
+      }
+      for (std::size_t j = 0; j < m; ++j) {
+        k1[j] = static_cast<std::uint8_t>(noise::cell_hash::vth_popcount(
+            seed, cell_id(block + (cells[j] >> 3U), cells[j] & 7U)));
+      }
+      std::fill_n(acc.begin(), n, 0);
+      for (std::size_t e = 0; e < lsbs.size(); ++e) {
+        const noise::PhaseSettler& settler = settlers[e];
+        std::uint64_t hits = 0;
+        std::size_t opened = 0;
+        for (std::size_t j = 0; j < below[std::min(lsbs[e], bits_)]; ++j) {
+          const unsigned entry = settler.flip_from(k1[j]);
+          const unsigned hit = entry == 0 ? 1U : 0U;  // no read margin
+          acc[cells[j] >> 3U] |= std::uint64_t{hit}
+                                 << (shifts[e] + (cells[j] & 7U));
+          hits += hit;
+          open[opened] = cells[j];
+          from[opened] = static_cast<std::uint8_t>(entry);
+          opened += entry - 1U < 64U ? 1U : 0U;  // 1..64: the draw decides
+        }
+        for (std::size_t j = 0; j < opened; ++j) {
+          const std::size_t i = open[j] >> 3U;
+          const unsigned b = open[j] & 7U;
+          const unsigned hit =
+              settler.disturbed(cell_id(block + i, b), from[j]) ? 1U : 0U;
+          acc[i] |= std::uint64_t{hit} << (shifts[e] + b);
+          hits += hit;
+        }
+        flips[e] += hits;
+      }
+      const std::size_t halves = lsbs.size() > 1 ? halves_ : 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        current_[block + i] =
+            static_cast<std::uint8_t>(golden_[block + i] ^ acc[i]);
+        for (std::size_t h = 0; h < halves; ++h) {
+          flips_[(block + i) * halves + h] =
+              static_cast<std::uint16_t>(acc[i] >> (8 + 16 * h));
+        }
+      }
     }
   }
 
-  // Makes the settled spare plane the one the MACs read.
-  void swap_planes() { std::swap(current_, spare_); }
-
-  // Settles weights [begin, end) of the spare plane, which no MAC reads:
-  // restores the stuck-adjusted golden image, then — given a settler —
-  // settles the anti-preferred cells among the phase's `noisy_lsbs` low
-  // bits; returns the pseudo-read flips. A cell already at its preferred
-  // value is stable, so only the mask's set bits are candidates. Each
-  // block of kSettleBlock weights takes two passes. The first walks the
-  // mask and draws every candidate's ΔVth threshold, flips the cells whose
-  // table entry is 0 (no read margin) as it writes each weight, and lists
-  // only the cells left open (entries 1..64) with their entry; the second
-  // draws the disturbance for the open cells alone. These are the draws
-  // and the rule of PhaseSettler::flips_anti, without its per-cell branch
-  // on the entry. Ranges are independent, so StorageBatch runs disjoint
-  // ones concurrently; the caller charges the counters.
-  // NOLINT(cim-counter-charge)
-  std::uint64_t settle(const noise::PhaseSettler* settler,
-                       std::uint32_t noisy_lsbs, std::size_t begin,
-                       std::size_t end) {
-    std::uint8_t* const out = spare_.get();
-    if (settler == nullptr) {
-      std::copy(golden_.get() + begin, golden_.get() + end, out + begin);
-      return 0;
+  // Makes weights [begin, end) of the plane the MACs read the golden image
+  // XOR the `lsbs` flips settle_epochs() put at accumulator bit `shift`
+  // (none for lsbs = 0). Ranges are independent; the caller charges the
+  // write-back. NOLINT(cim-counter-charge)
+  void install(unsigned shift, unsigned lsbs, std::size_t begin,
+               std::size_t end) {
+    const unsigned at = lsbs == 0 ? 0 : shift - 8;  // in the flip word
+    for (std::size_t w = begin; w < end; ++w) {
+      const unsigned flips =
+          lsbs == 0 ? 0U
+                    : (flips_[w * halves_ + at / 16] >> at % 16) &
+                          ((1U << lsbs) - 1U);
+      current_[w] = static_cast<std::uint8_t>(golden_[w] ^ flips);
     }
-    const std::uint32_t noisy = std::min(noisy_lsbs, bits_);
-    const auto noisy_mask = static_cast<unsigned>((1U << noisy) - 1U);
-    // An open cell is (w − block) · 8 + b.
-    std::array<std::uint16_t, kSettleBlock * 8> open;
-    std::array<std::uint8_t, kSettleBlock * 8> from;
-    std::uint64_t flips = 0;
-    for (std::size_t block = begin; block < end; block += kSettleBlock) {
-      const std::size_t stop = std::min(end, block + kSettleBlock);
-      // Stuck cells hold their preferred value, so the mask never names
-      // one: PhaseSettler::settle()'s is_stuck branch cannot apply here.
-      std::size_t m = 0;
-      for (std::size_t w = block; w < stop; ++w) {
-        unsigned value = golden_[w];
-        for (unsigned bits = anti_[w] & noisy_mask; bits != 0;
-             bits &= bits - 1) {
-          const auto b = static_cast<unsigned>(std::countr_zero(bits));
-          const unsigned entry = settler->threshold(cell_id(w, b));
-          const unsigned hit = entry == 0 ? 1U : 0U;
-          value ^= hit << b;
-          flips += hit;
-          open[m] = static_cast<std::uint16_t>((w - block) * 8 + b);
-          from[m] = static_cast<std::uint8_t>(entry);
-          m += entry - 1U < 64U ? 1U : 0U;  // 1..64: the draw decides
-        }
-        out[w] = static_cast<std::uint8_t>(value);
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::size_t w = block + (open[j] >> 3U);
-        const unsigned b = open[j] & 7U;
-        const unsigned hit =
-            settler->disturbed(cell_id(w, b), from[j]) ? 1U : 0U;
-        out[w] = static_cast<std::uint8_t>(out[w] ^ (hit << b));
-        flips += hit;
-      }
-    }
-    return flips;
   }
 
   std::int64_t mac(ColIndex col_idx,
@@ -327,13 +348,11 @@ class FastStorage final : public StorageBase {
   /// The settled image the MACs read.
   std::unique_ptr<std::uint8_t[]> current_;
   /// With a noise model only: the written image with the hard faults
-  /// applied; bit b of anti_[w], set iff cell (w, b) is not stuck and
-  /// holds its anti-preferred value there; and, from the first
-  /// write-back, the plane a write-back settles into before it swaps
-  /// with current_.
+  /// applied, and from the first anneal the flip words of settle_epochs(),
+  /// halves_ 16-bit halves per weight.
   std::unique_ptr<std::uint8_t[]> golden_;
-  std::unique_ptr<std::uint8_t[]> anti_;
-  std::unique_ptr<std::uint8_t[]> spare_;
+  std::unique_ptr<std::uint16_t[]> flips_;
+  unsigned halves_ = 0;
   bool written_ = false;
 };
 
@@ -360,31 +379,27 @@ class BitLevelStorage final : public StorageBase {
     validate_image(golden, bits_);
     for (std::size_t w = 0; w < weight_count(); ++w) {
       for (std::uint32_t b = 0; b < bits_; ++b) {
-        const std::uint8_t bit = (golden[w] >> b) & 1U;
-        golden_bits_[w * bits_ + b] = bit;
-        stored_[w * bits_ + b] = bit;
+        golden_bits_[w * bits_ + b] = (golden[w] >> b) & 1U;
       }
     }
+    stored_ = golden_bits_;
     std::fill(touched_.begin(), touched_.end(), 0);
     apply_stuck_faults();
+    written_ = true;
   }
 
   void write_back(const noise::SchedulePhase& phase) override {
-    CIM_ASSERT_MSG(!stored_.empty(), "write_back before write");
+    CIM_ASSERT_MSG(written_, "write_back before write");
     stored_ = golden_bits_;
     std::fill(touched_.begin(), touched_.end(), 0);
     phase_ = phase;
     ++counters_.writeback_events;
     counters_.writeback_bits += stored_.size();
     apply_stuck_faults();
-    if (!model_ || phase.noisy_lsbs == 0) return;
-    if (policy_ == PseudoReadPolicy::kSettleAtWriteBack) {
-      const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-      for (std::size_t w = 0; w < weight_count(); ++w) {
-        for (std::uint32_t b = 0; b < noisy; ++b) {
-          corrupt_cell(w, b);
-        }
-      }
+    if (!model_ || policy_ != PseudoReadPolicy::kSettleAtWriteBack) return;
+    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
+    for (std::size_t w = 0; w < weight_count(); ++w) {
+      for (std::uint32_t b = 0; b < noisy; ++b) corrupt_cell(w, b);
     }
   }
 
@@ -393,27 +408,16 @@ class BitLevelStorage final : public StorageBase {
     const std::uint32_t col = col_idx.get();
     CIM_ASSERT(col < cols_);
     CIM_ASSERT(input.size() == rows_);
-    const bool lazy_noise = model_ &&
-                            policy_ == PseudoReadPolicy::kFlipOnAccess &&
-                            phase_.noisy_lsbs > 0;
-    const std::uint32_t noisy =
-        lazy_noise ? std::min(phase_.noisy_lsbs, bits_) : 0;
-
-    // Assemble bit-plane NOR products; every access is a pseudo-read of the
-    // addressed cells.
+    touch_column(col);
+    // Assemble bit-plane NOR products.
     planes_.assign(static_cast<std::size_t>(bits_) * rows_, 0);
     for (std::uint32_t r = 0; r < rows_; ++r) {
       const std::size_t w = index(r, col);
       for (std::uint32_t b = 0; b < bits_; ++b) {
-        const std::size_t cell = w * bits_ + b;
-        if (b < noisy && !touched_[cell]) {
-          corrupt_cell(w, b);
-          touched_[cell] = 1;
-        }
         // 14T cell multiply: input NOR-combined with the stored bit acts
         // as a 1-bit AND of input and weight-bit (active-low NOR logic).
         planes_[static_cast<std::size_t>(b) * rows_ + r] =
-            static_cast<std::uint8_t>(input[r] & stored_[cell]);
+            static_cast<std::uint8_t>(input[r] & stored_[w * bits_ + b]);
       }
     }
     const std::uint64_t value = tree_.shift_and_add(planes_, bits_);
@@ -427,25 +431,7 @@ class BitLevelStorage final : public StorageBase {
       std::span<const std::uint32_t> active_rows) override {
     const std::uint32_t col = col_idx.get();
     CIM_ASSERT(col < cols_);
-    const bool lazy_noise = model_ &&
-                            policy_ == PseudoReadPolicy::kFlipOnAccess &&
-                            phase_.noisy_lsbs > 0;
-    if (lazy_noise) {
-      // Every MAC pseudo-reads the whole addressed column: cells of
-      // inactive rows corrupt too, in the same row-major order as the
-      // dense path.
-      const std::uint32_t noisy = std::min(phase_.noisy_lsbs, bits_);
-      for (std::uint32_t r = 0; r < rows_; ++r) {
-        const std::size_t w = index(r, col);
-        for (std::uint32_t b = 0; b < noisy; ++b) {
-          const std::size_t cell = w * bits_ + b;
-          if (!touched_[cell]) {
-            corrupt_cell(w, b);
-            touched_[cell] = 1;
-          }
-        }
-      }
-    }
+    touch_column(col);  // inactive rows included, as on the dense path
     // Per-plane product counts over the set rows only; the tree model
     // still charges the full-fan-in reduction (inactive rows feed zero
     // products, not zero hardware).
@@ -491,6 +477,21 @@ class BitLevelStorage final : public StorageBase {
     }
   }
 
+  // Every MAC pseudo-reads the whole addressed column: under
+  // kFlipOnAccess each noisy cell not yet touched since the write-back
+  // settles now, in row-major order.
+  void touch_column(std::uint32_t col) {
+    if (!model_ || policy_ != PseudoReadPolicy::kFlipOnAccess) return;
+    const std::uint32_t noisy = std::min(phase_.noisy_lsbs, bits_);
+    for (std::uint32_t r = 0; r < rows_; ++r) {
+      const std::size_t w = index(r, col);
+      for (std::uint32_t b = 0; b < noisy; ++b) {
+        if (!touched_[w * bits_ + b]) corrupt_cell(w, b);
+        touched_[w * bits_ + b] = 1;
+      }
+    }
+  }
+
   void corrupt_cell(std::size_t w, std::uint32_t b) {
     const std::size_t cell = w * bits_ + b;
     const bool bit = stored_[cell] != 0;
@@ -510,6 +511,7 @@ class BitLevelStorage final : public StorageBase {
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> planes_;
   std::vector<std::uint32_t> plane_sums_;
+  bool written_ = false;
 };
 
 }  // namespace
@@ -548,8 +550,6 @@ StorageBatch::StorageBatch(const std::vector<WeightStorage*>& storages) {
     weights_ += n;
   }
   if (filled > 0) close_task();
-  piece_flips_.assign(pieces_.size(), 0);
-  settlers_.reserve(models_.size());
 }
 
 void StorageBatch::write(std::span<const std::uint8_t> images) {
@@ -581,90 +581,106 @@ void StorageBatch::write(std::span<const std::uint8_t> images) {
   });
 }
 
-void StorageBatch::prepare(const noise::SchedulePhase& phase) {
-  if (models_.empty()) return;
-  for (const Piece& piece : pieces_) {
-    if (piece.settler != kNoModel && piece.begin == 0) {
-      static_cast<FastStorage*>(piece.storage)->reserve_spare();
-    }
+void StorageBatch::settle(std::span<const noise::SchedulePhase> noisy) {
+  lsbs_.clear();
+  shifts_.clear();
+  unsigned word_bits = 0;  // of the flip word: the epochs after the first
+  for (const noise::SchedulePhase& phase : noisy) {
+    const unsigned lsbs = std::min(phase.noisy_lsbs, 8U);
+    CIM_ASSERT(lsbs > 0 && (lsbs_.empty() || lsbs <= lsbs_.back()));
+    // No epoch's flips straddle the word's two 16-bit halves.
+    const unsigned at =
+        word_bits % 16 + lsbs > 16 ? (word_bits + 15) / 16 * 16 : word_bits;
+    if (!lsbs_.empty() && at + lsbs > 32) break;  // a later pass
+    shifts_.push_back(lsbs_.empty() ? 0 : 8 + at);
+    word_bits = lsbs_.empty() ? 0 : at + lsbs;
+    lsbs_.push_back(lsbs);
   }
+  if (models_.empty() || lsbs_.empty()) return;
+  const std::size_t epochs = lsbs_.size();
   settlers_.clear();
-  if (phase.noisy_lsbs > 0) {
-    for (const noise::SramCellModel* model : models_) {
+  for (const noise::SramCellModel* model : models_) {
+    for (const noise::SchedulePhase& phase : noisy.first(epochs)) {
       settlers_.emplace_back(*model, phase.epoch, phase.vdd);
     }
   }
-  run_tasks(task_end_.size(), [this, &phase](std::size_t t) {
+  epoch_flips_.assign(pieces_.size() * epochs, 0);
+  for (const Piece& piece : pieces_) {
+    if (piece.settler != kNoModel && piece.begin == 0) {
+      static_cast<FastStorage*>(piece.storage)
+          ->reserve_flips((word_bits + 15) / 16);
+    }
+  }
+  run_tasks(task_end_.size(), [this, epochs](std::size_t t) {
     for (std::size_t i = t == 0 ? 0 : task_end_[t - 1]; i < task_end_[t];
          ++i) {
       const Piece& piece = pieces_[i];
       if (piece.settler == kNoModel) continue;
-      piece_flips_[i] = static_cast<FastStorage*>(piece.storage)
-                            ->settle(settlers_.empty()
-                                         ? nullptr
-                                         : &settlers_[piece.settler],
-                                     phase.noisy_lsbs, piece.begin, piece.end);
+      static_cast<FastStorage*>(piece.storage)
+          ->settle_epochs(
+              std::span(settlers_).subspan(piece.settler * epochs, epochs),
+              lsbs_, shifts_.data(), piece.begin, piece.end,
+              &epoch_flips_[i * epochs]);
     }
   });
 }
 
-void StorageBatch::commit(const noise::SchedulePhase& phase) {
+void StorageBatch::commit(const noise::SchedulePhase& phase, std::size_t e) {
+  const std::size_t epochs = lsbs_.size();
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
     const Piece& piece = pieces_[i];
     if (!piece.split) {
       piece.storage->write_back(phase);
       continue;
     }
-    auto* fast = static_cast<FastStorage*>(piece.storage);
-    // A storage's first piece charges its write-back and swaps its planes.
-    if (piece.begin == 0) {
-      fast->charge_write_back();
-      if (piece.settler != kNoModel) fast->swap_planes();
-    }
-    fast->add_flips(piece_flips_[i]);
+    static_cast<FastStorage*>(piece.storage)
+        ->charge_write_back(piece.begin == 0,
+                            piece.settler != kNoModel && e < epochs
+                                ? epoch_flips_[i * epochs + e]
+                                : 0);
   }
+  // The settle put epoch 0 in place, and the first epoch past the settled
+  // ones installs the golden image for all later ones.
+  if (models_.empty() || e > epochs || (e == 0 && epochs > 0)) return;
+  run_tasks(task_end_.size(), [this, e](std::size_t t) {
+    const bool noisy = e < lsbs_.size();
+    for (std::size_t i = t == 0 ? 0 : task_end_[t - 1]; i < task_end_[t];
+         ++i) {
+      const Piece& piece = pieces_[i];
+      if (piece.settler == kNoModel) continue;
+      static_cast<FastStorage*>(piece.storage)
+          ->install(noisy ? shifts_[e] : 0, noisy ? lsbs_[e] : 0,
+                    piece.begin, piece.end);
+    }
+  });
 }
 
 void StorageBatch::write_back(const noise::SchedulePhase& phase) {
-  prepare(phase);
-  commit(phase);
+  settle(std::span(&phase, phase.noisy_lsbs > 0 ? 1 : 0));
+  commit(phase, 0);
 }
 
 void StorageBatch::run_epochs(
     const noise::AnnealSchedule& schedule, std::uint64_t epoch_base,
     const std::function<void(std::size_t, std::size_t)>& epoch) {
-  const auto phase_at = [&](std::size_t iteration) {
-    noise::SchedulePhase phase = schedule.at(iteration);
-    phase.epoch += epoch_base;
-    return phase;
-  };
   const std::size_t iterations = schedule.total_iterations();
-  // A one-task pass is too short to pay for a pool task.
-  const bool beside = task_end_.size() > 1 && !models_.empty();
-  struct {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  } span;  // the epoch's iterations
-  noise::SchedulePhase next;
-  prepare(phase_at(0));
-  for (; span.begin < iterations; span.begin = span.end) {
-    span.end = std::min(span.begin + schedule.params().iterations_per_step,
-                        iterations);
-    // Commit before the next prepare starts: it settles into the plane
-    // this swaps out.
-    commit(phase_at(span.begin));
-    if (span.end < iterations && beside) {
-      next = phase_at(span.end);
-      // Two references each, which std::function holds without a heap
-      // allocation (GCC's -fanalyzer misreads a heap-held functor as
-      // leaked).
-      util::ThreadPool::shared().run_beside(
-          [this, &next] { prepare(next); },
-          [&epoch, &span] { epoch(span.begin, span.end); });
-    } else {
-      epoch(span.begin, span.end);
-      if (span.end < iterations) prepare(phase_at(span.end));
+  const std::size_t step = schedule.params().iterations_per_step;
+  std::vector<noise::SchedulePhase> phases;  // each epoch's write-back
+  for (std::size_t begin = 0; begin < iterations; begin += step) {
+    phases.push_back(schedule.at(begin));
+    phases.back().epoch += epoch_base;
+  }
+  // The schedule drops a noisy LSB per epoch, so the noisy epochs lead.
+  std::size_t noisy = 0;
+  while (noisy < phases.size() && phases[noisy].noisy_lsbs > 0) ++noisy;
+  std::size_t first = 0;  // settle() took epochs [first, first + lsbs_)
+  for (std::size_t e = 0; e < phases.size(); ++e) {
+    if (e == 0 || (e == first + lsbs_.size() && e < noisy)) {
+      first = e;
+      settle(std::span(phases).subspan(e, noisy - e));
     }
+    commit(phases[e], e - first);
+    epoch(e * step, std::min(iterations, e * step + step));
   }
 }
 

@@ -8,30 +8,20 @@
 // cell id, epoch), so the two backends produce bit-identical error
 // patterns — a property the test suite checks.
 //
-//   * FastStorage    — materialises the corrupted byte per weight at
-//                      write-back; MACs are plain integer dot products.
-//                      Used for large instances. write() applies the hard
-//                      faults to the golden image once and builds a
-//                      1-byte-per-weight anti-preferred mask (bit b set
-//                      iff the stored bit differs from the cell's
-//                      preferred value). A write-back settles the phase
-//                      into a spare plane and swaps it in: it restores the
-//                      image there and settles only the mask's set noisy
-//                      bits — a cell at its preferred value is stable — in
-//                      blocks of 256 weights of two passes: walk the mask
-//                      drawing each cell's ΔVth popcount, flip the
-//                      PhaseSettler table's always cells and list the
-//                      open ones, then draw disturbances for the open
-//                      ones alone (the draws and rule of
-//                      PhaseSettler::flips_anti). A storage without a
-//                      noise model has nothing to settle: its write-back
-//                      only charges the counters. The storage itself is
-//                      single-threaded: its own write() and write_back()
-//                      run inline. Both passes work on any weight range,
-//                      so StorageBatch (below) splits them into pooled
-//                      tasks across every storage of a solve, and settles
-//                      the next epoch's write-back while the MACs still
-//                      read the current plane.
+//   * FastStorage    — materialises the corrupted byte per weight;
+//                      MACs are plain integer dot products. Used for
+//                      large instances. write() copies the image and
+//                      applies the hard faults. Its own write_back()
+//                      settles cell by cell (PhaseSettler::settle), the
+//                      single-phase oracle. An anneal settles through
+//                      StorageBatch instead: a cell's ΔVth and preferred
+//                      value are fixed, so one pooled pass at the start
+//                      draws them once and settles every noisy epoch, the
+//                      first into the plane the MACs read and the later
+//                      ones into per-weight flip words, which each later
+//                      write-back applies to the golden image (DESIGN.md
+//                      §11). Without a noise model a write-back only
+//                      charges the counters.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
@@ -172,14 +162,9 @@ std::unique_ptr<WeightStorage> make_bit_level_storage(
 /// exactly one task and every counter is charged on the caller, a
 /// storage's pseudo-read flips as the integer sum over its pieces, so
 /// weights and StorageCounters equal those of per-storage calls on any
-/// pool width. A write-back builds one PhaseSettler per cell model, not
-/// one per storage. A batch of one task runs inline on the caller.
-///
-/// A write-back has two halves: prepare(phase) settles every noisy fast
-/// storage into its spare plane, which the MACs do not read, and charges
-/// nothing; commit(phase) swaps the planes and charges every counter.
-/// run_epochs() runs an epoch's iterations beside the prepare of the next
-/// epoch's write-back, which takes the write-back off the critical path.
+/// pool width. A batch builds one PhaseSettler per cell model and noisy
+/// epoch, not one per storage. A batch of one task runs inline on the
+/// caller.
 ///
 /// The storages must outlive the batch, and nothing else may touch them
 /// while a batch call runs, bar the MACs of run_epochs()' epoch body.
@@ -204,18 +189,15 @@ class StorageBatch {
   /// image is validated before any storage changes (ConfigError).
   void write(std::span<const std::uint8_t> images);
 
-  /// WeightStorage::write_back(phase) on every storage: prepare, then
-  /// commit.
+  /// WeightStorage::write_back(phase) on every storage: the pass over
+  /// this one epoch, then its commit.
   void write_back(const noise::SchedulePhase& phase);
 
   /// Runs every epoch of `schedule`, with `epoch_base` added to each
-  /// phase's epoch: commits the epoch's write-back on the caller, then
-  /// calls epoch(begin, end) there for the epoch's iterations [begin,
-  /// end) while the shared pool prepares the next epoch's write-back
-  /// (ThreadPool::run_beside). The body's MACs read the committed epoch.
-  /// The first epoch's write-back, and every write-back of a one-task
-  /// batch, is prepared inline before its commit. Weights and counters
-  /// are those of write_back() at every epoch start.
+  /// phase's epoch: settles its noisy epochs in one pooled pass, then
+  /// commits each epoch's write-back and calls epoch(begin, end) on the
+  /// caller for its iterations, whose MACs read the committed epoch.
+  /// Weights and counters equal write_back()'s at every epoch start.
   void run_epochs(
       const noise::AnnealSchedule& schedule, std::uint64_t epoch_base,
       const std::function<void(std::size_t, std::size_t)>& epoch);
@@ -234,23 +216,25 @@ class StorageBatch {
   };
   static constexpr std::uint32_t kNoModel = ~0U;
 
-  /// Settles `phase` into each noisy fast storage's spare plane and
-  /// records each piece's flips, while the MACs may still read the
-  /// current planes. Charges nothing.
-  void prepare(const noise::SchedulePhase& phase);
-  /// Swaps the prepared planes in, writes back every other storage and
-  /// charges every counter.
-  void commit(const noise::SchedulePhase& phase);
+  /// Settles the leading epochs of `noisy` (consecutive noisy write-backs)
+  /// that one flip word holds; records each piece's flips per epoch.
+  void settle(std::span<const noise::SchedulePhase> noisy);
+  /// Writes back `phase`, epoch e of the last settle() (past its epochs,
+  /// the golden image once); a storage's first piece charges it.
+  void commit(const noise::SchedulePhase& phase, std::size_t e);
 
   std::vector<Piece> pieces_;
   /// Task t runs pieces [task_end_[t − 1], task_end_[t]).
   std::vector<std::size_t> task_end_;
-  /// The pseudo-read flips of each piece in the prepared write-back.
-  std::vector<std::uint64_t> piece_flips_;
-  /// The distinct cell models of the fast storages, and the prepared
-  /// write-back's settler for each.
+  /// The distinct cell models of the fast storages.
   std::vector<const noise::SramCellModel*> models_;
+  /// The last settle()'s epochs: each one's noisy LSBs (at most 8) and
+  /// accumulator shift (FastStorage::settle_epochs); model m's settler and
+  /// piece i's flips in epoch e at [m or i · epochs + e].
+  std::vector<unsigned> lsbs_;
+  std::vector<unsigned> shifts_;
   std::vector<noise::PhaseSettler> settlers_;
+  std::vector<std::uint64_t> epoch_flips_;
   std::size_t weights_ = 0;
 };
 

@@ -49,24 +49,22 @@
 //     bit while the per-cell work shrinks to the counter hashes and one
 //     byte lookup (no sqrt, no double compare, no call). That rule for an
 //     anti-preferred, non-stuck cell is PhaseSettler::flips_anti(), and
-//     settle() calls it. FastStorage hoists the rest, which is fixed per
-//     cell: each write() builds a per-weight anti-preferred mask (bit b
-//     set iff the stuck-adjusted stored bit differs from preferred_bit),
-//     and a write-back calls flips_anti() only on the mask's set noisy
-//     bits — the preferred and stuck hashes leave the per-phase pass.
-//     A settler is read-only once built, so hw::StorageBatch builds one
-//     per cell model for a whole batch write-back and shares it across
-//     its pooled tasks, instead of one per storage.
-//   * Batched draws: flips_anti() is threshold() — the ΔVth draw and its
-//     table entry — then, only for an entry in [1, 64], disturbed().
-//     FastStorage calls the two halves over a block of cells rather than
-//     cell by cell, in two passes: the first walks the mask drawing every
-//     threshold (independent hash chains the core can overlap), flips the
-//     entry-0 cells without a branch and lists only the open cells with
-//     their entry; the second draws the disturbances of the open cells
-//     alone. Same draws, same rule, no per-cell branch on the table
-//     entry. The draws are popcounts of 64-bit hashes; x86-64 builds
-//     compile with -mpopcnt so each is one instruction.
+//     settle() calls it.
+//   * Batched draws: a cell's ΔVth draw and preferred value are fixed at
+//     fabrication; only the disturbance is drawn per epoch. So
+//     hw::StorageBatch settles every noisy epoch of an anneal in one pass
+//     (FastStorage's settle_epochs, cim/storage.cpp), with one settler per
+//     cell model and epoch, read-only and shared across its pooled tasks.
+//     Per block of cells it hashes the preferred bits of the first
+//     epoch's noisy LSBs once, keeps only the anti-preferred cells (the
+//     stuck ones hold their preferred value), and draws each one's ΔVth
+//     popcount k₁ once, in a list ordered by bit so that each later epoch,
+//     with fewer noisy LSBs, takes a prefix. Each epoch then looks up
+//     flip_from(k₁), flips the entry-0 cells without a branch and draws
+//     disturbed() for the cells with an entry in [1, 64] alone. Same
+//     draws, same rule as flips_anti(). The draws are popcounts of 64-bit
+//     hashes; x86-64 builds compile with -mpopcnt so each is one
+//     instruction.
 #pragma once
 
 #include <array>
@@ -203,7 +201,7 @@ class SramCellModel {
 /// One pseudo-read phase of a model, precomputed for bulk write-backs
 /// (see the implementation notes above). Cheap to build — 65 binary
 /// searches over 65 disturbance classes — so a write-back builds one per
-/// call, whatever the array size, and a batch write-back one per model.
+/// call, whatever the array size, and a batch one per model and epoch.
 class PhaseSettler {
  public:
   PhaseSettler(const SramCellModel& model, std::uint64_t epoch, double vdd);
@@ -219,26 +217,20 @@ class PhaseSettler {
 
   /// True iff this phase's pseudo-read flips a non-stuck cell that holds
   /// its anti-preferred value: the rule settle() applies to such a cell,
-  /// and the whole per-phase decision of FastStorage's mask walk, which
-  /// applies it in the two halves below.
+  /// and the one StorageBatch's pass applies through flip_from() and
+  /// disturbed().
   bool flips_anti(std::uint64_t cell_id) const {
-    const unsigned from = threshold(cell_id);
+    const unsigned from = flip_from(static_cast<unsigned>(
+        cell_hash::vth_popcount(seed_, cell_id)));
     // The table's extremes decide without the disturbance draw.
     if (from == 0) return true;
     if (from > 64) return false;
     return disturbed(cell_id, from);
   }
 
-  /// flips_anti()'s first draw: the flip_from() entry of the cell's ΔVth
-  /// popcount. A batched caller draws these for a whole block of cells,
-  /// then settles 0 (flips) and 65 (stays) without a second draw.
-  unsigned threshold(std::uint64_t cell_id) const {
-    return flip_from_[static_cast<std::size_t>(
-        cell_hash::vth_popcount(seed_, cell_id))];
-  }
-
-  /// flips_anti()'s second draw, for a cell whose threshold() `from` is
-  /// in [1, 64]: true iff this phase's disturbance popcount reaches it.
+  /// flips_anti()'s second draw, for a cell whose flip_from() entry
+  /// `from` is in [1, 64]: true iff this phase's disturbance popcount
+  /// reaches it.
   bool disturbed(std::uint64_t cell_id, unsigned from) const {
     return static_cast<unsigned>(
                cell_hash::disturb_popcount(seed_, cell_id, epoch_)) >= from;

@@ -119,11 +119,10 @@ TEST(Storage, BackendsAgreeWithStuckCellsAndNoise) {
 }
 
 TEST(Storage, ChunkedWriteBackMatchesBitLevel) {
-  // A plane of ~77 000 weights, written back by the fast backend's
-  // masked refresh: every default-schedule write-back must match the
+  // A plane of ~77 000 weights, written back by the fast backend's own
+  // per-cell write_back: every default-schedule write-back must match the
   // bit-level oracle weight for weight and counter for counter.
-  // (Storage.BatchMatchesPerStorage covers the same refresh split into
-  // pooled tasks.)
+  // (Storage.BatchMatchesPerStorage covers the batch's pooled pass.)
   constexpr std::uint32_t kRows = 257;
   constexpr std::uint32_t kCols = 300;
   const auto image = random_image(kRows, kCols, 31);
@@ -162,9 +161,9 @@ TEST(Storage, ChunkedWriteBackMatchesBitLevel) {
 }
 
 TEST(Storage, RewriteRebuildsPreferredMask) {
-  // FastStorage derives its anti-preferred mask and stuck-adjusted image
-  // from the written weights. A second write() to the same storage must
-  // rebuild both: image B is taken through every default-schedule
+  // FastStorage derives its stuck-adjusted image from the written weights,
+  // and each write-back the cells' preferred bits against it. A second
+  // write() to the same storage must rebuild the image: image B is taken through every default-schedule
   // write-back after image A was written and refreshed, and must match
   // the bit-level oracle weight for weight and flip for flip. With 5-bit
   // weights the schedule's 6 noisy LSBs reach past the weight, and cells
@@ -303,16 +302,15 @@ TEST(Storage, BatchMatchesPerStorage) {
 TEST(Storage, PreparedWriteBackMatchesDirect) {
   // A batch over a mixed set — noisy fast storages below and above one
   // task, a noise-free fast storage and a bit-level one — runs the default
-  // schedule through run_epochs(), which commits each epoch's write-back
-  // and runs the epoch body beside the settle of the next. Its twin holds
-  // a bit-level oracle of every storage and writes each back phase by
-  // phase. Inside every epoch body, weights, all five counters and one
+  // schedule through run_epochs(), which settles every noisy epoch up
+  // front and commits each epoch's write-back before its body. Its twin
+  // holds a bit-level oracle of every storage and writes each back phase
+  // by phase. Inside every epoch body, weights, all five counters and one
   // all-rows MAC per column must equal the twin's after that epoch's
-  // write-back — the body reads the committed epoch, not the one being
-  // prepared — through every phase, the noise-free ones included. The
-  // same holds for a one-task batch of the small storages, which prepares
-  // inline. tests/CMakeLists.txt reruns this under 1, 2 and 8 pool
-  // workers.
+  // write-back — the body reads the committed epoch, not a later one —
+  // through every phase, the noise-free ones included. The same holds for
+  // a one-task batch of the small storages, which runs inline.
+  // tests/CMakeLists.txt reruns this under 1, 2 and 8 pool workers.
   struct Shape {
     std::uint32_t rows;
     std::uint32_t cols;
@@ -412,6 +410,114 @@ TEST(Storage, PreparedWriteBackMatchesDirect) {
       EXPECT_EQ(next_begin, schedule.total_iterations()) << where;
       EXPECT_GT(batched[0]->counters().pseudo_read_flips, 0U) << where;
     }
+  }
+}
+
+TEST(Storage, RunEpochsMatchesBitLevelSchedules) {
+  // run_epochs() settles every noisy epoch in one pass and packs the later
+  // epochs' flips into flip words whose width it picks from the schedule:
+  // none (one noisy epoch), 2 bytes (the default's 15 bits), 4 bytes
+  // (lsb_start = 8: 28 bits) and, past 32 bits, a second pass mid-anneal
+  // (12 noisy LSBs, clamped to 8 per epoch). One batch runs all of them in
+  // turn over a mix of noisy fast storages (8- and 5-bit weights, below
+  // and above one task), a model-less fast storage and a bit-level one,
+  // with vdd_step = 0, short last epochs and an epoch base. Inside every
+  // epoch body, weights and all five counters must equal bit-level twins
+  // written back phase by phase. tests/CMakeLists.txt reruns this under
+  // 1, 2 and 8 pool workers.
+  struct Shape {
+    std::uint32_t rows;
+    std::uint32_t cols;
+    std::uint32_t bits;
+    bool noisy;
+    bool bit_level;
+  };
+  const std::vector<Shape> shapes = {
+      {15, 9, 8, true, false},    // below one task
+      {70, 70, 8, true, false},   // over one task
+      {80, 64, 5, true, false},   // narrow weights
+      {40, 50, 8, false, false},  // no noise model
+      {12, 10, 8, true, true},    // bit-level
+  };
+  struct Case {
+    const char* name;
+    std::size_t iterations;
+    std::size_t step;
+    double vdd_step;
+    unsigned lsb_start;
+    unsigned schedule_bits;
+    std::uint64_t epoch_base;
+  };
+  const Case cases[] = {
+      {"default", 400, 50, 0.04, 6, 8, 0},
+      {"lsb_start 8, flat vdd", 430, 50, 0.0, 8, 8, 7},
+      {"one noisy epoch", 100, 40, 0.04, 1, 8, 3},
+      {"two passes", 690, 50, 0.04, 12, 12, 11},
+      {"noise-free", 100, 60, 0.04, 0, 8, 2},
+  };
+  for (const double stuck_rate : {0.0, 0.01}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const noise::SramCellModel model(params, 97);
+    std::vector<std::unique_ptr<WeightStorage>> batched;
+    std::vector<std::unique_ptr<WeightStorage>> oracle;
+    std::vector<WeightStorage*> members;
+    std::vector<std::uint8_t> images;
+    std::uint64_t cell_base = 3;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const Shape& sh = shapes[i];
+      const noise::SramCellModel* m = sh.noisy ? &model : nullptr;
+      batched.push_back(
+          sh.bit_level
+              ? make_bit_level_storage(sh.rows, sh.cols, m, cell_base, sh.bits)
+              : make_fast_storage(sh.rows, sh.cols, m, cell_base, sh.bits));
+      oracle.push_back(
+          make_bit_level_storage(sh.rows, sh.cols, m, cell_base, sh.bits));
+      members.push_back(batched.back().get());
+      const auto image = random_image(sh.rows, sh.cols, 70 + i, sh.bits);
+      oracle.back()->write(image);
+      images.insert(images.end(), image.begin(), image.end());
+      cell_base += static_cast<std::uint64_t>(sh.rows) * sh.cols * sh.bits;
+    }
+    StorageBatch batch(members);
+    ASSERT_GT(batch.tasks(), 2U);
+    batch.write(images);
+    for (const Case& c : cases) {
+      noise::AnnealSchedule::Params sp;
+      sp.total_iterations = c.iterations;
+      sp.iterations_per_step = c.step;
+      sp.vdd_step = c.vdd_step;
+      sp.lsb_start = c.lsb_start;
+      sp.weight_bits = c.schedule_bits;
+      const noise::AnnealSchedule schedule(sp);
+      const std::string where =
+          std::string(c.name) + ", stuck rate " + std::to_string(stuck_rate);
+      std::size_t bodies = 0;
+      batch.run_epochs(schedule, c.epoch_base, [&](std::size_t begin,
+                                                   std::size_t end) {
+        ASSERT_EQ(begin, bodies * c.step) << where;
+        ASSERT_EQ(end, std::min(begin + c.step, c.iterations)) << where;
+        ++bodies;
+        noise::SchedulePhase p = schedule.at(begin);
+        p.epoch += c.epoch_base;
+        for (auto& storage : oracle) storage->write_back(p);
+        for (std::size_t k = 0; k < shapes.size(); ++k) {
+          for (std::uint32_t r = 0; r < shapes[k].rows; ++r) {
+            for (std::uint32_t col = 0; col < shapes[k].cols; ++col) {
+              ASSERT_EQ(batched[k]->weight(RowIndex(r), ColIndex(col)),
+                        oracle[k]->weight(RowIndex(r), ColIndex(col)))
+                  << "epoch " << p.epoch << " storage " << k << " weight "
+                  << r << "," << col << ", " << where;
+            }
+          }
+          ASSERT_EQ(batched[k]->counters(), oracle[k]->counters())
+              << "epoch " << p.epoch << " storage " << k << ", " << where;
+        }
+      });
+      EXPECT_EQ(bodies, schedule.epochs()) << where;
+    }
+    EXPECT_GT(batched[1]->counters().pseudo_read_flips, 0U);
+    EXPECT_GT(batched[2]->counters().pseudo_read_flips, 0U);
   }
 }
 

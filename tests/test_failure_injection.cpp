@@ -81,10 +81,12 @@ TEST(FailureInjection, PbmRejectsForeignTour) {
 }
 
 TEST(FailureInjection, StorageMisuse) {
-  auto storage = hw::make_fast_storage(4, 4, nullptr, 0);
-  // write_back before write violates an invariant.
+  // write_back before write violates an invariant, on either backend.
   noise::SchedulePhase phase;
+  auto storage = hw::make_fast_storage(4, 4, nullptr, 0);
   EXPECT_THROW(storage->write_back(phase), InvariantError);
+  auto bit_level = hw::make_bit_level_storage(4, 4, nullptr, 0);
+  EXPECT_THROW(bit_level->write_back(phase), InvariantError);
 }
 
 TEST(FailureInjection, StuckAtCellsDegradeGracefully) {
