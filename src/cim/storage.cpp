@@ -55,6 +55,11 @@ void run_tasks(std::size_t count,
   }
 }
 
+/// Most epochs one settle pass holds: the first, whose flips go to the
+/// plane the MACs read, and the later ones, each with at least one of the
+/// flip word's 32 bits.
+constexpr std::size_t kMaxPassEpochs = 1 + 32;
+
 /// Weight values must fit the configured precision.
 void validate_image(std::span<const std::uint8_t> golden,
                     std::uint32_t weight_bits) {
@@ -104,8 +109,8 @@ class StorageBase : public WeightStorage {
 
 class FastStorage final : public StorageBase {
  public:
-  /// Weights per settle_epochs() block: 2 048 candidate cells at most, so
-  /// its scratch lists stay on the stack (about 14 KiB).
+  /// Weights per settle_epochs() block: each block's candidate list (one
+  /// byte per weight) and accumulators stay on the stack (about 2.3 KiB).
   static constexpr std::size_t kSettleBlock = 256;
 
   FastStorage(std::uint32_t rows, std::uint32_t cols,
@@ -203,66 +208,57 @@ class FastStorage final : public StorageBase {
 
   // Settles weights [begin, end) through consecutive noisy epochs at once
   // (sram_model.hpp, "Batched draws"): epoch e (settlers[e], lsbs[e] noisy
-  // LSBs, not growing) flips bit b of a weight into bit shifts[e] + b of
-  // its accumulator, whose low byte (epoch 0) lands in the plane the MACs
-  // read and whose bits 8 up are stored as its flip word; flips[e] gains
-  // the epoch's count. Ranges are independent; the caller charges.
-  // NOLINT(cim-counter-charge)
+  // LSBs, not growing; at most kMaxPassEpochs) flips bit b of a weight
+  // into bit shifts[e] + b of its accumulator, whose low byte (epoch 0)
+  // lands in the plane the MACs read and whose bits 8 up are stored as its
+  // flip word; flips[e] gains the epoch's count. Ranges are independent;
+  // the caller charges. NOLINT(cim-counter-charge)
   void settle_epochs(std::span<const noise::PhaseSettler> settlers,
                      std::span<const unsigned> lsbs, const unsigned* shifts,
                      std::size_t begin, std::size_t end, std::uint64_t* flips) {
     const std::uint64_t seed = model_->seed();
     const std::uint32_t noisy = std::min(lsbs[0], bits_);
-    // A candidate cell is (w − block) · 8 + b, listed by bit: below[b] of
-    // them have a bit under b, so each epoch's candidates are a prefix.
-    std::array<std::uint16_t, kSettleBlock * 8> cells{};
-    std::array<std::uint16_t, kSettleBlock * 8> open{};
-    std::array<std::uint8_t, kSettleBlock * 8> k1{};
-    std::array<std::uint8_t, kSettleBlock * 8> from{};
-    std::array<std::size_t, 9> below{};
+    std::array<std::uint64_t, kMaxPassEpochs> epoch{};
+    std::array<std::uint64_t, kMaxPassEpochs> hits{};
+    for (std::size_t e = 0; e < lsbs.size(); ++e) {
+      epoch[e] = settlers[e].epoch();
+    }
+    std::array<std::uint8_t, kSettleBlock> cells{};
     std::array<std::uint64_t, kSettleBlock> acc{};
     for (std::size_t block = begin; block < end; block += kSettleBlock) {
       const std::size_t n = std::min(end - block, kSettleBlock);
-      // Only a cell off its preferred value can flip (a stuck one is on
-      // it), and its ΔVth popcount is drawn once for every epoch.
-      std::size_t m = 0;
+      std::fill_n(acc.begin(), n, 0);
       for (std::uint32_t b = 0; b < noisy; ++b) {
+        // Bit b settles in epochs [0, reach): the noisy LSBs never grow.
+        std::size_t reach = 0;
+        while (reach < lsbs.size() && b < lsbs[reach]) ++reach;
+        // Only a cell off its preferred value can flip (a stuck one is on
+        // it): list those of bit b.
+        std::size_t m = 0;
         for (std::size_t i = 0; i < n; ++i) {
           const bool preferred =
               noise::cell_hash::preferred_bit(seed, cell_id(block + i, b));
-          cells[m] = static_cast<std::uint16_t>(i * 8 + b);
+          cells[m] = static_cast<std::uint8_t>(i);
           m += ((golden_[block + i] >> b) & 1U) ^ (preferred ? 1U : 0U);
         }
-        below[b + 1] = m;
-      }
-      for (std::size_t j = 0; j < m; ++j) {
-        k1[j] = static_cast<std::uint8_t>(noise::cell_hash::vth_popcount(
-            seed, cell_id(block + (cells[j] >> 3U), cells[j] & 7U)));
-      }
-      std::fill_n(acc.begin(), n, 0);
-      for (std::size_t e = 0; e < lsbs.size(); ++e) {
-        const noise::PhaseSettler& settler = settlers[e];
-        std::uint64_t hits = 0;
-        std::size_t opened = 0;
-        for (std::size_t j = 0; j < below[std::min(lsbs[e], bits_)]; ++j) {
-          const unsigned entry = settler.flip_from(k1[j]);
-          const unsigned hit = entry == 0 ? 1U : 0U;  // no read margin
-          acc[cells[j] >> 3U] |= std::uint64_t{hit}
-                                 << (shifts[e] + (cells[j] & 7U));
-          hits += hit;
-          open[opened] = cells[j];
-          from[opened] = static_cast<std::uint8_t>(entry);
-          opened += entry - 1U < 64U ? 1U : 0U;  // 1..64: the draw decides
+        // A listed cell's ΔVth popcount and disturbance key are drawn once
+        // for all its epochs; flip_from() entries 0 and 65 (always, never)
+        // need no branch of their own.
+        for (std::size_t j = 0; j < m; ++j) {
+          const std::uint64_t id = cell_id(block + cells[j], b);
+          const auto k1 =
+              static_cast<unsigned>(noise::cell_hash::vth_popcount(seed, id));
+          const std::uint64_t key = noise::cell_hash::disturb_key(seed, id);
+          std::uint64_t word = 0;
+          for (std::size_t e = 0; e < reach; ++e) {
+            const std::uint64_t hit =
+                noise::cell_hash::disturb_popcount(key, epoch[e]) >=
+                static_cast<int>(settlers[e].flip_from(k1));
+            word |= hit << shifts[e];
+            hits[e] += hit;
+          }
+          acc[cells[j]] |= word << b;
         }
-        for (std::size_t j = 0; j < opened; ++j) {
-          const std::size_t i = open[j] >> 3U;
-          const unsigned b = open[j] & 7U;
-          const unsigned hit =
-              settler.disturbed(cell_id(block + i, b), from[j]) ? 1U : 0U;
-          acc[i] |= std::uint64_t{hit} << (shifts[e] + b);
-          hits += hit;
-        }
-        flips[e] += hits;
       }
       const std::size_t halves = lsbs.size() > 1 ? halves_ : 0;
       for (std::size_t i = 0; i < n; ++i) {
@@ -274,6 +270,7 @@ class FastStorage final : public StorageBase {
         }
       }
     }
+    for (std::size_t e = 0; e < lsbs.size(); ++e) flips[e] += hits[e];
   }
 
   // Makes weights [begin, end) of the plane the MACs read the golden image
@@ -596,6 +593,8 @@ void StorageBatch::settle(std::span<const noise::SchedulePhase> noisy) {
     word_bits = lsbs_.empty() ? 0 : at + lsbs;
     lsbs_.push_back(lsbs);
   }
+  CIM_ASSERT_MSG(lsbs_.size() <= kMaxPassEpochs,
+                 "a settle pass holds more epochs than its flip word");
   if (models_.empty() || lsbs_.empty()) return;
   const std::size_t epochs = lsbs_.size();
   settlers_.clear();

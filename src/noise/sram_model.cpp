@@ -94,7 +94,8 @@ bool SramCellModel::flips(std::uint64_t cell_id, std::uint64_t epoch,
       margin_of(*this, vdd, cell_hash::vth_popcount(seed_, cell_id));
   if (margin <= 0.0) return true;  // no read margin: certain flip
   return disturb_of(params_.sigma_disturb(),
-                    cell_hash::disturb_popcount(seed_, cell_id, epoch)) >
+                    cell_hash::disturb_popcount(
+                        cell_hash::disturb_key(seed_, cell_id), epoch)) >
          margin;
 }
 

@@ -55,16 +55,17 @@
 //     hw::StorageBatch settles every noisy epoch of an anneal in one pass
 //     (FastStorage's settle_epochs, cim/storage.cpp), with one settler per
 //     cell model and epoch, read-only and shared across its pooled tasks.
-//     Per block of cells it hashes the preferred bits of the first
-//     epoch's noisy LSBs once, keeps only the anti-preferred cells (the
-//     stuck ones hold their preferred value), and draws each one's ΔVth
-//     popcount k₁ once, in a list ordered by bit so that each later epoch,
-//     with fewer noisy LSBs, takes a prefix. Each epoch then looks up
-//     flip_from(k₁), flips the entry-0 cells without a branch and draws
-//     disturbed() for the cells with an entry in [1, 64] alone. Same
-//     draws, same rule as flips_anti(). The draws are popcounts of 64-bit
-//     hashes; x86-64 builds compile with -mpopcnt so each is one
-//     instruction.
+//     Per block of cells and bit it hashes the preferred bits of the
+//     first epoch's noisy LSBs once and lists the anti-preferred cells
+//     (the stuck ones hold their preferred value); the noisy LSBs never
+//     grow, so bit b settles in a prefix of the epochs. Each listed cell
+//     draws its ΔVth popcount k₁ and its disturb_key() — the
+//     epoch-invariant first round of its disturbance hash — once, then
+//     per epoch of its prefix the 2-round disturb_popcount(key, epoch)
+//     and one compare with flip_from(k₁): entries 0 and 65 need no branch
+//     of their own. Same draws, same rule as flips_anti(). The draws are
+//     popcounts of 64-bit hashes; x86-64 builds compile with -mpopcnt so
+//     each is one instruction.
 #pragma once
 
 #include <array>
@@ -107,11 +108,18 @@ inline int vth_popcount(std::uint64_t seed, std::uint64_t cell_id) {
   return draw_popcount(seed, cell_id, 0x7281DULL);
 }
 
-/// Popcount behind the bit-line disturbance of the cell's pseudo-read in
-/// `epoch`.
-inline int disturb_popcount(std::uint64_t seed, std::uint64_t cell_id,
-                            std::uint64_t epoch) {
-  return draw_popcount(seed ^ 0xF11BULL, cell_id, epoch);
+/// The epoch-invariant first round of the cell's disturbance hash: the
+/// draw_popcount(seed ^ 0xF11B, cell_id, epoch) of every epoch starts
+/// from it.
+inline std::uint64_t disturb_key(std::uint64_t seed, std::uint64_t cell_id) {
+  return util::hash_combine(seed ^ 0xF11BULL, cell_id);
+}
+
+/// Popcount behind the bit-line disturbance of the pseudo-read in `epoch`
+/// of the cell whose disturb_key() is `key`.
+inline int disturb_popcount(std::uint64_t key, std::uint64_t epoch) {
+  std::uint64_t s = util::hash_combine(key, epoch);
+  return popcount64(util::splitmix64(s));
 }
 
 /// The value the cell's asymmetric latch falls towards.
@@ -217,8 +225,8 @@ class PhaseSettler {
 
   /// True iff this phase's pseudo-read flips a non-stuck cell that holds
   /// its anti-preferred value: the rule settle() applies to such a cell,
-  /// and the one StorageBatch's pass applies through flip_from() and
-  /// disturbed().
+  /// and the one StorageBatch's pass applies through flip_from() and the
+  /// cell_hash disturbance draw.
   bool flips_anti(std::uint64_t cell_id) const {
     const unsigned from = flip_from(static_cast<unsigned>(
         cell_hash::vth_popcount(seed_, cell_id)));
@@ -232,9 +240,12 @@ class PhaseSettler {
   /// `from` is in [1, 64]: true iff this phase's disturbance popcount
   /// reaches it.
   bool disturbed(std::uint64_t cell_id, unsigned from) const {
-    return static_cast<unsigned>(
-               cell_hash::disturb_popcount(seed_, cell_id, epoch_)) >= from;
+    return static_cast<unsigned>(cell_hash::disturb_popcount(
+               cell_hash::disturb_key(seed_, cell_id), epoch_)) >= from;
   }
+
+  /// The epoch whose pseudo-read this settler models.
+  std::uint64_t epoch() const { return epoch_; }
 
   /// The table entry for ΔVth popcount `k1` ≤ 64: the least disturbance
   /// popcount that flips such a cell (0 = always, 65 = never).

@@ -418,7 +418,10 @@ TEST(Storage, RunEpochsMatchesBitLevelSchedules) {
   // epochs' flips into flip words whose width it picks from the schedule:
   // none (one noisy epoch), 2 bytes (the default's 15 bits), 4 bytes
   // (lsb_start = 8: 28 bits) and, past 32 bits, a second pass mid-anneal
-  // (12 noisy LSBs, clamped to 8 per epoch). One batch runs all of them in
+  // (12 noisy LSBs, clamped to 8 per epoch). Two more sit at the flip
+  // table's ends: a supply at snm_v0 leaves no read margin (every entry
+  // 0, every anti-preferred cell flips), the nominal one flips no cell of
+  // a mid-range ΔVth class (entry 65). One batch runs all of them in
   // turn over a mix of noisy fast storages (8- and 5-bit weights, below
   // and above one task), a model-less fast storage and a bit-level one,
   // with vdd_step = 0, short last epochs and an epoch base. Inside every
@@ -443,17 +446,20 @@ TEST(Storage, RunEpochsMatchesBitLevelSchedules) {
     const char* name;
     std::size_t iterations;
     std::size_t step;
+    double vdd_start;
     double vdd_step;
     unsigned lsb_start;
     unsigned schedule_bits;
     std::uint64_t epoch_base;
   };
   const Case cases[] = {
-      {"default", 400, 50, 0.04, 6, 8, 0},
-      {"lsb_start 8, flat vdd", 430, 50, 0.0, 8, 8, 7},
-      {"one noisy epoch", 100, 40, 0.04, 1, 8, 3},
-      {"two passes", 690, 50, 0.04, 12, 12, 11},
-      {"noise-free", 100, 60, 0.04, 0, 8, 2},
+      {"default", 400, 50, 0.30, 0.04, 6, 8, 0},
+      {"lsb_start 8, flat vdd", 430, 50, 0.30, 0.0, 8, 8, 7},
+      {"one noisy epoch", 100, 40, 0.30, 0.04, 1, 8, 3},
+      {"two passes", 690, 50, 0.30, 0.04, 12, 12, 11},
+      {"noise-free", 100, 60, 0.30, 0.04, 0, 8, 2},
+      {"no read margin", 300, 50, 0.18, 0.0, 6, 8, 5},
+      {"nominal supply", 330, 60, 0.80, 0.04, 5, 8, 9},
   };
   for (const double stuck_rate : {0.0, 0.01}) {
     noise::SramNoiseParams params;
@@ -486,12 +492,20 @@ TEST(Storage, RunEpochsMatchesBitLevelSchedules) {
       noise::AnnealSchedule::Params sp;
       sp.total_iterations = c.iterations;
       sp.iterations_per_step = c.step;
+      sp.vdd_start = c.vdd_start;
       sp.vdd_step = c.vdd_step;
       sp.lsb_start = c.lsb_start;
       sp.weight_bits = c.schedule_bits;
       const noise::AnnealSchedule schedule(sp);
       const std::string where =
           std::string(c.name) + ", stuck rate " + std::to_string(stuck_rate);
+      const noise::PhaseSettler first(model, c.epoch_base, c.vdd_start);
+      for (unsigned k1 = 0; k1 <= 64 && c.vdd_start <= params.snm_v0; ++k1) {
+        ASSERT_EQ(first.flip_from(k1), 0U) << "k1 " << k1 << ", " << where;
+      }
+      if (c.vdd_start == sp.vdd_nominal) {
+        ASSERT_EQ(first.flip_from(32), 65U) << where;
+      }
       std::size_t bodies = 0;
       batch.run_epochs(schedule, c.epoch_base, [&](std::size_t begin,
                                                    std::size_t end) {

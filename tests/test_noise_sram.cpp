@@ -269,6 +269,27 @@ TEST(PhaseSettler, TableMatchesBinarySearch) {
   }
 }
 
+TEST(CellHash, DisturbKeyComposesToDrawPopcount) {
+  // The write-back kernel hashes a cell's disturbance key once and draws
+  // each epoch from it; the composition must be the three-round draw
+  // draw_popcount(seed ^ 0xF11B, cell, epoch) for any cell and epoch,
+  // epoch bases near the top of the range included.
+  util::Rng rng(0xD157);
+  const std::uint64_t bases[] = {0, 1ULL << 20, 1ULL << 40, ~0ULL - 64};
+  for (const std::uint64_t seed : {0x5EEDULL, 97ULL, ~0ULL}) {
+    for (int trial = 0; trial < 20000; ++trial) {
+      const std::uint64_t cell =
+          trial < 100 ? static_cast<std::uint64_t>(trial) : rng();
+      const std::uint64_t key = cell_hash::disturb_key(seed, cell);
+      const std::uint64_t epoch =
+          bases[static_cast<std::size_t>(trial) % 4] + rng.below(64);
+      ASSERT_EQ(cell_hash::disturb_popcount(key, epoch),
+                cell_hash::draw_popcount(seed ^ 0xF11BULL, cell, epoch))
+          << "seed " << seed << " cell " << cell << " epoch " << epoch;
+    }
+  }
+}
+
 TEST(CellHash, PopcountMatchesStdPopcount) {
   // The inline SWAR count behind every draw must equal std::popcount on
   // every word: the edges, each single bit, runs and byte patterns, and
