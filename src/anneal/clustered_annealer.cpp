@@ -686,91 +686,88 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
   [[maybe_unused]] std::size_t epoch_attempted = 0;
   [[maybe_unused]] std::size_t epoch_accepted = 0;
 
-  const auto iterate = [&](std::size_t iter) {
-    SchedulePhase phase = schedule_.at(iter);
-    phase.epoch += epoch_base_;
-    if (phase.write_back) {
-      // The epoch's write-back has been committed — all arrays refresh
-      // in parallel, on the chip and in the level's pooled batch — so
-      // every cached swap delta is stale.
-      for (Slot& slot : slots_) slot.input_gen = ++slot.gen_counter;
-      // Rows within an array are written sequentially.
-      hw.writeback_cycles += max_rows;
-      stats.update_cycles += max_rows;
-    }
-    if (config_.chromatic_parallel) {
-      // All slots of one colour update in the same 4 MAC cycles: their
-      // ring neighbours hold other colours, so the frozen-neighbour reads
-      // are race-free (chromatic Gibbs sampling).
-      for (std::uint8_t color = 0; color < color_count_; ++color) {
-        for (Slot& slot : slots_) {
-          if (slot.color == color) attempt_swap(slot, phase, stats, hw);
+  // Each epoch's iterations run after its write-back, settled with the
+  // schedule's other noisy epochs in one pooled pass (DESIGN.md §11).
+  const auto epoch = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t iter = begin; iter < end; ++iter) {
+      SchedulePhase phase = schedule_.at(iter);
+      phase.epoch += epoch_base_;
+      if (phase.write_back) {
+        // The epoch's write-back has been committed — all arrays refresh
+        // in parallel, on the chip and in the level's pooled batch — so
+        // every cached swap delta is stale.
+        for (Slot& slot : slots_) slot.input_gen = ++slot.gen_counter;
+        // Rows within an array are written sequentially.
+        hw.writeback_cycles += max_rows;
+        stats.update_cycles += max_rows;
+      }
+      if (config_.chromatic_parallel) {
+        // All slots of one colour update in the same 4 MAC cycles: their
+        // ring neighbours hold other colours, so the frozen-neighbour reads
+        // are race-free (chromatic Gibbs sampling).
+        for (std::uint8_t color = 0; color < color_count_; ++color) {
+          for (Slot& slot : slots_) {
+            if (slot.color == color) attempt_swap(slot, phase, stats, hw);
+          }
+          hw.update_cycles += 4;
+          stats.update_cycles += 4;
         }
-        hw.update_cycles += 4;
-        stats.update_cycles += 4;
+      } else {
+        // Sequential Gibbs baseline: one cluster at a time.
+        for (Slot& slot : slots_) {
+          attempt_swap(slot, phase, stats, hw);
+          hw.update_cycles += 4;
+          stats.update_cycles += 4;
+        }
       }
-    } else {
-      // Sequential Gibbs baseline: one cluster at a time.
-      for (Slot& slot : slots_) {
-        attempt_swap(slot, phase, stats, hw);
-        hw.update_cycles += 4;
-        stats.update_cycles += 4;
-      }
-    }
 
-    if (trace) {
-      const double energy = exact_ring_length();
-      trace->push_back(energy);
+      if (trace) {
+        const double energy = exact_ring_length();
+        trace->push_back(energy);
+        if constexpr (telemetry::kEnabled) {
+          // The telemetry copy of the convergence curve: the same value,
+          // pushed in the same iteration — bench_fig2 asserts bit-equality.
+          telemetry::Registry::global().instant(
+              "anneal.trace", {{"level", static_cast<double>(level_)},
+                               {"iteration", static_cast<double>(iter)},
+                               {"energy", energy}});
+        }
+      }
+
       if constexpr (telemetry::kEnabled) {
-        // The telemetry copy of the convergence curve: the same value,
-        // pushed in the same iteration — bench_fig2 asserts bit-equality.
-        telemetry::Registry::global().instant(
-            "anneal.trace", {{"level", static_cast<double>(level_)},
-                             {"iteration", static_cast<double>(iter)},
-                             {"energy", energy}});
-      }
-    }
-
-    if constexpr (telemetry::kEnabled) {
-      const bool epoch_done =
-          iter + 1 == schedule_.total_iterations() ||
-          schedule_.at(iter + 1).write_back;
-      if (epoch_done) {
-        telemetry::Registry& telem = telemetry::Registry::global();
-        telem.counter_event(
-            "anneal.epoch",
-            {{"level", static_cast<double>(level_)},
-             {"epoch", static_cast<double>(phase.epoch)},
-             {"iteration", static_cast<double>(iter)},
-             {"energy", exact_ring_length()},
-             {"swaps_attempted", static_cast<double>(stats.swaps_attempted)},
-             {"swaps_accepted", static_cast<double>(stats.swaps_accepted)},
-             {"uphill_accepted", static_cast<double>(stats.uphill_accepted)},
-             {"settle_cache_hits",
-              static_cast<double>(stats.settle_cache_hits)},
-             {"noise_draws", static_cast<double>(stats.noise_draws)}});
-        const std::size_t attempted = stats.swaps_attempted - epoch_attempted;
-        const std::size_t accepted = stats.swaps_accepted - epoch_accepted;
-        telem
-            .histogram("anneal.epoch_accept_rate",
-                       {0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0})
-            .observe(attempted == 0 ? 0.0
-                                    : static_cast<double>(accepted) /
-                                          static_cast<double>(attempted));
-        epoch_attempted = stats.swaps_attempted;
-        epoch_accepted = stats.swaps_accepted;
+        const bool epoch_done =
+            iter + 1 == schedule_.total_iterations() ||
+            schedule_.at(iter + 1).write_back;
+        if (epoch_done) {
+          telemetry::Registry& telem = telemetry::Registry::global();
+          telem.counter_event(
+              "anneal.epoch",
+              {{"level", static_cast<double>(level_)},
+               {"epoch", static_cast<double>(phase.epoch)},
+               {"iteration", static_cast<double>(iter)},
+               {"energy", exact_ring_length()},
+               {"swaps_attempted", static_cast<double>(stats.swaps_attempted)},
+               {"swaps_accepted", static_cast<double>(stats.swaps_accepted)},
+               {"uphill_accepted", static_cast<double>(stats.uphill_accepted)},
+               {"settle_cache_hits",
+                static_cast<double>(stats.settle_cache_hits)},
+               {"noise_draws", static_cast<double>(stats.noise_draws)}});
+          const std::size_t attempted = stats.swaps_attempted - epoch_attempted;
+          const std::size_t accepted = stats.swaps_accepted - epoch_accepted;
+          telem
+              .histogram("anneal.epoch_accept_rate",
+                         {0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0})
+              .observe(attempted == 0 ? 0.0
+                                      : static_cast<double>(accepted) /
+                                            static_cast<double>(attempted));
+          epoch_attempted = stats.swaps_attempted;
+          epoch_accepted = stats.swaps_accepted;
+        }
       }
     }
   };
 
-  // Each epoch's iterations run after its write-back, settled with the
-  // schedule's other noisy epochs in one pooled pass (DESIGN.md §11).
-  batch_->run_epochs(schedule_, epoch_base_,
-                     [&iterate](std::size_t begin, std::size_t end) {
-                       for (std::size_t iter = begin; iter < end; ++iter) {
-                         iterate(iter);
-                       }
-                     });
+  batch_->run_epochs(schedule_, epoch_base_, epoch);
 
   stats.ring_length_after = exact_ring_length();
   for (const Slot& slot : slots_) {

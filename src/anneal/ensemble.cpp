@@ -1,8 +1,6 @@
 #include "anneal/ensemble.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <utility>
 
 #include "util/error.hpp"
@@ -42,7 +40,6 @@ EnsembleResult ReplicaEnsemble::solve(const tsp::Instance& instance) const {
       telemetry::Registry::global(), "ensemble.solve",
       {{"replicas", static_cast<double>(config_.replicas)}});
   std::vector<AnnealResult> results(config_.replicas);
-  std::vector<std::exception_ptr> errors(config_.replicas);
 
   const auto run_replica = [&](std::size_t r) {
     AnnealerConfig config = config_.base;
@@ -54,30 +51,12 @@ EnsembleResult ReplicaEnsemble::solve(const tsp::Instance& instance) const {
   };
 
   if (config_.replicas > 1) {
-    // Replicas are tasks on the persistent shared pool instead of raw OS
-    // threads, so in-flight replicas are capped at the pool width rather
-    // than growing with the replica count. Each runner pulls replica
-    // indices from one atomic cursor; results[r] depends only on r, so
-    // which runner solves which replica cannot change the outcome.
-    util::ThreadPool& pool = util::ThreadPool::shared();
-    const std::size_t runners =
-        std::min(std::max<std::size_t>(pool.width(), 1), config_.replicas);
-    std::atomic<std::size_t> next{0};
-    pool.run(runners, [&](std::size_t) {
-      for (std::size_t r = next.fetch_add(1); r < config_.replicas;
-           r = next.fetch_add(1)) {
-        // A replica failure must not abort its siblings; capture it and
-        // rethrow after every replica finished, in replica order.
-        try {
-          run_replica(r);
-        } catch (...) {
-          errors[r] = std::current_exception();
-        }
-      }
-    });
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
+    // One pool task per replica: a thread waiting inside a replica runs
+    // only that replica's own batches, so in flight stays bounded by the
+    // pool's threads plus the caller. results[r] depends only on r, and
+    // run() finishes every replica before it rethrows the failure of the
+    // lowest one.
+    util::ThreadPool::shared().run(config_.replicas, run_replica);
   } else {
     run_replica(0);
   }

@@ -17,8 +17,8 @@ namespace cim::anneal {
 
 struct EnsembleConfig {
   AnnealerConfig base;
-  /// Replicas > 1 run on the shared thread pool, at most its width in
-  /// flight; a single replica runs inline. Replica seeds derive from the
+  /// Replicas > 1 run on the shared thread pool, at most its threads plus
+  /// the caller in flight; a single replica runs inline. Replica seeds derive from the
   /// replica index alone, so the pool width never changes results.
   std::size_t replicas = 4;
 };

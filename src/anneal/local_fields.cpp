@@ -144,59 +144,56 @@ void SpinSweep::run(const SpinLayout& layout, hw::StorageBatch& batch,
   result.sweeps = schedule.total_iterations();
   CIM_ASSERT(result.trace.empty());  // the trace is indexed by sweep
 
-  const auto sweep_once = [&](std::size_t sweep) {
-    const auto phase = schedule.at(sweep);
-    if (phase.write_back) {
-      // The epoch's write-back has been committed: refresh the fields.
-      result.update_cycles += write_back_cycles;
-      fields.rebuild();
-    }
-    const double lfsr_temperature =
-        config_.noise == NoiseMode::kLfsr
-            ? equivalent_temperature(cell_model_, phase) * degree_scale
-            : 0.0;
-
-    for (const auto& group : layout.groups) {
-      for (const ising::SpinIndex v : group) {
-        const std::int64_t field =
-            fields.field(layout.window_of[v], layout.col_of[v]);
-        const ising::Spin spin = result.spins[v];
-        // E = −Σ Jσσ − Σ hσ: aligning σ_v with sign(field) descends.
-        ising::Spin next = spin;
-        if (config_.noise == NoiseMode::kLfsr) {
-          // Metropolis on the flip: ΔE = 2 σ_v field.
-          const auto delta = static_cast<double>(
-              2 * static_cast<std::int64_t>(spin) * field);
-          const bool accept =
-              delta < 0.0 ||
-              (lfsr_temperature > 0.0 &&
-               rng_.uniform() < std::exp(-delta / lfsr_temperature));
-          if (accept) next = static_cast<ising::Spin>(-spin);
-        } else {
-          // kSramWeight (the noise is in the planes) and kNone.
-          if (field > 0) next = 1;
-          if (field < 0) next = -1;
-        }
-        if (next != spin) {
-          result.spins[v] = next;
-          fields.flip(v, next);
-          ++result.flips;
-        }
-      }
-      result.update_cycles += layout.group_in_one_cycle ? 1 : group.size();
-    }
-    if (hooks.after_sweep) hooks.after_sweep();
-    if (config_.record_trace) result.trace.push_back(hooks.objective());
-  };
-
   // Each epoch's sweeps run after its write-back, settled with the
   // schedule's other noisy epochs in one pooled pass (DESIGN.md §11).
-  batch.run_epochs(schedule, 0,
-                   [&sweep_once](std::size_t begin, std::size_t end) {
-                     for (std::size_t sweep = begin; sweep < end; ++sweep) {
-                       sweep_once(sweep);
-                     }
-                   });
+  const auto epoch = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t sweep = begin; sweep < end; ++sweep) {
+      const auto phase = schedule.at(sweep);
+      if (phase.write_back) {
+        // The epoch's write-back has been committed: refresh the fields.
+        result.update_cycles += write_back_cycles;
+        fields.rebuild();
+      }
+      const double lfsr_temperature =
+          config_.noise == NoiseMode::kLfsr
+              ? equivalent_temperature(cell_model_, phase) * degree_scale
+              : 0.0;
+
+      for (const auto& group : layout.groups) {
+        for (const ising::SpinIndex v : group) {
+          const std::int64_t field =
+              fields.field(layout.window_of[v], layout.col_of[v]);
+          const ising::Spin spin = result.spins[v];
+          // E = −Σ Jσσ − Σ hσ: aligning σ_v with sign(field) descends.
+          ising::Spin next = spin;
+          if (config_.noise == NoiseMode::kLfsr) {
+            // Metropolis on the flip: ΔE = 2 σ_v field.
+            const auto delta = static_cast<double>(
+                2 * static_cast<std::int64_t>(spin) * field);
+            const bool accept =
+                delta < 0.0 ||
+                (lfsr_temperature > 0.0 &&
+                 rng_.uniform() < std::exp(-delta / lfsr_temperature));
+            if (accept) next = static_cast<ising::Spin>(-spin);
+          } else {
+            // kSramWeight (the noise is in the planes) and kNone.
+            if (field > 0) next = 1;
+            if (field < 0) next = -1;
+          }
+          if (next != spin) {
+            result.spins[v] = next;
+            fields.flip(v, next);
+            ++result.flips;
+          }
+        }
+        result.update_cycles += layout.group_in_one_cycle ? 1 : group.size();
+      }
+      if (hooks.after_sweep) hooks.after_sweep();
+      if (config_.record_trace) result.trace.push_back(hooks.objective());
+    }
+  };
+
+  batch.run_epochs(schedule, 0, epoch);
   // The `<prefix>.sweep` instants, in sweep order, from this frame:
   // emitted inside the epoch body, GCC 12 -fanalyzer reports their
   // argument strings as leaked and null-dereferenced.

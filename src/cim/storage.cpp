@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -43,11 +42,7 @@ namespace {
 
 /// Runs task(t) for every t < count: inline for a single task, so a
 /// batch that small never creates the shared pool, else as one pool batch.
-/// Callers pass a lambda of two references, which std::function holds
-/// without a heap allocation (GCC's -fanalyzer misreads a heap-held
-/// functor here as leaked).
-void run_tasks(std::size_t count,
-               const std::function<void(std::size_t)>& task) {
+void run_tasks(std::size_t count, util::FunctionRef<void(std::size_t)> task) {
   if (count == 1) {
     task(0);
   } else if (count > 1) {
@@ -661,24 +656,24 @@ void StorageBatch::write_back(const noise::SchedulePhase& phase) {
 
 void StorageBatch::run_epochs(
     const noise::AnnealSchedule& schedule, std::uint64_t epoch_base,
-    const std::function<void(std::size_t, std::size_t)>& epoch) {
+    util::FunctionRef<void(std::size_t, std::size_t)> epoch) {
   const std::size_t iterations = schedule.total_iterations();
   const std::size_t step = schedule.params().iterations_per_step;
-  std::vector<noise::SchedulePhase> phases;  // each epoch's write-back
+  phases_.clear();
   for (std::size_t begin = 0; begin < iterations; begin += step) {
-    phases.push_back(schedule.at(begin));
-    phases.back().epoch += epoch_base;
+    phases_.push_back(schedule.at(begin));
+    phases_.back().epoch += epoch_base;
   }
   // The schedule drops a noisy LSB per epoch, so the noisy epochs lead.
   std::size_t noisy = 0;
-  while (noisy < phases.size() && phases[noisy].noisy_lsbs > 0) ++noisy;
+  while (noisy < phases_.size() && phases_[noisy].noisy_lsbs > 0) ++noisy;
   std::size_t first = 0;  // settle() took epochs [first, first + lsbs_)
-  for (std::size_t e = 0; e < phases.size(); ++e) {
+  for (std::size_t e = 0; e < phases_.size(); ++e) {
     if (e == 0 || (e == first + lsbs_.size() && e < noisy)) {
       first = e;
-      settle(std::span(phases).subspan(e, noisy - e));
+      settle(std::span(phases_).subspan(e, noisy - e));
     }
-    commit(phases[e], e - first);
+    commit(phases_[e], e - first);
     epoch(e * step, std::min(iterations, e * step + step));
   }
 }

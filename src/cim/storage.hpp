@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -39,6 +38,7 @@
 #include "cim/adder_tree.hpp"
 #include "noise/schedule.hpp"
 #include "noise/sram_model.hpp"
+#include "util/function_ref.hpp"
 #include "util/units.hpp"
 
 namespace cim::hw {
@@ -198,9 +198,9 @@ class StorageBatch {
   /// commits each epoch's write-back and calls epoch(begin, end) on the
   /// caller for its iterations, whose MACs read the committed epoch.
   /// Weights and counters equal write_back()'s at every epoch start.
-  void run_epochs(
-      const noise::AnnealSchedule& schedule, std::uint64_t epoch_base,
-      const std::function<void(std::size_t, std::size_t)>& epoch);
+  void run_epochs(const noise::AnnealSchedule& schedule,
+                  std::uint64_t epoch_base,
+                  util::FunctionRef<void(std::size_t, std::size_t)> epoch);
 
  private:
   /// Weights [begin, end) of one storage, which sits at `offset` in the
@@ -235,6 +235,8 @@ class StorageBatch {
   std::vector<unsigned> shifts_;
   std::vector<noise::PhaseSettler> settlers_;
   std::vector<std::uint64_t> epoch_flips_;
+  /// run_epochs()' write-back of each epoch, kept to reuse its capacity.
+  std::vector<noise::SchedulePhase> phases_;
   std::size_t weights_ = 0;
 };
 

@@ -2,8 +2,9 @@
 //
 // The determinism contract (DESIGN.md §11): chunk boundaries are a pure
 // function of (n, grain) — never of the pool width, the worker count, or
-// steal order. A body that writes only its own chunk's slots therefore
-// produces bit-identical results on 1, 2 or 64 workers.
+// which thread claims which chunk. A body that writes only its own
+// chunk's slots therefore produces bit-identical results on 1, 2 or 64
+// workers.
 //
 // When the loop is too small to split (n <= grain) or the pool has no
 // workers, the body runs inline on the caller in index order; no pool —
@@ -36,19 +37,9 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t n, std::size_t grain,
     if (n > 0) body(std::size_t{0}, n);
     return;
   }
-  // The task lambda holds one reference, so std::function keeps it in its
-  // small buffer: a heap-held functor is what GCC's -fanalyzer reports as
-  // leaked (-Wanalyzer-malloc-leak).
-  const struct {
-    std::size_t grain;
-    std::size_t n;
-    const Body& body;
-  } loop{g, n, body};
-  pool.run(chunks, [&loop](std::size_t c) {
-    const std::size_t begin = c * loop.grain;
-    const std::size_t end =
-        begin + loop.grain < loop.n ? begin + loop.grain : loop.n;
-    loop.body(begin, end);
+  pool.run(chunks, [g, n, &body](std::size_t c) {
+    const std::size_t begin = c * g;
+    body(begin, begin + g < n ? begin + g : n);
   });
 }
 

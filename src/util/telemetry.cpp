@@ -268,7 +268,6 @@ Json Registry::snapshot() const {
     tp["width"] = static_cast<std::uint64_t>(pool->width());
     tp["threads_created"] = pool->threads_created();
     tp["tasks_executed"] = pool->tasks_executed();
-    tp["tasks_stolen"] = pool->tasks_stolen();
     out["thread_pool"] = std::move(tp);
   }
   return out;

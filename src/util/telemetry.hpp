@@ -56,7 +56,7 @@ inline constexpr bool kEnabled = CIMANNEAL_TELEMETRY_ENABLED != 0;
 
 /// Version stamped into every snapshot / trace export. Bump when the
 /// JSON layout changes shape (DESIGN.md §12 documents the schema).
-inline constexpr long long kSchemaVersion = 1;
+inline constexpr long long kSchemaVersion = 2;
 
 /// One key/value attachment on a trace event. Values are numeric only:
 /// every quantity the annealer traces (energies, counts, epoch ids) is

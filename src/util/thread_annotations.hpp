@@ -33,7 +33,7 @@
 //   LevelStats LevelSolver::run(HardwareActivity& hw, ...) { ... }
 //
 // Annotation placement (same positions clang expects):
-//   std::size_t ready_ CIM_GUARDED_BY(sleep_mu_) = 0;   // data member
+//   bool stop_ CIM_GUARDED_BY(mu_) = false;             // data member
 //   Sink& local_sink() CIM_EXCLUDES(mu_);               // declaration
 #pragma once
 

@@ -1,18 +1,19 @@
-// Persistent work-stealing thread pool — the one parallel runtime every
-// threaded site in the repo runs on (replica ensembles, k-NN
-// candidate-list construction, the cluster hierarchy's per-round k-NN
-// searches, hw::StorageBatch — the one site for every weight write and
-// pseudo-read write-back of a solve, in fixed-size weight tasks across
-// all its storages — and the TSP quality reference that run_beside()
-// computes while the caller anneals).
+// Persistent thread pool — the one parallel runtime every threaded site in
+// the repo runs on (replica ensembles, k-NN candidate-list construction,
+// the cluster hierarchy's per-round k-NN searches, hw::StorageBatch — the
+// one site for every weight write and pseudo-read write-back of a solve,
+// in fixed-size weight tasks across all its storages — and the TSP
+// quality reference that run_beside() computes while the caller anneals).
 //
 // Why a pool: the annealer's epoch loop used to spawn and join
 // std::threads per colour per epoch, so the per-swap wins of the sparse
 // kernel were eaten by thread churn at the epoch level. The pool creates
 // its OS threads exactly once (`threads_created()` exposes the count so
-// benches can assert the epoch loop creates zero), keeps one task deque
-// per worker, and lets idle workers steal from the back of their peers'
-// deques.
+// benches can assert the epoch loop creates zero). Every batch is a flat
+// fork-join from one submitter, so the pool keeps one mutex-guarded list
+// of open batches, oldest first: an idle worker claims the next index of
+// the oldest, and a thread waiting on its own batch claims only that
+// batch's indices.
 //
 // Determinism contract: the pool schedules; it never decides *what* is
 // computed. `run(count, fn)` invokes fn(i) exactly once for every
@@ -36,14 +37,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "util/function_ref.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace cim::util {
@@ -60,27 +59,27 @@ class ThreadPool {
   std::size_t width() const { return workers_.size(); }
 
   /// Invokes fn(i) for every i in [0, count) and blocks until all
-  /// complete. The calling thread helps execute queued tasks while it
-  /// waits. A worker of this pool helps with any batch's tasks, so
-  /// workers may submit nested run() calls without deadlock; any other
-  /// caller helps only with this batch's own tasks, so it never runs, say,
-  /// a run_beside background meant to overlap it. If tasks throw, the
-  /// exception of the *lowest* task index is rethrown after every task
-  /// finished (the same index a serial loop would have surfaced first —
-  /// callers see one deterministic error regardless of scheduling).
-  void run(std::size_t count, const std::function<void(std::size_t)>& fn)
-      CIM_EXCLUDES(sleep_mu_);
+  /// complete. The calling thread, worker or not, runs unclaimed indices
+  /// of this batch while it waits, and never a task of another batch: so
+  /// it never runs, say, a run_beside background meant to overlap it, and
+  /// a worker's nested run() cannot deadlock, as the indices it leaves are
+  /// already running on threads that never wait on it. If tasks throw,
+  /// the exception of the *lowest* task index is rethrown after every
+  /// task finished (the same index a serial loop would have surfaced
+  /// first — callers see one deterministic error regardless of
+  /// scheduling). `fn` is only referenced, for the length of the call.
+  void run(std::size_t count, FunctionRef<void(std::size_t)> fn)
+      CIM_EXCLUDES(mu_);
 
-  /// Queues `background` as one pool task, runs `foreground` inline on
-  /// the calling thread, then waits, helping by the run() rule, until the
-  /// background task has finished (a caller that is not a worker may run
-  /// it itself only once the foreground is done). Both closures always run exactly once. If both
-  /// throw, the foreground's exception is rethrown — and only after the
-  /// background finished. With no workers the foreground runs first, then
-  /// the background, both inline.
-  void run_beside(const std::function<void()>& background,
-                  const std::function<void()>& foreground)
-      CIM_EXCLUDES(sleep_mu_);
+  /// Opens `background` as a one-task batch, runs `foreground` inline on
+  /// the calling thread, then waits, by the run() rule, until the
+  /// background has finished (the caller runs it itself only if no worker
+  /// has claimed it by then). Both closures always run exactly once. If
+  /// both throw, the foreground's exception is rethrown — and only after
+  /// the background finished. With no workers the foreground runs first,
+  /// then the background, both inline.
+  void run_beside(FunctionRef<void()> background,
+                  FunctionRef<void()> foreground) CIM_EXCLUDES(mu_);
 
   /// Total OS threads this pool ever created (== width(); the pool never
   /// creates threads after construction). Benches sample it around hot
@@ -88,14 +87,9 @@ class ThreadPool {
   std::uint64_t threads_created() const {
     return threads_created_.load(std::memory_order_relaxed);
   }
-  /// Tasks executed so far (by workers and by helping callers).
+  /// Tasks executed so far (by workers and by waiting submitters).
   std::uint64_t tasks_executed() const {
     return tasks_executed_.load(std::memory_order_relaxed);
-  }
-  /// Tasks a thread popped from a deque it does not own (workers stealing
-  /// from peers, plus helping callers, which own no deque).
-  std::uint64_t tasks_stolen() const {
-    return tasks_stolen_.load(std::memory_order_relaxed);
   }
 
   /// The process-wide pool, created on first use with default_width()
@@ -110,7 +104,7 @@ class ThreadPool {
   static const ThreadPool* shared_if_created();
 
   /// Sentinel returned by current_worker_index() on threads no pool
-  /// created (main, test drivers, helping submitters).
+  /// created (main, test drivers, submitters).
   static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
 
   /// The calling thread's fixed index within the pool that created it
@@ -136,47 +130,31 @@ class ThreadPool {
 
  private:
   struct Batch;
-  struct Task {
-    Batch* batch = nullptr;
-    std::size_t index = 0;
-  };
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks CIM_GUARDED_BY(mu);
-  };
 
-  void worker_loop(std::size_t id);
-  /// Pops one task: LIFO from `home` (own deque), else FIFO-steals from
-  /// the peers. `home == npos` for helping callers (no own deque).
-  /// Takes queue mutexes and sleep_mu_ internally.
-  bool pop_task(std::size_t home, Task& task) CIM_EXCLUDES(sleep_mu_);
-  void execute(const Task& task);
-  /// Pops one queued task of `batch` from any deque, newest first.
-  bool pop_batch_task(const Batch& batch, Task& task)
-      CIM_EXCLUDES(sleep_mu_);
-  /// Pushes `count` tasks of `batch` round-robin onto the worker deques.
-  void enqueue(Batch& batch, std::size_t count) CIM_EXCLUDES(sleep_mu_);
-  /// Executes queued tasks until `batch` has completed: tasks of any
-  /// batch on this pool's workers, only `batch`'s own on other callers.
-  void help_until_done(Batch& batch) CIM_EXCLUDES(sleep_mu_);
-  /// Rethrows the lowest-index exception of a finished `batch`, if any.
-  static void rethrow_lowest_error(Batch& batch);
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  void worker_loop(std::size_t id) CIM_EXCLUDES(mu_);
+  /// Appends `batch` to the open list and wakes workers for its tasks.
+  void open(Batch& batch) CIM_EXCLUDES(mu_);
+  /// Claims the next index of `batch`, unlinking the batch once it has
+  /// none left.
+  std::size_t claim(Batch& batch) CIM_REQUIRES(mu_);
+  /// Runs task `index` of `batch` and records its completion.
+  void execute(Batch& batch, std::size_t index) CIM_EXCLUDES(mu_);
+  /// Runs `batch`'s unclaimed indices, then waits until all finished;
+  /// returns the lowest-index exception, if any.
+  std::exception_ptr finish(Batch& batch) CIM_EXCLUDES(mu_);
 
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
 
-  std::mutex sleep_mu_;
-  std::condition_variable work_cv_;
-  /// Queued-but-unclaimed tasks (what sleeping workers wait on).
-  std::size_t ready_ CIM_GUARDED_BY(sleep_mu_) = 0;
-  bool stop_ CIM_GUARDED_BY(sleep_mu_) = false;
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // a batch opened, or stop_
+  std::condition_variable done_cv_;  // some batch's last task finished
+  /// Open batches (unclaimed indices left), oldest first, linked through
+  /// Batch::next_open; the Batch fields that change are guarded too.
+  Batch* open_head_ CIM_GUARDED_BY(mu_) = nullptr;
+  bool stop_ CIM_GUARDED_BY(mu_) = false;
 
   std::atomic<std::uint64_t> threads_created_{0};
   std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> tasks_stolen_{0};
-  std::atomic<std::size_t> next_queue_{0};  // round-robin submission cursor
 };
 
 }  // namespace cim::util

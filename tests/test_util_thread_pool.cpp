@@ -1,7 +1,7 @@
 // The parallel runtime's contracts: every index runs exactly once, the
 // lowest-index exception is the one rethrown, nested submission does not
-// deadlock, a caller that is not a worker helps only its own batch,
-// run_beside runs its foreground on the caller and surfaces the
+// deadlock, a waiting thread, worker or not, runs only its own batch's
+// tasks, run_beside runs its foreground on the caller and surfaces the
 // foreground's error only once the background finished, and
 // parallel_for_chunks splits a loop the same way on every worker count.
 // The stress tests double as the TSan workload for the pool internals.
@@ -85,6 +85,36 @@ TEST(ThreadPool, NestedRunFromWorkersDoesNotDeadlock) {
     });
   });
   EXPECT_EQ(inner_total.load(), 32U);
+}
+
+TEST(ThreadPool, WaitingWorkerRunsOnlyItsOwnNestedBatch) {
+  // A thread waiting on its nested run() claims only that batch's indices:
+  // never another outer task, nor a task of another thread's nested
+  // batch, though the outer batch keeps unclaimed indices while nested
+  // ones wait. Each thread notes the nested batch it waits on, and every
+  // task checks that its thread is either idle or waiting on its batch.
+  ThreadPool pool(3);
+  thread_local const void* waiting_on = nullptr;
+  std::atomic<int> violations{0};
+  std::atomic<std::uint64_t> inner_total{0};
+  pool.run(64, [&](std::size_t) {
+    if (waiting_on != nullptr) violations.fetch_add(1);
+    const int nested = 0;
+    waiting_on = &nested;
+    pool.run(8, [&](std::size_t i) {
+      if (waiting_on != nullptr && waiting_on != &nested) {
+        violations.fetch_add(1);
+      }
+      // Enough arithmetic that the nested batch is still open when the
+      // other threads look for work.
+      std::uint64_t local = 0;
+      for (std::uint64_t s = 0; s < 2000; ++s) local += s * s + i;
+      inner_total.fetch_add(local == 0 ? 0 : 1, std::memory_order_relaxed);
+    });
+    waiting_on = nullptr;
+  });
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(inner_total.load(), 64U * 8U);
 }
 
 TEST(ThreadPool, RunBesideRunsBothOnceWithForegroundOnCaller) {
@@ -224,7 +254,8 @@ TEST(ThreadPool, ThreadsCreatedNeverGrowsAfterConstruction) {
 }
 
 // TSan stress: many small batches with contended counters, plus enough
-// imbalance that workers steal from each other.
+// imbalance that the other threads claim the rest of each batch while one
+// runs its heavy task.
 TEST(ThreadPool, StressManySmallImbalancedBatches) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};

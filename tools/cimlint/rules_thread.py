@@ -1,6 +1,6 @@
 """Parallel-runtime discipline.
 
-All threading must flow through the persistent work-stealing pool in
+All threading must flow through the persistent open-batch pool in
 src/util/thread_pool.hpp (plus the parallel_for_chunks wrapper layered
 on it). Raw std::thread at a call site reintroduces exactly the
 per-epoch spawn/join churn the pool was built to kill, bypasses the
@@ -32,7 +32,7 @@ _RAW_THREAD = re.compile(r"\bstd\s*::\s*j?thread\b(?!\s*::)")
 a loop, dwarfs the work it parallelises — the annealer's colour-parallel
 epochs lost their sparse-kernel speedup to exactly this churn before the
 pool existed. Raw threads also skip the runtime's contracts: the
-deterministic lowest-index exception rethrow, the helping-caller
+deterministic lowest-index exception rethrow, the waiting-submitter
 nested-submit guarantee, and the threads_created() counter benches use to
 assert hot loops create nothing.
 
