@@ -336,8 +336,12 @@ BENCHMARK(BM_DistanceCacheRescan)->Arg(2000);
 /// SramCellModel::settled_value() loop over the same noisy cells. The
 /// batch runs kRepeats times on the same plane and reports the median and
 /// the fastest repetition; aborts unless each repetition counts the
-/// serial loop's flips. The plane's write() (a copy plus the stuck-cell
-/// adjustment) is timed too, as `write_ns_per_weight`.
+/// serial loop's flips. `kernel` names the settle build this CPU runs
+/// (cim::hw::settle_target()); a second batch over the same plane runs
+/// the base-ISA build, alternating with the first, for
+/// `ns_per_noisy_cell_base` (equal to the first on a CPU without
+/// AVX-512). The plane's write() (a copy plus the stuck-cell adjustment)
+/// is timed too, as `write_ns_per_weight`.
 cim::util::Json write_back_report() {
   constexpr std::uint32_t kN = 800;
   constexpr std::uint32_t kBits = 8;
@@ -348,6 +352,8 @@ cim::util::Json write_back_report() {
   // The plane is written and written back as a one-storage batch, pooled
   // as the Max-Cut annealer runs it.
   cim::hw::StorageBatch batch({storage.get()});
+  cim::hw::StorageBatch base_batch({storage.get()},
+                                   cim::hw::SettleTarget::kBase);
   // Start the shared pool first, so the write timing holds no thread
   // creation.
   const std::size_t pool_width = cim::util::ThreadPool::shared().width();
@@ -379,16 +385,23 @@ cim::util::Json write_back_report() {
   }
   const double serial_seconds = serial_timer.seconds();
 
-  std::vector<double> seconds;
-  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+  const auto time_run = [&](cim::hw::StorageBatch& timed) {
     const std::uint64_t before = storage->counters().pseudo_read_flips;
     cim::util::Timer timer;
-    batch.run_epochs(schedule, 0, [](std::size_t, std::size_t) {});
-    seconds.push_back(timer.seconds());
+    timed.run_epochs(schedule, 0, [](std::size_t, std::size_t) {});
+    const double elapsed = timer.seconds();
     CIM_REQUIRE(storage->counters().pseudo_read_flips - before == serial_flips,
                 "write-back flip count differs from the settled_value() loop");
+    return elapsed;
+  };
+  std::vector<double> seconds;
+  std::vector<double> base_seconds;
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    seconds.push_back(time_run(batch));
+    base_seconds.push_back(time_run(base_batch));
   }
   std::sort(seconds.begin(), seconds.end());
+  std::sort(base_seconds.begin(), base_seconds.end());
 
   const double cells = static_cast<double>(noisy_cells);
   const auto per_cell = [cells](double s) {
@@ -397,8 +410,11 @@ cim::util::Json write_back_report() {
   const double ns = per_cell(seconds[kRepeats / 2]);
   const double min_ns = per_cell(seconds.front());
   const double serial_ns = per_cell(serial_seconds);
+  const double base_ns = per_cell(base_seconds[kRepeats / 2]);
+  const char* kernel = cim::hw::to_string(cim::hw::settle_target());
   TELEM_COUNTER_EVENT("bench.write_back", {"ns_per_noisy_cell", ns},
                       {"ns_per_noisy_cell_min", min_ns},
+                      {"ns_per_noisy_cell_base", base_ns},
                       {"serial_ns_per_noisy_cell", serial_ns},
                       {"write_ns_per_weight", write_ns});
   cim::util::Json row = cim::util::Json::object();
@@ -413,14 +429,17 @@ cim::util::Json write_back_report() {
   row["seconds"] = seconds[kRepeats / 2];
   row["ns_per_noisy_cell"] = ns;
   row["ns_per_noisy_cell_min"] = min_ns;
+  row["kernel"] = kernel;
+  row["ns_per_noisy_cell_base"] = base_ns;
+  row["ns_per_noisy_cell_base_min"] = per_cell(base_seconds.front());
   row["serial_ns_per_noisy_cell"] = serial_ns;
   row["speedup_vs_serial"] = ns > 0.0 ? serial_ns / ns : 0.0;
   std::printf(
-      "write_back %ux%u, %zu write-backs: %.2f ns per noisy cell (median "
-      "of %zu, min %.2f; serial settled_value loop %.2f ns, %.1fx); write "
-      "%.2f ns per weight\n",
-      kN, kN, phases.size(), ns, kRepeats, min_ns, serial_ns,
-      ns > 0.0 ? serial_ns / ns : 0.0, write_ns);
+      "write_back %ux%u, %zu write-backs: %.2f ns per noisy cell (%s "
+      "build, median of %zu, min %.2f; base build %.2f; serial "
+      "settled_value loop %.2f ns, %.1fx); write %.2f ns per weight\n",
+      kN, kN, phases.size(), ns, kernel, kRepeats, min_ns, base_ns,
+      serial_ns, ns > 0.0 ? serial_ns / ns : 0.0, write_ns);
   return row;
 }
 

@@ -6,7 +6,8 @@
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
 #                    on x86-64 a check that the write-back object code
-#                    uses the popcnt instruction,
+#                    uses the popcnt instruction and that the AVX-512
+#                    settle lanes vectorised (vpmullq, vpopcntq),
 #                    the annealer suites re-run with memoization
 #                    disabled, the bench smoke runs
 #                    (BENCH_swap_kernel, BENCH_reuse and BENCH_ext_qubo
@@ -68,9 +69,12 @@ done
 # x86-64 builds compile with -mpopcnt (root CMakeLists.txt), so each
 # write-back draw's popcount is one instruction. A dropped flag, or a
 # popcount that goes back through libgcc, fails here rather than as a
-# silent slowdown of every write-back.
+# silent slowdown of every write-back. The settle pass's AVX-512 build
+# must vectorise its lane loops: 64-bit lane multiplies (vpmullq) and
+# popcounts (vpopcntq). A refactor that silently stops GCC vectorising
+# them fails here too.
 if [[ "$(uname -m)" == "x86_64" ]]; then
-  echo "==== popcnt in the release write-back object code"
+  echo "==== popcnt and the vectorised settle lanes in the release write-back object code"
   storage_obj="${repo_root}/build/release/src/cim/CMakeFiles/cim_hw.dir/storage.cpp.o"
   require_artifact "${storage_obj}"
   storage_asm="$(objdump -dr --no-show-raw-insn "${storage_obj}")"
@@ -82,7 +86,16 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
     echo "ci.sh: ${storage_obj} calls libgcc's __popcountdi2" >&2
     exit 1
   fi
-  echo "storage.cpp.o: $(grep -cw popcnt <<<"${storage_asm}") popcnt, no __popcountdi2"
+  for insn in vpmullq vpopcntq; do
+    if ! grep -qw "${insn}" <<<"${storage_asm}"; then
+      echo "ci.sh: no ${insn} instruction in ${storage_obj}:" \
+        "the AVX-512 settle lanes are no longer vectorised" >&2
+      exit 1
+    fi
+  done
+  echo "storage.cpp.o: $(grep -cw popcnt <<<"${storage_asm}") popcnt," \
+    "$(grep -cw vpmullq <<<"${storage_asm}") vpmullq," \
+    "$(grep -cw vpopcntq <<<"${storage_asm}") vpopcntq, no __popcountdi2"
 fi
 
 # Memoization defaults on — the TSP annealer's swap ΔE cache and the Ising
@@ -111,12 +124,12 @@ if [[ -x "${bench_bin}" ]]; then
   # incremental columns, the write-back row (median and fastest ns per
   # noisy cell over repeated runs of the default schedule through
   # run_epochs, each one's flips checked against the serial
-  # settled_value loop, and the write() that copies the image and
-  # applies the stuck cells, ns per weight) and the Ising-update
-  # row (incremental vs recompute ns per spin update) must be present and
-  # self-consistent — a bench
-  # refactor that silently drops a column must fail here, not in a
-  # dashboard.
+  # settled_value loop; the settle build this CPU runs and the median ns
+  # per noisy cell of the base-ISA build; the write() that copies the
+  # image and applies the stuck cells, ns per weight) and the
+  # Ising-update row (incremental vs recompute ns per spin update) must
+  # be present and self-consistent — a bench refactor that silently
+  # drops a column must fail here, not in a dashboard.
   python3 - "${bench_out_dir}/BENCH_swap_kernel.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
@@ -128,8 +141,9 @@ for row in report["scales"]:
 write_back = report["write_back"]
 for key in ("noisy_cells", "pseudo_read_flips", "ns_per_noisy_cell",
             "ns_per_noisy_cell_min", "serial_ns_per_noisy_cell",
-            "write_ns_per_weight"):
+            "write_ns_per_weight", "ns_per_noisy_cell_base"):
     assert write_back.get(key, 0) > 0, (key, write_back)
+assert write_back.get("kernel") in ("avx512", "base"), write_back
 ising_update = report["ising_update"]
 for key in ("incremental_ns_per_update", "recompute_ns_per_update"):
     assert ising_update.get(key, 0) > 0, (key, ising_update)

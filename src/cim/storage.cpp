@@ -64,6 +64,116 @@ void validate_image(std::span<const std::uint8_t> golden,
   }
 }
 
+/// Weights per settle block: its five lane arrays stay on the stack
+/// (10 KiB, beside the pass's 17 KiB of 64-bit flip_from tables).
+constexpr std::size_t kSettleBlock = 256;
+
+// The settle pass (noise/sram_model.hpp, "Batched draws") as lane loops
+// over a block of cells, one loop per step, so that each compiles to
+// vector code where the ISA has 64-bit multiplies and popcounts. Per
+// block and bit b: (1) every cell's golden bit XOR its preferred word;
+// (2) a branch-free list of the cells whose XOR has bit 0 set, the
+// anti-preferred ones (a stuck cell holds its preferred value, so none is
+// listed); (3) each listed cell's ΔVth popcount k₁ and disturb_key();
+// (4) per epoch of bit b's prefix (the noisy LSBs never grow), each
+// listed cell's disturbance popcount against the epoch's flip_from(k₁),
+// read from a 64-bit copy of the table so the lookup is a 64-bit gather;
+// entries 0 and 65 (always, never) fall out of the same compare. Same
+// draws, same rule as PhaseSettler::flips_anti(). Inlined into each
+// build's wrapper, which compiles it for its own ISA.
+[[gnu::always_inline]] inline void settle_lanes(const SettleRange& r) {
+  const std::size_t epochs = r.lsbs.size();
+  const std::uint64_t seed = r.seed;
+  const std::uint64_t bits = r.bits;
+  const std::uint32_t noisy = std::min(r.lsbs[0], r.bits);
+  std::array<std::uint64_t, kMaxPassEpochs> epoch{};
+  std::array<std::uint64_t, kMaxPassEpochs> hits{};
+  // Rows [0, epochs) only are written and read: the pass leaves the
+  // stack pages of the others untouched.
+  std::array<std::array<std::uint64_t, 65>, kMaxPassEpochs> from;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    epoch[e] = r.settlers[e].epoch();
+    for (unsigned k1 = 0; k1 <= 64; ++k1) {
+      from[e][k1] = r.settlers[e].flip_from(k1);
+    }
+  }
+  alignas(64) std::array<std::uint64_t, kSettleBlock> acc{};
+  alignas(64) std::array<std::uint64_t, kSettleBlock> cells{};
+  alignas(64) std::array<std::uint64_t, kSettleBlock> k1{};
+  alignas(64) std::array<std::uint64_t, kSettleBlock> key{};
+  alignas(64) std::array<std::uint64_t, kSettleBlock> word{};
+  for (std::size_t block = r.begin; block < r.end; block += kSettleBlock) {
+    const std::size_t n = std::min(r.end - block, kSettleBlock);
+    const std::uint8_t* golden = r.golden + block;
+    std::fill_n(acc.begin(), n, 0);
+    for (std::uint32_t b = 0; b < noisy; ++b) {
+      // Bit b settles in epochs [0, reach).
+      std::size_t reach = 0;
+      while (reach < epochs && b < r.lsbs[reach]) ++reach;
+      const std::uint64_t id0 = r.cell_base + block * bits + b;
+      for (std::size_t i = 0; i < n; ++i) {
+        word[i] = (golden[i] >> b) ^
+                  noise::cell_hash::preferred_word(seed, id0 + i * bits);
+      }
+      std::size_t m = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        cells[m] = i;
+        m += word[i] & 1U;
+      }
+      for (std::size_t j = 0; j < m; ++j) {
+        const std::uint64_t id = id0 + cells[j] * bits;
+        k1[j] = static_cast<std::uint64_t>(
+            noise::cell_hash::vth_popcount(seed, id));
+        key[j] = noise::cell_hash::disturb_key(seed, id);
+        word[j] = 0;
+      }
+      for (std::size_t e = 0; e < reach; ++e) {
+        const std::uint64_t* flip_from = from[e].data();
+        const std::uint64_t at = epoch[e];
+        const unsigned shift = r.shifts[e];
+        std::uint64_t count = 0;
+        for (std::size_t j = 0; j < m; ++j) {
+          const std::uint64_t hit =
+              static_cast<std::uint64_t>(
+                  noise::cell_hash::disturb_popcount(key[j], at)) >=
+              flip_from[k1[j]];
+          word[j] |= hit << shift;
+          count += hit;
+        }
+        hits[e] += count;
+      }
+      for (std::size_t j = 0; j < m; ++j) acc[cells[j]] |= word[j] << b;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      r.current[block + i] = static_cast<std::uint8_t>(golden[i] ^ acc[i]);
+    }
+    for (std::size_t h = 0; h < r.halves; ++h) {
+      std::uint16_t* flips = r.flips + block * r.halves + h;
+      for (std::size_t i = 0; i < n; ++i) {
+        flips[i * r.halves] =
+            static_cast<std::uint16_t>(acc[i] >> (8 + 16 * h));
+      }
+    }
+  }
+  for (std::size_t e = 0; e < epochs; ++e) r.epoch_flips[e] += hits[e];
+}
+
+void settle_base(const SettleRange& range) { settle_lanes(range); }
+
+// The AVX-512 build needs GCC on x86-64: clang takes no
+// prefer-vector-width in a target attribute.
+#if defined(__x86_64__) && !defined(__clang__)
+#define CIM_SETTLE_AVX512 1
+// The explicit feature list, not arch=x86-64-v4: that level has no
+// VPOPCNTDQ, and without a vector popcount GCC 12 leaves the draw loops
+// scalar.
+__attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,avx512vpopcntdq,"
+                      "prefer-vector-width=512"))) void
+settle_avx512(const SettleRange& range) {
+  settle_lanes(range);
+}
+#endif
+
 class StorageBase : public WeightStorage {
  public:
   StorageBase(std::uint32_t rows, std::uint32_t cols,
@@ -104,10 +214,6 @@ class StorageBase : public WeightStorage {
 
 class FastStorage final : public StorageBase {
  public:
-  /// Weights per settle_epochs() block: each block's candidate list (one
-  /// byte per weight) and accumulators stay on the stack (about 2.3 KiB).
-  static constexpr std::size_t kSettleBlock = 256;
-
   FastStorage(std::uint32_t rows, std::uint32_t cols,
               const noise::SramCellModel* model, std::uint64_t cell_base,
               std::uint32_t weight_bits)
@@ -202,70 +308,28 @@ class FastStorage final : public StorageBase {
   }
 
   // Settles weights [begin, end) through consecutive noisy epochs at once
-  // (sram_model.hpp, "Batched draws"): epoch e (settlers[e], lsbs[e] noisy
-  // LSBs, not growing; at most kMaxPassEpochs) flips bit b of a weight
-  // into bit shifts[e] + b of its accumulator, whose low byte (epoch 0)
-  // lands in the plane the MACs read and whose bits 8 up are stored as its
-  // flip word; flips[e] gains the epoch's count. Ranges are independent;
-  // the caller charges. NOLINT(cim-counter-charge)
-  void settle_epochs(std::span<const noise::PhaseSettler> settlers,
-                     std::span<const unsigned> lsbs, const unsigned* shifts,
-                     std::size_t begin, std::size_t end, std::uint64_t* flips) {
-    const std::uint64_t seed = model_->seed();
-    const std::uint32_t noisy = std::min(lsbs[0], bits_);
-    std::array<std::uint64_t, kMaxPassEpochs> epoch{};
-    std::array<std::uint64_t, kMaxPassEpochs> hits{};
-    for (std::size_t e = 0; e < lsbs.size(); ++e) {
-      epoch[e] = settlers[e].epoch();
-    }
-    std::array<std::uint8_t, kSettleBlock> cells{};
-    std::array<std::uint64_t, kSettleBlock> acc{};
-    for (std::size_t block = begin; block < end; block += kSettleBlock) {
-      const std::size_t n = std::min(end - block, kSettleBlock);
-      std::fill_n(acc.begin(), n, 0);
-      for (std::uint32_t b = 0; b < noisy; ++b) {
-        // Bit b settles in epochs [0, reach): the noisy LSBs never grow.
-        std::size_t reach = 0;
-        while (reach < lsbs.size() && b < lsbs[reach]) ++reach;
-        // Only a cell off its preferred value can flip (a stuck one is on
-        // it): list those of bit b.
-        std::size_t m = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const bool preferred =
-              noise::cell_hash::preferred_bit(seed, cell_id(block + i, b));
-          cells[m] = static_cast<std::uint8_t>(i);
-          m += ((golden_[block + i] >> b) & 1U) ^ (preferred ? 1U : 0U);
-        }
-        // A listed cell's ΔVth popcount and disturbance key are drawn once
-        // for all its epochs; flip_from() entries 0 and 65 (always, never)
-        // need no branch of their own.
-        for (std::size_t j = 0; j < m; ++j) {
-          const std::uint64_t id = cell_id(block + cells[j], b);
-          const auto k1 =
-              static_cast<unsigned>(noise::cell_hash::vth_popcount(seed, id));
-          const std::uint64_t key = noise::cell_hash::disturb_key(seed, id);
-          std::uint64_t word = 0;
-          for (std::size_t e = 0; e < reach; ++e) {
-            const std::uint64_t hit =
-                noise::cell_hash::disturb_popcount(key, epoch[e]) >=
-                static_cast<int>(settlers[e].flip_from(k1));
-            word |= hit << shifts[e];
-            hits[e] += hit;
-          }
-          acc[cells[j]] |= word << b;
-        }
-      }
-      const std::size_t halves = lsbs.size() > 1 ? halves_ : 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        current_[block + i] =
-            static_cast<std::uint8_t>(golden_[block + i] ^ acc[i]);
-        for (std::size_t h = 0; h < halves; ++h) {
-          flips_[(block + i) * halves + h] =
-              static_cast<std::uint16_t>(acc[i] >> (8 + 16 * h));
-        }
-      }
-    }
-    for (std::size_t e = 0; e < lsbs.size(); ++e) flips[e] += hits[e];
+  // with the `target` build (SettleRange): epoch 0 into the plane the MACs
+  // read, the later ones into the flip words; flips[e] gains epoch e's
+  // count. Ranges are independent; the caller charges.
+  // NOLINT(cim-counter-charge)
+  void settle_epochs(SettleTarget target,
+                     std::span<const noise::PhaseSettler> settlers,
+                     std::span<const unsigned> lsbs,
+                     std::span<const unsigned> shifts, std::size_t begin,
+                     std::size_t end, std::uint64_t* flips) {
+    settle_range(target, {.seed = model_->seed(),
+                          .cell_base = cell_base_,
+                          .bits = bits_,
+                          .settlers = settlers,
+                          .lsbs = lsbs,
+                          .shifts = shifts,
+                          .golden = golden_.get(),
+                          .current = current_.get(),
+                          .flips = flips_.get(),
+                          .halves = lsbs.size() > 1 ? halves_ : 0,
+                          .begin = begin,
+                          .end = end,
+                          .epoch_flips = flips});
   }
 
   // Makes weights [begin, end) of the plane the MACs read the golden image
@@ -508,7 +572,48 @@ class BitLevelStorage final : public StorageBase {
 
 }  // namespace
 
-StorageBatch::StorageBatch(const std::vector<WeightStorage*>& storages) {
+SettleTarget settle_target() {
+#if defined(CIM_SETTLE_AVX512)
+  static const SettleTarget target = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") &&
+                   __builtin_cpu_supports("avx512dq") &&
+                   __builtin_cpu_supports("avx512vl") &&
+                   __builtin_cpu_supports("avx512bw") &&
+                   __builtin_cpu_supports("avx512vpopcntdq")
+               ? SettleTarget::kAvx512
+               : SettleTarget::kBase;
+  }();
+  return target;
+#else
+  return SettleTarget::kBase;
+#endif
+}
+
+const char* to_string(SettleTarget target) {
+  return target == SettleTarget::kAvx512 ? "avx512" : "base";
+}
+
+void settle_range(SettleTarget target, const SettleRange& range) {
+  CIM_REQUIRE(target == SettleTarget::kBase || target == settle_target(),
+              "this CPU cannot run the AVX-512 settle build");
+  CIM_ASSERT(!range.lsbs.empty() && range.lsbs.size() <= kMaxPassEpochs &&
+             range.settlers.size() == range.lsbs.size() &&
+             range.shifts.size() == range.lsbs.size());
+#if defined(CIM_SETTLE_AVX512)
+  if (target == SettleTarget::kAvx512) {
+    settle_avx512(range);
+    return;
+  }
+#endif
+  settle_base(range);
+}
+
+StorageBatch::StorageBatch(const std::vector<WeightStorage*>& storages,
+                           SettleTarget target)
+    : target_(target) {
+  CIM_REQUIRE(target == SettleTarget::kBase || target == settle_target(),
+              "this CPU cannot run the AVX-512 settle build");
   std::size_t filled = 0;  // weights in the task being planned
   const auto close_task = [&] {
     task_end_.push_back(pieces_.size());
@@ -612,8 +717,9 @@ void StorageBatch::settle(std::span<const noise::SchedulePhase> noisy) {
       if (piece.settler == kNoModel) continue;
       static_cast<FastStorage*>(piece.storage)
           ->settle_epochs(
+              target_,
               std::span(settlers_).subspan(piece.settler * epochs, epochs),
-              lsbs_, shifts_.data(), piece.begin, piece.end,
+              lsbs_, shifts_, piece.begin, piece.end,
               &epoch_flips_[i * epochs]);
     }
   });

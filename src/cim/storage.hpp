@@ -20,8 +20,12 @@
 //                      first into the plane the MACs read and the later
 //                      ones into per-weight flip words, which each later
 //                      write-back applies to the golden image (DESIGN.md
-//                      §11). Without a noise model a write-back only
-//                      charges the counters.
+//                      §11). The pass (settle_range) is lane loops over
+//                      blocks of 256 weights, one source compiled for the
+//                      base ISA and for AVX-512, where GCC vectorises it
+//                      at -O3 (not at -O2); CPUID picks the build once
+//                      (settle_target). Without a noise model a
+//                      write-back only charges the counters.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
 //                      AdderTree reduction per MAC; optionally flips cells
 //                      on first access instead of at write-back
@@ -152,6 +156,49 @@ std::unique_ptr<WeightStorage> make_bit_level_storage(
     std::uint32_t weight_bits = 8,
     PseudoReadPolicy policy = PseudoReadPolicy::kSettleAtWriteBack);
 
+/// The builds of the write-back settle pass: one source, compiled for
+/// the base ISA and for AVX-512, where GCC vectorises its lane loops
+/// (DESIGN.md §11).
+enum class SettleTarget { kBase, kAvx512 };
+
+/// The build this CPU runs: kAvx512 iff the library was built by GCC for
+/// x86-64 and CPUID reports AVX-512 F, DQ, VL, BW and VPOPCNTDQ. Read
+/// once, on the first call.
+SettleTarget settle_target();
+
+/// "base" or "avx512".
+const char* to_string(SettleTarget target);
+
+/// One settle pass over weights [begin, end) of a noisy fast storage
+/// through consecutive noisy epochs (noise/sram_model.hpp, "Batched
+/// draws"). Epoch e (settlers[e], lsbs[e] noisy LSBs, not growing, the
+/// first at least 1; at most 33 epochs) flips bit b of a weight into bit
+/// shifts[e] + b of its accumulator. The accumulator's low byte (epoch 0)
+/// XOR the golden byte goes to `current`; with more than one epoch its
+/// bits 8 up go to `halves` 16-bit flip-word halves per weight at
+/// `flips`. epoch_flips[e] gains the epoch's flip count. Disjoint ranges
+/// are independent.
+struct SettleRange {
+  std::uint64_t seed = 0;       ///< the cell model's
+  std::uint64_t cell_base = 0;  ///< cell id of weight 0's bit 0
+  std::uint32_t bits = 8;       ///< weight bits, cell ids per weight
+  std::span<const noise::PhaseSettler> settlers;
+  std::span<const unsigned> lsbs;
+  std::span<const unsigned> shifts;
+  const std::uint8_t* golden = nullptr;
+  std::uint8_t* current = nullptr;
+  std::uint16_t* flips = nullptr;
+  unsigned halves = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::uint64_t* epoch_flips = nullptr;
+};
+
+/// Settles `range` through the `target` build; kAvx512 needs
+/// settle_target() == kAvx512 (else ConfigError). Both builds give the
+/// same bytes, flip words and counts.
+void settle_range(SettleTarget target, const SettleRange& range);
+
 /// Writes or writes back a fixed set of storages as one pooled batch —
 /// the one place storage work runs on host threads (DESIGN.md §11). The
 /// constructor lays the storages end to end in one weight range and plans
@@ -176,7 +223,10 @@ class StorageBatch {
   /// tasks (setup 45 vs 29 ms).
   static constexpr std::size_t kGrain = 4096;
 
-  explicit StorageBatch(const std::vector<WeightStorage*>& storages);
+  /// `target` is the settle pass's build: the CPU's by default; benches
+  /// and tests pass kBase to run the base-ISA build on any CPU.
+  explicit StorageBatch(const std::vector<WeightStorage*>& storages,
+                        SettleTarget target = settle_target());
 
   /// Weights of all storages together: the size of write()'s image.
   std::size_t weights() const { return weights_; }
@@ -238,6 +288,7 @@ class StorageBatch {
   /// run_epochs()' write-back of each epoch, kept to reuse its capacity.
   std::vector<noise::SchedulePhase> phases_;
   std::size_t weights_ = 0;
+  SettleTarget target_;
 };
 
 }  // namespace cim::hw

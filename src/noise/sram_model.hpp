@@ -53,19 +53,24 @@
 //   * Batched draws: a cell's ΔVth draw and preferred value are fixed at
 //     fabrication; only the disturbance is drawn per epoch. So
 //     hw::StorageBatch settles every noisy epoch of an anneal in one pass
-//     (FastStorage's settle_epochs, cim/storage.cpp), with one settler per
-//     cell model and epoch, read-only and shared across its pooled tasks.
-//     Per block of cells and bit it hashes the preferred bits of the
-//     first epoch's noisy LSBs once and lists the anti-preferred cells
-//     (the stuck ones hold their preferred value); the noisy LSBs never
-//     grow, so bit b settles in a prefix of the epochs. Each listed cell
-//     draws its ΔVth popcount k₁ and its disturb_key() — the
-//     epoch-invariant first round of its disturbance hash — once, then
-//     per epoch of its prefix the 2-round disturb_popcount(key, epoch)
-//     and one compare with flip_from(k₁): entries 0 and 65 need no branch
-//     of their own. Same draws, same rule as flips_anti(). The draws are
-//     popcounts of 64-bit hashes; x86-64 builds compile with -mpopcnt so
-//     each is one instruction.
+//     (hw::settle_range, cim/storage.cpp), with one settler per cell
+//     model and epoch, read-only and shared across its pooled tasks. Each
+//     cell's draws depend only on (seed, cell id, epoch), so the pass is
+//     written as lane loops over a block of 256 weights, per bit b:
+//     every cell's golden bit XOR its preferred_word(); a branch-free
+//     list of the anti-preferred cells (the stuck ones hold their
+//     preferred value); each listed cell's ΔVth popcount k₁ and
+//     disturb_key(), the epoch-invariant first round of its disturbance
+//     hash; then per epoch of bit b's prefix (the noisy LSBs never grow)
+//     the 2-round disturb_popcount(key, epoch) of every listed cell and
+//     one compare with a 64-bit copy of the epoch's flip_from(k₁) table:
+//     entries 0 and 65 need no branch of their own. Same draws, same
+//     rule as flips_anti(). The draws are popcounts of 64-bit hashes;
+//     x86-64 builds compile with -mpopcnt so each is one instruction. The
+//     pass is compiled twice, for the base ISA and for AVX-512 (F, DQ,
+//     VL, BW, VPOPCNTDQ), where GCC turns the loops into 8-lane 64-bit
+//     multiplies and popcounts; CPUID picks the build once at run time.
+//     Only -O3 builds vectorise them (GCC 12 does not at -O2).
 #pragma once
 
 #include <array>
@@ -122,10 +127,18 @@ inline int disturb_popcount(std::uint64_t key, std::uint64_t epoch) {
   return popcount64(util::splitmix64(s));
 }
 
+/// The hash word whose bit 0 is preferred_bit(): a lane loop over cells
+/// masks it itself, since a bool-returning hash in a loop body keeps GCC
+/// from vectorising it.
+inline std::uint64_t preferred_word(std::uint64_t seed,
+                                    std::uint64_t cell_id) {
+  std::uint64_t s = util::hash_combine(seed, cell_id ^ 0xBEEFULL);
+  return util::splitmix64(s);
+}
+
 /// The value the cell's asymmetric latch falls towards.
 inline bool preferred_bit(std::uint64_t seed, std::uint64_t cell_id) {
-  std::uint64_t s = util::hash_combine(seed, cell_id ^ 0xBEEFULL);
-  return (util::splitmix64(s) & 1ULL) != 0;
+  return (preferred_word(seed, cell_id) & 1ULL) != 0;
 }
 
 /// True iff the cell is a manufacturing defect at defect density `rate`.

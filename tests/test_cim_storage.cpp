@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -533,6 +534,205 @@ TEST(Storage, RunEpochsMatchesBitLevelSchedules) {
     EXPECT_GT(batched[1]->counters().pseudo_read_flips, 0U);
     EXPECT_GT(batched[2]->counters().pseudo_read_flips, 0U);
   }
+}
+
+TEST(Storage, SettleTargetsAgree) {
+  // The settle pass is one source compiled for the base ISA and for
+  // AVX-512 (settle_range()). Both builds run on the same inputs and must
+  // give the same settled bytes, flip words and per-epoch flip counts,
+  // and the base build must match the per-cell oracle,
+  // PhaseSettler::settle, for every cell and epoch. The inputs cover
+  // ranges that start mid-storage and block tails that are not a
+  // multiple of 8 or 256, a 33-epoch pass, both flip-word widths, the
+  // flip table's ends (no read margin: every entry 0; nominal supply:
+  // entry 65), stuck cells, narrow weights and cell ids above 2^32.
+  struct Pass {
+    const char* name;
+    std::vector<unsigned> lsbs;
+    double vdd_start;
+    double vdd_step;
+    std::uint64_t epoch0;
+  };
+  std::vector<unsigned> long_pass = {8};
+  long_pass.resize(33, 1);
+  const Pass passes[] = {
+      {"default", {6, 5, 4, 3, 2, 1}, 0.30, 0.04, 0},
+      {"33 epochs", long_pass, 0.30, 0.01, 17},
+      {"28-bit word", {8, 7, 6, 5, 4, 3, 2, 1}, 0.30, 0.04, 4},
+      {"one epoch", {3}, 0.34, 0.0, 9},
+      {"no read margin", {6, 5, 4, 3, 2, 1}, 0.18, 0.0, 2},
+      {"nominal supply", {5, 4, 3, 2, 1}, 0.80, 0.0, 6},
+  };
+  struct Range {
+    std::size_t begin;
+    std::size_t end;
+  };
+  constexpr std::size_t kWeights = 1003;
+  const Range ranges[] = {{0, kWeights}, {3, 517}, {259, 268}, {700, 701}};
+  const bool avx512 = settle_target() == SettleTarget::kAvx512;
+  if (!avx512) {
+    std::printf(
+        "SettleTargetsAgree: AVX-512 half skipped: this CPU lacks one of "
+        "AVX-512 F, DQ, VL, BW, VPOPCNTDQ\n");
+  }
+  std::size_t checked_flips = 0;
+  for (const double stuck_rate : {0.0, 0.02}) {
+    noise::SramNoiseParams params;
+    params.stuck_cell_rate = stuck_rate;
+    const noise::SramCellModel model(params, 41);
+    for (const std::uint32_t bits : {8U, 5U}) {
+      const std::uint64_t cell_base = (1ULL << 32) + 12345;
+      // The written image with the stuck cells at their preferred value,
+      // as FastStorage::write leaves it.
+      auto golden = random_image(1, kWeights, 9 + bits, bits);
+      for (std::size_t w = 0; w < kWeights; ++w) {
+        for (std::uint32_t b = 0; b < bits; ++b) {
+          const std::uint64_t id = cell_base + w * bits + b;
+          if (model.is_stuck(id)) {
+            golden[w] = static_cast<std::uint8_t>(
+                (golden[w] & ~(1U << b)) |
+                (noise::cell_hash::preferred_bit(model.seed(), id) << b));
+          }
+        }
+      }
+      for (const Pass& pass : passes) {
+        // The flip-word packing of StorageBatch::settle.
+        std::vector<unsigned> shifts;
+        std::vector<noise::PhaseSettler> settlers;
+        unsigned word_bits = 0;
+        for (std::size_t e = 0; e < pass.lsbs.size(); ++e) {
+          const unsigned lsbs = pass.lsbs[e];
+          const unsigned at = word_bits % 16 + lsbs > 16
+                                  ? (word_bits + 15) / 16 * 16
+                                  : word_bits;
+          shifts.push_back(e == 0 ? 0 : 8 + at);
+          word_bits = e == 0 ? 0 : at + lsbs;
+          settlers.emplace_back(model, pass.epoch0 + e,
+                                pass.vdd_start + pass.vdd_step * e);
+        }
+        ASSERT_LE(word_bits, 32U) << pass.name;
+        const unsigned halves = (word_bits + 15) / 16;
+        if (pass.vdd_start == params.snm_v0) {
+          ASSERT_EQ(settlers[0].flip_from(40), 0U) << pass.name;
+        }
+        if (pass.vdd_start == params.nominal_vdd) {
+          ASSERT_EQ(settlers[0].flip_from(32), 65U) << pass.name;
+        }
+        for (const Range& range : ranges) {
+          const std::string where =
+              std::string(pass.name) + ", stuck rate " +
+              std::to_string(stuck_rate) + ", " + std::to_string(bits) +
+              " bits, weights " + std::to_string(range.begin) + ".." +
+              std::to_string(range.end);
+          struct Out {
+            std::vector<std::uint8_t> current;
+            std::vector<std::uint16_t> flips;
+            std::vector<std::uint64_t> epoch_flips;
+          };
+          const auto run = [&](SettleTarget target) {
+            Out out{std::vector<std::uint8_t>(kWeights, 0xA5),
+                    std::vector<std::uint16_t>(kWeights * 2, 0x5A5A),
+                    std::vector<std::uint64_t>(pass.lsbs.size(), 7)};
+            settle_range(target, {.seed = model.seed(),
+                                  .cell_base = cell_base,
+                                  .bits = bits,
+                                  .settlers = settlers,
+                                  .lsbs = pass.lsbs,
+                                  .shifts = shifts,
+                                  .golden = golden.data(),
+                                  .current = out.current.data(),
+                                  .flips = out.flips.data(),
+                                  .halves = halves,
+                                  .begin = range.begin,
+                                  .end = range.end,
+                                  .epoch_flips = out.epoch_flips.data()});
+            return out;
+          };
+          const Out base = run(SettleTarget::kBase);
+          if (avx512) {
+            const Out wide = run(SettleTarget::kAvx512);
+            ASSERT_EQ(wide.current, base.current) << where;
+            ASSERT_EQ(wide.flips, base.flips) << where;
+            ASSERT_EQ(wide.epoch_flips, base.epoch_flips) << where;
+          }
+          // The oracle, cell by cell; weights outside the range and flip
+          // words past `halves` keep their fill.
+          std::vector<std::uint64_t> flips_per_epoch(pass.lsbs.size(), 7);
+          for (std::size_t w = 0; w < kWeights; ++w) {
+            const bool inside = w >= range.begin && w < range.end;
+            if (!inside) {
+              ASSERT_EQ(base.current[w], 0xA5) << "weight " << w << ", "
+                                               << where;
+              continue;
+            }
+            std::uint64_t acc = base.current[w] ^ golden[w];
+            for (unsigned h = 0; h < halves; ++h) {
+              acc |= static_cast<std::uint64_t>(base.flips[w * halves + h])
+                     << (8 + 16 * h);
+            }
+            for (std::size_t e = 0; e < pass.lsbs.size(); ++e) {
+              for (std::uint32_t b = 0; b < std::min(pass.lsbs[e], bits);
+                   ++b) {
+                const bool bit = ((golden[w] >> b) & 1U) != 0;
+                const bool flip =
+                    settlers[e].settle(cell_base + w * bits + b, bit) != bit;
+                ASSERT_EQ((acc >> (shifts[e] + b)) & 1U, flip ? 1U : 0U)
+                    << "weight " << w << " bit " << b << " epoch " << e
+                    << ", " << where;
+                acc &= ~(1ULL << (shifts[e] + b));
+                flips_per_epoch[e] += flip ? 1 : 0;
+                checked_flips += flip ? 1 : 0;
+              }
+            }
+            ASSERT_EQ(acc, 0U) << "stray flip bits, weight " << w << ", "
+                               << where;
+          }
+          ASSERT_EQ(base.epoch_flips, flips_per_epoch) << where;
+          if (halves < 2) {
+            for (std::size_t w = 0; w < kWeights; ++w) {
+              ASSERT_EQ(base.flips[kWeights + w], 0x5A5A) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked_flips, 10000U);
+
+  // A batch built for the base ISA settles every epoch of an anneal like
+  // one built for this CPU, over two pooled tasks.
+  const noise::SramCellModel model(noise::SramNoiseParams{}, 43);
+  auto cpu = make_fast_storage(70, 61, &model, 5);
+  auto base_isa = make_fast_storage(70, 61, &model, 5);
+  StorageBatch cpu_batch({cpu.get()});
+  StorageBatch base_batch({base_isa.get()}, SettleTarget::kBase);
+  ASSERT_EQ(base_batch.tasks(), 2U);
+  const auto image = random_image(70, 61, 44);
+  cpu_batch.write(image);
+  base_batch.write(image);
+  const noise::AnnealSchedule schedule;
+  const auto plane = [](const WeightStorage& storage) {
+    std::vector<std::uint8_t> weights;
+    for (std::uint32_t r = 0; r < storage.rows(); ++r) {
+      for (std::uint32_t c = 0; c < storage.cols(); ++c) {
+        weights.push_back(storage.weight(RowIndex(r), ColIndex(c)));
+      }
+    }
+    return weights;
+  };
+  std::vector<std::vector<std::uint8_t>> planes;
+  cpu_batch.run_epochs(schedule, 3, [&](std::size_t, std::size_t) {
+    planes.push_back(plane(*cpu));
+  });
+  std::size_t e = 0;
+  base_batch.run_epochs(schedule, 3, [&](std::size_t, std::size_t) {
+    ASSERT_LT(e, planes.size());
+    EXPECT_EQ(plane(*base_isa), planes[e]) << "epoch " << e;
+    ++e;
+  });
+  EXPECT_EQ(e, planes.size());
+  EXPECT_EQ(base_isa->counters(), cpu->counters());
+  EXPECT_GT(cpu->counters().pseudo_read_flips, 0U);
 }
 
 TEST(Storage, SparseMacMatchesDense) {
