@@ -182,16 +182,17 @@ cim::util::Json scan_section(bool smoke) {
   return section;
 }
 
-/// One memoization row: the same anneal at window size `p` with the
-/// swap ΔE cache on and off.
+/// One memoization row: the same anneal at window size `p` on the sparse
+/// kernel with its swap ΔE cache ("memo") and on the dense kernel, the
+/// oracle that recomputes every MAC ("recompute").
 cim::util::Json memoization_row(const cim::tsp::Instance& instance,
                                 std::uint32_t p) {
   cim::anneal::AnnealerConfig memo_config;
   memo_config.clustering.p = p;
   memo_config.seed = 11;
-  memo_config.memoize_partial_sums = true;
+  memo_config.sparse_swap_kernel = true;
   auto recompute_config = memo_config;
-  recompute_config.memoize_partial_sums = false;
+  recompute_config.sparse_swap_kernel = false;
 
   cim::util::Timer timer;
   const auto memo =

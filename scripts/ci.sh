@@ -98,12 +98,15 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
     "$(grep -cw vpopcntq <<<"${storage_asm}") vpopcntq, no __popcountdi2"
 fi
 
-# Memoization defaults on — the TSP annealer's swap ΔE cache and the Ising
-# annealers' incremental local fields — so the preset run above already
-# covers the memoized paths. This leg, over every annealer suite and the
-# golden GSet/colouring/knapsack pins, proves that the recompute paths
-# stay green when the environment disables memoization: they run every MAC and are the §9 oracles the memoized
-# paths must stay bit-identical to.
+# Memoization — the Max-Cut and generic Ising annealers' incremental local
+# fields — defaults on, so the preset run above already covers the
+# memoized paths. This leg, over every annealer suite and the golden
+# GSet/colouring/knapsack pins, proves that the recompute paths stay green
+# when the environment disables memoization: they run every MAC and are
+# the §9 oracles the memoized paths must stay bit-identical to. The TSP
+# annealer reads no such flag: its swap ΔE cache is always on in the
+# sparse kernel, and the dense kernel (sparse_swap_kernel = false) is the
+# oracle its suites compare against in every leg.
 anneal_suites='^(Annealer|AnnealEdge|MaxCutAnnealer|GenericAnnealer|QuboGolden|SwapKernel|Ensemble|EnsembleThreads|Tempering|Integration|CimSolver|TopRing|NoiseSource)\.'
 echo "==== annealer suites with CIMANNEAL_MEMOIZE=0"
 CIMANNEAL_MEMOIZE=0 \

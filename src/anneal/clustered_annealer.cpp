@@ -92,8 +92,7 @@ class LevelSolver {
         schedule_(schedule),
         rng_(rng),
         epoch_base_(epoch_base),
-        member_rank_(member_rank),
-        memoize_(config.memoize_partial_sums && config.sparse_swap_kernel) {
+        member_rank_(member_rank) {
     if (level_ == 0) {
       // Level 0 asks for exact TSPLIB distances (sqrt + rounding) from the
       // window builder, the accepted-swap deltas and the ring scorer.
@@ -182,7 +181,6 @@ class LevelSolver {
   /// Warm-start ranks (per item id one level below `level_`), or nullptr
   /// for the cold identity order. Slot perms initialise sorted by rank.
   const std::vector<std::uint64_t>* member_rank_;
-  const bool memoize_;  ///< swap ΔE cache active for the sparse kernel
 
   std::vector<Slot> slots_;
   /// Every slot's storage, in slot order: written in build_windows() and
@@ -341,7 +339,7 @@ void LevelSolver::build_windows() {
     storages.push_back(slot.storage.get());
     cell_base += static_cast<std::uint64_t>(slot.shape.weights()) *
                  config_.weight_bits;
-    if (memoize_) {
+    if (config_.sparse_swap_kernel) {
       // Stamp 0 never matches a generation (they start at 1), so every
       // order pair opens cold.
       slot.delta_cache.assign(static_cast<std::size_t>(slot.p()) * slot.p(),
@@ -513,16 +511,15 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
     pre_gen = slot.input_gen;
     // Swap ΔE cache (DESIGN.md §16): the generation pins the weights, the
     // perm and every input row, so a matching stamp means the same four
-    // columns under the same inputs, all already MAC'd — their lazy
-    // pseudo-read corruption has settled and the MACs would repeat the
-    // cached delta exactly. A hit charges the four MACs the hardware still
-    // performs and skips the reductions and the apply/revert.
-    Slot::CachedDelta* cached =
-        memoize_ ? &slot.delta_cache[i * p + j] : nullptr;
-    if (cached != nullptr && cached->stamp == pre_gen) {
+    // columns under the same inputs, and MACs are pure between
+    // write-backs: they would repeat the cached delta exactly. A hit
+    // charges the four MACs the hardware still performs and skips the
+    // reductions and the apply/revert.
+    Slot::CachedDelta& cached = slot.delta_cache[i * p + j];
+    if (cached.stamp == pre_gen) {
       ++stats.memo_hits;
       slot.storage->charge_repeat_macs(4);
-      delta = cached->delta;
+      delta = cached.delta;
     } else {
       // Two MACs with the pre-swap spin state (Fig. 5(a), cycles 1–2).
       const auto rows_pre = noisy_input_rows(slot);
@@ -537,13 +534,11 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
           slot.storage->mac_sparse(hw::ColIndex(i * p + l), rows_post) +
           slot.storage->mac_sparse(hw::ColIndex(j * p + k), rows_post);
       delta = after - before;
-      if (cached != nullptr) {
-        *cached = {delta, pre_gen};
-        ++stats.memo_misses;
-      }
+      cached = {delta, pre_gen};
+      ++stats.memo_misses;
     }
   } else {
-    // Dense reference baseline (ablation + micro-bench): rebuild the full
+    // Dense reference baseline (test oracle + ablation): rebuild the full
     // input vector and scan every row per MAC.
     auto& input = input_scratch_;
     assemble_input(slot, input, phase);

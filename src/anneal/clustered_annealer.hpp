@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "anneal/kernel_config.hpp"
 #include "anneal/noise_source.hpp"
 #include "cluster/hierarchy.hpp"
 #include "cim/activity.hpp"
@@ -48,23 +47,13 @@ struct AnnealerConfig {
   bool chromatic_parallel = true;  ///< false → sequential Gibbs (ablation)
   /// Incremental sparse swap kernel (default): every 4-MAC swap iterates
   /// only the p + 2 set input rows, tracked per slot and updated in place
-  /// on accept/revert. false keeps the dense rebuild-and-scan baseline —
-  /// bit-identical results and hardware counters, kept as the test oracle,
-  /// the ablation and the swap-kernel micro-bench.
+  /// on accept/revert. A proposal repeated from an unchanged input state
+  /// (common in rejection streaks) reuses its ΔE from the per-window swap
+  /// ΔE cache (DESIGN.md §16), charging its four MACs. false runs the
+  /// dense rebuild-and-scan kernel without the cache — bit-identical
+  /// results and hardware counters, kept as the test oracle and the
+  /// ablation.
   bool sparse_swap_kernel = true;
-  /// Per-window swap ΔE cache (DESIGN.md §16): each slot keeps the 4-MAC
-  /// energy delta of every order pair (i, j) stamped with the input-state
-  /// generation it was computed under, so a repeated swap proposal from
-  /// an unchanged state — common during rejection streaks, where the
-  /// reverted spin state recurs — reuses the delta, charges its four MACs
-  /// to the hardware counters, and skips the reductions and the
-  /// apply/revert. Bit-identical to the uncached sparse kernel (values,
-  /// noise evolution, StorageCounters), which stays the oracle; the dense
-  /// ablation kernel ignores it. The same switch selects the Ising
-  /// annealers' incremental local fields. Defaults from CIMANNEAL_MEMOIZE
-  /// (unset → on); for the TSP annealer effective only with
-  /// sparse_swap_kernel.
-  bool memoize_partial_sums = default_memoize();
   std::uint32_t weight_bits = 8;
   std::uint64_t seed = 1;
   /// Optional warm start (src/store): a full city tour from a previous
@@ -102,8 +91,8 @@ struct LevelStats {
   std::size_t noise_draws = 0;
   /// Swap ΔE-cache behaviour: swap attempts answered from the per-slot
   /// cache vs. attempts that ran the four MACs and (re)filled it, so
-  /// memo_hits + memo_misses == swaps_attempted. Both 0 when memoization
-  /// is off or the dense kernel runs.
+  /// memo_hits + memo_misses == swaps_attempted. Both 0 when the dense
+  /// kernel runs.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   /// Distance-cache behaviour of the exact-distance paths (window build,

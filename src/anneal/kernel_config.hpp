@@ -1,5 +1,5 @@
-// Kernel defaults shared by the annealers: all three read the
-// memoization default below.
+// Kernel defaults: the Max-Cut and generic Ising annealers read the
+// memoization default below; the TSP annealer has no memoization switch.
 #pragma once
 
 namespace cim::anneal {
@@ -8,7 +8,7 @@ namespace cim::anneal {
 /// Exists only for the header line bench/e2e/cimbench.cpp prints.
 bool default_vector_kernel();
 
-/// Default for the annealers' `memoize_partial_sums` config field: the
+/// Default for IsingAnnealConfig's `memoize_partial_sums` field: the
 /// CIMANNEAL_MEMOIZE environment flag, with the opposite resting state —
 /// unset/empty means ON (memoization is the production path; CI forces
 /// the recompute ablation with CIMANNEAL_MEMOIZE=0).

@@ -28,14 +28,11 @@ std::ostream& operator<<(std::ostream& os, const StorageCounters& counters) {
             << ", pseudo_read_flips=" << counters.pseudo_read_flips << "}";
 }
 
-// Under kFlipOnAccess the first MAC of a column still changes its cells,
-// so a row read between write-backs is not pure; the bit-level backend
-// serves only the oracle tests, so it refuses the read outright.
+// Only the fast backend keeps the byte plane a row read sums; the
+// bit-level backend serves the oracle tests and refuses the read.
 void WeightStorage::accumulate_row(RowIndex /*row*/, int /*sign*/,
                                    std::span<std::int64_t> /*acc*/) const {
-  throw ConfigError(
-      "accumulate_row needs the fast backend (weights that settle only at "
-      "write-back)");
+  throw ConfigError("accumulate_row needs the fast backend");
 }
 
 namespace {
@@ -79,7 +76,7 @@ constexpr std::size_t kSettleBlock = 256;
 // listed cell's disturbance popcount against the epoch's flip_from(k₁),
 // read from a 64-bit copy of the table so the lookup is a 64-bit gather;
 // entries 0 and 65 (always, never) fall out of the same compare. Same
-// draws, same rule as PhaseSettler::flips_anti(). Inlined into each
+// draws, same rule as SramCellModel::settled_value(). Inlined into each
 // build's wrapper, which compiles it for its own ISA.
 [[gnu::always_inline]] inline void settle_lanes(const SettleRange& r) {
   const std::size_t epochs = r.lsbs.size();
@@ -238,25 +235,10 @@ class FastStorage final : public StorageBase {
     write_range(golden, 0, weight_count());
   }
 
-  // The single-phase oracle: restores the golden image and settles each
-  // of the phase's noisy cells through PhaseSettler::settle(). An anneal
-  // settles through StorageBatch's pass instead.
-  void write_back(const noise::SchedulePhase& phase) override {
-    charge_write_back();
-    if (!model_) return;  // no MAC changes current_
-    const noise::PhaseSettler settler(*model_, phase.epoch, phase.vdd);
-    const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
-    for (std::size_t w = 0; w < weight_count(); ++w) {
-      unsigned value = golden_[w];
-      for (std::uint32_t b = 0; b < noisy; ++b) {
-        const bool bit = ((value >> b) & 1U) != 0;
-        const unsigned flip = settler.settle(cell_id(w, b), bit) != bit;
-        value ^= flip << b;
-        counters_.pseudo_read_flips += flip;
-      }
-      current_[w] = static_cast<std::uint8_t>(value);
-    }
-  }
+  // A batch of this one storage (defined below StorageBatch).
+  void write_back(const noise::SchedulePhase& phase) override;
+
+  bool written() const { return written_; }
 
   // Installs weights [begin, end) of the validated full image `golden`
   // with the hard manufacturing faults applied: a stuck cell overrides
@@ -288,9 +270,9 @@ class FastStorage final : public StorageBase {
   }
 
   // Charges `flips` pseudo-read flips and, for a whole storage, the
-  // write-back's other counters.
-  void charge_write_back(bool whole = true, std::uint64_t flips = 0) {
-    CIM_ASSERT_MSG(written_, "write_back before write");
+  // write-back's other counters. StorageBatch::settle() has checked that
+  // the storage was written.
+  void charge_write_back(bool whole, std::uint64_t flips) {
     counters_.writeback_events += whole ? 1 : 0;
     counters_.writeback_bits += whole ? weight_count() * bits_ : 0;
     counters_.pseudo_read_flips += flips;
@@ -416,14 +398,11 @@ class BitLevelStorage final : public StorageBase {
  public:
   BitLevelStorage(std::uint32_t rows, std::uint32_t cols,
                   const noise::SramCellModel* model, std::uint64_t cell_base,
-                  std::uint32_t weight_bits, PseudoReadPolicy policy)
-      : StorageBase(rows, cols, model, cell_base, weight_bits),
-        policy_(policy),
-        tree_(rows) {
+                  std::uint32_t weight_bits)
+      : StorageBase(rows, cols, model, cell_base, weight_bits), tree_(rows) {
     const std::size_t n_cells = weight_count() * bits_;
     stored_.assign(n_cells, 0);
     golden_bits_.assign(n_cells, 0);
-    touched_.assign(n_cells, 0);
   }
 
   // Initial golden-image load happens before the annealing run starts;
@@ -439,7 +418,6 @@ class BitLevelStorage final : public StorageBase {
       }
     }
     stored_ = golden_bits_;
-    std::fill(touched_.begin(), touched_.end(), 0);
     apply_stuck_faults();
     written_ = true;
   }
@@ -447,15 +425,20 @@ class BitLevelStorage final : public StorageBase {
   void write_back(const noise::SchedulePhase& phase) override {
     CIM_ASSERT_MSG(written_, "write_back before write");
     stored_ = golden_bits_;
-    std::fill(touched_.begin(), touched_.end(), 0);
-    phase_ = phase;
     ++counters_.writeback_events;
     counters_.writeback_bits += stored_.size();
     apply_stuck_faults();
-    if (!model_ || policy_ != PseudoReadPolicy::kSettleAtWriteBack) return;
+    if (!model_) return;
     const std::uint32_t noisy = std::min(phase.noisy_lsbs, bits_);
     for (std::size_t w = 0; w < weight_count(); ++w) {
-      for (std::uint32_t b = 0; b < noisy; ++b) corrupt_cell(w, b);
+      for (std::uint32_t b = 0; b < noisy; ++b) {
+        const std::size_t cell = w * bits_ + b;
+        const bool bit = stored_[cell] != 0;
+        const bool settled =
+            model_->settled_value(cell_id(w, b), phase.epoch, phase.vdd, bit);
+        stored_[cell] = settled ? 1 : 0;
+        counters_.pseudo_read_flips += settled != bit ? 1 : 0;
+      }
     }
   }
 
@@ -464,7 +447,6 @@ class BitLevelStorage final : public StorageBase {
     const std::uint32_t col = col_idx.get();
     CIM_ASSERT(col < cols_);
     CIM_ASSERT(input.size() == rows_);
-    touch_column(col);
     // Assemble bit-plane NOR products.
     planes_.assign(static_cast<std::size_t>(bits_) * rows_, 0);
     for (std::uint32_t r = 0; r < rows_; ++r) {
@@ -487,7 +469,6 @@ class BitLevelStorage final : public StorageBase {
       std::span<const std::uint32_t> active_rows) override {
     const std::uint32_t col = col_idx.get();
     CIM_ASSERT(col < cols_);
-    touch_column(col);  // inactive rows included, as on the dense path
     // Per-plane product counts over the set rows only; the tree model
     // still charges the full-fan-in reduction (inactive rows feed zero
     // products, not zero hardware).
@@ -533,38 +514,9 @@ class BitLevelStorage final : public StorageBase {
     }
   }
 
-  // Every MAC pseudo-reads the whole addressed column: under
-  // kFlipOnAccess each noisy cell not yet touched since the write-back
-  // settles now, in row-major order.
-  void touch_column(std::uint32_t col) {
-    if (!model_ || policy_ != PseudoReadPolicy::kFlipOnAccess) return;
-    const std::uint32_t noisy = std::min(phase_.noisy_lsbs, bits_);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-      const std::size_t w = index(r, col);
-      for (std::uint32_t b = 0; b < noisy; ++b) {
-        if (!touched_[w * bits_ + b]) corrupt_cell(w, b);
-        touched_[w * bits_ + b] = 1;
-      }
-    }
-  }
-
-  void corrupt_cell(std::size_t w, std::uint32_t b) {
-    const std::size_t cell = w * bits_ + b;
-    const bool bit = stored_[cell] != 0;
-    const bool settled =
-        model_->settled_value(cell_id(w, b), phase_.epoch, phase_.vdd, bit);
-    if (settled != bit) {
-      stored_[cell] = settled ? 1 : 0;
-      ++counters_.pseudo_read_flips;
-    }
-  }
-
-  PseudoReadPolicy policy_;
   AdderTree tree_;
-  noise::SchedulePhase phase_;
   std::vector<std::uint8_t> stored_;
   std::vector<std::uint8_t> golden_bits_;
-  std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> planes_;
   std::vector<std::uint32_t> plane_sums_;
   bool written_ = false;
@@ -679,6 +631,13 @@ void StorageBatch::write(std::span<const std::uint8_t> images) {
 }
 
 void StorageBatch::settle(std::span<const noise::SchedulePhase> noisy) {
+  // Checked before any pass reads a golden image: an unwritten fast
+  // storage's is uninitialised.
+  for (const Piece& piece : pieces_) {
+    CIM_ASSERT_MSG(!piece.split ||
+                       static_cast<FastStorage*>(piece.storage)->written(),
+                   "write_back before write");
+  }
   lsbs_.clear();
   shifts_.clear();
   unsigned word_bits = 0;  // of the flip word: the epochs after the first
@@ -784,6 +743,10 @@ void StorageBatch::run_epochs(
   }
 }
 
+void FastStorage::write_back(const noise::SchedulePhase& phase) {
+  StorageBatch({this}).write_back(phase);
+}
+
 std::unique_ptr<WeightStorage> make_fast_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
@@ -795,9 +758,9 @@ std::unique_ptr<WeightStorage> make_fast_storage(
 std::unique_ptr<WeightStorage> make_bit_level_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
-    std::uint32_t weight_bits, PseudoReadPolicy policy) {
+    std::uint32_t weight_bits) {
   return std::make_unique<BitLevelStorage>(rows, cols, model, cell_base,
-                                           weight_bits, policy);
+                                           weight_bits);
 }
 
 }  // namespace cim::hw

@@ -11,14 +11,13 @@
 //   * FastStorage    — materialises the corrupted byte per weight;
 //                      MACs are plain integer dot products. Used for
 //                      large instances. write() copies the image and
-//                      applies the hard faults. Its own write_back()
-//                      settles cell by cell (PhaseSettler::settle), the
-//                      single-phase oracle. An anneal settles through
-//                      StorageBatch instead: a cell's ΔVth and preferred
-//                      value are fixed, so one pooled pass at the start
-//                      draws them once and settles every noisy epoch, the
-//                      first into the plane the MACs read and the later
-//                      ones into per-weight flip words, which each later
+//                      applies the hard faults. Every write-back settles
+//                      through StorageBatch (its own write_back() is a
+//                      batch of one): a cell's ΔVth and preferred value
+//                      are fixed, so one pooled pass draws them once and
+//                      settles every noisy epoch of an anneal, the first
+//                      into the plane the MACs read and the later ones
+//                      into per-weight flip words, which each later
 //                      write-back applies to the golden image (DESIGN.md
 //                      §11). The pass (settle_range) is lane loops over
 //                      blocks of 256 weights, one source compiled for the
@@ -27,10 +26,12 @@
 //                      (settle_target). Without a noise model a
 //                      write-back only charges the counters.
 //   * BitLevelStorage— explicit per-bit 14T cells, NOR multiplies and an
-//                      AdderTree reduction per MAC; optionally flips cells
-//                      on first access instead of at write-back
-//                      (kFlipOnAccess), which is the more faithful
-//                      temporal behaviour of pseudo-read.
+//                      AdderTree reduction per MAC; its write-back settles
+//                      cell by cell through SramCellModel::settled_value,
+//                      the oracle the fast backend is tested against.
+//
+// Either way every noisy cell settles at write-back, so a MAC is a pure
+// function of the weights between write-backs: it reads, never flips.
 #pragma once
 
 #include <cstdint>
@@ -92,11 +93,10 @@ class WeightStorage {
   /// vector — the annealer's swap inputs carry exactly p + 2 set bits.
   ///
   /// Equivalence invariant: for any input vector and its set-row list,
-  /// mac() and mac_sparse() return the same value, leave the storage in
-  /// the same state (including lazy pseudo-read corruption, which touches
-  /// every cell of the addressed column on real hardware) and charge the
-  /// same StorageCounters. The counters model hardware row *reads*, not
-  /// simulator work, so `mac_bit_reads` still advances by rows()·bits.
+  /// mac() and mac_sparse() return the same value and charge the same
+  /// StorageCounters; neither changes a weight. The counters model
+  /// hardware row *reads*, not simulator work, so `mac_bit_reads` still
+  /// advances by rows()·bits.
   virtual std::int64_t mac_sparse(
       ColIndex col, std::span<const std::uint32_t> active_rows) = 0;
 
@@ -105,11 +105,8 @@ class WeightStorage {
   /// annealers' incremental fields). The counters model hardware row
   /// reads, so each repeat still pays the full rows()·bits read like every
   /// mac() variant; the host-side reduction is what the caller skips.
-  /// Sound only for (column, input) pairs already MAC'd since the last
-  /// write_back — by then any lazy pseudo-read corruption of the column
-  /// has settled (touched cells never re-draw), so each repeat MAC would
-  /// have been a pure function returning the held value and flipping
-  /// nothing.
+  /// Sound because MACs are pure between write-backs: each repeat would
+  /// return the held value and flip nothing.
   void charge_repeat_macs(std::uint64_t n) {
     counters_.macs += n;
     counters_.mac_bit_reads +=
@@ -121,8 +118,8 @@ class WeightStorage {
   /// modelled access, so it charges nothing: the Ising annealers keep
   /// exact copies of column MACs with it (DESIGN.md §16) while charging
   /// the MACs the hardware still performs through charge_repeat_macs().
-  /// Valid only where weights are pure between write-backs; only the fast
-  /// backend implements it, every other backend throws ConfigError.
+  /// Only the fast backend implements it; every other backend throws
+  /// ConfigError.
   virtual void accumulate_row(RowIndex row, int sign,
                               std::span<std::int64_t> acc) const;
 
@@ -134,11 +131,6 @@ class WeightStorage {
 
  protected:
   StorageCounters counters_;
-};
-
-enum class PseudoReadPolicy {
-  kSettleAtWriteBack,  ///< corruption applied in full at write-back
-  kFlipOnAccess,       ///< cells flip on their first noisy access
 };
 
 /// Creates a fast (byte-materialised) backend.
@@ -153,8 +145,7 @@ std::unique_ptr<WeightStorage> make_fast_storage(
 std::unique_ptr<WeightStorage> make_bit_level_storage(
     std::uint32_t rows, std::uint32_t cols,
     const noise::SramCellModel* model, std::uint64_t cell_base,
-    std::uint32_t weight_bits = 8,
-    PseudoReadPolicy policy = PseudoReadPolicy::kSettleAtWriteBack);
+    std::uint32_t weight_bits = 8);
 
 /// The builds of the write-back settle pass: one source, compiled for
 /// the base ISA and for AVX-512, where GCC vectorises its lane loops
@@ -211,7 +202,8 @@ void settle_range(SettleTarget target, const SettleRange& range);
 /// weights and StorageCounters equal those of per-storage calls on any
 /// pool width. A batch builds one PhaseSettler per cell model and noisy
 /// epoch, not one per storage. A batch of one task runs inline on the
-/// caller.
+/// caller. write_back() and run_epochs() throw InvariantError ("write_back
+/// before write") before any pass reads a storage that was never written.
 ///
 /// The storages must outlive the batch, and nothing else may touch them
 /// while a batch call runs, bar the MACs of run_epochs()' epoch body.

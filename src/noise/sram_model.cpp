@@ -115,9 +115,7 @@ bool SramCellModel::settled_value(std::uint64_t cell_id, std::uint64_t epoch,
 
 PhaseSettler::PhaseSettler(const SramCellModel& model, std::uint64_t epoch,
                            double vdd)
-    : seed_(model.seed()),
-      epoch_(epoch),
-      stuck_rate_(model.params().stuck_cell_rate) {
+    : epoch_(epoch) {
   // One sqrt and divide per settler, not per threshold: the same double
   // every disturb_of() call would have recomputed.
   const double sigma_disturb = model.params().sigma_disturb();

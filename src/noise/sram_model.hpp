@@ -47,9 +47,9 @@
 //     flips() evaluates (k₁ and 64 − k₁ share one entry, their margins
 //     being bit-equal), so the table reproduces settled_value() bit for
 //     bit while the per-cell work shrinks to the counter hashes and one
-//     byte lookup (no sqrt, no double compare, no call). That rule for an
-//     anti-preferred, non-stuck cell is PhaseSettler::flips_anti(), and
-//     settle() calls it.
+//     byte lookup (no sqrt, no double compare, no call). PhaseSettler is
+//     that table only: the settle pass below is the one production user,
+//     and settled_value() stays the per-cell oracle the tests hold it to.
 //   * Batched draws: a cell's ΔVth draw and preferred value are fixed at
 //     fabrication; only the disturbance is drawn per epoch. So
 //     hw::StorageBatch settles every noisy epoch of an anneal in one pass
@@ -65,7 +65,7 @@
 //     the 2-round disturb_popcount(key, epoch) of every listed cell and
 //     one compare with a 64-bit copy of the epoch's flip_from(k₁) table:
 //     entries 0 and 65 need no branch of their own. Same draws, same
-//     rule as flips_anti(). The draws are popcounts of 64-bit hashes;
+//     rule as settled_value(). The draws are popcounts of 64-bit hashes;
 //     x86-64 builds compile with -mpopcnt so each is one instruction. The
 //     pass is compiled twice, for the base ISA and for AVX-512 (F, DQ,
 //     VL, BW, VPOPCNTDQ), where GCC turns the loops into 8-lane 64-bit
@@ -81,8 +81,8 @@
 namespace cim::noise {
 
 /// The counter hashes behind every per-cell decision, shared by the
-/// SramCellModel oracle and the inlined PhaseSettler so the two cannot
-/// drift apart.
+/// SramCellModel oracle and the write-back's settle pass so the two
+/// cannot drift apart.
 namespace cell_hash {
 
 /// Bit count of `x`, equal to std::popcount. x86-64 builds compile with
@@ -219,43 +219,13 @@ class SramCellModel {
   std::uint64_t seed_ = 0;
 };
 
-/// One pseudo-read phase of a model, precomputed for bulk write-backs
+/// One pseudo-read phase of a model as a flip table for the settle pass
 /// (see the implementation notes above). Cheap to build — 65 binary
-/// searches over 65 disturbance classes — so a write-back builds one per
-/// call, whatever the array size, and a batch one per model and epoch.
+/// searches over 65 disturbance classes — so a batch builds one per model
+/// and noisy epoch, whatever the array size.
 class PhaseSettler {
  public:
   PhaseSettler(const SramCellModel& model, std::uint64_t epoch, double vdd);
-
-  /// Exactly SramCellModel::settled_value(cell_id, epoch, vdd, written).
-  bool settle(std::uint64_t cell_id, bool written) const {
-    const bool preferred = cell_hash::preferred_bit(seed_, cell_id);
-    // A cell holding its preferred value is stable, stuck or not.
-    if (written == preferred) return written;
-    if (cell_hash::is_stuck(seed_, cell_id, stuck_rate_)) return preferred;
-    return flips_anti(cell_id) ? preferred : written;
-  }
-
-  /// True iff this phase's pseudo-read flips a non-stuck cell that holds
-  /// its anti-preferred value: the rule settle() applies to such a cell,
-  /// and the one StorageBatch's pass applies through flip_from() and the
-  /// cell_hash disturbance draw.
-  bool flips_anti(std::uint64_t cell_id) const {
-    const unsigned from = flip_from(static_cast<unsigned>(
-        cell_hash::vth_popcount(seed_, cell_id)));
-    // The table's extremes decide without the disturbance draw.
-    if (from == 0) return true;
-    if (from > 64) return false;
-    return disturbed(cell_id, from);
-  }
-
-  /// flips_anti()'s second draw, for a cell whose flip_from() entry
-  /// `from` is in [1, 64]: true iff this phase's disturbance popcount
-  /// reaches it.
-  bool disturbed(std::uint64_t cell_id, unsigned from) const {
-    return static_cast<unsigned>(cell_hash::disturb_popcount(
-               cell_hash::disturb_key(seed_, cell_id), epoch_)) >= from;
-  }
 
   /// The epoch whose pseudo-read this settler models.
   std::uint64_t epoch() const { return epoch_; }
@@ -265,9 +235,7 @@ class PhaseSettler {
   unsigned flip_from(unsigned k1) const { return flip_from_[k1]; }
 
  private:
-  std::uint64_t seed_;
   std::uint64_t epoch_;
-  double stuck_rate_;
   /// flip_from_[k₁]: least disturbance popcount k₂ that flips a cell of
   /// ΔVth popcount k₁; 0 = always flips, 65 = never flips.
   std::array<std::uint8_t, 65> flip_from_{};

@@ -12,15 +12,6 @@ namespace cim::util::telemetry {
 
 namespace {
 
-/// Stable small per-thread slot used to pick a counter stripe. Assigned
-/// on first touch, never reused — only its modulus matters.
-std::size_t thread_stripe_slot() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
 std::uint64_t next_registry_id() {
   static std::atomic<std::uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -28,34 +19,13 @@ std::uint64_t next_registry_id() {
 
 }  // namespace
 
-// ---------------------------------------------------------------- Counter
-
-void Counter::add(std::uint64_t delta) {
-  cells_[thread_stripe_slot() % kStripes].count.fetch_add(
-      delta, std::memory_order_relaxed);
-}
-
-std::uint64_t Counter::value() const {
-  std::uint64_t sum = 0;
-  for (const Cell& cell : cells_) {
-    sum += cell.count.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
-void Counter::reset() {
-  for (Cell& cell : cells_) {
-    cell.count.store(0, std::memory_order_relaxed);
-  }
-}
-
 // -------------------------------------------------------------- Histogram
 
 Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
   CIM_REQUIRE(!edges_.empty(), "histogram needs at least one bucket edge");
   CIM_REQUIRE(std::is_sorted(edges_.begin(), edges_.end()),
               "histogram edges must be ascending");
-  cells_ = std::make_unique<Cell[]>(bucket_count() * kStripes);
+  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bucket_count());
 }
 
 void Histogram::observe(double value) {
@@ -63,17 +33,12 @@ void Histogram::observe(double value) {
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(edges_.begin(), edges_.end(), value) -
       edges_.begin());
-  cells_[bucket * kStripes + thread_stripe_slot() % kStripes].count.fetch_add(
-      1, std::memory_order_relaxed);
+  counts_[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::count_in_bucket(std::size_t bucket) const {
   CIM_REQUIRE(bucket < bucket_count(), "histogram bucket out of range");
-  std::uint64_t sum = 0;
-  for (std::size_t s = 0; s < kStripes; ++s) {
-    sum += cells_[bucket * kStripes + s].count.load(std::memory_order_relaxed);
-  }
-  return sum;
+  return counts_[bucket].load(std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::total_count() const {
@@ -85,8 +50,8 @@ std::uint64_t Histogram::total_count() const {
 }
 
 void Histogram::reset() {
-  for (std::size_t i = 0; i < bucket_count() * kStripes; ++i) {
-    cells_[i].count.store(0, std::memory_order_relaxed);
+  for (std::size_t b = 0; b < bucket_count(); ++b) {
+    counts_[b].store(0, std::memory_order_relaxed);
   }
 }
 

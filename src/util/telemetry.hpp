@@ -4,7 +4,7 @@
 //
 //  * Metrics — monotonic `Counter`s, last-write `Gauge`s and fixed-edge
 //    `Histogram`s, looked up by name in the global `Registry`. Updates
-//    are lock-free (striped relaxed atomics); only the first lookup of a
+//    are lock-free (relaxed atomics); only the first lookup of a
 //    name takes the registry mutex, so callers hoist the reference out
 //    of hot loops.
 //  * Trace events — begin/end/instant/counter events appended to
@@ -30,7 +30,6 @@
 // already obeys).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -80,28 +79,27 @@ struct TraceEvent {
 
 #if CIMANNEAL_TELEMETRY_ENABLED
 
-/// Monotonic counter. add() is wait-free after the first registry
-/// lookup: each thread increments one of kStripes cache-line-padded
-/// cells picked by a stable per-thread slot, so concurrent writers
-/// never contend on one line. value() sums the stripes (exact for
-/// unsigned arithmetic in any order).
+/// Monotonic counter: one relaxed atomic, so add() is wait-free after
+/// the first registry lookup. Writers add once per level or per solve,
+/// too rarely to contend on its cache line; the total is exact in any
+/// order of adds.
 class Counter {
  public:
   Counter() = default;
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void add(std::uint64_t delta = 1);
-  std::uint64_t value() const;
-  /// Zeroes every stripe. Requires quiescence (no concurrent add()).
-  void reset();
+  void add(std::uint64_t delta = 1) {
+    count_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  std::uint64_t value() const {
+    return count_.load(std::memory_order_relaxed);
+  }
+  /// Requires quiescence (no concurrent add()).
+  void reset() { count_.store(0, std::memory_order_relaxed); }
 
  private:
-  static constexpr std::size_t kStripes = 8;
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> count{0};
-  };
-  std::array<Cell, kStripes> cells_{};
+  std::atomic<std::uint64_t> count_{0};
 };
 
 /// Last-write-wins double value (stored as bits in one atomic word).
@@ -127,7 +125,8 @@ class Gauge {
 /// Histogram over fixed ascending bucket edges. A value lands in the
 /// first bucket whose edge is >= value; values above the last edge land
 /// in the trailing overflow bucket, so bucket_count() has
-/// edges.size() + 1 valid indices. Buckets are striped like Counter.
+/// edges.size() + 1 valid indices. Each bucket is one relaxed atomic,
+/// like Counter.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> edges);
@@ -142,14 +141,8 @@ class Histogram {
   void reset();
 
  private:
-  static constexpr std::size_t kStripes = 8;
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> count{0};
-  };
-
   std::vector<double> edges_;
-  // bucket-major: cells_[bucket * kStripes + stripe].
-  std::unique_ptr<Cell[]> cells_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
 };
 
 /// The process-wide metric + trace-event store. All names are flat
@@ -226,7 +219,7 @@ class Registry {
   // mu_ serialises registry *structure* (name lookup, sink registration,
   // export); metric updates and event appends are lock-free after the
   // first lookup. The maps own the metrics; the pointees stay valid and
-  // are updated outside the lock (striped atomics / per-thread sinks),
+  // are updated outside the lock (atomics / per-thread sinks),
   // which is why the members — not their pointees — are guarded.
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_

@@ -45,34 +45,6 @@ void expect_identical(const AnnealResult& a, const AnnealResult& b,
       << label;
 }
 
-class SparseKernelEquivalence
-    : public ::testing::TestWithParam<std::tuple<NoiseMode, BackendKind>> {};
-
-TEST_P(SparseKernelEquivalence, MatchesDenseKernelExactly) {
-  const auto [mode, backend] = GetParam();
-  const auto inst = test::random_instance(60, 17);
-  AnnealerConfig config = base_config(3, 5);
-  config.noise = mode;
-  config.backend = backend;
-
-  config.sparse_swap_kernel = true;
-  const auto sparse = ClusteredAnnealer(config).solve(inst);
-  config.sparse_swap_kernel = false;
-  const auto dense = ClusteredAnnealer(config).solve(inst);
-
-  expect_identical(sparse, dense, "sparse vs dense");
-  EXPECT_TRUE(sparse.tour.is_valid(60));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ModesAndBackends, SparseKernelEquivalence,
-    ::testing::Combine(::testing::Values(NoiseMode::kNone,
-                                         NoiseMode::kSramWeight,
-                                         NoiseMode::kSramSpin,
-                                         NoiseMode::kLfsr),
-                       ::testing::Values(BackendKind::kFast,
-                                         BackendKind::kBitLevel)));
-
 TEST(SwapKernel, SequentialGibbsAlsoEquivalent) {
   // The sequential (non-chromatic) ablation path uses the same kernel.
   const auto inst = test::random_instance(80, 23);
@@ -107,25 +79,26 @@ class MemoKernelEquivalence
     : public ::testing::TestWithParam<std::tuple<NoiseMode, BackendKind>> {};
 
 TEST_P(MemoKernelEquivalence, MatchesRecomputeExactly) {
-  // The swap ΔE cache must be a pure optimisation of the sparse kernel:
-  // identical tours, identical noise evolution and identical hardware
-  // counters (a hit charges the full row-read cost of its four MACs), for
-  // every noise mode and both storage backends — including the
-  // bit-level backend's lazy corrupted-weight path.
+  // The sparse kernel with its swap ΔE cache must reproduce the dense
+  // recompute kernel, the oracle: identical tours, identical noise
+  // evolution and identical hardware counters (a hit charges the full
+  // row-read cost of its four MACs), for every noise mode and both
+  // storage backends.
   const auto [mode, backend] = GetParam();
   const auto inst = test::random_instance(60, 17);
   AnnealerConfig config = base_config(3, 5);
   config.noise = mode;
   config.backend = backend;
 
-  config.memoize_partial_sums = true;
+  config.sparse_swap_kernel = true;
   const auto memo = ClusteredAnnealer(config).solve(inst);
-  config.memoize_partial_sums = false;
+  config.sparse_swap_kernel = false;
   const auto recompute = ClusteredAnnealer(config).solve(inst);
 
   expect_identical(memo, recompute, "memo vs recompute");
-  // Every swap attempt is exactly one ΔE-cache lookup: a hit or a miss
-  // when the cache is on, neither when it is off.
+  EXPECT_TRUE(memo.tour.is_valid(60));
+  // Every sparse swap attempt is exactly one ΔE-cache lookup, a hit or a
+  // miss; the dense kernel makes none.
   EXPECT_EQ(total_memo_hits(memo) + total_memo_misses(memo),
             total_attempts(memo));
   EXPECT_GT(total_memo_hits(memo), 0U);
@@ -153,9 +126,9 @@ TEST(SwapKernel, MemoOnCorruptedWeightGrids) {
     config.noise = NoiseMode::kSramWeight;
     config.backend = backend;
     config.sram.sigma_vth = 0.10;  // heavier mismatch → more noisy LSBs
-    config.memoize_partial_sums = true;
+    config.sparse_swap_kernel = true;
     const auto memo = ClusteredAnnealer(config).solve(inst);
-    config.memoize_partial_sums = false;
+    config.sparse_swap_kernel = false;
     const auto recompute = ClusteredAnnealer(config).solve(inst);
     expect_identical(memo, recompute, "corrupted grid");
     EXPECT_GT(memo.hw.storage.pseudo_read_flips, 0U);
@@ -175,9 +148,9 @@ TEST(SwapKernel, MemoNeverHitsAcrossWriteBacks) {
     config.backend = backend;
     config.schedule.total_iterations = 60;
     config.schedule.iterations_per_step = 1;
-    config.memoize_partial_sums = true;
+    config.sparse_swap_kernel = true;
     const auto memo = ClusteredAnnealer(config).solve(inst);
-    config.memoize_partial_sums = false;
+    config.sparse_swap_kernel = false;
     const auto recompute = ClusteredAnnealer(config).solve(inst);
     expect_identical(memo, recompute, "write-back every iteration");
     for (const auto& level : memo.levels) {
@@ -189,7 +162,7 @@ TEST(SwapKernel, MemoNeverHitsAcrossWriteBacks) {
   }
 }
 
-/// Memo on vs off on a small ring whose slots neighbour themselves (one
+/// Sparse (cached) vs dense kernel on a small ring whose slots neighbour themselves (one
 /// slot) or each other on both sides (two slots): the boundary input rows
 /// then follow perms the swap itself or the one neighbour moves, the
 /// invalidation case a long ring rarely exercises. A stale cached delta
@@ -204,10 +177,10 @@ void expect_memo_matches_on_small_ring(std::uint32_t p, std::size_t slots) {
       config.clustering.strategy = cluster::Strategy::kFixed;
       config.noise = mode;
       config.record_trace = true;
-      config.memoize_partial_sums = true;
+      config.sparse_swap_kernel = true;
       const auto memo = ClusteredAnnealer(config).solve(inst);
       ASSERT_EQ(memo.levels.back().clusters, slots);
-      config.memoize_partial_sums = false;
+      config.sparse_swap_kernel = false;
       const auto recompute = ClusteredAnnealer(config).solve(inst);
       expect_identical(memo, recompute, "small ring");
       EXPECT_EQ(memo.trace, recompute.trace) << "seed " << seed;

@@ -121,9 +121,10 @@ TEST(Storage, BackendsAgreeWithStuckCellsAndNoise) {
 
 TEST(Storage, ChunkedWriteBackMatchesBitLevel) {
   // A plane of ~77 000 weights, written back by the fast backend's own
-  // per-cell write_back: every default-schedule write-back must match the
-  // bit-level oracle weight for weight and counter for counter.
-  // (Storage.BatchMatchesPerStorage covers the batch's pooled pass.)
+  // write_back (a batch of this one storage, in pooled tasks): every
+  // default-schedule write-back must match the bit-level oracle weight for
+  // weight and counter for counter. (Storage.BatchMatchesPerStorage covers
+  // batches of several storages.)
   constexpr std::uint32_t kRows = 257;
   constexpr std::uint32_t kCols = 300;
   const auto image = random_image(kRows, kCols, 31);
@@ -541,7 +542,7 @@ TEST(Storage, SettleTargetsAgree) {
   // AVX-512 (settle_range()). Both builds run on the same inputs and must
   // give the same settled bytes, flip words and per-epoch flip counts,
   // and the base build must match the per-cell oracle,
-  // PhaseSettler::settle, for every cell and epoch. The inputs cover
+  // SramCellModel::settled_value, for every cell and epoch. The inputs cover
   // ranges that start mid-storage and block tails that are not a
   // multiple of 8 or 256, a 33-epoch pass, both flip-word widths, the
   // flip table's ends (no read margin: every entry 0; nominal supply:
@@ -675,7 +676,10 @@ TEST(Storage, SettleTargetsAgree) {
                    ++b) {
                 const bool bit = ((golden[w] >> b) & 1U) != 0;
                 const bool flip =
-                    settlers[e].settle(cell_base + w * bits + b, bit) != bit;
+                    model.settled_value(cell_base + w * bits + b,
+                                        pass.epoch0 + e,
+                                        pass.vdd_start + pass.vdd_step * e,
+                                        bit) != bit;
                 ASSERT_EQ((acc >> (shifts[e] + b)) & 1U, flip ? 1U : 0U)
                     << "weight " << w << " bit " << b << " epoch " << e
                     << ", " << where;
@@ -766,34 +770,22 @@ TEST(Storage, SparseMacMatchesDense) {
 }
 
 // The equivalence invariant as a randomized sweep over window shapes,
-// weight precisions, backends, pseudo-read policies and noise phases:
-// dense and sparse MACs agree on values, final weights and every
-// StorageCounters field.
+// weight precisions, backends and noise phases: dense and sparse MACs
+// agree on values, final weights and every StorageCounters field.
 TEST(Storage, DenseSparsePropertySweep) {
   const noise::SramCellModel model(noise::SramNoiseParams{}, 101);
   util::Rng rng(17);
-  struct Backend {
-    bool bit_level;
-    PseudoReadPolicy policy;
-  };
-  const Backend backends[] = {
-      {false, PseudoReadPolicy::kSettleAtWriteBack},
-      {true, PseudoReadPolicy::kSettleAtWriteBack},
-      {true, PseudoReadPolicy::kFlipOnAccess},
-  };
   for (int config = 0; config < 12; ++config) {
     const std::uint32_t rows = 2 + static_cast<std::uint32_t>(rng.below(90));
     const std::uint32_t cols = 1 + static_cast<std::uint32_t>(rng.below(12));
     const std::uint32_t bits = 1 + static_cast<std::uint32_t>(rng.below(8));
     const bool noisy = rng.chance(0.7);
     const auto image = random_image(rows, cols, 1000 + config, bits);
-    for (const Backend& backend : backends) {
+    for (const bool bit_level : {false, true}) {
       const noise::SramCellModel* m = noisy ? &model : nullptr;
       const auto make = [&] {
-        return backend.bit_level
-                   ? make_bit_level_storage(rows, cols, m, 4096, bits,
-                                            backend.policy)
-                   : make_fast_storage(rows, cols, m, 4096, bits);
+        return bit_level ? make_bit_level_storage(rows, cols, m, 4096, bits)
+                         : make_fast_storage(rows, cols, m, 4096, bits);
       };
       auto dense = make();
       auto sparse = make();
@@ -829,40 +821,6 @@ TEST(Storage, DenseSparsePropertySweep) {
   }
 }
 
-TEST(Storage, SparseMacTriggersLazyCorruptionIdentically) {
-  // kFlipOnAccess corrupts every cell of the addressed column on a MAC
-  // (the pseudo-read hits the whole column on hardware); the sparse path
-  // must replicate that state change exactly, not just the sum.
-  const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
-  const auto image = random_image(15, 9, 12);
-  auto dense = make_bit_level_storage(15, 9, &model, 0, 8,
-                                      PseudoReadPolicy::kFlipOnAccess);
-  auto sparse = make_bit_level_storage(15, 9, &model, 0, 8,
-                                       PseudoReadPolicy::kFlipOnAccess);
-  dense->write(image);
-  sparse->write(image);
-  const auto p = phase(1, 0.24, 6);
-  dense->write_back(p);
-  sparse->write_back(p);
-  std::vector<std::uint8_t> input(15, 0);
-  std::vector<std::uint32_t> active;
-  for (std::uint32_t r = 0; r < 15; r += 3) {
-    input[r] = 1;
-    active.push_back(r);
-  }
-  for (std::uint32_t c = 0; c < 9; c += 2) {
-    EXPECT_EQ(dense->mac(ColIndex(c), input), sparse->mac_sparse(ColIndex(c), active));
-    for (std::uint32_t r = 0; r < 15; ++r) {
-      for (std::uint32_t cc = 0; cc < 9; ++cc) {
-        ASSERT_EQ(dense->weight(RowIndex(r), ColIndex(cc)), sparse->weight(RowIndex(r), ColIndex(cc)))
-            << "after column " << c << " at " << r << "," << cc;
-      }
-    }
-    EXPECT_EQ(dense->counters().pseudo_read_flips,
-              sparse->counters().pseudo_read_flips);
-  }
-}
-
 TEST(Storage, AccumulateRowSumsToColumnMacs) {
   // Row accumulates over the settled (noisy, stuck) image rebuild every
   // column MAC exactly, and charge nothing: they stand in for MACs the
@@ -890,18 +848,14 @@ TEST(Storage, AccumulateRowSumsToColumnMacs) {
 }
 
 TEST(Storage, AccumulateRowIsFastBackendOnly) {
-  // Under kFlipOnAccess a MAC still changes the cells it reads, so a row
-  // read between write-backs could not stand in for it; the bit-level
-  // backend refuses the read under either policy.
+  // The bit-level backend keeps no byte plane to sum a row from; it
+  // refuses the read and leaves the accumulator alone.
   const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
-  for (const auto policy : {PseudoReadPolicy::kSettleAtWriteBack,
-                            PseudoReadPolicy::kFlipOnAccess}) {
-    auto storage = make_bit_level_storage(15, 9, &model, 0, 8, policy);
-    storage->write(random_image(15, 9, 12));
-    std::vector<std::int64_t> acc(9, 0);
-    EXPECT_THROW(storage->accumulate_row(RowIndex(0), 1, acc), ConfigError);
-    EXPECT_EQ(acc, std::vector<std::int64_t>(9, 0));
-  }
+  auto storage = make_bit_level_storage(15, 9, &model, 0);
+  storage->write(random_image(15, 9, 12));
+  std::vector<std::int64_t> acc(9, 0);
+  EXPECT_THROW(storage->accumulate_row(RowIndex(0), 1, acc), ConfigError);
+  EXPECT_EQ(acc, std::vector<std::int64_t>(9, 0));
 }
 
 TEST(Storage, LowVddCorruptsManyCells) {
@@ -1022,65 +976,39 @@ TEST(Storage, CountersPrintByName) {
             "writeback_bits=4, pseudo_read_flips=5}");
 }
 
-TEST(Storage, FlipOnAccessOnlyTouchesAccessedCells) {
-  const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
-  const auto image = random_image(15, 9, 12);
-  auto lazy = make_bit_level_storage(15, 9, &model, 0, 8,
-                                     PseudoReadPolicy::kFlipOnAccess);
-  lazy->write(image);
-  lazy->write_back(phase(0, 0.22, 6));
-  // Nothing accessed yet: weights must still be golden.
-  for (std::uint32_t r = 0; r < 15; ++r) {
-    for (std::uint32_t c = 0; c < 9; ++c) {
-      EXPECT_EQ(lazy->weight(RowIndex(r), ColIndex(c)), image[r * 9 + c]);
-    }
-  }
-  // Access column 3: exactly that column may corrupt.
-  std::vector<std::uint8_t> input(15, 1);
-  lazy->mac(ColIndex(3), input);
-  for (std::uint32_t r = 0; r < 15; ++r) {
-    for (std::uint32_t c = 0; c < 9; ++c) {
-      if (c != 3) {
-        EXPECT_EQ(lazy->weight(RowIndex(r), ColIndex(c)), image[r * 9 + c]);
-      }
-    }
-  }
-}
-
-TEST(Storage, FlipOnAccessConvergesToSettledPattern) {
-  // After touching every column, the lazy policy must match the settle
-  // policy exactly (same hash-derived pattern).
-  const noise::SramCellModel model(noise::SramNoiseParams{}, 23);
-  const auto image = random_image(15, 9, 13);
-  auto lazy = make_bit_level_storage(15, 9, &model, 77, 8,
-                                     PseudoReadPolicy::kFlipOnAccess);
-  auto settle = make_bit_level_storage(15, 9, &model, 77, 8,
-                                       PseudoReadPolicy::kSettleAtWriteBack);
-  lazy->write(image);
-  settle->write(image);
-  const auto p = phase(2, 0.30, 6);
-  lazy->write_back(p);
-  settle->write_back(p);
-  const std::vector<std::uint8_t> input(15, 1);
-  for (std::uint32_t c = 0; c < 9; ++c) lazy->mac(ColIndex(c), input);
-  for (std::uint32_t r = 0; r < 15; ++r) {
-    for (std::uint32_t c = 0; c < 9; ++c) {
-      EXPECT_EQ(lazy->weight(RowIndex(r), ColIndex(c)), settle->weight(RowIndex(r), ColIndex(c)));
-    }
-  }
-}
-
 TEST(Storage, StickyWithinEpoch) {
-  // Two MACs in the same epoch read the same corrupted values.
+  // MACs are pure between write-backs on both backends: a repeated MAC
+  // reads the same corrupted values and changes no weight and no flip
+  // count. The swap ΔE cache and charge_repeat_macs() rely on it.
   const noise::SramCellModel model(noise::SramNoiseParams{}, 29);
-  auto storage = make_bit_level_storage(15, 9, &model, 0, 8,
-                                        PseudoReadPolicy::kFlipOnAccess);
-  storage->write(random_image(15, 9, 14));
-  storage->write_back(phase(0, 0.25, 6));
-  const std::vector<std::uint8_t> input(15, 1);
-  const auto first = storage->mac(ColIndex(4), input);
-  const auto second = storage->mac(ColIndex(4), input);
-  EXPECT_EQ(first, second);
+  const auto image = random_image(15, 9, 14);
+  for (const bool bit_level : {false, true}) {
+    auto storage = bit_level ? make_bit_level_storage(15, 9, &model, 0)
+                             : make_fast_storage(15, 9, &model, 0);
+    storage->write(image);
+    storage->write_back(phase(0, 0.25, 6));
+    const auto weights = [&] {
+      std::vector<std::uint8_t> out;
+      for (std::uint32_t r = 0; r < 15; ++r) {
+        for (std::uint32_t c = 0; c < 9; ++c) {
+          out.push_back(storage->weight(RowIndex(r), ColIndex(c)));
+        }
+      }
+      return out;
+    };
+    const auto settled = weights();
+    const std::uint64_t flips = storage->counters().pseudo_read_flips;
+    EXPECT_GT(flips, 0U);
+    const std::vector<std::uint8_t> input(15, 1);
+    const std::vector<std::uint32_t> active = {0, 4, 7, 14};
+    const auto first = storage->mac(ColIndex(4), input);
+    const auto first_sparse = storage->mac_sparse(ColIndex(2), active);
+    EXPECT_EQ(storage->mac(ColIndex(4), input), first);
+    EXPECT_EQ(storage->mac_sparse(ColIndex(2), active), first_sparse);
+    EXPECT_EQ(weights(), settled) << (bit_level ? "bit-level" : "fast");
+    EXPECT_EQ(storage->counters().pseudo_read_flips, flips)
+        << (bit_level ? "bit-level" : "fast");
+  }
 }
 
 TEST(Storage, ValidationErrors) {

@@ -87,6 +87,38 @@ TEST(FailureInjection, StorageMisuse) {
   EXPECT_THROW(storage->write_back(phase), InvariantError);
   auto bit_level = hw::make_bit_level_storage(4, 4, nullptr, 0);
   EXPECT_THROW(bit_level->write_back(phase), InvariantError);
+
+  // With a noise model a batch write-back would settle the never-written
+  // (uninitialised) golden image: the check must fire before any pass
+  // runs, so the written storage beside it keeps its weights and charges
+  // nothing, through write_back and through run_epochs alike.
+  const noise::SramCellModel model(noise::SramNoiseParams{}, 5);
+  noise::SchedulePhase noisy;
+  noisy.vdd = 0.20;
+  noisy.noisy_lsbs = 6;
+  noisy.write_back = true;
+  auto fresh = hw::make_fast_storage(40, 40, &model, 0);
+  EXPECT_THROW(fresh->write_back(noisy), InvariantError);
+  auto written = hw::make_fast_storage(40, 40, &model, 40 * 40 * 8);
+  const std::vector<std::uint8_t> image(40 * 40, 0x55);
+  written->write(image);
+  hw::StorageBatch batch({written.get(), fresh.get()});
+  EXPECT_THROW(batch.write_back(noisy), InvariantError);
+  std::size_t bodies = 0;
+  EXPECT_THROW(batch.run_epochs(noise::AnnealSchedule{}, 0,
+                                [&](std::size_t, std::size_t) { ++bodies; }),
+               InvariantError);
+  EXPECT_EQ(bodies, 0U);
+  EXPECT_EQ(written->counters(), hw::StorageCounters{});
+  for (std::uint32_t r = 0; r < 40; ++r) {
+    for (std::uint32_t c = 0; c < 40; ++c) {
+      ASSERT_EQ(written->weight(hw::RowIndex(r), hw::ColIndex(c)), 0x55);
+    }
+  }
+  // Written, the same batch settles: the first write-back flips cells.
+  batch.write(std::vector<std::uint8_t>(batch.weights(), 0x55));
+  batch.write_back(noisy);
+  EXPECT_GT(written->counters().pseudo_read_flips, 0U);
 }
 
 TEST(FailureInjection, StuckAtCellsDegradeGracefully) {

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "cim/storage.hpp"
 #include "noise/monte_carlo.hpp"
 #include "noise/schedule.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 
 namespace cim::noise {
 namespace {
@@ -168,10 +170,11 @@ TEST(SramModel, InvalidParamsThrow) {
 }
 
 TEST(PhaseSettler, MatchesSettledValue) {
-  // The write-back fast path must reproduce the oracle bit for bit: every
-  // phase of the default schedule plus both supply extremes, both written
-  // values, with and without hard faults — through settle() and through
-  // the flips_anti() rule FastStorage's mask walk calls directly.
+  // The write-back's settle pass, which reads PhaseSettler's flip tables,
+  // must reproduce the oracle cell by cell: FastStorage::write_back with
+  // every bit noisy, at every phase of the default schedule plus both
+  // supply extremes, for an image and its complement (so both written
+  // values of every cell), with and without hard faults.
   std::vector<double> vdds = {0.20, 0.80};
   std::vector<std::uint64_t> epochs = {17, 18};
   const AnnealSchedule schedule;
@@ -182,45 +185,76 @@ TEST(PhaseSettler, MatchesSettledValue) {
     epochs.push_back(phase.epoch);
   }
   ASSERT_GT(vdds.size(), 4U);
+  // 2^17 cells: 128 × 128 weights of 8 bits, cell ids 0 .. 2^17 − 1.
+  constexpr std::uint32_t kSide = 128;
+  constexpr std::uint32_t kBits = 8;
   constexpr std::uint64_t kCells = std::uint64_t{1} << 17;
+  static_assert(std::uint64_t{kSide} * kSide * kBits == kCells);
+  std::vector<std::uint8_t> image(kSide * kSide);
+  util::Rng rng(0xF00D);
+  for (auto& w : image) w = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<std::uint8_t> complement(image.size());
+  for (std::size_t w = 0; w < image.size(); ++w) {
+    complement[w] = static_cast<std::uint8_t>(~image[w]);
+  }
   for (const double stuck_rate : {0.0, 0.02}) {
     SramNoiseParams params;
     params.stuck_cell_rate = stuck_rate;
     const SramCellModel model(params, 0xC0FFEE);
-    for (std::size_t p = 0; p < vdds.size(); ++p) {
-      const PhaseSettler settler(model, epochs[p], vdds[p]);
-      std::array<bool, 65> class_seen{};
-      std::size_t flips = 0;
-      for (std::uint64_t cell = 0; cell < kCells; ++cell) {
-        class_seen[static_cast<std::size_t>(
-            cell_hash::vth_popcount(model.seed(), cell))] = true;
-        for (const bool written : {false, true}) {
-          const bool expected =
-              model.settled_value(cell, epochs[p], vdds[p], written);
-          ASSERT_EQ(settler.settle(cell, written), expected)
-              << "cell " << cell << " vdd " << vdds[p] << " written "
-              << written << " stuck rate " << stuck_rate;
-          flips += expected != written ? 1 : 0;
+    std::array<bool, 65> class_seen{};
+    for (std::uint64_t cell = 0; cell < kCells; ++cell) {
+      class_seen[static_cast<std::size_t>(
+          cell_hash::vth_popcount(model.seed(), cell))] = true;
+    }
+    // 2^17 cells must reach the 35 ΔVth classes whose expected count is
+    // above one (15..49); the classes outside them hold under 2e-6 of the
+    // mass together.
+    std::size_t classes = 0;
+    for (const bool seen : class_seen) classes += seen ? 1 : 0;
+    EXPECT_GE(classes, 35U);
+    std::vector<std::size_t> flips(vdds.size(), 0);
+    for (const auto* written : {&image, &complement}) {
+      auto storage = hw::make_fast_storage(kSide, kSide, &model, 0, kBits);
+      storage->write(*written);
+      for (std::size_t p = 0; p < vdds.size(); ++p) {
+        SchedulePhase phase;
+        phase.epoch = epochs[p];
+        phase.vdd = vdds[p];
+        phase.noisy_lsbs = kBits;
+        phase.write_back = true;
+        const std::uint64_t flips_before =
+            storage->counters().pseudo_read_flips;
+        storage->write_back(phase);
+        // Pseudo-read flips only: a stuck cell's value is a hard fault
+        // that write() already applied.
+        std::uint64_t pseudo_read_flips = 0;
+        for (std::uint32_t r = 0; r < kSide; ++r) {
+          for (std::uint32_t c = 0; c < kSide; ++c) {
+            const std::size_t w = std::size_t{r} * kSide + c;
+            const unsigned settled =
+                storage->weight(hw::RowIndex(r), hw::ColIndex(c));
+            for (std::uint32_t b = 0; b < kBits; ++b) {
+              const std::uint64_t cell = w * kBits + b;
+              const bool bit = (((*written)[w] >> b) & 1U) != 0;
+              const bool expected =
+                  model.settled_value(cell, epochs[p], vdds[p], bit);
+              ASSERT_EQ(((settled >> b) & 1U) != 0, expected)
+                  << "cell " << cell << " vdd " << vdds[p] << " written "
+                  << bit << " stuck rate " << stuck_rate;
+              flips[p] += expected != bit ? 1 : 0;
+              pseudo_read_flips +=
+                  expected != bit && !model.is_stuck(cell) ? 1 : 0;
+            }
+          }
         }
-        // The mask walk's rule: on an anti-preferred non-stuck cell,
-        // flips_anti() is exactly "settled_value() returns preferred".
-        const bool preferred = cell_hash::preferred_bit(model.seed(), cell);
-        if (!model.is_stuck(cell)) {
-          ASSERT_EQ(settler.flips_anti(cell),
-                    model.settled_value(cell, epochs[p], vdds[p],
-                                        !preferred) == preferred)
-              << "cell " << cell << " vdd " << vdds[p] << " stuck rate "
-              << stuck_rate;
-        }
+        EXPECT_EQ(storage->counters().pseudo_read_flips - flips_before,
+                  pseudo_read_flips)
+            << "vdd " << vdds[p] << " stuck rate " << stuck_rate;
       }
-      // 2^17 cells must reach the 35 ΔVth classes whose expected count is
-      // above one (15..49); the classes outside them hold under 2e-6 of
-      // the mass together.
-      std::size_t classes = 0;
-      for (const bool seen : class_seen) classes += seen ? 1 : 0;
-      EXPECT_GE(classes, 35U) << "vdd " << vdds[p];
+    }
+    for (std::size_t p = 0; p < vdds.size(); ++p) {
       if (vdds[p] < 0.5) {
-        EXPECT_GT(flips, 0U) << "vdd " << vdds[p];
+        EXPECT_GT(flips[p], 0U) << "vdd " << vdds[p];
       }
     }
   }
