@@ -6,8 +6,10 @@
 #   fast (default) — release preset (warnings-as-errors): configure, build,
 #                    ctest (includes lint.determinism + lint.selftest),
 #                    on x86-64 a check that the write-back object code
-#                    uses the popcnt instruction and that the AVX-512
-#                    settle lanes vectorised (vpmullq, vpopcntq),
+#                    uses the popcnt instruction, that the AVX-512
+#                    settle lanes vectorised (vpmullq, vpopcntq) and
+#                    that the Ising flip's row add vectorised (paddd,
+#                    punpcklwd),
 #                    the annealer suites re-run with memoization
 #                    disabled, the bench smoke runs
 #                    (BENCH_swap_kernel, BENCH_reuse and BENCH_ext_qubo
@@ -96,6 +98,30 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
   echo "storage.cpp.o: $(grep -cw popcnt <<<"${storage_asm}") popcnt," \
     "$(grep -cw vpmullq <<<"${storage_asm}") vpmullq," \
     "$(grep -cw vpopcntq <<<"${storage_asm}") vpopcntq, no __popcountdi2"
+
+  # The Ising flip adds one signed int16 coupling row into the int32
+  # fields (DESIGN.md §16). At the base ISA GCC vectorises it with
+  # punpcklwd (int16 → int32 widening) and paddd; a refactor that
+  # silently stops that loop vectorising fails here.
+  echo "==== the vectorised Ising flip in the release local-fields object code"
+  fields_obj="${repo_root}/build/release/src/anneal/CMakeFiles/cim_anneal.dir/local_fields.cpp.o"
+  require_artifact "${fields_obj}"
+  # LocalFields::flip's body alone: rebuild() vectorises alike.
+  fields_asm="$(objdump -dr --no-show-raw-insn "${fields_obj}" |
+    awk '/<_ZN3cim6anneal11LocalFields4flip.*>:$/,/^$/')"
+  if [[ -z "${fields_asm}" ]]; then
+    echo "ci.sh: no LocalFields::flip symbol in ${fields_obj}" >&2
+    exit 1
+  fi
+  for insn in paddd punpcklwd; do
+    if ! grep -qw "${insn}" <<<"${fields_asm}"; then
+      echo "ci.sh: no ${insn} instruction in ${fields_obj}:" \
+        "the Ising flip's row add is no longer vectorised" >&2
+      exit 1
+    fi
+  done
+  echo "LocalFields::flip: $(grep -cw paddd <<<"${fields_asm}") paddd," \
+    "$(grep -cw punpcklwd <<<"${fields_asm}") punpcklwd"
 fi
 
 # Memoization — the Max-Cut and generic Ising annealers' incremental local

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "cim/activity.hpp"
 #include "util/error.hpp"
@@ -16,51 +17,77 @@ LocalFields::LocalFields(std::vector<Window> windows,
                          std::span<const ising::Spin> spins, bool memoize)
     : windows_(std::move(windows)), memoize_(memoize) {
   CIM_ASSERT(!windows_.empty());
+  const std::uint32_t rows = windows_.front().pos->rows();
   std::size_t slots = 0;
   for (const Window& w : windows_) {
-    CIM_ASSERT(w.pos->rows() == windows_.front().pos->rows());
+    CIM_ASSERT(w.pos->rows() == rows && w.neg->rows() == rows);
     CIM_ASSERT(w.neg->cols() == w.pos->cols());
+    // A MAC or row sum is at most rows × (2^bits − 1) in magnitude, so
+    // the int32 sums are exact. The 8-bit limit is about 8.4 M rows, a
+    // window of terabytes: no layout that fits in memory reaches it.
+    for (const hw::WeightStorage* plane : {w.pos, w.neg}) {
+      CIM_ASSERT(static_cast<std::uint64_t>(rows) *
+                     ((1U << plane->weight_bits()) - 1U) <=
+                 std::numeric_limits<std::int32_t>::max());
+    }
     offset_.push_back(slots);
     slots += w.pos->cols();
   }
-  CIM_ASSERT(spins.size() <= windows_.front().pos->rows());
-  sigma_plus_.assign(windows_.front().pos->rows(), 1);
+  offset_.push_back(slots);
+  CIM_ASSERT(spins.size() <= rows);
+  sigma_plus_.assign(rows, 1);
   for (std::size_t v = 0; v < spins.size(); ++v) {
     sigma_plus_[v] = spins[v] > 0 ? 1 : 0;
   }
-  if (!memoize_) ones_.assign(sigma_plus_.size(), 1);
+  if (memoize_) {
+    coupling_.assign(static_cast<std::size_t>(rows) * slots, 0);
+  } else {
+    ones_.assign(rows, 1);
+  }
   mac_.assign(slots, 0);
   row_sum_.assign(slots, 0);
   stamp_.assign(slots, 0);
 }
 
-std::span<std::int64_t> LocalFields::window_span(
-    std::vector<std::int64_t>& values, std::size_t window) {
-  return {values.data() + offset_[window], windows_[window].pos->cols()};
+std::span<std::int32_t> LocalFields::window_span(
+    std::vector<std::int32_t>& values, std::size_t window) {
+  return {values.data() + offset_[window],
+          offset_[window + 1] - offset_[window]};
 }
 
 void LocalFields::rebuild() {
   if (!memoize_) {
     for (std::size_t w = 0; w < windows_.size(); ++w) {
-      const std::span<std::int64_t> sums = window_span(row_sum_, w);
+      const std::span<std::int32_t> sums = window_span(row_sum_, w);
       for (std::uint32_t c = 0; c < sums.size(); ++c) {
-        sums[c] = windows_[w].pos->mac(hw::ColIndex(c), ones_) -
-                  windows_[w].neg->mac(hw::ColIndex(c), ones_);
+        sums[c] = static_cast<std::int32_t>(
+            windows_[w].pos->mac(hw::ColIndex(c), ones_) -
+            windows_[w].neg->mac(hw::ColIndex(c), ones_));
       }
     }
     return;
   }
-  // Rows with σ+ = 1 accumulate into mac_, the rest into row_sum_; adding
-  // mac_ afterwards completes the all-rows sum.
+  // One pass per window writes J = pos − neg row by row; rows with σ+ = 1
+  // accumulate into mac_, the rest into row_sum_, and adding mac_
+  // afterwards completes the all-rows sum.
   std::fill(mac_.begin(), mac_.end(), 0);
   std::fill(row_sum_.begin(), row_sum_.end(), 0);
+  const std::size_t rows = sigma_plus_.size();
   for (std::size_t w = 0; w < windows_.size(); ++w) {
-    const std::span<std::int64_t> on = window_span(mac_, w);
-    const std::span<std::int64_t> off = window_span(row_sum_, w);
-    for (std::uint32_t r = 0; r < sigma_plus_.size(); ++r) {
-      const std::span<std::int64_t> acc = sigma_plus_[r] ? on : off;
-      windows_[w].pos->accumulate_row(hw::RowIndex(r), 1, acc);
-      windows_[w].neg->accumulate_row(hw::RowIndex(r), -1, acc);
+    const std::span<std::int32_t> on = window_span(mac_, w);
+    const std::span<std::int32_t> off = window_span(row_sum_, w);
+    std::int16_t* coupling = coupling_.data() + rows * offset_[w];
+    for (std::uint32_t r = 0; r < rows; ++r) {
+      const std::span<const std::uint8_t> pos =
+          windows_[w].pos->settled_row(hw::RowIndex(r));
+      const std::span<const std::uint8_t> neg =
+          windows_[w].neg->settled_row(hw::RowIndex(r));
+      const std::span<std::int32_t> acc = sigma_plus_[r] ? on : off;
+      for (std::size_t c = 0; c < acc.size(); ++c) {
+        coupling[c] = static_cast<std::int16_t>(pos[c] - neg[c]);
+        acc[c] += coupling[c];
+      }
+      coupling += acc.size();
     }
     windows_[w].pos->charge_repeat_macs(windows_[w].pos->cols());
     windows_[w].neg->charge_repeat_macs(windows_[w].neg->cols());
@@ -85,17 +112,23 @@ std::int64_t LocalFields::field(std::size_t window, std::uint32_t col) {
     stamp_[slot] = generation_;
     ++misses_;
   }
-  return 2 * mac_[slot] - row_sum_[slot];
+  return 2 * static_cast<std::int64_t>(mac_[slot]) - row_sum_[slot];
 }
 
 void LocalFields::flip(std::uint32_t row, ising::Spin next) {
   sigma_plus_[row] = next > 0 ? 1 : 0;
   if (!memoize_) return;
-  const int delta = next > 0 ? 1 : -1;
+  const std::size_t rows = sigma_plus_.size();
   for (std::size_t w = 0; w < windows_.size(); ++w) {
-    const std::span<std::int64_t> acc = window_span(mac_, w);
-    windows_[w].pos->accumulate_row(hw::RowIndex(row), delta, acc);
-    windows_[w].neg->accumulate_row(hw::RowIndex(row), -delta, acc);
+    const std::span<std::int32_t> acc = window_span(mac_, w);
+    const std::int16_t* coupling =
+        coupling_.data() + rows * offset_[w] + row * acc.size();
+    // Separate loops keep each one a plain vectorisable add or subtract.
+    if (next > 0) {
+      for (std::size_t c = 0; c < acc.size(); ++c) acc[c] += coupling[c];
+    } else {
+      for (std::size_t c = 0; c < acc.size(); ++c) acc[c] -= coupling[c];
+    }
   }
   ++generation_;
 }

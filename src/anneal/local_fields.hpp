@@ -16,14 +16,21 @@
 // and add its own per-sweep work (best-state tracking).
 //
 // LocalFields evaluates the fields. With memoization on it keeps both
-// terms for every spin in flat arrays — window w's column c sits at
-// offset[w] + c — and keeps them exact incrementally:
+// terms for every spin in flat int32 arrays — window w's column c sits
+// at offset[w] + c — and keeps them exact incrementally:
 //
-//   * rebuild() recomputes row sums and MACs from σ+ in one row-major
-//     pass over the settled planes (after every write-back);
-//   * flip() adds ±(pos − neg) of the flipped spin's row to every MAC —
-//     the whole row, because a pseudo-read can settle a non-edge weight
-//     to a nonzero value, which the column MAC reads too.
+//   * rebuild() (after every write-back) makes one row-major pass over
+//     the settled planes: it writes each window's signed int16 image
+//     J = pos − neg (rows × cols, at rows × offset[w]) and sums its rows
+//     into the row sums and, where σ+ = 1, the MACs;
+//   * flip() adds ±J of the flipped spin's row to every MAC of each
+//     window — one contiguous signed row per window, the whole row,
+//     because a pseudo-read can settle a non-edge weight to a nonzero
+//     value, which the column MAC reads too.
+//
+// The image costs 1 B per plane weight. int32 sums are exact because
+// rows × (2^weight_bits − 1) fits in int32 (checked in the constructor);
+// field() widens to int64 for 2·MAC − row_sum.
 //
 // With memoization off it re-reduces both columns on every evaluation,
 // and the row sums with an all-ones MAC per column at each rebuild: the
@@ -62,11 +69,12 @@ struct IsingAnnealConfig {
   noise::SramNoiseParams sram;
   NoiseMode noise = NoiseMode::kSramWeight;
   /// Incremental local fields (see LocalFields): rebuilt after each
-  /// write-back and updated by one weight row per window when a spin
-  /// flips, instead of two column MACs per update. Each update still
-  /// charges the hardware read of both columns. Bit-identical to the
-  /// recompute path, which stays the oracle. Defaults from
-  /// CIMANNEAL_MEMOIZE (unset → on).
+  /// write-back, with a signed int16 image J = pos − neg of the settled
+  /// planes (1 B per plane weight), and updated by one J row per window
+  /// when a spin flips, instead of two column MACs per update. Each
+  /// update still charges the hardware read of both columns.
+  /// Bit-identical to the recompute path, which stays the oracle.
+  /// Defaults from CIMANNEAL_MEMOIZE (unset → on).
   bool memoize_partial_sums = default_memoize();
   std::uint32_t weight_bits = 8;
   std::uint64_t seed = 1;
@@ -101,7 +109,8 @@ class LocalFields {
   };
 
   /// σ+ starts from `spins` (row v is spin v); rows past the spins (a
-  /// bias row) are held at 1.
+  /// bias row) are held at 1. The windows' planes must outlive the
+  /// fields.
   LocalFields(std::vector<Window> windows, std::span<const ising::Spin> spins,
               bool memoize);
 
@@ -120,7 +129,7 @@ class LocalFields {
   std::size_t misses() const { return misses_; }
 
  private:
-  std::span<std::int64_t> window_span(std::vector<std::int64_t>& values,
+  std::span<std::int32_t> window_span(std::vector<std::int32_t>& values,
                                       std::size_t window);
 
   std::vector<Window> windows_;
@@ -128,9 +137,13 @@ class LocalFields {
   std::vector<std::uint8_t> sigma_plus_;
   /// The all-ones input of the recompute path's row-sum MACs.
   std::vector<std::uint8_t> ones_;
-  std::vector<std::size_t> offset_;  ///< first slot of each window
-  std::vector<std::int64_t> mac_;
-  std::vector<std::int64_t> row_sum_;
+  /// First slot of each window, then the slot count.
+  std::vector<std::size_t> offset_;
+  /// Memoized only: J = pos − neg of the settled planes, window w's
+  /// row-major image at sigma_plus_.size() × offset_[w].
+  std::vector<std::int16_t> coupling_;
+  std::vector<std::int32_t> mac_;
+  std::vector<std::int32_t> row_sum_;
   // Accounting only: the generation advances on every flip and rebuild.
   std::vector<std::uint64_t> stamp_;  // 0 never matches (gens start at 1)
   std::uint64_t generation_ = 1;

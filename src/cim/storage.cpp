@@ -28,11 +28,11 @@ std::ostream& operator<<(std::ostream& os, const StorageCounters& counters) {
             << ", pseudo_read_flips=" << counters.pseudo_read_flips << "}";
 }
 
-// Only the fast backend keeps the byte plane a row read sums; the
+// Only the fast backend keeps the byte plane a row read returns; the
 // bit-level backend serves the oracle tests and refuses the read.
-void WeightStorage::accumulate_row(RowIndex /*row*/, int /*sign*/,
-                                   std::span<std::int64_t> /*acc*/) const {
-  throw ConfigError("accumulate_row needs the fast backend");
+std::span<const std::uint8_t> WeightStorage::settled_row(
+    RowIndex /*row*/) const {
+  throw ConfigError("settled_row needs the fast backend");
 }
 
 namespace {
@@ -361,18 +361,9 @@ class FastStorage final : public StorageBase {
   // Host-side field bookkeeping over the settled image, not a modelled
   // wordline access: the caller charges the column MACs it stands in for
   // via charge_repeat_macs(). NOLINT(cim-counter-charge)
-  void accumulate_row(RowIndex row_idx, int sign,
-                      std::span<std::int64_t> acc) const override {
-    const std::uint32_t row = row_idx.get();
-    CIM_ASSERT(row < rows_);
-    CIM_ASSERT(sign == 1 || sign == -1);
-    CIM_ASSERT(acc.size() == cols_);
-    const std::uint8_t* weights = &current_[index(row, 0)];
-    if (sign > 0) {
-      for (std::uint32_t c = 0; c < cols_; ++c) acc[c] += weights[c];
-    } else {
-      for (std::uint32_t c = 0; c < cols_; ++c) acc[c] -= weights[c];
-    }
+  std::span<const std::uint8_t> settled_row(RowIndex row) const override {
+    CIM_ASSERT(row.get() < rows_);
+    return {&current_[index(row.get(), 0)], cols_};
   }
 
   // Test/debug observability peek, not a modelled wordline access — the

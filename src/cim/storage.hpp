@@ -113,15 +113,14 @@ class WeightStorage {
         n * static_cast<std::uint64_t>(rows()) * weight_bits();
   }
 
-  /// Row accumulate: acc[c] += sign · weight[row][c] for every column c
-  /// (sign = ±1, acc has cols() entries). Host-side bookkeeping, not a
+  /// The settled weights of `row` (cols() entries), valid until the next
+  /// write(), write_back() or batch call. Host-side bookkeeping, not a
   /// modelled access, so it charges nothing: the Ising annealers keep
-  /// exact copies of column MACs with it (DESIGN.md §16) while charging
-  /// the MACs the hardware still performs through charge_repeat_macs().
-  /// Only the fast backend implements it; every other backend throws
-  /// ConfigError.
-  virtual void accumulate_row(RowIndex row, int sign,
-                              std::span<std::int64_t> acc) const;
+  /// exact copies of column MACs from these rows (DESIGN.md §16) while
+  /// charging the MACs the hardware still performs through
+  /// charge_repeat_macs(). Only the fast backend keeps a byte plane to
+  /// read; every other backend throws ConfigError.
+  virtual std::span<const std::uint8_t> settled_row(RowIndex row) const;
 
   /// Current (possibly corrupted) weight value — for tests and debugging.
   virtual std::uint8_t weight(RowIndex row, ColIndex col) const = 0;

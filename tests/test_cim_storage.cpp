@@ -821,10 +821,10 @@ TEST(Storage, DenseSparsePropertySweep) {
   }
 }
 
-TEST(Storage, AccumulateRowSumsToColumnMacs) {
-  // Row accumulates over the settled (noisy, stuck) image rebuild every
-  // column MAC exactly, and charge nothing: they stand in for MACs the
-  // caller charges itself.
+TEST(Storage, SettledRowsSumToColumnMacs) {
+  // The settled (noisy, stuck) rows, summed over the set inputs, rebuild
+  // every column MAC exactly, and reading them charges nothing: they
+  // stand in for MACs the caller charges itself.
   noise::SramNoiseParams params;
   params.stuck_cell_rate = 0.05;
   const noise::SramCellModel model(params, 23);
@@ -837,25 +837,28 @@ TEST(Storage, AccumulateRowSumsToColumnMacs) {
   const StorageCounters before = storage->counters();
   std::vector<std::int64_t> acc(9, 0);
   for (std::uint32_t r = 0; r < 15; ++r) {
-    if (input[r]) storage->accumulate_row(RowIndex(r), 1, acc);
+    const std::span<const std::uint8_t> row =
+        storage->settled_row(RowIndex(r));
+    ASSERT_EQ(row.size(), 9U);
+    for (std::uint32_t c = 0; c < 9; ++c) {
+      EXPECT_EQ(row[c], storage->weight(RowIndex(r), ColIndex(c)));
+      if (input[r]) acc[c] += row[c];
+    }
   }
-  storage->accumulate_row(RowIndex(3), 1, acc);
-  storage->accumulate_row(RowIndex(3), -1, acc);
   EXPECT_EQ(storage->counters(), before);
   for (std::uint32_t c = 0; c < 9; ++c) {
     EXPECT_EQ(acc[c], storage->mac(ColIndex(c), input)) << "column " << c;
   }
 }
 
-TEST(Storage, AccumulateRowIsFastBackendOnly) {
-  // The bit-level backend keeps no byte plane to sum a row from; it
-  // refuses the read and leaves the accumulator alone.
+TEST(Storage, SettledRowIsFastBackendOnly) {
+  // The bit-level backend keeps no byte plane to return a row from; it
+  // refuses the read.
   const noise::SramCellModel model(noise::SramNoiseParams{}, 19);
   auto storage = make_bit_level_storage(15, 9, &model, 0);
   storage->write(random_image(15, 9, 12));
-  std::vector<std::int64_t> acc(9, 0);
-  EXPECT_THROW(storage->accumulate_row(RowIndex(0), 1, acc), ConfigError);
-  EXPECT_EQ(acc, std::vector<std::int64_t>(9, 0));
+  EXPECT_THROW(static_cast<void>(storage->settled_row(RowIndex(0))),
+               ConfigError);
 }
 
 TEST(Storage, LowVddCorruptsManyCells) {
