@@ -213,13 +213,20 @@ cim::util::Json memoization_row(const cim::tsp::Instance& instance,
           memo.hw.storage.pseudo_read_flips ==
               recompute.hw.storage.pseudo_read_flips,
       "bench_reuse: memoized run changed hardware MAC accounting");
+  // The quiescent-slot fast path charges its attempts and dataflow in
+  // batches, so their totals must still match the oracle's.
+  CIM_REQUIRE(memo.hw.swap_attempts == recompute.hw.swap_attempts &&
+                  memo.hw.dataflow == recompute.hw.dataflow,
+              "bench_reuse: memoized run changed swap or dataflow accounting");
 
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t quiescent = 0;
   std::uint64_t attempts = 0;
   for (const auto& level : memo.levels) {
     hits += level.memo_hits;
     misses += level.memo_misses;
+    quiescent += level.quiescent_hits;
     attempts += level.swaps_attempted;
   }
   const double hit_rate =
@@ -237,14 +244,16 @@ cim::util::Json memoization_row(const cim::tsp::Instance& instance,
   row["swaps_attempted"] = attempts;
   row["memo_hits"] = hits;
   row["memo_misses"] = misses;
+  row["quiescent_hits"] = quiescent;
   row["memo_hit_rate"] = hit_rate;
   row["identical"] = true;  // the CIM_REQUIREs above enforce it
   std::printf(
       "memoization n=%zu p=%u: memo %.3fs, recompute %.3fs (%.2fx), "
-      "hit rate %.2f%% of %llu attempts\n",
+      "hit rate %.2f%% of %llu attempts, %llu quiescent\n",
       instance.size(), p, memo_s, recompute_s,
       memo_s > 0.0 ? recompute_s / memo_s : 0.0, 100.0 * hit_rate,
-      static_cast<unsigned long long>(attempts));
+      static_cast<unsigned long long>(attempts),
+      static_cast<unsigned long long>(quiescent));
   return row;
 }
 

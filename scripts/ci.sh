@@ -225,6 +225,10 @@ for memo in memo_rows:
         memo["swaps_attempted"], memo
     assert memo["memo_hits"] > 0 and memo["memo_misses"] > 0, memo
     assert memo.get("speedup_memo_vs_recompute", 0) > 0, memo
+    # The quiescent-slot fast path must run at p = 3 (DESIGN.md §16), and
+    # its attempts are a subset of the memo hits.
+    if memo["p"] == 3:
+        assert 0 < memo["quiescent_hits"] <= memo["memo_hits"], memo
 print("reuse report structure OK "
       f"(warm {ws['speedup_time_to_target']:.1f}x to 1% gap, "
       f"scan {scan['speedup_tiled_vs_untiled']:.1f}x, "

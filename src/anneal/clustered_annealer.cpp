@@ -70,9 +70,29 @@ struct Slot {
   std::vector<CachedDelta> delta_cache;
   std::uint64_t gen_counter = 1;
   std::uint64_t input_gen = 1;
+  /// Order pairs whose entries hold the stamp valid_gen, counted as misses
+  /// fill them. Generations never come back once left (a restore returns
+  /// only to the attempt's own pre-swap generation), so every pair is
+  /// cached iff valid_gen == input_gen and valid_pairs == p(p − 1)/2. A
+  /// slot of p < 2 never misses, so its valid_gen stays 0, below every
+  /// generation.
+  std::uint64_t valid_gen = 0;
+  std::uint32_t valid_pairs = 0;
 
   std::uint32_t p() const { return static_cast<std::uint32_t>(members.size()); }
+  bool fully_cached() const {
+    return valid_gen == input_gen && valid_pairs == p() * (p() - 1) / 2;
+  }
 };
+
+/// The dataflow tally an update of a slot of `color` lands in: the extra
+/// chromatic phase of an odd ring (colour 2) is neither a solid nor a
+/// dash column and is tallied on its own.
+hw::UpdateParity update_parity(std::uint8_t color) {
+  return color == 0   ? hw::UpdateParity::kSolid
+         : color == 1 ? hw::UpdateParity::kDash
+                      : hw::UpdateParity::kThird;
+}
 
 /// Solves the member order of every cluster at one hierarchy level.
 class LevelSolver {
@@ -101,6 +121,10 @@ class LevelSolver {
     build_slots(ring);
     build_windows();
     for (Slot& slot : slots_) init_active(slot);
+    // Only the sparse kernel caches swap deltas, and only these modes'
+    // accept rule rejects ΔE ≥ 0 without a draw.
+    quiescence_allowed_ = config_.sparse_swap_kernel &&
+                          config_.noise != NoiseMode::kLfsr;
   }
 
   LevelStats run(HardwareActivity& hw, std::vector<double>* trace);
@@ -162,6 +186,11 @@ class LevelSolver {
   /// written-1 rows and add settled-to-1 rows (built in rows_scratch_).
   std::span<const std::uint32_t> noisy_input_rows(const Slot& slot);
 
+  /// One swap attempt on slot `s`: the quiescent fast path or
+  /// attempt_swap(), keeping the quiescent flags current.
+  void update(std::uint32_t s, const SchedulePhase& phase, LevelStats& stats,
+              HardwareActivity& hw);
+
   bool attempt_swap(Slot& slot, const SchedulePhase& phase,
                     LevelStats& stats, HardwareActivity& hw);
 
@@ -183,10 +212,23 @@ class LevelSolver {
   const std::vector<std::uint64_t>* member_rank_;
 
   std::vector<Slot> slots_;
+  /// Quiescent-slot fast path (DESIGN.md §16). A slot is quiescent when
+  /// every order pair holds a cached ΔE at its input generation and the
+  /// accept rule rejects ΔE ≥ 0 without a draw: each attempt is then a
+  /// foregone rejection until the slot's inputs change. Dense per-slot
+  /// entries, so such an attempt reads no Slot.
+  struct Quiescence {
+    std::uint64_t pending = 0;  ///< quiescent attempts not yet charged
+    std::uint32_t p = 0;
+    bool on = false;
+  };
+  std::vector<Quiescence> quiescence_;
+  bool quiescence_allowed_ = false;
+  /// Slot indices of each colour, ascending.
+  std::vector<std::vector<std::uint32_t>> color_slots_;
   /// Every slot's storage, in slot order: written in build_windows() and
   /// written back by run().
   std::optional<hw::StorageBatch> batch_;
-  std::uint8_t color_count_ = 1;
   double scale_ = 0.0;  ///< quantisation: weight = distance * scale_
   std::vector<std::uint8_t> input_scratch_;  ///< dense input (legacy kernel)
   std::vector<std::uint32_t> rows_scratch_;  ///< noisy rows (kSramSpin)
@@ -240,16 +282,22 @@ void LevelSolver::build_slots(const std::vector<std::uint32_t>& ring) {
   // Chromatic colouring of the ring: alternate parity; an odd ring (of
   // length > 1) gives its last slot a third colour so no two adjacent
   // slots share a colour.
-  color_count_ = 1;
+  std::uint8_t color_count = 1;
   if (slots_.size() > 1) {
-    color_count_ = 2;
+    color_count = 2;
     for (std::size_t r = 0; r < slots_.size(); ++r) {
       slots_[r].color = static_cast<std::uint8_t>(r % 2);
     }
     if (slots_.size() % 2 == 1) {
       slots_.back().color = 2;
-      color_count_ = 3;
+      color_count = 3;
     }
+  }
+  color_slots_.assign(color_count, {});
+  quiescence_.resize(slots_.size());
+  for (std::uint32_t r = 0; r < slots_.size(); ++r) {
+    color_slots_[slots_[r].color].push_back(r);
+    quiescence_[r].p = slots_[r].p();
   }
 }
 
@@ -502,8 +550,8 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
   if (config_.sparse_swap_kernel) {
     // Incremental sparse kernel: the persistent active-row list holds the
     // p + 2 set input bits; a swap moves two own entries and the boundary
-    // entries follow the neighbours' perms (refreshed O(1) here rather
-    // than invalidation-pushed from the neighbour's accept).
+    // entries follow the neighbours' perms (refreshed O(1) here; only the
+    // quiescent flag is cleared from the neighbour's accept).
     refresh_boundary(slot);
     if (config_.noise == NoiseMode::kSramSpin) {
       refresh_spin_cache(slot, phase, stats);
@@ -535,6 +583,11 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
           slot.storage->mac_sparse(hw::ColIndex(j * p + k), rows_post);
       delta = after - before;
       cached = {delta, pre_gen};
+      if (slot.valid_gen != pre_gen) {
+        slot.valid_gen = pre_gen;
+        slot.valid_pairs = 0;
+      }
+      ++slot.valid_pairs;
       ++stats.memo_misses;
     }
   } else {
@@ -560,13 +613,8 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
   }
 
   // Dataflow accounting: the boundary spins cross the array edge once per
-  // update, and the input register realigns by one window. The extra
-  // chromatic phase of an odd ring (colour 2) is neither a solid nor a
-  // dash column and is tallied on its own.
-  const auto parity = slot.color == 0   ? hw::UpdateParity::kSolid
-                      : slot.color == 1 ? hw::UpdateParity::kDash
-                                        : hw::UpdateParity::kThird;
-  hw.dataflow.record_edge_transfer(parity, p);
+  // update, and the input register realigns by one window.
+  hw.dataflow.record_edge_transfer(update_parity(slot.color), p);
   hw.dataflow.record_input_shift(p);
 
   bool accept = false;
@@ -608,6 +656,34 @@ bool LevelSolver::attempt_swap(Slot& slot, const SchedulePhase& phase,
     ++stats.uphill_accepted;
   }
   return true;
+}
+
+void LevelSolver::update(std::uint32_t s, const SchedulePhase& phase,
+                         LevelStats& stats, HardwareActivity& hw) {
+  Quiescence& q = quiescence_[s];
+  if (q.on) {
+    // Every proposal this attempt can draw is a cached ΔE ≥ 0 and is
+    // rejected. Make attempt_swap()'s two draws and its counts; the four
+    // repeat MACs and the dataflow are charged from `pending` when the
+    // level ends.
+    static_cast<void>(rng_.below(q.p));
+    static_cast<void>(rng_.below(q.p - 1));
+    ++q.pending;
+    ++stats.swaps_attempted;
+    ++stats.memo_hits;
+    ++stats.quiescent_hits;
+    if (config_.noise == NoiseMode::kSramSpin) ++stats.settle_cache_hits;
+    ++hw.swap_attempts;
+    return;
+  }
+  Slot& slot = slots_[s];
+  if (attempt_swap(slot, phase, stats, hw)) {
+    // The neighbours' boundary rows follow this slot's perm.
+    quiescence_[slot.prev].on = false;
+    quiescence_[slot.next].on = false;
+  } else {
+    q.on = quiescence_allowed_ && slot.fully_cached();
+  }
 }
 
 double LevelSolver::exact_swap_delta_applied(Slot& slot, std::uint32_t i,
@@ -692,6 +768,7 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
         // in parallel, on the chip and in the level's pooled batch — so
         // every cached swap delta is stale.
         for (Slot& slot : slots_) slot.input_gen = ++slot.gen_counter;
+        for (Quiescence& q : quiescence_) q.on = false;
         // Rows within an array are written sequentially.
         hw.writeback_cycles += max_rows;
         stats.update_cycles += max_rows;
@@ -700,17 +777,17 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
         // All slots of one colour update in the same 4 MAC cycles: their
         // ring neighbours hold other colours, so the frozen-neighbour reads
         // are race-free (chromatic Gibbs sampling).
-        for (std::uint8_t color = 0; color < color_count_; ++color) {
-          for (Slot& slot : slots_) {
-            if (slot.color == color) attempt_swap(slot, phase, stats, hw);
+        for (const auto& color_slots : color_slots_) {
+          for (const std::uint32_t s : color_slots) {
+            update(s, phase, stats, hw);
           }
           hw.update_cycles += 4;
           stats.update_cycles += 4;
         }
       } else {
         // Sequential Gibbs baseline: one cluster at a time.
-        for (Slot& slot : slots_) {
-          attempt_swap(slot, phase, stats, hw);
+        for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+          update(s, phase, stats, hw);
           hw.update_cycles += 4;
           stats.update_cycles += 4;
         }
@@ -764,6 +841,17 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
 
   batch_->run_epochs(schedule_, epoch_base_, epoch);
 
+  // Charge the quiescent attempts: four repeat MACs and one update's
+  // dataflow each, as attempt_swap() charges a ΔE-cache hit.
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    const std::uint64_t n = quiescence_[s].pending;
+    if (n == 0) continue;
+    const Slot& slot = slots_[s];
+    slot.storage->charge_repeat_macs(4 * n);
+    hw.dataflow.record_edge_transfer(update_parity(slot.color), slot.p(), n);
+    hw.dataflow.record_input_shift(slot.p(), n);
+  }
+
   stats.ring_length_after = exact_ring_length();
   for (const Slot& slot : slots_) {
     hw.storage += slot.storage->counters();
@@ -789,6 +877,7 @@ LevelStats LevelSolver::run(HardwareActivity& hw,
     telem.counter("anneal.noise_draws").add(stats.noise_draws);
     telem.counter("anneal.memo_hits").add(stats.memo_hits);
     telem.counter("anneal.memo_misses").add(stats.memo_misses);
+    telem.counter("anneal.quiescent_hits").add(stats.quiescent_hits);
     telem.counter("anneal.dcache_hits").add(stats.dcache_hits);
     telem.counter("anneal.dcache_misses").add(stats.dcache_misses);
     telem.counter("anneal.dcache_bytes").add(stats.dcache_bytes);

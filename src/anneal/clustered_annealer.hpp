@@ -95,6 +95,11 @@ struct LevelStats {
   /// kernel runs.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
+  /// The memo hits taken on the quiescent-slot fast path: attempts on a
+  /// slot whose every order pair was cached under a no-draw accept rule,
+  /// rejected without reading the slot (DESIGN.md §16). At most
+  /// memo_hits; 0 under kLfsr and on the dense kernel.
+  std::size_t quiescent_hits = 0;
   /// Distance-cache behaviour of the exact-distance paths (window build,
   /// accepted-swap exact deltas, ring-length scoring) and the bytes of
   /// cache entries touched — the reuse-layer traffic observable.

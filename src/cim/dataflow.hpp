@@ -26,13 +26,15 @@ enum class UpdateParity : std::uint8_t {
 
 class DataflowTracker {
  public:
-  /// Register realignment when the update parity toggles.
-  void record_input_shift(std::uint32_t bits_shifted);
+  /// Register realignment when the update parity toggles, `times` times
+  /// (a batch of identical updates tallied at once).
+  void record_input_shift(std::uint32_t bits_shifted, std::uint64_t times = 1);
 
-  /// Boundary transfer of `p` bits between ring-adjacent clusters.
-  /// Direction follows the parity: solid → downstream, dash → upstream,
-  /// third-phase → its own tally.
-  void record_edge_transfer(UpdateParity parity, std::uint32_t p_bits);
+  /// Boundary transfer of `p` bits between ring-adjacent clusters, `times`
+  /// times. Direction follows the parity: solid → downstream, dash →
+  /// upstream, third-phase → its own tally.
+  void record_edge_transfer(UpdateParity parity, std::uint32_t p_bits,
+                            std::uint64_t times = 1);
 
   std::uint64_t input_shift_events() const { return shift_events_; }
   std::uint64_t input_bits_shifted() const { return bits_shifted_; }
@@ -42,6 +44,7 @@ class DataflowTracker {
   std::uint64_t edge_bits_transferred() const { return edge_bits_; }
 
   DataflowTracker& operator+=(const DataflowTracker& other);
+  bool operator==(const DataflowTracker&) const = default;
 
  private:
   std::uint64_t shift_events_ = 0;

@@ -176,7 +176,8 @@ class StorageBase : public WeightStorage {
   StorageBase(std::uint32_t rows, std::uint32_t cols,
               const noise::SramCellModel* model, std::uint64_t cell_base,
               std::uint32_t weight_bits)
-      : rows_(rows),
+      : WeightStorage(static_cast<std::uint64_t>(rows) * weight_bits),
+        rows_(rows),
         cols_(cols),
         bits_(weight_bits),
         model_(model),

@@ -106,11 +106,11 @@ class WeightStorage {
   /// reads, so each repeat still pays the full rows()·bits read like every
   /// mac() variant; the host-side reduction is what the caller skips.
   /// Sound because MACs are pure between write-backs: each repeat would
-  /// return the held value and flip nothing.
+  /// return the held value and flip nothing. Non-virtual: it runs on swap
+  /// ΔE-cache hits and twice per Ising field read.
   void charge_repeat_macs(std::uint64_t n) {
     counters_.macs += n;
-    counters_.mac_bit_reads +=
-        n * static_cast<std::uint64_t>(rows()) * weight_bits();
+    counters_.mac_bit_reads += n * mac_bits_;
   }
 
   /// The settled weights of `row` (cols() entries), valid until the next
@@ -129,7 +129,13 @@ class WeightStorage {
   void reset_counters() { counters_ = {}; }
 
  protected:
+  /// `mac_bits` is rows() · weight_bits(): the bit-cells one MAC reads.
+  explicit WeightStorage(std::uint64_t mac_bits) : mac_bits_(mac_bits) {}
+
   StorageCounters counters_;
+
+ private:
+  std::uint64_t mac_bits_;
 };
 
 /// Creates a fast (byte-materialised) backend.
